@@ -60,12 +60,12 @@ def _emit_json(obj) -> None:
 
 def cmd_check(args) -> int:
     program = _load_program(args.file)
+    checker = typecheck.Checker(program, infer_branch=args.infer_branch)
     started = time.perf_counter()
-    report = typecheck.check_program(program, infer_branch=args.infer_branch)
+    report = checker.run()
     elapsed = (time.perf_counter() - started) * 1000.0
     if args.json:
-        report = dict(report)
-        report["timings"] = {"checkMs": round(elapsed, 3)}
+        report["timings"] = {"checkMs": round(elapsed, 3), **checker.timings}
         _emit_json(report)
     else:
         width = max((len(d["name"]) for d in report["definitions"]), default=4)

@@ -108,7 +108,8 @@ class Soup:
                     single.append(("rb-cast", i))
             elif isinstance(p, NewSession):
                 single.append(("rb-par", i))
-            elif isinstance(p, TagComm) and p.pol == "!" and len(p.branches) > 1:
+            elif (isinstance(p, TagComm) and p.pol == "!" and len(p.branches) > 1
+                  and p.chan in th.env):
                 single.append(("rb-pick", i))
             elif isinstance(p, (Close, Wait, TagComm, ChanOut, ChanIn)):
                 # a missing handle just leaves the thread blocked; only

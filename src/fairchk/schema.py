@@ -43,6 +43,8 @@ DEFINITION = {
     "additionalProperties": False,
 }
 
+TIMINGS = ["checkMs", "typingMs", "safetyMs", "ranksMs", "boundsMs", "inferMs"]
+
 CHECK = {
     "type": "object",
     # timings appears only on CLI output; the API report omits it so that
@@ -51,10 +53,11 @@ CHECK = {
     "properties": {
         "verdict": {"enum": ["accepted", "rejected"]},
         "definitions": {"type": "array", "items": DEFINITION},
+        # milliseconds: the whole pipeline, then each pass
         "timings": {
             "type": "object",
-            "required": ["checkMs"],
-            "properties": {"checkMs": {"type": "number"}},
+            "required": TIMINGS,
+            "properties": {key: {"type": "number"} for key in TIMINGS},
             "additionalProperties": False,
         },
     },

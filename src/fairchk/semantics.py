@@ -18,32 +18,6 @@ from .types import INF, OUT, TypeTable, co, equiv
 
 Config = tuple[int, int]
 
-TAU = ("tau",)
-
-
-def type_transitions(table: TypeTable, i: int) -> list[tuple[tuple, int]]:
-    """Raw transitions of one endpoint type.
-
-    Output choices first commit silently to a singleton and only then expose
-    the tag action, so a multi-branch output has no visible transitions.
-    """
-    n = table.node(i)
-    if n[0] == "end":
-        return []
-    if n[0] == "chan":
-        return [(("chan", n[1], n[2]), n[3])]
-    out: list[tuple[tuple, int]] = []
-    if n[1] == OUT:
-        for label, _ in n[2]:
-            out.append((TAU, table.singleton(i, label)))
-        if len(n[2]) == 1:
-            label, child = n[2][0]
-            out.append((("tag", OUT, label), child))
-    else:
-        for label, child in n[2]:
-            out.append((("tag", "?", label), child))
-    return out
-
 
 def _picks(table: TypeTable, i: int) -> list[int]:
     """Silent pick successors, with the singleton self-loop contracted."""
@@ -71,7 +45,9 @@ class ConfigGraph:
     root: Config
     nodes: list[Config]
     tau: dict[Config, list[Config]]
-    sync: dict[Config, list[tuple[str, Config]]]
+    # a sync is labelled by its tag, or by the carried type's id for a
+    # channel payload
+    sync: dict[Config, list[tuple[str | int, Config]]]
     success: set[Config] = field(default_factory=set)
 
     def successors(self, c: Config) -> list[Config]:
@@ -83,7 +59,7 @@ def build_config_graph(table: TypeTable, s: int, t: int) -> ConfigGraph:
     nodes: list[Config] = [root]
     seen = {root}
     tau: dict[Config, list[Config]] = {}
-    sync: dict[Config, list[tuple[str, Config]]] = {}
+    sync: dict[Config, list[tuple[str | int, Config]]] = {}
     success: set[Config] = set()
     queue = deque([root])
     while queue:
@@ -105,8 +81,7 @@ def build_config_graph(table: TypeTable, s: int, t: int) -> ConfigGraph:
                 if la[0] == "tag" and la[2] == lb[2]:
                     sync[cfg].append((la[2], (a2, b2)))
                 elif la[0] == "chan" and equiv(table, la[2], lb[2]):
-                    detail = "(" + table.render(la[2]) + ")"
-                    sync[cfg].append((detail, (a2, b2)))
+                    sync[cfg].append((la[2], (a2, b2)))
         for nxt in tau[cfg] + [d for _, d in sync[cfg]]:
             if nxt not in seen:
                 seen.add(nxt)
@@ -165,17 +140,6 @@ def session_rank(table: TypeTable, s: int, t: int) -> int | float:
     return INF
 
 
-def rank_compatibility_agreement(table: TypeTable, s: int, t: int) -> dict:
-    """Diagnostic cross-check: a compatible pair must have a finite rank."""
-    comp = compatible(table, s, t)
-    rank = session_rank(table, s, t)
-    return {
-        "compatible": comp,
-        "rank": rank,
-        "consistent": (not comp) or rank < INF,
-    }
-
-
 def to_dot(table: TypeTable, g: ConfigGraph) -> str:
     """GraphViz rendering; success configurations are double-circled."""
     ids = {c: f"n{i}" for i, c in enumerate(g.nodes)}
@@ -191,7 +155,9 @@ def to_dot(table: TypeTable, g: ConfigGraph) -> str:
     for c in g.nodes:
         for d in g.tau[c]:
             lines.append(f'  {ids[c]} -> {ids[d]} [label="pick", style=dashed];')
-        for detail, d in g.sync[c]:
-            lines.append(f'  {ids[c]} -> {ids[d]} [label="{esc(detail)}"];')
+        for label, d in g.sync[c]:
+            if isinstance(label, int):
+                label = f"({table.render(label)})"
+            lines.append(f'  {ids[c]} -> {ids[d]} [label="{esc(label)}"];')
     lines.append("}")
     return "\n".join(lines)

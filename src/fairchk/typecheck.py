@@ -20,6 +20,7 @@ program's diagnostics.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field as dc_field
 
 from .semantics import compatible
@@ -103,6 +104,8 @@ class Checker:
         self.occ_def: dict[int, str] = {}
         self.occs: dict[str, list[ProcExpr]] = {}
         self.ranks: dict[str, int | float] = {}
+        self.timings: dict[str, float] = {"inferMs": 0.0}
+        self.pair_memo: dict[tuple, object] = {}
         for name, d in program.procs.items():
             order: list[ProcExpr] = []
             stack = [d.body]
@@ -112,6 +115,14 @@ class Checker:
                 self.occ_def[id(n)] = name
                 stack.extend(reversed(ast_children(n)))
             self.occs[name] = order
+
+    def _per_pair(self, fn, s: int, t: int):
+        """`fn(table, s, t)`, computed once per pair of type ids; the ids
+        of a hash-consed table are stable keys."""
+        key = (fn, s, t)
+        if key not in self.pair_memo:
+            self.pair_memo[key] = fn(self.table, s, t)
+        return self.pair_memo[key]
 
     def diag(self, defname: str, code: str, span: Span, message: str, **details) -> Diagnostic:
         d = Diagnostic(code, span, message, details)
@@ -260,7 +271,7 @@ class Checker:
                           f"{p.chan!r} rebinds a live channel")
                 raise _Abort
             assert p.ltid is not None and p.rtid is not None
-            if not compatible(self.table, p.ltid, p.rtid):
+            if not self._per_pair(compatible, p.ltid, p.rtid):
                 self.diag(dn, "E-INCOMPATIBLE", p.span,
                           f"endpoint types of {p.chan} cannot terminate together",
                           left=self._render(p.ltid), right=self._render(p.rtid))
@@ -286,7 +297,7 @@ class Checker:
         if isinstance(p, Cast):
             t = self._lookup(dn, p, ctx, p.chan)
             assert p.tid is not None
-            verdict = fair_subtype(self.table, t, p.tid)
+            verdict = self._per_pair(fair_subtype, t, p.tid)
             if verdict.holds:
                 w = int(verdict.weight)
                 if p.weight_ann is not None and w > p.weight_ann:
@@ -324,145 +335,55 @@ class Checker:
             return [self.program.procs[p.name].body]
         raise TypeError(f"not a process node: {p!r}")
 
-    def _loop_occurrences(self) -> set[int]:
-        """Ids of occurrences lying on a termination-path cycle."""
-        nodes: list[ProcExpr] = []
-        for order in self.occs.values():
-            nodes.extend(order)
-        succ = {id(n): [id(m) for m in self.term_successors(n)] for n in nodes}
-        on_cycle: set[int] = set()
-        for scc in _tarjan([id(n) for n in nodes], succ):
-            if len(scc) > 1 or scc[0] in succ[scc[0]]:
-                on_cycle.update(scc)
-        return on_cycle
-
-    def check_safe(self) -> set[int]:
-        """Flag sessions and positive casts on loops; return their ids."""
-        on_cycle = self._loop_occurrences()
-        unsafe: set[int] = set()
+    def check_safe(self) -> None:
+        """Build the termination-path graph and flag the sessions and
+        positive-weight casts on its loops."""
+        self.graph = TermGraph(self)
         for name, order in self.occs.items():
             for n in order:
-                if id(n) not in on_cycle:
+                if id(n) not in self.graph.unsafe:
                     continue
                 if isinstance(n, NewSession):
-                    unsafe.add(id(n))
                     self.diag(name, "E-UNSAFE-LOOP", n.span,
                               "session created inside a termination-path loop")
-                elif isinstance(n, Cast) and self.cast_weight.get(id(n), 0) > 0:
-                    unsafe.add(id(n))
+                else:
                     self.diag(name, "E-UNSAFE-LOOP", n.span,
                               "positive-weight cast inside a termination-path loop",
                               weight=self.cast_weight[id(n)])
-        return unsafe
 
     # -- ranks --------------------------------------------------------------
 
-    def min_rank(self, p: ProcExpr, visited: frozenset[str],
-                 memo: dict | None = None) -> int:
-        """The cutoff rank equations; calls unfold at most once per name."""
-        if memo is None:
-            memo = {}
-        key = (id(p), visited)
-        if key in memo:
-            return memo[key]
-        if isinstance(p, (Done, Close)):
-            r = 0
-        elif isinstance(p, (Wait, ChanOut, ChanIn)):
-            r = self.min_rank(p.cont, visited, memo)
-        elif isinstance(p, Cast):
-            r = self.cast_weight.get(id(p), 0) + self.min_rank(p.cont, visited, memo)
-        elif isinstance(p, TagComm):
-            r = max(self.min_rank(b, visited, memo) for _, b in p.branches)
-        elif isinstance(p, Choice):
-            r = self.min_rank(p.left if p.k == 1 else p.right, visited, memo)
-        elif isinstance(p, NewSession):
-            r = 1 + self.min_rank(p.left, visited, memo) + self.min_rank(p.right, visited, memo)
-        elif isinstance(p, Call):
-            if p.name in visited:
-                r = 0
-            else:
-                r = self.min_rank(self.program.procs[p.name].body,
-                                  visited | {p.name}, memo)
-        else:
-            raise TypeError(f"not a process node: {p!r}")
-        memo[key] = r
-        return r
-
-    def compute_ranks(self, unsafe: set[int]) -> None:
-        """Finite ranks via the cutoff equations; ∞ when the body's
-        termination paths cross an unsafe loop, in which case the true
-        least solution of the rank equations diverges."""
+    def compute_ranks(self) -> None:
+        """Least ranks over the termination-path graph; ∞ exactly when the
+        body's termination paths cross an unsafe loop."""
+        rank = self.graph.ranks()
         for name, d in self.program.procs.items():
-            if self._reaches(d.body, unsafe):
-                self.ranks[name] = INF
+            self.ranks[name] = rank[id(d.body)]
+            if self.ranks[name] == INF:
                 self.diag(name, "E-INFINITE-RANK", d.span,
                           f"{name} admits no finite rank: its termination "
                           "paths cross an unsafe loop")
-            else:
-                self.ranks[name] = self.min_rank(d.body, frozenset())
             if d.rank_ann is not None and self.ranks[name] > d.rank_ann:
                 self.diag(name, "E-RANK-EXCEEDED", d.span,
                           f"rank of {name} is {render_weight(self.ranks[name])}, "
                           f"annotation allows {d.rank_ann}")
 
-    def _reaches(self, body: ProcExpr, targets: set[int]) -> bool:
-        seen = {id(body)}
-        stack = [body]
-        while stack:
-            n = stack.pop()
-            if id(n) in targets:
-                return True
-            for m in self.term_successors(n):
-                if id(m) not in seen:
-                    seen.add(id(m))
-                    stack.append(m)
-        return False
-
     # -- action boundedness ---------------------------------------------------
-
-    def action_bounded(self, p: ProcExpr, visiting: frozenset[str],
-                       memo: dict | None = None) -> bool:
-        if memo is None:
-            memo = {}
-        key = (id(p), visiting)
-        if key in memo:
-            return memo[key]
-        if isinstance(p, (Done, Close)):
-            r = True
-        elif isinstance(p, (Wait, ChanOut, ChanIn, Cast)):
-            r = self.action_bounded(p.cont, visiting, memo)
-        elif isinstance(p, TagComm):
-            r = any(self.action_bounded(b, visiting, memo) for _, b in p.branches)
-        elif isinstance(p, Choice):
-            r = self.action_bounded(p.left if p.k == 1 else p.right, visiting, memo)
-        elif isinstance(p, NewSession):
-            r = (self.action_bounded(p.left, visiting, memo)
-                 and self.action_bounded(p.right, visiting, memo))
-        elif isinstance(p, Call):
-            if p.name in visiting:
-                r = False
-            else:
-                r = self.action_bounded(self.program.procs[p.name].body,
-                                        visiting | {p.name}, memo)
-        else:
-            raise TypeError(f"not a process node: {p!r}")
-        memo[key] = r
-        return r
 
     def check_action_bounds(self) -> None:
         # every sub-occurrence must be bounded on its own; report only the
-        # outermost failures to keep the noise down
+        # outermost failures, in preorder, to keep the noise down
+        bounded = self.graph.bounded()
         for name, d in self.program.procs.items():
-            self._scan_bounds(name, d.body)
-
-    def _scan_bounds(self, name: str, p: ProcExpr) -> None:
-        if not self.action_bounded(p, frozenset()):
-            self.diag(name, "E-UNBOUNDED-ACTION", p.span,
-                      "no branch of this process reaches done or close "
-                      "without unfolding a definition twice")
-            return
-        for c in ast_children(p):
-            self._scan_bounds(name, c)
+            stack = [d.body]
+            while stack:
+                p = stack.pop()
+                if id(p) not in bounded:
+                    self.diag(name, "E-UNBOUNDED-ACTION", p.span,
+                              "no branch of this process reaches done or close "
+                              "without unfolding a definition twice")
+                    continue
+                stack.extend(reversed(ast_children(p)))
 
     # -- branch inference ------------------------------------------------------
 
@@ -479,37 +400,26 @@ class Checker:
                 scores = {}
                 for k in (1, 2):
                     c.k = k
-                    unsafe = self._probe_unsafe()
-                    if self._reaches(d.body, unsafe):
-                        rank: int | float = INF
-                    else:
-                        rank = self.min_rank(d.body, frozenset(), memo={})
-                    bounded = self.action_bounded(d.body, frozenset(), memo={})
-                    scores[k] = (not bounded, rank == INF, rank, k != written)
+                    g = TermGraph(self)
+                    rank = g.ranks()[id(d.body)]
+                    scores[k] = (id(d.body) not in g.bounded(), rank == INF, rank,
+                                 k != written)
                 c.k = min((1, 2), key=lambda k: scores[k])
-
-    def _probe_unsafe(self) -> set[int]:
-        on_cycle = self._loop_occurrences()
-        out = set()
-        for order in self.occs.values():
-            for n in order:
-                if id(n) not in on_cycle:
-                    continue
-                if isinstance(n, NewSession):
-                    out.add(id(n))
-                elif isinstance(n, Cast) and self.cast_weight.get(id(n), 0) > 0:
-                    out.add(id(n))
-        return out
 
     # -- driver -----------------------------------------------------------------
 
+    def _timed(self, key: str, fn) -> None:
+        started = time.perf_counter()
+        fn()
+        self.timings[key] = round((time.perf_counter() - started) * 1000.0, 3)
+
     def run(self) -> dict:
-        self.check_types()
+        self._timed("typingMs", self.check_types)
         if self.infer_branch:
-            self.infer_branches()
-        unsafe = self.check_safe()
-        self.compute_ranks(unsafe)
-        self.check_action_bounds()
+            self._timed("inferMs", self.infer_branches)
+        self._timed("safetyMs", self.check_safe)
+        self._timed("ranksMs", self.compute_ranks)
+        self._timed("boundsMs", self.check_action_bounds)
         definitions = []
         for name in self.program.procs:
             ds = self.diags[name]
@@ -521,6 +431,91 @@ class Checker:
             })
         verdict = "accepted" if all(not self.diags[n] for n in self.program.procs) else "rejected"
         return {"verdict": verdict, "definitions": definitions}
+
+
+class TermGraph:
+    """The termination-path relation over every occurrence of a program.
+
+    Nodes are occurrence ids and edges are `Checker.term_successors`; the
+    strongly connected components come from one run of `_tarjan`, which
+    emits every component after all the components it reaches. Ranks and
+    action bounds are least fixpoints over this graph, each solved in time
+    linear in its size.
+    """
+
+    def __init__(self, checker: Checker):
+        self.node: dict[int, ProcExpr] = {}
+        self.succ: dict[int, list[int]] = {}
+        for order in checker.occs.values():
+            for n in order:
+                self.node[id(n)] = n
+                self.succ[id(n)] = [id(m) for m in checker.term_successors(n)]
+        self.sccs = _tarjan(list(self.node), self.succ)
+        self.weight = checker.cast_weight
+        # sessions and positive-weight casts on a cycle: no finite rank
+        # exists past them
+        self.unsafe = {v for scc in self.sccs if self._cyclic(scc) for v in scc
+                       if isinstance(self.node[v], NewSession) or self.weight.get(v, 0) > 0}
+
+    def _cyclic(self, scc: list[int]) -> bool:
+        return len(scc) > 1 or scc[0] in self.succ[scc[0]]
+
+    def ranks(self) -> dict[int, int | float]:
+        """Least solution of the rank equations at every occurrence.
+
+        Off cycles each node applies its own equation. A cycle holding an
+        unsafe node diverges; any other cycle only passes values along
+        under max, so its members share the largest value leaving it.
+        """
+        rank: dict[int, int | float] = {}
+        for scc in self.sccs:
+            if not self._cyclic(scc):
+                v = scc[0]
+                n, kids = self.node[v], [rank[w] for w in self.succ[v]]
+                if isinstance(n, NewSession):
+                    r = 1 + kids[0] + kids[1]
+                elif isinstance(n, Cast):
+                    r = self.weight.get(v, 0) + kids[0]
+                else:
+                    # done and close have no successors; a tag choice
+                    # takes its worst branch; every other node copies
+                    r = max(kids, default=0)
+            elif self.unsafe.intersection(scc):
+                r = INF
+            else:
+                members = set(scc)
+                r = max((rank[w] for v in scc for w in self.succ[v] if w not in members),
+                        default=0)
+            for v in scc:
+                rank[v] = r
+        return rank
+
+    def bounded(self) -> set[int]:
+        """Action-bounded occurrences, as a least fixpoint.
+
+        Done and close are bounded, a session needs both sides, every other
+        node needs one successor. Each node counts the successors it still
+        needs and joins the set when the count reaches zero, so every edge
+        is looked at once.
+        """
+        need: dict[int, int] = {}
+        pred: dict[int, list[int]] = {v: [] for v in self.node}
+        for v, n in self.node.items():
+            if isinstance(n, (Done, Close)):
+                need[v] = 0
+            else:
+                need[v] = len(self.succ[v]) if isinstance(n, NewSession) else 1
+            for w in self.succ[v]:
+                pred[w].append(v)
+        ready = [v for v, k in need.items() if k == 0]
+        out = set(ready)
+        while ready:
+            for v in pred[ready.pop()]:
+                need[v] -= 1
+                if need[v] == 0:
+                    out.add(v)
+                    ready.append(v)
+        return out
 
 
 def _tarjan(nodes: list[int], succ: dict[int, list[int]]) -> list[list[int]]:

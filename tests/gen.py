@@ -262,3 +262,44 @@ def random_rank_program(rnd: random.Random) -> Program:
 
     procs = {n: ProcDef(n, [], None, body(3)) for n in RANK_DEFS}
     return Program(TypeTable(), {}, procs)
+
+
+# -- scaling families with ranks known by construction ------------------------
+
+def call_dag_source(n: int) -> str:
+    """F_i(x) = x?{a: F_{i+1}(x), b: F_{i+2}(x), c: wait x. done}.
+
+    Calls past F_{n-1} go to a self-looping E of the same shape, and Main
+    opens one session against an output loop O. Every definition but Main
+    opens no session (rank 0); Main opens one (rank 1). A walk that
+    unfolds each definition once per path is exponential in n here.
+    """
+    names = [f"F{i}" for i in range(n)] + ["E", "E"]
+    lines = ["type T = ?{a: T, b: T, c: end?}",
+             "type U = !{a: U, b: U, c: end!}",
+             "E(x: T) = x?{a: E(x), b: E(x), c: wait x. done}",
+             "O(y: U) = y!{a: O(y), b: O(y), c: close y}"]
+    for i in range(n):
+        lines.append(f"F{i}(x: T) = x?{{a: {names[i + 1]}(x), "
+                     f"b: {names[i + 2]}(x), c: wait x. done}}")
+    lines.append("Main() = new x: T / U in (F0(x) | O(x))")
+    return "\n".join(lines) + "\n"
+
+
+def session_chain_source(k: int) -> str:
+    """D_i(z) opens a slot game and a link to D_{i+1}; D_k(z) = close z.
+
+    Each D_i adds two sessions to the rank of the next, so D_i has rank
+    2(k-i), and Main, which opens the outer link, has rank 2k+1.
+    """
+    lines = ["type S = ?{play: !{win: S, lose: S}, quit: end!}",
+             "type R = !{play: ?{win: Q, lose: R}}",
+             "type Q = !{quit: end?}",
+             "M(x: S) = x?{play: x!{win: M(x), lose: M(x)}, quit: close x}",
+             "P(y: R, z: end!) = y!play. y?{win: y!quit. wait y. close z, lose: P(y, z)}"]
+    for i in range(k):
+        lines.append(f"D{i}(z: end!) = new x: S / R in (M(x) | "
+                     f"new y: end! / end? in (D{i + 1}(y) | wait y. P(x, z)))")
+    lines.append(f"D{k}(z: end!) = close z")
+    lines.append("Main() = new z: end! / end? in (D0(z) | wait z. done)")
+    return "\n".join(lines) + "\n"

@@ -4,16 +4,146 @@ Nothing here shares algorithmic structure with the implementation: tree
 equivalence is decided by bounded expansion instead of bisimulation, the
 session rank by Bellman-Ford value iteration over marker states instead of
 0-1 BFS over materialized singletons, the subtyping weight by a bounded
-derivation search instead of the Kleene fixpoint, and typing by unfolding
-definitions instead of the coinductive assumption set.
+derivation search instead of the Kleene fixpoint, typing by unfolding
+definitions instead of the coinductive assumption set, and ranks and
+action bounds by walks that unfold each definition at most once instead
+of fixpoints over the termination-path graph.
 """
 
-from fairchk.semantics import compatible
+from fairchk.semantics import compatible, session_rank
 from fairchk.subtyping import fair_subtype, simulate
 from fairchk.surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
-                             NewSession, Program, TagComm, Wait)
-from fairchk.typecheck import free_channels
-from fairchk.types import INF, TypeTable, co, equiv
+                             NewSession, ProcExpr, Program, TagComm, Wait)
+from fairchk.typecheck import Checker, free_channels
+from fairchk.types import INF, OUT, TypeTable, co, equiv
+
+
+# -- raw transitions of one endpoint type ------------------------------------------
+
+TAU = ("tau",)
+
+
+def type_transitions(table: TypeTable, i: int) -> list[tuple[tuple, int]]:
+    """Raw transitions of one endpoint type.
+
+    Output choices first commit silently to a singleton and only then expose
+    the tag action, so a multi-branch output has no visible transitions.
+    """
+    n = table.node(i)
+    if n[0] == "end":
+        return []
+    if n[0] == "chan":
+        return [(("chan", n[1], n[2]), n[3])]
+    out: list[tuple[tuple, int]] = []
+    if n[1] == OUT:
+        for label, _ in n[2]:
+            out.append((TAU, table.singleton(i, label)))
+        if len(n[2]) == 1:
+            label, child = n[2][0]
+            out.append((("tag", OUT, label), child))
+    else:
+        for label, child in n[2]:
+            out.append((("tag", "?", label), child))
+    return out
+
+
+def rank_compatibility_agreement(table: TypeTable, s: int, t: int) -> dict:
+    """Cross-check: a compatible pair must have a finite rank."""
+    comp = compatible(table, s, t)
+    rank = session_rank(table, s, t)
+    return {
+        "compatible": comp,
+        "rank": rank,
+        "consistent": (not comp) or rank < INF,
+    }
+
+
+# -- ranks and action bounds by cutoff walks ----------------------------------------
+
+def min_rank(ck: Checker, p: ProcExpr, visited: frozenset[str],
+             memo: dict | None = None) -> int:
+    """The cutoff rank equations; calls unfold at most once per name."""
+    if memo is None:
+        memo = {}
+    key = (id(p), visited)
+    if key in memo:
+        return memo[key]
+    if isinstance(p, (Done, Close)):
+        r = 0
+    elif isinstance(p, (Wait, ChanOut, ChanIn)):
+        r = min_rank(ck, p.cont, visited, memo)
+    elif isinstance(p, Cast):
+        r = ck.cast_weight.get(id(p), 0) + min_rank(ck, p.cont, visited, memo)
+    elif isinstance(p, TagComm):
+        r = max(min_rank(ck, b, visited, memo) for _, b in p.branches)
+    elif isinstance(p, Choice):
+        r = min_rank(ck, p.left if p.k == 1 else p.right, visited, memo)
+    elif isinstance(p, NewSession):
+        r = 1 + min_rank(ck, p.left, visited, memo) + min_rank(ck, p.right, visited, memo)
+    elif isinstance(p, Call):
+        if p.name in visited:
+            r = 0
+        else:
+            r = min_rank(ck, ck.program.procs[p.name].body, visited | {p.name}, memo)
+    else:
+        raise TypeError(f"not a process node: {p!r}")
+    memo[key] = r
+    return r
+
+
+def action_bounded(ck: Checker, p: ProcExpr, visiting: frozenset[str],
+                   memo: dict | None = None) -> bool:
+    """Some branch reaches done or close without unfolding a name twice."""
+    if memo is None:
+        memo = {}
+    key = (id(p), visiting)
+    if key in memo:
+        return memo[key]
+    if isinstance(p, (Done, Close)):
+        r = True
+    elif isinstance(p, (Wait, ChanOut, ChanIn, Cast)):
+        r = action_bounded(ck, p.cont, visiting, memo)
+    elif isinstance(p, TagComm):
+        r = any(action_bounded(ck, b, visiting, memo) for _, b in p.branches)
+    elif isinstance(p, Choice):
+        r = action_bounded(ck, p.left if p.k == 1 else p.right, visiting, memo)
+    elif isinstance(p, NewSession):
+        r = (action_bounded(ck, p.left, visiting, memo)
+             and action_bounded(ck, p.right, visiting, memo))
+    elif isinstance(p, Call):
+        if p.name in visiting:
+            r = False
+        else:
+            r = action_bounded(ck, ck.program.procs[p.name].body,
+                               visiting | {p.name}, memo)
+    else:
+        raise TypeError(f"not a process node: {p!r}")
+    memo[key] = r
+    return r
+
+
+def reaches(ck: Checker, body: ProcExpr, targets: set[int]) -> bool:
+    """Some termination path from `body` hits an occurrence in `targets`."""
+    seen = {id(body)}
+    stack = [body]
+    while stack:
+        n = stack.pop()
+        if id(n) in targets:
+            return True
+        for m in ck.term_successors(n):
+            if id(m) not in seen:
+                seen.add(id(m))
+                stack.append(m)
+    return False
+
+
+def cutoff_rank(ck: Checker, name: str, unsafe: set[int]) -> int | float:
+    """A definition's rank: ∞ when its body reaches an unsafe occurrence,
+    else the cutoff walk from its body."""
+    body = ck.program.procs[name].body
+    if reaches(ck, body, unsafe):
+        return INF
+    return min_rank(ck, body, frozenset())
 
 
 # -- equivalence by expansion --------------------------------------------------
@@ -293,3 +423,29 @@ def typing_unfold_ok(program: Program, name: str, depth: int) -> bool:
         raise TypeError(f"not a process node: {p!r}")
 
     return chk(d.body, ctx0, depth)
+
+
+def unsafe_by_reachability(ck: Checker) -> set[int]:
+    """Sessions and positive-weight casts that some successor leads back to."""
+    out = set()
+    for order in ck.occs.values():
+        for n in order:
+            if isinstance(n, NewSession) or (isinstance(n, Cast)
+                                             and ck.cast_weight.get(id(n), 0) > 0):
+                if any(reaches(ck, m, {id(n)}) for m in ck.term_successors(n)):
+                    out.add(id(n))
+    return out
+
+
+def infer_branches_by_cutoff(ck: Checker) -> None:
+    """`Checker.infer_branches` scored with the cutoff walks."""
+    for name, d in ck.program.procs.items():
+        for c in [n for n in ck.occs[name] if isinstance(n, Choice)]:
+            written = c.k
+            scores = {}
+            for k in (1, 2):
+                c.k = k
+                rank = cutoff_rank(ck, name, unsafe_by_reachability(ck))
+                bounded = action_bounded(ck, d.body, frozenset())
+                scores[k] = (not bounded, rank == INF, rank, k != written)
+            c.k = min((1, 2), key=lambda k: scores[k])

@@ -45,6 +45,17 @@ def test_check_json_shape_and_timings(capsys):
     schema.validate(report, schema.CHECK)
     assert "timings" in report
     assert report["timings"]["checkMs"] >= 0
+    timings = report["timings"]
+    assert set(timings) == {"checkMs", "typingMs", "safetyMs", "ranksMs",
+                            "boundsMs", "inferMs"}
+    assert all(v >= 0 for v in timings.values())
+    assert timings["inferMs"] == 0
+    passes = sum(v for k, v in timings.items() if k != "checkMs")
+    assert passes <= timings["checkMs"] + 0.01
+    code, out, err = run_cli(capsys, "check", "--json", "--infer-branch",
+                             corpus_path("infinite_sessions"))
+    schema.validate(json.loads(out), schema.CHECK)
+    assert json.loads(out)["timings"]["inferMs"] > 0
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.ft")))
@@ -245,6 +256,20 @@ def test_run_unsafe_hits_step_limit(capsys):
                              corpus_path("finite_unfair"))
     assert code == 1
     assert "step-limit" in out
+
+
+def test_run_unsafe_pick_on_unbound_channel_blocks(tmp_path, capsys):
+    # the machine picks its answer on a channel it does not hold
+    text = (CORPUS / "slot.ft").read_text(encoding="utf-8")
+    assert "x!{win:" in text
+    src = tmp_path / "slot_unbound.ft"
+    src.write_text(text.replace("x!{win:", "y!{win:"))
+    for seed in range(8):
+        code, out, err = run_cli(capsys, "run", "--unsafe", "--seed", str(seed),
+                                 str(src))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert "stuck" in out
 
 
 def test_run_without_main_exits_two(tmp_path, capsys):

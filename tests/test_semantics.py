@@ -2,15 +2,13 @@
 
 import random
 
-from fairchk.semantics import (build_config_graph, compatible,
-                               rank_compatibility_agreement, session_rank,
-                               to_dot, type_transitions)
+from fairchk.semantics import build_config_graph, compatible, session_rank, to_dot
 from fairchk.subtyping import unfair_subtype
 from fairchk.types import INF, TypeTable
 
 from conftest import load_corpus
 from gen import intern_spec, random_spec
-from oracles import rank_oracle
+from oracles import rank_compatibility_agreement, rank_oracle, type_transitions
 
 
 def _ends(table):

@@ -11,8 +11,10 @@ from fairchk.typecheck import Checker, check_program
 from fairchk.types import INF
 
 from conftest import ACCEPTED, CORPUS_RANKS, REJECTED, corpus_text, load_corpus
-from gen import RANK_DEFS, random_rank_program
-from oracles import typing_unfold_ok
+from gen import (RANK_DEFS, call_dag_source, random_rank_program,
+                 session_chain_source)
+from oracles import (action_bounded, cutoff_rank, infer_branches_by_cutoff,
+                     min_rank, typing_unfold_ok, unsafe_by_reachability)
 
 
 def _report(name):
@@ -149,16 +151,16 @@ def test_call_arity_mismatch():
 def test_min_rank_base_cases():
     program = load("Main() = done")
     ck = Checker(program)
-    assert ck.min_rank(program.procs["Main"].body, frozenset()) == 0
+    assert min_rank(ck, program.procs["Main"].body, frozenset()) == 0
 
 
 def test_min_rank_choice_follows_marker():
     program = load("Main() = done +[2] new x: end! / end? in (close x | wait x. done)")
     ck = Checker(program)
     body = program.procs["Main"].body
-    assert ck.min_rank(body, frozenset()) == 1
+    assert min_rank(ck, body, frozenset()) == 1
     body.k = 1
-    assert ck.min_rank(body, frozenset()) == 0
+    assert min_rank(ck, body, frozenset()) == 0
 
 
 def test_min_rank_antitone_in_assumptions():
@@ -174,7 +176,72 @@ def test_min_rank_antitone_in_assumptions():
         big = small | frozenset(rnd.sample(RANK_DEFS, rnd.randint(0, 2)))
         for name in RANK_DEFS:
             body = program.procs[name].body
-            assert ck.min_rank(body, big, memo={}) <= ck.min_rank(body, small, memo={})
+            assert min_rank(ck, body, big, memo={}) <= min_rank(ck, body, small, memo={})
+
+
+def _weighted_rank_program(rnd):
+    """A random rank program whose casts weigh 0 to 2, and its checker."""
+    ck = Checker(random_rank_program(rnd))
+    for n in _collect_casts(ck):
+        ck.cast_weight[id(n)] = rnd.randint(0, 2)
+    return ck
+
+
+def test_term_graph_matches_cutoff_oracles():
+    rnd = random.Random(61)
+    seen = {"inf": 0, "weighted": 0, "unbounded": 0}
+    for _ in range(2000):
+        ck = _weighted_rank_program(rnd)
+        ck.check_safe()
+        unsafe = ck.graph.unsafe
+        assert unsafe == unsafe_by_reachability(ck)
+        ck.compute_ranks()
+        for name in RANK_DEFS:
+            assert ck.ranks[name] == cutoff_rank(ck, name, unsafe), name
+        bounded = ck.graph.bounded()
+        for order in ck.occs.values():
+            for n in order:
+                assert (id(n) in bounded) == action_bounded(ck, n, frozenset())
+        seen["inf"] += INF in ck.ranks.values()
+        seen["weighted"] += any(w > 0 for w in ck.cast_weight.values()) and \
+            any(0 < r < INF for r in ck.ranks.values())
+        seen["unbounded"] += len(bounded) < len(ck.graph.node)
+    assert all(seen.values()), seen
+
+
+def _markers(ck):
+    return [n.k for order in ck.occs.values() for n in order if isinstance(n, Choice)]
+
+
+def test_infer_branches_matches_cutoff_oracle():
+    rnd = random.Random(62)
+    flipped = 0
+    for _ in range(500):
+        seed = rnd.randrange(2 ** 32)
+        ck, oracle, written = (_weighted_rank_program(random.Random(seed))
+                               for _ in range(3))
+        ck.infer_branches()
+        infer_branches_by_cutoff(oracle)
+        assert _markers(ck) == _markers(oracle)
+        flipped += _markers(ck) != _markers(written)
+    assert flipped > 0
+
+
+def test_call_dag_ranks_at_scale():
+    report = check_program(load(call_dag_source(60)))
+    assert report["verdict"] == "accepted"
+    want = {f"F{i}": 0 for i in range(60)}
+    want.update({"E": 0, "O": 0, "Main": 1})
+    assert {d["name"]: d["rank"] for d in report["definitions"]} == want
+
+
+def test_session_chain_ranks_at_scale():
+    k = 200
+    report = check_program(load(session_chain_source(k)))
+    assert report["verdict"] == "accepted"
+    want = {f"D{i}": 2 * (k - i) for i in range(k + 1)}
+    want.update({"M": 0, "P": 0, "Main": 2 * k + 1})
+    assert {d["name"]: d["rank"] for d in report["definitions"]} == want
 
 
 def test_unfolding_invariance_on_accepted_corpus():
@@ -183,8 +250,8 @@ def test_unfolding_invariance_on_accepted_corpus():
         ck = Checker(program)
         ck.check_types()
         for defname, d in program.procs.items():
-            direct = ck.min_rank(d.body, frozenset(), memo={})
-            unfolded = ck.min_rank(d.body, frozenset({defname}), memo={})
+            direct = min_rank(ck, d.body, frozenset(), memo={})
+            unfolded = min_rank(ck, d.body, frozenset({defname}), memo={})
             assert direct == unfolded, (name, defname)
 
 
