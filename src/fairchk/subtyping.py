@@ -20,9 +20,11 @@ and fair subtyping fails.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+from .graph import cyclic, tarjan
 from .types import INF, OUT, TypeTable, equiv, reachable_pairs
 
 Pair = tuple[int, int]
@@ -68,50 +70,60 @@ class Simulation:
 
 
 def simulate(table: TypeTable, s: int, t: int) -> Simulation:
-    """Greatest fixpoint of the simulation rules over reachable pairs."""
+    """Greatest fixpoint of the simulation rules over reachable pairs.
+
+    Each shape-valid pair's premises are computed once, together with the
+    reverse edges. The shape violations seed a worklist, and a pair dies
+    as soon as one of its premises dies, so every edge is followed once.
+    """
     carrier = reachable_pairs(table, s, t)
     reason = {p: _violation(table, *p) for p in carrier}
-    alive = {p for p in carrier if reason[p] is None}
-
-    changed = True
-    while changed:
-        changed = False
-        for p in list(alive):
-            if any(q not in alive for q in _premises(table, *p)):
+    premises = {p: _premises(table, *p) for p in carrier if reason[p] is None}
+    users: dict[Pair, list[Pair]] = {p: [] for p in carrier}
+    for p, qs in premises.items():
+        for q in qs:
+            users[q].append(p)
+    alive = set(premises)
+    dead = [p for p in carrier if reason[p] is not None]
+    while dead:
+        for p in users[dead.pop()]:
+            if p in alive:
                 alive.discard(p)
-                changed = True
+                dead.append(p)
 
     root = (s, t)
     if root in alive:
-        witness = _closure(table, root, alive)
-        return Simulation(True, witness, None)
+        return Simulation(True, _closure(root, premises), None)
 
     # Walk premise edges from the root through shape-valid pairs; the first
     # shape violation found is the root cause of the removal cascade.
     seen = {root}
-    queue = [root]
+    queue = deque([root])
     while queue:
-        p = queue.pop(0)
+        p = queue.popleft()
         if reason[p] is not None:
             return Simulation(False, [], (p, reason[p]))
-        for q in _premises(table, *p):
+        for q in premises[p]:
             if q not in seen:
                 seen.add(q)
                 queue.append(q)
     raise AssertionError("root removed without a shape violation")
 
 
-def _closure(table: TypeTable, root: Pair, alive: set[Pair]) -> list[Pair]:
+def _closure(root: Pair, premises: dict[Pair, list[Pair]]) -> list[Pair]:
+    """Pairs reachable from a surviving root, breadth first.
+
+    Every premise of a surviving pair survives, so no filter is needed.
+    """
     order = [root]
     seen = {root}
     i = 0
     while i < len(order):
-        p = order[i]
-        i += 1
-        for q in _premises(table, *p):
-            if q in alive and q not in seen:
+        for q in premises[order[i]]:
+            if q not in seen:
                 seen.add(q)
                 order.append(q)
+        i += 1
     return order
 
 
@@ -119,39 +131,102 @@ def unfair_subtype(table: TypeTable, s: int, t: int) -> bool:
     return simulate(table, s, t).holds
 
 
+def _rule(table: TypeTable, u: int, v: int) -> str:
+    """Which weight equation a shape-valid pair obeys."""
+    nu, nv = table.node(u), table.node(v)
+    if nu[0] != "tags":
+        return nu[0]  # "end" or "chan"
+    if nu[1] != OUT:
+        return "max"
+    if set(dict(nv[2])) < set(dict(nu[2])):
+        return "strict"
+    return "equal"
+
+
+def _equation(rule: str, prem: list[int | float]) -> int | float:
+    if rule == "end":
+        return 0
+    if rule in ("max", "chan"):
+        return max(prem)
+    if rule == "strict":
+        return 1 + min(prem)
+    return min(1 + min(prem), max(prem))
+
+
 def solve_weights(table: TypeTable, witness: list[Pair]) -> dict[Pair, int | float]:
     """Least solution of the weight system, restricted to the witness.
 
-    Kleene iteration from the all-zero assignment. Finite components of the
-    least solution stay within K = number of pairs, so anything that climbs
-    past K is clamped to ∞ and the iteration continues to a fixpoint.
+    Finite components of the least solution stay within K = number of
+    pairs, so anything above K is clamped to ∞. The premise graph is
+    solved one strongly connected component at a time, sinks first: a
+    pair off every cycle evaluates its equation once, and a cycle is
+    settled level by level in `_settle_cycle`.
     """
     pairs = set(witness)
-    rk: dict[Pair, int | float] = {p: 0 for p in witness}
+    prem = {p: [q for q in _premises(table, *p) if q in pairs] for p in witness}
+    rule = {p: _rule(table, *p) for p in witness}
     cutoff = len(witness)
+    rk: dict[Pair, int | float] = {}
+    for scc in tarjan(witness, prem):
+        if cyclic(scc, prem):
+            _settle_cycle(scc, prem, rule, rk, cutoff)
+        else:
+            p = scc[0]
+            w = _equation(rule[p], [rk[q] for q in prem[p]])
+            rk[p] = INF if w > cutoff else w
+    return {p: rk[p] for p in witness}
 
-    def evaluate(p: Pair) -> int | float:
-        u, v = p
-        nu, nv = table.node(u), table.node(v)
-        if nu[0] == "end":
-            return 0
-        if nu[0] == "chan":
-            return rk[(nu[3], nv[3])]
-        prem = [rk[q] for q in _premises(table, u, v) if q in pairs]
-        if nu[1] != OUT:
-            return max(prem)
-        if set(dict(nv[2])) < set(dict(nu[2])):
-            return 1 + min(prem)
-        return min(1 + min(prem), max(prem))
 
-    while True:
-        nxt = {}
-        for p in witness:
-            w = evaluate(p)
-            nxt[p] = INF if w > cutoff else w
-        if nxt == rk:
-            return rk
-        rk = nxt
+def _settle_cycle(scc: list[Pair], prem: dict[Pair, list[Pair]],
+                  rule: dict[Pair, str], rk: dict[Pair, int | float],
+                  cutoff: int) -> None:
+    """Least weights of one cyclic component, given every pair it reaches.
+
+    At level v, the pairs of weight at most v are the largest set X whose
+    equations all come out at most v when X sits at v and the settled
+    pairs at their values. Whether an equation stays at most v depends
+    only on which premises are at most v and which at most v - 1, so X is
+    the complement of a backward closure: a pair exceeds v when its own
+    settled premises force it to, or when it needs every premise at most v
+    and one of them exceeds v. Between two values w, w + 1 of settled
+    premises nothing changes, so the levels jump from one such value to
+    the next; when none is left, or the level passes the cutoff, the pairs
+    still open are ∞. Each level is linear in the component.
+    """
+    members = set(scc)
+    users: dict[Pair, list[Pair]] = {p: [] for p in scc}
+    for p in scc:
+        for q in prem[p]:
+            if q in members:
+                users[q].append(p)
+    open_ = scc
+    v = 0
+    while open_ and v <= cutoff:
+        over: set[Pair] = set()
+        needs_all: set[Pair] = set()
+        for p in open_:
+            known = [rk[q] for q in prem[p] if q in rk]
+            r = rule[p]
+            if r in ("strict", "equal") and any(w < v for w in known):
+                continue  # one settled premise pays for the +1
+            if r == "strict" or any(w > v for w in known):
+                over.add(p)
+            else:
+                needs_all.add(p)
+        todo = list(over)
+        while todo:
+            for p in users[todo.pop()]:
+                if p in needs_all and p not in over:
+                    over.add(p)
+                    todo.append(p)
+        for p in open_:
+            if p not in over:
+                rk[p] = v
+        open_ = [p for p in open_ if p in over]
+        v = min((x for p in open_ for q in prem[p] if q in rk
+                 for x in (rk[q], rk[q] + 1) if x > v), default=INF)
+    for p in open_:
+        rk[p] = INF
 
 
 def subtype_weight(table: TypeTable, s: int, t: int) -> int | float:

@@ -38,6 +38,13 @@ IDENT_START = set(string.ascii_letters + "_")
 IDENT_CONT = IDENT_START | set(string.digits) | {"'"}
 KEYWORDS = {"type", "done", "close", "wait", "new", "in"}
 
+# Deepest syntactic nesting the parser admits: each process or type
+# constructor inside another is one level, and so is each `+` of a choice
+# chain, which nests to the left. The parser and the passes after it
+# recurse on the tree, so a bound well inside the interpreter's stack turns
+# a deep input into a SourceError instead of a RecursionError.
+MAX_NESTING = 250
+
 
 class SourceError(Exception):
     def __init__(self, msg: str, line: int, col: int):
@@ -254,6 +261,14 @@ class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
+        self.depth = 0
+
+    def descend(self) -> None:
+        """Enter one level of nesting; the caller restores the depth on return."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            t = self.peek()
+            raise SourceError(f"nesting deeper than {MAX_NESTING} levels", t.line, t.col)
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -282,40 +297,48 @@ class _Parser:
     # -- types ----------------------------------------------------------
 
     def parse_type(self) -> TypeExpr:
-        t = self.peek()
-        span = Span(t.line, t.col)
-        if t.kind == "ident" and t.text == "end":
-            self.next()
-            pol = self.next()
-            if pol.kind not in ("!", "?"):
-                raise SourceError("expected '!' or '?' after 'end'", pol.line, pol.col)
-            return TEnd(pol.kind, span)
-        if t.kind in ("!", "?"):
-            pol = self.next().kind
-            opener = self.next()
-            if opener.kind == "{":
-                branches = self._type_branches()
-                self.expect("}")
-                return TTags(pol, branches, span)
-            if opener.kind == "(":
-                payload = self.parse_type()
-                self.expect(")")
-                self.expect(".")
-                cont = self.parse_type()
-                return TChan(pol, payload, cont, span)
-            raise SourceError("expected '{' or '(' after polarity", opener.line, opener.col)
-        if t.kind == "ident":
-            self.next()
-            if t.text in KEYWORDS:
-                raise SourceError(f"keyword {t.text!r} is not a type", t.line, t.col)
-            return TName(t.text, span)
-        raise SourceError(f"expected a type, found {t.text or t.kind!r}", t.line, t.col)
+        self.descend()
+        try:
+            t = self.peek()
+            span = Span(t.line, t.col)
+            if t.kind == "ident" and t.text == "end":
+                self.next()
+                pol = self.next()
+                if pol.kind not in ("!", "?"):
+                    raise SourceError("expected '!' or '?' after 'end'", pol.line, pol.col)
+                return TEnd(pol.kind, span)
+            if t.kind in ("!", "?"):
+                pol = self.next().kind
+                opener = self.next()
+                if opener.kind == "{":
+                    branches = self._type_branches()
+                    self.expect("}")
+                    return TTags(pol, branches, span)
+                if opener.kind == "(":
+                    payload = self.parse_type()
+                    self.expect(")")
+                    self.expect(".")
+                    cont = self.parse_type()
+                    return TChan(pol, payload, cont, span)
+                raise SourceError("expected '{' or '(' after polarity", opener.line, opener.col)
+            if t.kind == "ident":
+                self.next()
+                if t.text in KEYWORDS:
+                    raise SourceError(f"keyword {t.text!r} is not a type", t.line, t.col)
+                return TName(t.text, span)
+            raise SourceError(f"expected a type, found {t.text or t.kind!r}", t.line, t.col)
+        finally:
+            self.depth -= 1
 
     def _type_branches(self) -> list[tuple[str, TypeExpr]]:
-        branches = [self._type_branch()]
-        while self.peek().kind == ",":
+        branches = []
+        while True:
+            label = self.ident()
+            self.expect(":")
+            branches.append((label.text, self.parse_type()))
+            if self.peek().kind != ",":
+                break
             self.next()
-            branches.append(self._type_branch())
         seen = set()
         for label, _ in branches:
             if label in seen:
@@ -324,16 +347,13 @@ class _Parser:
             seen.add(label)
         return branches
 
-    def _type_branch(self) -> tuple[str, TypeExpr]:
-        label = self.ident()
-        self.expect(":")
-        return label.text, self.parse_type()
-
     # -- processes --------------------------------------------------------
 
     def parse_proc(self) -> ProcExpr:
+        outer = self.depth
         left = self.parse_atom()
         while self.peek().kind == "+":
+            self.descend()
             plus = self.next()
             k = 1
             if self.peek().kind == "[":
@@ -345,98 +365,108 @@ class _Parser:
                 self.expect("]")
             right = self.parse_atom()
             left = Choice(k, left, right, Span(plus.line, plus.col))
+        self.depth = outer
         return left
 
     def parse_atom(self) -> ProcExpr:
-        t = self.peek()
-        span = Span(t.line, t.col)
-        if t.kind == "(":
-            self.next()
-            p = self.parse_proc()
-            self.expect(")")
-            return p
-        if t.kind == "[":
-            self.next()
-            chan = self.ident()
-            self.expect(":")
-            target = self.parse_type()
-            weight = None
-            if self.peek().kind == "@":
+        self.descend()
+        try:
+            t = self.peek()
+            span = Span(t.line, t.col)
+            if t.kind == "(":
                 self.next()
-                weight = int(self.expect("nat").text)
-            self.expect("]")
-            return Cast(chan.text, target, weight, self.parse_atom(), span)
-        if self.at_keyword("done"):
-            self.next()
-            return Done(span)
-        if self.at_keyword("close"):
-            self.next()
-            return Close(self.ident().text, span)
-        if self.at_keyword("wait"):
-            self.next()
-            chan = self.ident()
-            self.expect(".")
-            return Wait(chan.text, self.parse_atom(), span)
-        if self.at_keyword("new"):
-            self.next()
-            chan = self.ident()
-            self.expect(":")
-            lty = self.parse_type()
-            self.expect("/")
-            rty = self.parse_type()
-            t = self.next()
-            if not (t.kind == "ident" and t.text == "in"):
-                raise SourceError("expected 'in'", t.line, t.col)
-            self.expect("(")
-            left = self.parse_proc()
-            self.expect("|")
-            right = self.parse_proc()
-            self.expect(")")
-            return NewSession(chan.text, lty, rty, left, right, span)
-        name = self.ident()
-        nxt = self.peek()
-        if nxt.kind == "(":
-            self.next()
-            args = []
-            if self.peek().kind != ")":
-                args.append(self.ident().text)
-                while self.peek().kind == ",":
+                p = self.parse_proc()
+                self.expect(")")
+                return p
+            if t.kind == "[":
+                self.next()
+                chan = self.ident()
+                self.expect(":")
+                target = self.parse_type()
+                weight = None
+                if self.peek().kind == "@":
                     self.next()
+                    weight = int(self.expect("nat").text)
+                self.expect("]")
+                return Cast(chan.text, target, weight, self.parse_atom(), span)
+            if self.at_keyword("done"):
+                self.next()
+                return Done(span)
+            if self.at_keyword("close"):
+                self.next()
+                return Close(self.ident().text, span)
+            if self.at_keyword("wait"):
+                self.next()
+                chan = self.ident()
+                self.expect(".")
+                return Wait(chan.text, self.parse_atom(), span)
+            if self.at_keyword("new"):
+                self.next()
+                chan = self.ident()
+                self.expect(":")
+                lty = self.parse_type()
+                self.expect("/")
+                rty = self.parse_type()
+                t = self.next()
+                if not (t.kind == "ident" and t.text == "in"):
+                    raise SourceError("expected 'in'", t.line, t.col)
+                self.expect("(")
+                left = self.parse_proc()
+                self.expect("|")
+                right = self.parse_proc()
+                self.expect(")")
+                return NewSession(chan.text, lty, rty, left, right, span)
+            name = self.ident()
+            nxt = self.peek()
+            if nxt.kind == "(":
+                self.next()
+                args = []
+                if self.peek().kind != ")":
                     args.append(self.ident().text)
-            self.expect(")")
-            return Call(name.text, args, span)
-        if nxt.kind in ("!", "?"):
-            pol = self.next().kind
-            after = self.peek()
-            if after.kind == "{":
-                self.next()
-                branches = self._proc_branches()
-                self.expect("}")
-                return TagComm(name.text, pol, branches, span)
-            if after.kind == "(":
-                self.next()
-                if pol == "!":
-                    payload = self.ident()
+                    while self.peek().kind == ",":
+                        self.next()
+                        args.append(self.ident().text)
+                self.expect(")")
+                return Call(name.text, args, span)
+            if nxt.kind in ("!", "?"):
+                pol = self.next().kind
+                after = self.peek()
+                if after.kind == "{":
+                    self.next()
+                    branches = self._proc_branches()
+                    self.expect("}")
+                    return TagComm(name.text, pol, branches, span)
+                if after.kind == "(":
+                    self.next()
+                    if pol == "!":
+                        payload = self.ident()
+                        self.expect(")")
+                        self.expect(".")
+                        return ChanOut(name.text, payload.text, self.parse_atom(), span)
+                    var = self.ident()
+                    self.expect(":")
+                    ann = self.parse_type()
                     self.expect(")")
                     self.expect(".")
-                    return ChanOut(name.text, payload.text, self.parse_atom(), span)
-                var = self.ident()
-                self.expect(":")
-                ann = self.parse_type()
-                self.expect(")")
+                    return ChanIn(name.text, var.text, ann, self.parse_atom(), span)
+                label = self.ident()
                 self.expect(".")
-                return ChanIn(name.text, var.text, ann, self.parse_atom(), span)
-            label = self.ident()
-            self.expect(".")
-            cont = self.parse_atom()
-            return TagComm(name.text, pol, [(label.text, cont)], span)
-        raise SourceError(f"expected a process, found {nxt.text or nxt.kind!r}", nxt.line, nxt.col)
+                cont = self.parse_atom()
+                return TagComm(name.text, pol, [(label.text, cont)], span)
+            raise SourceError(f"expected a process, found {nxt.text or nxt.kind!r}",
+                              nxt.line, nxt.col)
+        finally:
+            self.depth -= 1
 
     def _proc_branches(self) -> list[tuple[str, ProcExpr]]:
-        branches = [self._proc_branch()]
-        while self.peek().kind == ",":
+        branches = []
+        while True:
+            label = self.ident()
+            self.expect(":")
+            branches.append((label.text, self.parse_proc()))
+            if self.peek().kind != ",":
+                break
             self.next()
-            branches.append(self._proc_branch())
         seen = set()
         for label, _ in branches:
             if label in seen:
@@ -444,11 +474,6 @@ class _Parser:
                 raise SourceError(f"duplicate label {label!r}", t.line, t.col)
             seen.add(label)
         return branches
-
-    def _proc_branch(self) -> tuple[str, ProcExpr]:
-        label = self.ident()
-        self.expect(":")
-        return label.text, self.parse_proc()
 
     # -- top level --------------------------------------------------------
 

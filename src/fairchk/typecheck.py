@@ -23,6 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 
+from .graph import cyclic, tarjan
 from .semantics import compatible
 from .subtyping import fair_subtype, render_weight
 from .surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
@@ -437,7 +438,7 @@ class TermGraph:
     """The termination-path relation over every occurrence of a program.
 
     Nodes are occurrence ids and edges are `Checker.term_successors`; the
-    strongly connected components come from one run of `_tarjan`, which
+    strongly connected components come from one run of `tarjan`, which
     emits every component after all the components it reaches. Ranks and
     action bounds are least fixpoints over this graph, each solved in time
     linear in its size.
@@ -450,15 +451,12 @@ class TermGraph:
             for n in order:
                 self.node[id(n)] = n
                 self.succ[id(n)] = [id(m) for m in checker.term_successors(n)]
-        self.sccs = _tarjan(list(self.node), self.succ)
+        self.sccs = tarjan(list(self.node), self.succ)
         self.weight = checker.cast_weight
         # sessions and positive-weight casts on a cycle: no finite rank
         # exists past them
-        self.unsafe = {v for scc in self.sccs if self._cyclic(scc) for v in scc
+        self.unsafe = {v for scc in self.sccs if cyclic(scc, self.succ) for v in scc
                        if isinstance(self.node[v], NewSession) or self.weight.get(v, 0) > 0}
-
-    def _cyclic(self, scc: list[int]) -> bool:
-        return len(scc) > 1 or scc[0] in self.succ[scc[0]]
 
     def ranks(self) -> dict[int, int | float]:
         """Least solution of the rank equations at every occurrence.
@@ -469,7 +467,7 @@ class TermGraph:
         """
         rank: dict[int, int | float] = {}
         for scc in self.sccs:
-            if not self._cyclic(scc):
+            if not cyclic(scc, self.succ):
                 v = scc[0]
                 n, kids = self.node[v], [rank[w] for w in self.succ[v]]
                 if isinstance(n, NewSession):
@@ -516,53 +514,6 @@ class TermGraph:
                     out.add(v)
                     ready.append(v)
         return out
-
-
-def _tarjan(nodes: list[int], succ: dict[int, list[int]]) -> list[list[int]]:
-    """Iterative strongly-connected components, deterministic order."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in nodes:
-        if root in index:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            for j in range(pi, len(succ[v])):
-                w = succ[v][j]
-                if w not in index:
-                    work[-1] = (v, j + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-    return sccs
 
 
 def check_program(program: Program, infer_branch: bool = False) -> dict:

@@ -112,17 +112,59 @@ class TypeTable:
     # Rendering is for diagnostics and the table dump. Cycles are cut by
     # emitting the name hint (or a generated one) at the second visit.
 
-    def render(self, i: int, under: frozenset[int] = frozenset()) -> str:
-        if i in under:
-            return self._name(i)
-        n = self.node(i)
-        if n[0] == "end":
-            return f"end{n[1]}"
-        under = under | {i}
-        if n[0] == "tags":
-            inner = ", ".join(f"{l}: {self.render(c, under)}" for l, c in n[2])
-            return f"{n[1]}{{{inner}}}"
-        return f"{n[1]}({self.render(n[2], under)}).{self.render(n[3], under)}"
+    def render(self, i: int) -> str:
+        """The tree at i, unfolded until a node repeats on the current path.
+
+        An explicit stack instead of recursion, so that deep types render.
+        Each open node keeps its own list of parts and joins it when it
+        closes; its parent then holds one string per child, not every
+        fragment below it.
+        """
+        # id -> (head, [(separator, child), ...], tail); an end node has
+        # its whole text as head and None for the children
+        shapes: dict[int, tuple] = {}
+
+        def shape(j: int) -> tuple:
+            got = shapes.get(j)
+            if got is None:
+                n = self.node(j)
+                if n[0] == "end":
+                    got = (f"end{n[1]}", None, "")
+                elif n[0] == "tags":
+                    got = (f"{n[1]}{{", [(f", {l}: " if k else f"{l}: ", c)
+                                         for k, (l, c) in enumerate(n[2])], "}")
+                else:
+                    got = (f"{n[1]}(", [("", n[2]), (").", n[3])], "")
+                shapes[j] = got
+            return got
+
+        head, kids, tail = shape(i)
+        if kids is None:
+            return head
+        on_path = {i}
+        stack = [(i, [head], iter(kids), tail)]
+        while True:
+            j, parts, todo, tail = stack[-1]
+            for sep, c in todo:
+                parts.append(sep)
+                if c in on_path:
+                    parts.append(self._name(c))
+                    continue
+                head, kids, ctail = shape(c)
+                if kids is None:
+                    parts.append(head)
+                    continue
+                on_path.add(c)
+                stack.append((c, [head], iter(kids), ctail))
+                break
+            else:
+                parts.append(tail)
+                stack.pop()
+                on_path.discard(j)
+                text = "".join(parts)
+                if not stack:
+                    return text
+                stack[-1][1].append(text)
 
     def _name(self, i: int) -> str:
         return self.name_hint.get(i, f"t{i}")

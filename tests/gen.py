@@ -303,3 +303,111 @@ def session_chain_source(k: int) -> str:
     lines.append(f"D{k}(z: end!) = close z")
     lines.append("Main() = new z: end! / end? in (D0(z) | wait z. done)")
     return "\n".join(lines) + "\n"
+
+
+# -- type families for the subtyping solvers -----------------------------------
+
+def _ladder(name: str, n: int, body) -> list[str]:
+    return [f"type {name}{i} = {body(i)}" for i in range(n)]
+
+
+def cascade_source(n: int) -> str:
+    """A_i = ?{a: A_{i+1}} and B_i = ?{a: B_{i+1}}; the last ones take a to
+    end! and end?.
+
+    The pair (end!, end?) is the only shape violation. Its removal cascades
+    up to A0 ≤ B0, which is not simulated: a polarity mismatch.
+    """
+    lines = (_ladder("A", n, lambda i: f"?{{a: {f'A{i + 1}' if i + 1 < n else 'end!'}}}")
+             + _ladder("B", n, lambda i: f"?{{a: {f'B{i + 1}' if i + 1 < n else 'end?'}}}"))
+    return "\n".join(lines) + "\nMain() = done\n"
+
+
+def diverging_source(n: int) -> str:
+    """U_i = !{a: U_{i+1}, b: end!} and V_i = !{a: V_{i+1}}, indices mod n.
+
+    All n pairs are simulated, and each is a strict narrowing on one loop,
+    so U0 ≤ V0 diverges with n witness pairs.
+    """
+    lines = (_ladder("U", n, lambda i: f"!{{a: U{(i + 1) % n}, b: end!}}")
+             + _ladder("V", n, lambda i: f"!{{a: V{(i + 1) % n}}}"))
+    return "\n".join(lines) + "\nMain() = done\n"
+
+
+def holding_source(n: int) -> str:
+    """W_i = !{a: W_{i+1}, b: end!} and Z_i = !{a: Z_{i+1}}, ending in end!.
+
+    Each of the n pairs costs one narrowing on top of the next, so
+    W0 ≤ Z0 has weight n and n + 1 witness pairs.
+    """
+    lines = (_ladder("W", n, lambda i: f"!{{a: {f'W{i + 1}' if i + 1 < n else 'end!'}, b: end!}}")
+             + _ladder("Z", n, lambda i: f"!{{a: {f'Z{i + 1}' if i + 1 < n else 'end!'}}}"))
+    return "\n".join(lines) + "\nMain() = done\n"
+
+
+def holding_loop_source(n: int) -> str:
+    """X_i = !{a: X_{i+1}, b: end!} mod n; Y_0 = !{a: Y_1, b: end!} and
+    Y_i = !{a: Y_{i+1}} for the others.
+
+    The pairs (X_i, Y_i) form one cycle. Only (X_0, Y_0) keeps both
+    labels, and it takes b for weight 1; every other pair narrows on top
+    of the next, so X_i ≤ Y_i has weight n + 1 - i for i ≥ 1, and the
+    cycle holds n distinct weights.
+    """
+    lines = (_ladder("X", n, lambda i: f"!{{a: X{(i + 1) % n}, b: end!}}")
+             + _ladder("Y", n, lambda i: (f"!{{a: Y{(i + 1) % n}, b: end!}}" if i == 0
+                                           else f"!{{a: Y{(i + 1) % n}}}")))
+    return "\n".join(lines) + "\nMain() = done\n"
+
+
+# -- deeply nested programs, all accepted and terminating ----------------------
+
+def _nested_sessions(n: int) -> str:
+    p = "done"
+    for i in reversed(range(n)):
+        p = f"new x{i}: end! / end? in (close x{i} | wait x{i}. {p})"
+    return f"Main() = {p}\n"
+
+
+def _prefix_chain(n: int) -> str:
+    t, c, p, q = "end!", "end?", "close x", "wait x. done"
+    for _ in range(n):
+        t, c, p, q = f"!{{a: {t}}}", f"?{{a: {c}}}", f"x!a. {p}", f"x?a. {q}"
+    return f"type T = {t}\ntype C = {c}\nMain() = new x: T / C in ({p} | {q})\n"
+
+
+def _branch_chain(n: int) -> str:
+    t, c, p, q = "end!", "end?", "close x", "wait x. done"
+    for _ in range(n):
+        t, c = f"!{{a: {t}}}", f"?{{a: {c}}}"
+        p, q = f"x!{{a: {p}}}", f"x?{{a: {q}}}"
+    return f"type T = {t}\ntype C = {c}\nMain() = new x: T / C in ({p} | {q})\n"
+
+
+def _parentheses(n: int) -> str:
+    return "Main() = " + "(" * n + "done" + ")" * n + "\n"
+
+
+def _choice_chain(n: int) -> str:
+    return "Main() = " + " +[1] ".join(["done"] * n) + "\n"
+
+
+def _channel_type(n: int) -> str:
+    t = "end!"
+    for _ in range(n):
+        t = f"!(end!).{t}"
+    return f"type T = {t}\nMain() = done\n"
+
+
+def _cast_chain(n: int) -> str:
+    return ("P(x: end!) = " + "[x: end!] " * n + "close x\n"
+            "Main() = new x: end! / end? in (P(x) | wait x. done)\n")
+
+
+# name -> source of size n; every one is accepted and terminates
+NESTED_SOURCES = {
+    "sessions": _nested_sessions, "prefixes": _prefix_chain,
+    "branches": _branch_chain, "parentheses": _parentheses,
+    "choices": _choice_chain, "channel-types": _channel_type,
+    "casts": _cast_chain,
+}

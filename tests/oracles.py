@@ -4,18 +4,20 @@ Nothing here shares algorithmic structure with the implementation: tree
 equivalence is decided by bounded expansion instead of bisimulation, the
 session rank by Bellman-Ford value iteration over marker states instead of
 0-1 BFS over materialized singletons, the subtyping weight by a bounded
-derivation search instead of the Kleene fixpoint, typing by unfolding
-definitions instead of the coinductive assumption set, and ranks and
-action bounds by walks that unfold each definition at most once instead
-of fixpoints over the termination-path graph.
+derivation search and by Kleene rounds instead of the component-by-
+component level solver, the simulation by full sweeps instead of a
+worklist, typing by unfolding definitions instead of the coinductive
+assumption set, ranks and action bounds by walks that unfold each
+definition at most once instead of fixpoints over the termination-path
+graph, and type rendering by recursion instead of an explicit stack.
 """
 
 from fairchk.semantics import compatible, session_rank
-from fairchk.subtyping import fair_subtype, simulate
+from fairchk.subtyping import Simulation, _premises, _violation, fair_subtype, simulate
 from fairchk.surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
                              NewSession, ProcExpr, Program, TagComm, Wait)
 from fairchk.typecheck import Checker, free_channels
-from fairchk.types import INF, OUT, TypeTable, co, equiv
+from fairchk.types import INF, OUT, TypeTable, co, equiv, reachable_pairs
 
 
 # -- raw transitions of one endpoint type ------------------------------------------
@@ -146,6 +148,23 @@ def cutoff_rank(ck: Checker, name: str, unsafe: set[int]) -> int | float:
     return min_rank(ck, body, frozenset())
 
 
+# -- rendering by recursion ----------------------------------------------------
+
+def render_recursive(table: TypeTable, i: int, under: frozenset = frozenset()) -> str:
+    """`TypeTable.render` by recursion on the tree."""
+    if i in under:
+        return table._name(i)
+    n = table.node(i)
+    if n[0] == "end":
+        return f"end{n[1]}"
+    under = under | {i}
+    if n[0] == "tags":
+        inner = ", ".join(f"{l}: {render_recursive(table, c, under)}" for l, c in n[2])
+        return f"{n[1]}{{{inner}}}"
+    return (f"{n[1]}({render_recursive(table, n[2], under)})."
+            f"{render_recursive(table, n[3], under)}")
+
+
 # -- equivalence by expansion --------------------------------------------------
 
 def equiv_oracle(table: TypeTable, a: int, b: int) -> bool:
@@ -250,6 +269,83 @@ def rank_oracle(table: TypeTable, s: int, t: int):
         if not changed:
             break
     return INF if value[root] == INF else 1 + value[root]
+
+
+# -- simulation by sweeps, weights by Kleene rounds ------------------------------
+
+def simulate_sweep(table: TypeTable, s: int, t: int) -> Simulation:
+    """`simulate` by sweeping every live pair until nothing is removed."""
+    carrier = reachable_pairs(table, s, t)
+    reason = {p: _violation(table, *p) for p in carrier}
+    alive = {p for p in carrier if reason[p] is None}
+
+    changed = True
+    while changed:
+        changed = False
+        for p in list(alive):
+            if any(q not in alive for q in _premises(table, *p)):
+                alive.discard(p)
+                changed = True
+
+    root = (s, t)
+    if root in alive:
+        order = [root]
+        seen = {root}
+        i = 0
+        while i < len(order):
+            p = order[i]
+            i += 1
+            for q in _premises(table, *p):
+                if q in alive and q not in seen:
+                    seen.add(q)
+                    order.append(q)
+        return Simulation(True, order, None)
+
+    seen = {root}
+    queue = [root]
+    while queue:
+        p = queue.pop(0)
+        if reason[p] is not None:
+            return Simulation(False, [], (p, reason[p]))
+        for q in _premises(table, *p):
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+    raise AssertionError("root removed without a shape violation")
+
+
+def solve_weights_kleene(table: TypeTable, witness: list) -> dict:
+    """`solve_weights` by Kleene iteration from the all-zero assignment.
+
+    Values that climb past K = number of pairs are clamped to ∞ and the
+    rounds go on until nothing changes.
+    """
+    pairs = set(witness)
+    rk = {p: 0 for p in witness}
+    cutoff = len(witness)
+
+    def evaluate(p):
+        u, v = p
+        nu, nv = table.node(u), table.node(v)
+        if nu[0] == "end":
+            return 0
+        if nu[0] == "chan":
+            return rk[(nu[3], nv[3])]
+        prem = [rk[q] for q in _premises(table, u, v) if q in pairs]
+        if nu[1] != OUT:
+            return max(prem)
+        if set(dict(nv[2])) < set(dict(nu[2])):
+            return 1 + min(prem)
+        return min(1 + min(prem), max(prem))
+
+    while True:
+        nxt = {}
+        for p in witness:
+            w = evaluate(p)
+            nxt[p] = INF if w > cutoff else w
+        if nxt == rk:
+            return rk
+        rk = nxt
 
 
 # -- subtyping weight by bounded derivation search ------------------------------

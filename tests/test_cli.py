@@ -12,6 +12,8 @@ import pytest
 from conftest import CORPUS, corpus_path
 from fairchk import schema
 from fairchk.cli import _color_enabled, main
+from fairchk.surface import MAX_NESTING, SourceError, parse
+from gen import NESTED_SOURCES, diverging_source
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +91,39 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert str(bad) in capsys.readouterr().err
 
 
+def _deepest_admitted(source) -> int:
+    lo, hi = 1, 2 * MAX_NESTING
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            parse(source(mid))
+            lo = mid
+        except SourceError:
+            hi = mid - 1
+    return lo
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_SOURCES))
+def test_nesting_bound(shape, tmp_path, capsys):
+    # the deepest admitted program passes every pass after the parser; one
+    # level more, or far more, is a parse error and not a RecursionError
+    source = NESTED_SOURCES[shape]
+    n = _deepest_admitted(source)
+    path = tmp_path / "deep.ft"
+    path.write_text(source(n), encoding="utf-8")
+    assert run_cli(capsys, "check", str(path))[0] == 0
+    assert run_cli(capsys, "check", "--json", "--infer-branch", str(path))[0] == 0
+    code, out, _ = run_cli(capsys, "run", "--json", str(path))
+    assert code == 0 and json.loads(out)["outcome"] == "terminated"
+    for deeper in (n + 1, 4 * MAX_NESTING):
+        path.write_text(source(deeper), encoding="utf-8")
+        for cmd in ("check", "run"):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, str(path)])
+            assert exc.value.code == 2
+            assert f"nesting deeper than {MAX_NESTING} levels" in capsys.readouterr().err
+
+
 def test_missing_file_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "/nonexistent/nowhere.ft"])
@@ -147,6 +182,22 @@ def test_subtype_json_failure_carries_pair(capsys):
     assert verdict["holds"] is False
     assert verdict["failure"] == "diverges"
     assert len(verdict["offendingPair"]) == 2
+
+
+def test_subtype_deep_divergence_renders_without_recursion(tmp_path, capsys):
+    # rendering the offending pair unfolds the whole 1600-state loop
+    path = tmp_path / "ladder.ft"
+    path.write_text(diverging_source(1600), encoding="utf-8")
+    code, out, err = run_cli(capsys, "subtype", "--json", str(path), "U0", "V0")
+    verdict = json.loads(out)
+    schema.validate(verdict, schema.SUBTYPE)
+    assert code == 1 and err == ""
+    assert verdict["failure"] == "diverges" and verdict["simulationSize"] == 1600
+    sub, sup = verdict["offendingPair"]
+    assert sub.count("b: end!") == 1600 and sup.endswith("}" * 1600)
+    code, out, err = run_cli(capsys, "subtype", str(path), "U0", "V0")
+    assert code == 1 and err == ""
+    assert out == f"fails: divergence at ({sub}, {sup})\n"
 
 
 # ------------------------------------------------- compatible and rank

@@ -5,14 +5,19 @@ import random
 import pytest
 
 from fairchk import schema
-from fairchk.subtyping import (diverges, fair_subtype, render_weight, simulate,
-                               solve_weights, subtype_weight, unfair_subtype)
+from fairchk.graph import cyclic, tarjan
+from fairchk.subtyping import (_premises, diverges, fair_subtype, render_weight,
+                               simulate, solve_weights, subtype_weight,
+                               unfair_subtype)
 from fairchk.surface import load
 from fairchk.types import INF, TypeTable
 
 from conftest import load_corpus
-from gen import intern_spec, mutated_pair, random_spec, supertype_of, unfold_root
-from oracles import weight_agrees_with_search
+from gen import (cascade_source, diverging_source, holding_loop_source,
+                 holding_source, intern_spec, mutated_pair, random_spec,
+                 supertype_of, unfold_root)
+from oracles import (simulate_sweep, solve_weights_kleene,
+                     weight_agrees_with_search)
 
 
 def test_unfair_examples(bsc):
@@ -199,3 +204,101 @@ def test_verdict_json_matches_schema(bsc):
         schema.validate(v.to_json(table), schema.SUBTYPE)
     good = fair_subtype(table, bsc.typedefs["SB"], bsc.typedefs["SB'"]).to_json(table)
     assert good == {"holds": True, "weight": 1, "simulationSize": 3}
+
+
+def _weights(text: str, sub: str, sup: str):
+    program = load(text)
+    table = program.table
+    sim = simulate(table, program.typedefs[sub], program.typedefs[sup])
+    assert sim.holds
+    rk = solve_weights(table, sim.witness)
+    assert rk == solve_weights_kleene(table, sim.witness)
+    prem = {p: _premises(table, *p) for p in sim.witness}
+    return program, rk, tarjan(sim.witness, prem)
+
+
+def test_solvers_match_sweep_and_kleene_oracles():
+    rnd = random.Random(47)
+    seen = {"failure": 0, "infinite": 0, "positive": 0, "positive_cycle": 0}
+    for i in range(6000):
+        table = TypeTable()
+        if i % 3 == 0:
+            a = intern_spec(table, random_spec(rnd, 8))
+            b = intern_spec(table, random_spec(rnd, 8))
+        elif i % 3 == 1:
+            sub, sup = mutated_pair(rnd, 8)
+            a, b = intern_spec(table, sub), intern_spec(table, sup)
+        else:
+            sub = random_spec(rnd, 8)
+            a = intern_spec(table, sub)
+            b = intern_spec(table, supertype_of(sub, rnd))
+        got, want = simulate(table, a, b), simulate_sweep(table, a, b)
+        assert (got.holds, got.witness, got.failure) == (want.holds, want.witness, want.failure)
+        if not got.holds:
+            seen["failure"] += 1
+            continue
+        rk = solve_weights(table, got.witness)
+        assert rk == solve_weights_kleene(table, got.witness)
+        assert list(rk) == got.witness
+        seen["infinite"] += INF in rk.values()
+        seen["positive"] += any(0 < w < INF for w in rk.values())
+        prem = {p: _premises(table, *p) for p in got.witness}
+        seen["positive_cycle"] += any(
+            cyclic(scc, prem) and any(0 < rk[p] < INF for p in scc)
+            for scc in tarjan(got.witness, prem))
+    assert seen["failure"] > 1000 and seen["positive"] > 200
+    assert seen["infinite"] > 50 and seen["positive_cycle"] > 50
+
+
+def test_weight_of_a_zero_cost_input_loop_is_zero():
+    # the least fixpoint enters the loop with 0, the largest value entering it
+    program, rk, _ = _weights("type T = ?{a: T}\nMain() = done", "T", "T")
+    t = program.typedefs["T"]
+    assert rk == {(t, t): 0}
+
+
+def test_holding_loop_settles_one_weight_per_level():
+    n = 50
+    program, rk, sccs = _weights(holding_loop_source(n), "X3", "Y3")
+    pair = (program.typedefs["X3"], program.typedefs["Y3"])
+    assert rk[pair] == 48
+    loop = [scc for scc in sccs if len(scc) > 1]
+    assert len(loop) == 1 and len(loop[0]) == n
+    assert sorted(rk[p] for p in loop[0]) == list(range(1, n + 1))
+
+
+def test_zero_cost_loop_takes_the_weight_of_its_exit():
+    k = 3
+    text = (holding_source(k)
+            + "type A = ?{a: A, b: W0, c: end?}\n"
+            + "type B = ?{a: B, b: Z0, c: end?, d: end!}\n")
+    program, rk, sccs = _weights(text, "A", "B")
+    loop = (program.typedefs["A"], program.typedefs["B"])
+    assert rk[loop] == k
+    assert [loop] in sccs
+    assert fair_subtype(program.table, *loop).weight == k
+
+
+def test_cascade_ladder_at_scale():
+    n = 1600
+    program = load(cascade_source(n))
+    v = fair_subtype(program.table, program.typedefs["A0"], program.typedefs["B0"])
+    assert not v.holds and v.failure[0] == "not-simulated"
+    u, w = v.failure[1]
+    assert (program.table.node(u), program.table.node(w)) == (("end", "!"), ("end", "?"))
+    assert v.failure[2] == "polarity mismatch"
+
+
+def test_diverging_ladder_at_scale():
+    n = 1600
+    program = load(diverging_source(n))
+    v = fair_subtype(program.table, program.typedefs["U0"], program.typedefs["V0"])
+    assert not v.holds and v.failure[0] == "diverges"
+    assert v.simulation_size == n
+
+
+def test_holding_ladder_at_scale():
+    n = 1600
+    program = load(holding_source(n))
+    v = fair_subtype(program.table, program.typedefs["W0"], program.typedefs["Z0"])
+    assert v.holds and v.weight == n and v.simulation_size == n + 1

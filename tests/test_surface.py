@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairchk.surface import (Cast, ChanIn, ChanOut, Choice, Close, Done,
-                             NewSession, SourceError, TagComm, TChan, TEnd,
+from fairchk.surface import (MAX_NESTING, Cast, ChanIn, ChanOut, Choice, Close,
+                             Done, NewSession, SourceError, TagComm, TChan, TEnd,
                              TName, TTags, Wait, load, parse, render_program,
                              render_type, resolve)
 from fairchk.types import equiv
@@ -136,6 +136,20 @@ def test_parse_errors(bad):
     with pytest.raises(SourceError) as err:
         parse(bad)
     assert err.value.line >= 1 and err.value.col >= 1
+
+
+def test_nesting_counts_open_constructs_only():
+    # siblings do not add up: only constructs still open count as levels
+    n = 2 * MAX_NESTING
+    defs = "".join(f"P{i}() = done + done +[2] (done + done)\n" for i in range(n))
+    labels = ", ".join(f"a{i}: x!a. done + close x" for i in range(n))
+    assert len(parse(defs + f"Q(x: end!) = x?{{{labels}}}\n").procdefs) == n + 1
+    deep = "Main() = " + "wait x. " * (MAX_NESTING - 1) + "done"
+    assert parse(deep).procdefs
+    with pytest.raises(SourceError) as err:
+        parse(deep.replace("done", "wait x. done"))
+    assert err.value.msg == f"nesting deeper than {MAX_NESTING} levels"
+    assert (err.value.line, err.value.col) == (1, 10 + 8 * MAX_NESTING)
 
 
 @pytest.mark.parametrize("bad", [

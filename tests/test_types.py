@@ -6,7 +6,7 @@ from fairchk.types import TypeTable, co, dual, equiv, is_bounded, plus, reachabl
 
 from conftest import load_corpus
 from gen import intern_spec, random_spec, unfold_root
-from oracles import equiv_oracle
+from oracles import equiv_oracle, render_recursive
 
 
 def _end(table, pol):
@@ -220,6 +220,24 @@ def test_render_cuts_cycles():
     r = table.placeholder(hint="R")
     table.fill(r, ("tags", "!", (("a", r),)))
     assert table.render(r) == "!{a: R}"
+
+
+def test_render_matches_recursive_oracle():
+    rnd = random.Random(48)
+    for _ in range(500):
+        table = TypeTable()
+        spec = random_spec(rnd, 10)
+        ids = [intern_spec(table, spec, root) for root in range(len(spec))]
+        for i in ids:
+            assert table.render(i) == render_recursive(table, i)
+
+
+def test_render_deep_chain():
+    table = TypeTable()
+    t = _end(table, "!")
+    for _ in range(5000):
+        t = table.add(("chan", "?", _end(table, "?"), table.add(("tags", "?", (("a", t),)))))
+    assert table.render(t) == "?(end?).?{a: " * 5000 + "end!" + "}" * 5000
 
 
 def test_dump_emits_surface_equations():
