@@ -58,6 +58,13 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _print_diagnostics(path: str, definition: dict) -> None:
+    for diag in definition["diagnostics"]:
+        span = diag["span"]
+        print(f"  {path}:{span['line']}:{span['col']}: "
+              f"{diag['code']}: {diag['message']}", file=sys.stderr)
+
+
 def cmd_check(args) -> int:
     program = _load_program(args.file)
     checker = typecheck.Checker(program, infer_branch=args.infer_branch)
@@ -72,10 +79,7 @@ def cmd_check(args) -> int:
         for d in report["definitions"]:
             status = _paint(d["status"], d["status"] == "accepted")
             print(f"{d['name']:<{width}}  rank {d['rank']:>4}  {status}")
-            for diag in d["diagnostics"]:
-                span = diag["span"]
-                print(f"  {args.file}:{span['line']}:{span['col']}: "
-                      f"{diag['code']}: {diag['message']}", file=sys.stderr)
+            _print_diagnostics(args.file, d)
         print(_paint(report["verdict"], report["verdict"] == "accepted"))
     return 0 if report["verdict"] == "accepted" else 1
 
@@ -140,10 +144,7 @@ def cmd_run(args) -> int:
             print("program rejected by the checker; use --unsafe to run anyway",
                   file=sys.stderr)
             for d in report["definitions"]:
-                for diag in d["diagnostics"]:
-                    span = diag["span"]
-                    print(f"  {args.file}:{span['line']}:{span['col']}: "
-                          f"{diag['code']}: {diag['message']}", file=sys.stderr)
+                _print_diagnostics(args.file, d)
             return 1
     try:
         outcome = runtime.run(program, seed=args.seed, max_steps=args.max_steps,

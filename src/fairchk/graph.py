@@ -1,13 +1,16 @@
-"""Strongly connected components, shared by the fixpoint passes.
+"""Graph algorithms shared by the fixpoint passes.
 
 The termination-path graph of the checker and the premise graph of a
 subtyping witness are both solved component by component, sinks first.
+Every least set closed backwards along edges (bounded occurrences,
+configurations that can terminate, dead simulation pairs) is one call of
+`closure`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
-from typing import TypeVar
+from collections.abc import Hashable, Iterable, Mapping
+from typing import Optional, TypeVar
 
 N = TypeVar("N", bound=Hashable)
 
@@ -66,3 +69,42 @@ def tarjan(nodes: list[N], succ: dict[N, list[N]]) -> list[list[N]]:
 def cyclic(scc: list[N], succ: dict[N, list[N]]) -> bool:
     """The component holds a cycle: two members or more, or a self-loop."""
     return len(scc) > 1 or scc[0] in succ[scc[0]]
+
+
+def reverse(succ: Mapping[N, Iterable[N]]) -> dict[N, list[N]]:
+    """The predecessor lists of a successor map, one entry per edge."""
+    pred: dict[N, list[N]] = {}
+    for v, ws in succ.items():
+        for w in ws:
+            pred.setdefault(w, []).append(v)
+    return pred
+
+
+def closure(seeds: Iterable[N], pred: Mapping[N, Iterable[N]],
+            need: Optional[Mapping[N, int]] = None) -> set[N]:
+    """The least set that holds the seeds and every node v with at least
+    need[v] of its successors in it.
+
+    `pred[w]` lists the nodes that have w as a successor, once per edge,
+    and a missing key means none. Without `need` every node needs one
+    successor; with it, a node absent from `need` joins only as a seed.
+    Each node counts the successors it still lacks and joins when the
+    count reaches zero, so every edge is followed once (Liu & Smolka,
+    "Simple linear-time algorithms for minimal fixed points", 1998).
+    """
+    out = set(seeds)
+    lacking = None if need is None else dict(need)
+    todo = list(out)
+    while todo:
+        for v in pred.get(todo.pop(), ()):
+            if v in out:
+                continue
+            if lacking is not None:
+                if v not in lacking:
+                    continue
+                lacking[v] -= 1
+                if lacking[v] > 0:
+                    continue
+            out.add(v)
+            todo.append(v)
+    return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
-                      NewSession, ProcExpr, Program, TagComm, Wait)
+                      NewSession, ProcExpr, Program, TagComm, Wait, render_proc)
 
 _M64 = (1 << 64) - 1
 
@@ -114,7 +114,7 @@ class Soup:
             elif isinstance(p, (Close, Wait, TagComm, ChanOut, ChanIn)):
                 # a missing handle just leaves the thread blocked; only
                 # ill-typed programs executed with --unsafe can get here
-                h = th.env.get(_subject(p))
+                h = th.env.get(p.chan)
                 if isinstance(p, ChanOut) and p.payload not in th.env:
                     h = None
                 if h is not None:
@@ -222,15 +222,8 @@ class Soup:
         out = []
         for th in self.threads:
             env = ", ".join(f"{v}=s{h[0]}.{h[1]}" for v, h in sorted(th.env.items()))
-            from .surface import render_proc
             out.append(f"{render_proc(th.proc)}  [{env}]")
         return out
-
-
-def _subject(p: ProcExpr) -> str:
-    if isinstance(p, (Close, Wait, TagComm, ChanOut, ChanIn)):
-        return p.chan
-    raise TypeError(f"no communication subject: {p!r}")
 
 
 def _is_offer(p: ProcExpr) -> bool:

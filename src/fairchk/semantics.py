@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from .graph import closure, reverse
 from .types import INF, OUT, TypeTable, co, equiv
 
 Config = tuple[int, int]
@@ -93,23 +94,8 @@ def build_config_graph(table: TypeTable, s: int, t: int) -> ConfigGraph:
 def compatible(table: TypeTable, s: int, t: int) -> bool:
     """Every reachable configuration must still be able to terminate."""
     g = build_config_graph(table, s, t)
-    return _all_reach_success(g)
-
-
-def _all_reach_success(g: ConfigGraph) -> bool:
-    rev: dict[Config, list[Config]] = {c: [] for c in g.nodes}
-    for c in g.nodes:
-        for d in g.successors(c):
-            rev[d].append(c)
-    good = set(g.success)
-    queue = deque(good)
-    while queue:
-        c = queue.popleft()
-        for p in rev[c]:
-            if p not in good:
-                good.add(p)
-                queue.append(p)
-    return len(good) == len(g.nodes)
+    can_end = closure(g.success, reverse({c: g.successors(c) for c in g.nodes}))
+    return len(can_end) == len(g.nodes)
 
 
 def session_rank(table: TypeTable, s: int, t: int) -> int | float:

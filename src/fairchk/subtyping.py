@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import cyclic, tarjan
+from .graph import closure, cyclic, reverse, tarjan
 from .types import INF, OUT, TypeTable, equiv, reachable_pairs
 
 Pair = tuple[int, int]
@@ -72,28 +72,18 @@ class Simulation:
 def simulate(table: TypeTable, s: int, t: int) -> Simulation:
     """Greatest fixpoint of the simulation rules over reachable pairs.
 
-    Each shape-valid pair's premises are computed once, together with the
-    reverse edges. The shape violations seed a worklist, and a pair dies
-    as soon as one of its premises dies, so every edge is followed once.
+    Each shape-valid pair's premises are computed once. The dead pairs
+    are a backward closure: the shape violations, and every pair with a
+    dead premise.
     """
     carrier = reachable_pairs(table, s, t)
     reason = {p: _violation(table, *p) for p in carrier}
     premises = {p: _premises(table, *p) for p in carrier if reason[p] is None}
-    users: dict[Pair, list[Pair]] = {p: [] for p in carrier}
-    for p, qs in premises.items():
-        for q in qs:
-            users[q].append(p)
-    alive = set(premises)
-    dead = [p for p in carrier if reason[p] is not None]
-    while dead:
-        for p in users[dead.pop()]:
-            if p in alive:
-                alive.discard(p)
-                dead.append(p)
+    dead = closure([p for p in carrier if reason[p] is not None], reverse(premises))
 
     root = (s, t)
-    if root in alive:
-        return Simulation(True, _closure(root, premises), None)
+    if root not in dead:
+        return Simulation(True, _witness(root, premises), None)
 
     # Walk premise edges from the root through shape-valid pairs; the first
     # shape violation found is the root cause of the removal cascade.
@@ -110,7 +100,7 @@ def simulate(table: TypeTable, s: int, t: int) -> Simulation:
     raise AssertionError("root removed without a shape violation")
 
 
-def _closure(root: Pair, premises: dict[Pair, list[Pair]]) -> list[Pair]:
+def _witness(root: Pair, premises: dict[Pair, list[Pair]]) -> list[Pair]:
     """Pairs reachable from a surviving root, breadth first.
 
     Every premise of a surviving pair survives, so no filter is needed.
@@ -193,32 +183,22 @@ def _settle_cycle(scc: list[Pair], prem: dict[Pair, list[Pair]],
     the next; when none is left, or the level passes the cutoff, the pairs
     still open are ∞. Each level is linear in the component.
     """
-    members = set(scc)
-    users: dict[Pair, list[Pair]] = {p: [] for p in scc}
-    for p in scc:
-        for q in prem[p]:
-            if q in members:
-                users[q].append(p)
+    users = reverse({p: prem[p] for p in scc})
     open_ = scc
     v = 0
     while open_ and v <= cutoff:
-        over: set[Pair] = set()
-        needs_all: set[Pair] = set()
+        forced: list[Pair] = []
+        needs_all: dict[Pair, int] = {}
         for p in open_:
             known = [rk[q] for q in prem[p] if q in rk]
             r = rule[p]
             if r in ("strict", "equal") and any(w < v for w in known):
                 continue  # one settled premise pays for the +1
             if r == "strict" or any(w > v for w in known):
-                over.add(p)
+                forced.append(p)
             else:
-                needs_all.add(p)
-        todo = list(over)
-        while todo:
-            for p in users[todo.pop()]:
-                if p in needs_all and p not in over:
-                    over.add(p)
-                    todo.append(p)
+                needs_all[p] = 1
+        over = closure(forced, users, needs_all)
         for p in open_:
             if p not in over:
                 rk[p] = v

@@ -178,6 +178,35 @@ class Cast:
 ProcExpr = Done | Call | Close | Wait | TagComm | ChanOut | ChanIn | Choice | NewSession | Cast
 
 
+def children(p: ProcExpr) -> tuple[ProcExpr, ...]:
+    """The direct sub-processes of a node, in source order.
+
+    This is the one statement of which fields of a node are processes;
+    every walk that treats all kinds of node alike goes through it.
+    """
+    if isinstance(p, (Done, Call, Close)):
+        return ()
+    if isinstance(p, TagComm):
+        return tuple(b for _, b in p.branches)
+    if isinstance(p, (Choice, NewSession)):
+        return (p.left, p.right)
+    return (p.cont,)
+
+
+def preorder(p: ProcExpr) -> list[ProcExpr]:
+    """Every node under p, each before its children, in source order.
+
+    An explicit stack, so that the depth of the tree costs no frames.
+    """
+    order: list[ProcExpr] = []
+    stack = [p]
+    while stack:
+        n = stack.pop()
+        order.append(n)
+        stack.extend(children(n)[::-1])
+    return order
+
+
 @dataclass
 class ProcDef:
     name: str
@@ -588,18 +617,27 @@ def resolve(sp: SourceProgram) -> Program:
         by_name[name] = body
 
     # A typedef whose body is a bare name is an alias. Follow alias chains
-    # now so cycles that never cross a constructor are caught up front.
-    def chase(name: str, trail: tuple[str, ...]) -> str:
-        body = by_name[name]
-        if isinstance(body, TName):
+    # now so cycles that never cross a constructor are caught up front. A
+    # chain is followed by a loop, and every alias on it remembers where it
+    # ends, so each alias is resolved once however long the chains are.
+    ends: dict[str, str] = {}
+
+    def chase(name: str) -> str:
+        path: dict[str, None] = {}  # insertion-ordered, constant-time lookup
+        while name not in ends and isinstance(by_name[name], TName):
+            body = by_name[name]
             if body.name not in by_name:
                 raise SourceError(f"undefined type name {body.name!r}",
                                   body.span.line, body.span.col)
-            if body.name in trail or body.name == name:
+            path[name] = None
+            if body.name in path:
                 raise SourceError(f"non-contractive type definition {name!r}",
                                   body.span.line, body.span.col)
-            return chase(body.name, trail + (name,))
-        return name
+            name = body.name
+        end = ends.get(name, name)
+        for alias in path:
+            ends[alias] = end
+        return end
 
     table = TypeTable()
     slots: dict[str, int] = {}
@@ -611,7 +649,7 @@ def resolve(sp: SourceProgram) -> Program:
         if isinstance(t, TName):
             if t.name not in by_name:
                 raise SourceError(f"undefined type name {t.name!r}", t.span.line, t.span.col)
-            return slots[chase(t.name, ())]
+            return slots[chase(t.name)]
         if isinstance(t, TEnd):
             return table.add(("end", t.pol))
         if isinstance(t, TTags):
@@ -634,39 +672,13 @@ def resolve(sp: SourceProgram) -> Program:
         typedefs[name] = slots[name]
     for name, body, span in sp.typedefs:
         if isinstance(body, TName):
-            typedefs[name] = slots[chase(name, ())]
+            typedefs[name] = slots[chase(name)]
 
     procs: dict[str, ProcDef] = {}
     for d in sp.procdefs:
         if d.name in procs:
             raise SourceError(f"duplicate process definition {d.name!r}", d.span.line, d.span.col)
         procs[d.name] = d
-
-    def walk(p: ProcExpr) -> None:
-        if isinstance(p, Call):
-            if p.name not in procs:
-                raise SourceError(f"undefined process name {p.name!r}", p.span.line, p.span.col)
-        elif isinstance(p, (Wait,)):
-            walk(p.cont)
-        elif isinstance(p, TagComm):
-            for _, b in p.branches:
-                walk(b)
-        elif isinstance(p, ChanOut):
-            walk(p.cont)
-        elif isinstance(p, ChanIn):
-            p.tid = intern(p.ann)
-            walk(p.cont)
-        elif isinstance(p, Choice):
-            walk(p.left)
-            walk(p.right)
-        elif isinstance(p, NewSession):
-            p.ltid = intern(p.lty)
-            p.rtid = intern(p.rty)
-            walk(p.left)
-            walk(p.right)
-        elif isinstance(p, Cast):
-            p.tid = intern(p.target)
-            walk(p.cont)
 
     for d in procs.values():
         seen_params = set()
@@ -675,7 +687,16 @@ def resolve(sp: SourceProgram) -> Program:
                 raise SourceError(f"duplicate parameter {v!r} in {d.name}", d.span.line, d.span.col)
             seen_params.add(v)
         d.param_tids = [intern(t) for _, t in d.params]
-        walk(d.body)
+        for p in preorder(d.body):
+            if isinstance(p, Call) and p.name not in procs:
+                raise SourceError(f"undefined process name {p.name!r}", p.span.line, p.span.col)
+            if isinstance(p, ChanIn):
+                p.tid = intern(p.ann)
+            elif isinstance(p, Cast):
+                p.tid = intern(p.target)
+            elif isinstance(p, NewSession):
+                p.ltid = intern(p.lty)
+                p.rtid = intern(p.rty)
 
     return Program(table, typedefs, procs)
 

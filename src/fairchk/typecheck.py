@@ -23,12 +23,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 
-from .graph import cyclic, tarjan
+from .graph import closure, cyclic, reverse, tarjan
 from .semantics import compatible
 from .subtyping import fair_subtype, render_weight
 from .surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
-                      NewSession, ProcDef, ProcExpr, Program, Span, TagComm,
-                      Wait)
+                      NewSession, ProcExpr, Program, Span, TagComm, Wait,
+                      children, preorder)
 from .types import INF, TypeTable, equiv
 
 
@@ -52,45 +52,30 @@ class _Abort(Exception):
     """Stops the typing walk of one definition after a hard failure."""
 
 
-def ast_children(p: ProcExpr) -> list[ProcExpr]:
-    if isinstance(p, (Done, Call, Close)):
-        return []
-    if isinstance(p, (Wait, ChanOut, ChanIn, Cast)):
-        return [p.cont]
-    if isinstance(p, TagComm):
-        return [b for _, b in p.branches]
-    if isinstance(p, Choice):
-        return [p.left, p.right]
-    if isinstance(p, NewSession):
-        return [p.left, p.right]
-    raise TypeError(f"not a process node: {p!r}")
+def free_channels(order: list[ProcExpr]) -> dict[int, set[str]]:
+    """The free channels of every node of a preorder, keyed by node id.
 
-
-def free_channels(p: ProcExpr) -> set[str]:
-    if isinstance(p, Done):
-        return set()
-    if isinstance(p, Call):
-        return set(p.args)
-    if isinstance(p, Close):
-        return {p.chan}
-    if isinstance(p, Wait):
-        return {p.chan} | free_channels(p.cont)
-    if isinstance(p, TagComm):
-        out = {p.chan}
-        for _, b in p.branches:
-            out |= free_channels(b)
-        return out
-    if isinstance(p, ChanOut):
-        return {p.chan, p.payload} | free_channels(p.cont)
-    if isinstance(p, ChanIn):
-        return {p.chan} | (free_channels(p.cont) - {p.var})
-    if isinstance(p, Choice):
-        return free_channels(p.left) | free_channels(p.right)
-    if isinstance(p, NewSession):
-        return (free_channels(p.left) | free_channels(p.right)) - {p.chan}
-    if isinstance(p, Cast):
-        return {p.chan} | free_channels(p.cont)
-    raise TypeError(f"not a process node: {p!r}")
+    One pass in reverse preorder meets every node after its children, so
+    each node's set is built from its children's sets once.
+    """
+    free: dict[int, set[str]] = {}
+    for p in reversed(order):
+        out: set[str] = set()
+        for c in children(p):
+            out |= free[id(c)]
+        if isinstance(p, Call):
+            out.update(p.args)
+        elif isinstance(p, ChanOut):
+            out.update((p.chan, p.payload))
+        elif isinstance(p, ChanIn):
+            out.discard(p.var)
+            out.add(p.chan)
+        elif isinstance(p, NewSession):
+            out.discard(p.chan)
+        elif not isinstance(p, (Done, Choice)):
+            out.add(p.chan)
+        free[id(p)] = out
+    return free
 
 
 class Checker:
@@ -102,20 +87,12 @@ class Checker:
         self.infer_branch = infer_branch
         self.diags: dict[str, list[Diagnostic]] = {n: [] for n in program.procs}
         self.cast_weight: dict[int, int] = {}
-        self.occ_def: dict[int, str] = {}
-        self.occs: dict[str, list[ProcExpr]] = {}
+        self.occs = {name: preorder(d.body) for name, d in program.procs.items()}
+        # per definition, built at its first session: most have none
+        self.free: dict[str, dict[int, set[str]]] = {}
         self.ranks: dict[str, int | float] = {}
         self.timings: dict[str, float] = {"inferMs": 0.0}
         self.pair_memo: dict[tuple, object] = {}
-        for name, d in program.procs.items():
-            order: list[ProcExpr] = []
-            stack = [d.body]
-            while stack:
-                n = stack.pop()
-                order.append(n)
-                self.occ_def[id(n)] = name
-                stack.extend(reversed(ast_children(n)))
-            self.occs[name] = order
 
     def _per_pair(self, fn, s: int, t: int):
         """`fn(table, s, t)`, computed once per pair of type ids; the ids
@@ -277,7 +254,9 @@ class Checker:
                           f"endpoint types of {p.chan} cannot terminate together",
                           left=self._render(p.ltid), right=self._render(p.rtid))
                 raise _Abort
-            fvl, fvr = free_channels(p.left), free_channels(p.right)
+            if dn not in self.free:
+                self.free[dn] = free_channels(self.occs[dn])
+            fvl, fvr = self.free[dn][id(p.left)], self.free[dn][id(p.right)]
             lctx, rctx = {p.chan: p.ltid}, {p.chan: p.rtid}
             for v, t in ctx.items():
                 if v in fvl and v in fvr:
@@ -321,20 +300,12 @@ class Checker:
 
     # -- termination-path graph and loop safety -----------------------------
 
-    def term_successors(self, p: ProcExpr) -> list[ProcExpr]:
-        if isinstance(p, (Done, Close)):
-            return []
-        if isinstance(p, (Wait, ChanOut, ChanIn, Cast)):
-            return [p.cont]
-        if isinstance(p, TagComm):
-            return [b for _, b in p.branches]
-        if isinstance(p, Choice):
-            return [p.left if p.k == 1 else p.right]
-        if isinstance(p, NewSession):
-            return [p.left, p.right]
+    def term_successors(self, p: ProcExpr) -> tuple[ProcExpr, ...]:
         if isinstance(p, Call):
-            return [self.program.procs[p.name].body]
-        raise TypeError(f"not a process node: {p!r}")
+            return (self.program.procs[p.name].body,)
+        if isinstance(p, Choice):
+            return (p.left if p.k == 1 else p.right,)
+        return children(p)
 
     def check_safe(self) -> None:
         """Build the termination-path graph and flag the sessions and
@@ -384,7 +355,7 @@ class Checker:
                               "no branch of this process reaches done or close "
                               "without unfolding a definition twice")
                     continue
-                stack.extend(reversed(ast_children(p)))
+                stack.extend(children(p)[::-1])
 
     # -- branch inference ------------------------------------------------------
 
@@ -489,31 +460,12 @@ class TermGraph:
         return rank
 
     def bounded(self) -> set[int]:
-        """Action-bounded occurrences, as a least fixpoint.
-
-        Done and close are bounded, a session needs both sides, every other
-        node needs one successor. Each node counts the successors it still
-        needs and joins the set when the count reaches zero, so every edge
-        is looked at once.
-        """
-        need: dict[int, int] = {}
-        pred: dict[int, list[int]] = {v: [] for v in self.node}
-        for v, n in self.node.items():
-            if isinstance(n, (Done, Close)):
-                need[v] = 0
-            else:
-                need[v] = len(self.succ[v]) if isinstance(n, NewSession) else 1
-            for w in self.succ[v]:
-                pred[w].append(v)
-        ready = [v for v, k in need.items() if k == 0]
-        out = set(ready)
-        while ready:
-            for v in pred[ready.pop()]:
-                need[v] -= 1
-                if need[v] == 0:
-                    out.add(v)
-                    ready.append(v)
-        return out
+        """Action-bounded occurrences, as a least fixpoint: done and close
+        are bounded, a session needs both sides, every other node needs one
+        successor."""
+        seeds = [v for v, n in self.node.items() if isinstance(n, (Done, Close))]
+        need = {v: 2 if isinstance(n, NewSession) else 1 for v, n in self.node.items()}
+        return closure(seeds, reverse(self.succ), need)
 
 
 def check_program(program: Program, infer_branch: bool = False) -> dict:

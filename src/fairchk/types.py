@@ -13,7 +13,9 @@ converse is not guaranteed, so semantic comparisons go through `equiv`.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
+
+from .graph import closure, reverse
 
 OUT = "!"
 IN = "?"
@@ -71,9 +73,6 @@ class TypeTable:
     def kind(self, i: int) -> str:
         return self.node(i)[0]
 
-    def pol(self, i: int) -> str:
-        return self.node(i)[1]
-
     def branches(self, i: int) -> dict[str, int]:
         """Label → child id of a tags node, insertion order preserved."""
         n = self.node(i)
@@ -109,8 +108,8 @@ class TypeTable:
         child = dict(n[2])[label]
         return self.add(("tags", OUT, ((label, child),)))
 
-    # Rendering is for diagnostics and the table dump. Cycles are cut by
-    # emitting the name hint (or a generated one) at the second visit.
+    # Rendering is for diagnostics. Cycles are cut by emitting the name
+    # hint (or a generated one) at the second visit.
 
     def render(self, i: int) -> str:
         """The tree at i, unfolded until a node repeats on the current path.
@@ -169,24 +168,6 @@ class TypeTable:
     def _name(self, i: int) -> str:
         return self.name_hint.get(i, f"t{i}")
 
-    def dump(self) -> str:
-        """Every filled node as a `type` equation in the surface grammar."""
-        lines = []
-        for i, n in enumerate(self.nodes):
-            if n is None:
-                continue
-            body = self._render_shallow(n)
-            lines.append(f"type {self._name(i)} = {body}")
-        return "\n".join(lines)
-
-    def _render_shallow(self, n: tuple) -> str:
-        if n[0] == "end":
-            return f"end{n[1]}"
-        if n[0] == "tags":
-            inner = ", ".join(f"{l}: {self._name(c)}" for l, c in n[2])
-            return f"{n[1]}{{{inner}}}"
-        return f"{n[1]}({self._name(n[2])}).{self._name(n[3])}"
-
 
 def dual(table: TypeTable, i: int) -> int:
     """Flip every polarity along the carrier; payloads stay as they are.
@@ -212,21 +193,6 @@ def dual(table: TypeTable, i: int) -> int:
         return out
 
     return go(i)
-
-
-def plus(table: TypeTable, a: int, b: int) -> Optional[int]:
-    """Label-union of two same-polarity choices with disjoint labels.
-
-    Returns None when the merge is undefined (polarity mismatch, a non-tags
-    operand, or overlapping labels).
-    """
-    na, nb = table.node(a), table.node(b)
-    if na[0] != "tags" or nb[0] != "tags" or na[1] != nb[1]:
-        return None
-    la = {l for l, _ in na[2]}
-    if la & {l for l, _ in nb[2]}:
-        return None
-    return table.add(("tags", na[1], na[2] + nb[2]))
 
 
 def equiv(table: TypeTable, a: int, b: int) -> bool:
@@ -257,15 +223,8 @@ def equiv(table: TypeTable, a: int, b: int) -> bool:
 def is_bounded(table: TypeTable, i: int) -> bool:
     """True when every subtree can still reach a terminated endpoint."""
     reach = table.reachable(i)
-    good = {j for j in reach if table.kind(j) == "end"}
-    grew = True
-    while grew:
-        grew = False
-        for j in reach - good:
-            if any(c in good for c in table.children(j)):
-                good.add(j)
-                grew = True
-    return reach <= good
+    ends = [j for j in reach if table.kind(j) == "end"]
+    return reach <= closure(ends, reverse({j: table.children(j) for j in reach}))
 
 
 def reachable_pairs(table: TypeTable, a: int, b: int) -> set[tuple[int, int]]:

@@ -9,14 +9,16 @@ component level solver, the simulation by full sweeps instead of a
 worklist, typing by unfolding definitions instead of the coinductive
 assumption set, ranks and action bounds by walks that unfold each
 definition at most once instead of fixpoints over the termination-path
-graph, and type rendering by recursion instead of an explicit stack.
+graph, free channels by recursion instead of one pass per definition,
+least closures by Kleene rounds instead of a counter worklist, and type
+rendering by recursion instead of an explicit stack.
 """
 
 from fairchk.semantics import compatible, session_rank
 from fairchk.subtyping import Simulation, _premises, _violation, fair_subtype, simulate
 from fairchk.surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
                              NewSession, ProcExpr, Program, TagComm, Wait)
-from fairchk.typecheck import Checker, free_channels
+from fairchk.typecheck import Checker
 from fairchk.types import INF, OUT, TypeTable, co, equiv, reachable_pairs
 
 
@@ -418,6 +420,52 @@ def weight_agrees_with_search(table: TypeTable, s: int, t: int) -> bool:
     return least[(s, t)] is None
 
 
+# -- least closures by Kleene rounds -----------------------------------------------
+
+def closure_kleene(succ: dict, seeds, need) -> set:
+    """`graph.closure` by rounds that add every node with enough successors
+    inside, until a round adds nothing."""
+    out = set(seeds)
+    while True:
+        grown = {v for v, ws in succ.items() if v not in out
+                 and (need is None or v in need)
+                 and sum(w in out for w in ws) >= (1 if need is None else need[v])}
+        if not grown:
+            return out
+        out |= grown
+
+
+# -- free channels by recursion ---------------------------------------------------
+
+def free_channels_recursive(p: ProcExpr) -> set[str]:
+    """The free channels of one node, by recursion on the tree; the
+    library builds them for a whole definition in one pass."""
+    if isinstance(p, Done):
+        return set()
+    if isinstance(p, Call):
+        return set(p.args)
+    if isinstance(p, Close):
+        return {p.chan}
+    if isinstance(p, Wait):
+        return {p.chan} | free_channels_recursive(p.cont)
+    if isinstance(p, TagComm):
+        out = {p.chan}
+        for _, b in p.branches:
+            out |= free_channels_recursive(b)
+        return out
+    if isinstance(p, ChanOut):
+        return {p.chan, p.payload} | free_channels_recursive(p.cont)
+    if isinstance(p, ChanIn):
+        return {p.chan} | (free_channels_recursive(p.cont) - {p.var})
+    if isinstance(p, Choice):
+        return free_channels_recursive(p.left) | free_channels_recursive(p.right)
+    if isinstance(p, NewSession):
+        return (free_channels_recursive(p.left) | free_channels_recursive(p.right)) - {p.chan}
+    if isinstance(p, Cast):
+        return {p.chan} | free_channels_recursive(p.cont)
+    raise TypeError(f"not a process node: {p!r}")
+
+
 # -- typing by bounded unfolding -------------------------------------------------
 
 def typing_unfold_ok(program: Program, name: str, depth: int) -> bool:
@@ -497,7 +545,7 @@ def typing_unfold_ok(program: Program, name: str, depth: int) -> bool:
                 return False
             if not compatible(table, p.ltid, p.rtid):
                 return False
-            fvl, fvr = free_channels(p.left), free_channels(p.right)
+            fvl, fvr = free_channels_recursive(p.left), free_channels_recursive(p.right)
             lctx, rctx = {p.chan: p.ltid}, {p.chan: p.rtid}
             for v, t in ctx.items():
                 if v in fvl and v in fvr:

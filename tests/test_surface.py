@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from fairchk.surface import (MAX_NESTING, Cast, ChanIn, ChanOut, Choice, Close,
                              Done, NewSession, SourceError, TagComm, TChan, TEnd,
-                             TName, TTags, Wait, load, parse, render_program,
-                             render_type, resolve)
+                             TName, TTags, Wait, load, parse, preorder,
+                             render_program, render_type, resolve)
 from fairchk.types import equiv
 
 from conftest import CORPUS_RANKS, corpus_text
@@ -169,6 +169,38 @@ def test_resolve_errors(bad):
 def test_alias_resolves_to_same_id():
     program = load("type A = !{a: end!}\ntype B = A\nMain() = done")
     assert program.typedefs["A"] == program.typedefs["B"]
+
+
+def _alias_chain(n: int, last: str) -> str:
+    """type A0 = A1, ..., type A{n-1} = A{n}, type A{n} = last."""
+    lines = [f"type A{i} = A{i + 1}" for i in range(n)]
+    return "\n".join(lines + [f"type A{n} = {last}", "Main(x: A0) = close x"])
+
+
+def test_long_alias_chain_resolves_to_same_id():
+    # chains are followed by a loop, so their length costs no stack
+    program = load(_alias_chain(1500, "end!"))
+    assert {program.typedefs[f"A{i}"] for i in range(1501)} == {program.typedefs["A1500"]}
+    assert program.table.node(program.procs["Main"].param_tids[0]) == ("end", "!")
+
+
+def test_long_alias_cycle_is_rejected():
+    with pytest.raises(SourceError) as err:
+        load(_alias_chain(1500, "A0"))
+    assert err.value.msg == "non-contractive type definition 'A1500'"
+    assert (err.value.line, err.value.col) == (1501, 14)
+
+
+def test_preorder_and_resolution_follow_source_order():
+    body = parse("Main() = new x: end! / end? in (close x | x?{a: wait x. done, "
+                 "b: Q(x) +[2] [x: end?] R(x)})").procdefs[0].body
+    assert [type(n).__name__ for n in preorder(body)] == [
+        "NewSession", "Close", "TagComm", "Wait", "Done", "Choice", "Call",
+        "Cast", "Call"]
+    # the first undefined name in source order is the one reported
+    with pytest.raises(SourceError) as err:
+        load("Main() = new x: end! / end? in (Q(x) | wait x. R(x))")
+    assert err.value.msg == "undefined process name 'Q'"
 
 
 def test_recursive_typedef_is_cyclic():

