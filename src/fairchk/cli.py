@@ -155,11 +155,18 @@ def cmd_run(args) -> int:
     for entry in outcome.trace:
         print(entry.line() if args.trace else json.dumps(entry.to_json()))
     if args.json:
-        _emit_json({"outcome": outcome.kind, "steps": outcome.steps,
-                    "seed": args.seed})
+        report = {"outcome": outcome.kind, "steps": outcome.steps, "seed": args.seed}
+        if args.stats:
+            report["stats"] = outcome.stats
+        _emit_json(report)
     else:
         label = f"{outcome.kind} after {outcome.steps} steps (seed {args.seed})"
         print(_paint(label, outcome.kind == "terminated"))
+        if args.stats:
+            stats = outcome.stats
+            fired = ", ".join(f"{rule} {n}" for rule, n in stats["rules"].items() if n)
+            print(f"peak threads {stats['peakThreads']}, sessions opened "
+                  f"{stats['sessionsOpened']}, rules fired: {fired or 'none'}")
         for line in outcome.dump:
             print(f"  {line}", file=sys.stderr)
     return 0 if outcome.kind == "terminated" else 1
@@ -209,6 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the trace as JSON lines")
     p.add_argument("--unsafe", action="store_true",
                    help="skip the checker before running")
+    p.add_argument("--stats", action="store_true",
+                   help="report rules fired, peak live threads and sessions opened")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_run)
 

@@ -12,6 +12,7 @@ reproducible across platforms and Python versions.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
@@ -41,6 +42,8 @@ RULES = frozenset({
     "rb-choice", "sb-call", "rb-cast", "rb-par",
     "rb-pick", "rb-signal", "rb-tag", "rb-channel",
 })
+
+_RULE_ORDER = sorted(RULES)
 
 # An endpoint handle is (session number, side); the two sides of one
 # session carry the same number and opposite side bits.
@@ -74,14 +77,36 @@ class RunOutcome:
     steps: int
     trace: list[TraceEntry] = field(default_factory=list)
     dump: list[str] = field(default_factory=list)
+    # fired count of every rule, peak live threads, sessions opened
+    stats: dict = field(default_factory=dict)
 
 
 class Soup:
+    """The live threads and an index of the redexes they enable.
+
+    Threads are keyed by creation number, in creation order. The index
+    lists the enabled redexes in one fixed order, which the draw at each
+    step depends on: first the single-thread redexes in thread order, then
+    the synchronising pairs in session order. A step re-reads only the
+    threads it touched, so its cost does not grow with the thread count.
+    """
+
     def __init__(self, program: Program, rng: SplitMix64):
         self.program = program
         self.rng = rng
-        self.threads: list[Thread] = []
+        self.threads: dict[int, Thread] = {}
+        self.next_thread = 0
         self.next_session = 0
+        # thread -> its single-thread rule, or the handle its head is on
+        self.role: dict[int, str | Handle] = {}
+        self.singles: list[int] = []  # threads with a single-thread rule, ascending
+        # handle -> threads whose head is on it; the newest one is the head
+        # that pairs, as several can hold one handle under --unsafe
+        self.heads: dict[Handle, set[int]] = {}
+        self.sessions: list[int] = []  # sessions with a pair redex, ascending
+        self.pairs: dict[int, tuple] = {}  # session -> (rule, offer, other)
+        self.fired = dict.fromkeys(_RULE_ORDER, 0)
+        self.peak_threads = 0
 
     def spawn_main(self, entry: str = "Main") -> None:
         d = self.program.procs.get(entry)
@@ -89,57 +114,92 @@ class Soup:
             raise ValueError(f"program has no {entry} definition")
         if d.params:
             raise ValueError(f"{entry} must take no parameters to be run")
-        self.threads.append(Thread(d.body, {}))
+        self._spawn(Thread(d.body, {}))
+        self._refresh((0,))
 
-    # -- redex enumeration ---------------------------------------------------
+    def _spawn(self, thread: Thread) -> None:
+        self.threads[self.next_thread] = thread
+        self.next_thread += 1
 
-    def _redexes(self) -> list[tuple]:
-        single: list[tuple] = []
-        heads: dict[Handle, tuple[int, ProcExpr]] = {}
-        for i, th in enumerate(self.threads):
-            p = th.proc
-            if isinstance(p, Choice):
-                single.append(("rb-choice", i))
-            elif isinstance(p, Call):
-                if all(a in th.env for a in p.args):
-                    single.append(("sb-call", i))
-            elif isinstance(p, Cast):
-                if p.chan in th.env:
-                    single.append(("rb-cast", i))
-            elif isinstance(p, NewSession):
-                single.append(("rb-par", i))
-            elif (isinstance(p, TagComm) and p.pol == "!" and len(p.branches) > 1
-                  and p.chan in th.env):
-                single.append(("rb-pick", i))
-            elif isinstance(p, (Close, Wait, TagComm, ChanOut, ChanIn)):
-                # a missing handle just leaves the thread blocked; only
-                # ill-typed programs executed with --unsafe can get here
-                h = th.env.get(p.chan)
-                if isinstance(p, ChanOut) and p.payload not in th.env:
-                    h = None
-                if h is not None:
-                    heads[h] = (i, p)
-        pairs: list[tuple] = []
-        for (sid, side), (i, p) in sorted(heads.items()):
-            if side != 0:
+    # -- the redex index ------------------------------------------------------
+
+    def _draw(self) -> tuple | None:
+        """The redex the generator picks, or None when nothing is enabled."""
+        n = len(self.singles)
+        total = n + len(self.sessions)
+        if not total:
+            return None
+        k = self.rng.below(total)
+        if k < n:
+            tid = self.singles[k]
+            return (self.role[tid], tid)
+        return self.pairs[self.sessions[k - n]]
+
+    def _refresh(self, tids) -> None:
+        """Re-read the threads a step touched or created, then the pairs of
+        every session whose heads they left or joined."""
+        roles, singles, heads, threads = self.role, self.singles, self.heads, self.threads
+        sessions = set()
+        for tid in tids:
+            role = roles.pop(tid, None)
+            if isinstance(role, str):
+                del singles[bisect_left(singles, tid)]
+            elif role is not None:
+                holders = heads[role]
+                holders.discard(tid)
+                if not holders:
+                    del heads[role]
+                sessions.add(role[0])
+            th = threads[tid]
+            if isinstance(th.proc, Done):
+                del threads[tid]
                 continue
-            other = heads.get((sid, 1))
-            if other is None:
+            role = _role(th.proc, th.env)
+            if role is None:
                 continue
-            j, q = other
-            rule = _sync_rule(p, q)
+            roles[tid] = role
+            if isinstance(role, str):
+                insort(singles, tid)
+            else:
+                heads.setdefault(role, set()).add(tid)
+                sessions.add(role[0])
+        for sid in sessions:
+            self._pair(sid)
+        if len(threads) > self.peak_threads:
+            self.peak_threads = len(threads)
+
+    def _pair(self, sid: int) -> None:
+        """Re-read the heads of one session: at most one pair redex."""
+        redex = None
+        side0, side1 = self.heads.get((sid, 0)), self.heads.get((sid, 1))
+        if side0 and side1:
+            i, j = max(side0), max(side1)
+            p, q = self.threads[i].proc, self.threads[j].proc
+            rule = _offers(p, q)
             if rule is not None:
-                pairs.append((rule, i, j) if _is_offer(p) else (rule, j, i))
-        return single + pairs
+                redex = (rule, i, j)
+            else:
+                rule = _offers(q, p)
+                if rule is not None:
+                    redex = (rule, j, i)
+        if redex is not None:
+            if sid not in self.pairs:
+                insort(self.sessions, sid)
+            self.pairs[sid] = redex
+        elif sid in self.pairs:
+            del self.pairs[sid]
+            del self.sessions[bisect_left(self.sessions, sid)]
 
     def step(self, step_no: int) -> TraceEntry | None:
         """Fire one uniformly chosen redex; None when nothing is enabled."""
-        redexes = self._redexes()
-        if not redexes:
+        redex = self._draw()
+        if redex is None:
             return None
-        redex = redexes[self.rng.below(len(redexes))]
         entry = self._apply(redex, step_no)
-        self.threads = [t for t in self.threads if not isinstance(t.proc, Done)]
+        # rb-par is the one rule that creates a thread, the newest one
+        self._refresh(redex[1:] if redex[0] != "rb-par"
+                      else (redex[1], self.next_thread - 1))
+        self.fired[redex[0]] += 1
         return entry
 
     def _apply(self, redex: tuple, step_no: int) -> TraceEntry:
@@ -176,7 +236,7 @@ class Soup:
             lenv[p.chan] = (sid, 0)
             renv[p.chan] = (sid, 1)
             th.proc, th.env = p.left, lenv
-            self.threads.append(Thread(p.right, renv))
+            self._spawn(Thread(p.right, renv))
             return TraceEntry(step_no, rule, f"s{sid}", p.chan)
         if rule == "rb-pick":
             th = self.threads[redex[1]]
@@ -220,50 +280,74 @@ class Soup:
 
     def dump(self) -> list[str]:
         out = []
-        for th in self.threads:
+        for th in self.threads.values():
             env = ", ".join(f"{v}=s{h[0]}.{h[1]}" for v, h in sorted(th.env.items()))
             out.append(f"{render_proc(th.proc)}  [{env}]")
         return out
 
 
-def _is_offer(p: ProcExpr) -> bool:
-    """True for the side written first in the rule (closer/sender)."""
-    return isinstance(p, (Close, ChanOut)) or (
-        isinstance(p, TagComm) and p.pol == "!")
+def _role(p: ProcExpr, env: dict[str, Handle]) -> str | Handle | None:
+    """The single-thread rule a live thread enables, or the handle its
+    communication head waits on, or None when it is blocked alone."""
+    if isinstance(p, Call):
+        return "sb-call" if all(map(env.__contains__, p.args)) else None
+    if isinstance(p, TagComm):
+        if p.pol == "!" and len(p.branches) > 1:
+            return "rb-pick" if p.chan in env else None
+        return env.get(p.chan)
+    if isinstance(p, (Close, Wait, ChanIn)):
+        # a missing handle just leaves the thread blocked; only ill-typed
+        # programs executed with --unsafe can get here
+        return env.get(p.chan)
+    if isinstance(p, NewSession):
+        return "rb-par"
+    if isinstance(p, Choice):
+        return "rb-choice"
+    if isinstance(p, Cast):
+        return "rb-cast" if p.chan in env else None
+    assert isinstance(p, ChanOut)
+    return env.get(p.chan) if p.payload in env else None
 
 
-def _sync_rule(p: ProcExpr, q: ProcExpr) -> str | None:
-    def match(a: ProcExpr, b: ProcExpr) -> str | None:
-        if isinstance(a, Close) and isinstance(b, Wait):
-            return "rb-signal"
-        if isinstance(a, ChanOut) and isinstance(b, ChanIn):
-            return "rb-channel"
-        if (isinstance(a, TagComm) and isinstance(b, TagComm)
-                and a.pol == "!" and b.pol == "?" and len(a.branches) == 1
-                and a.branches[0][0] in dict(b.branches)):
+def _offers(a: ProcExpr, b: ProcExpr) -> str | None:
+    """The rule by which head a, the closer or sender, meets head b."""
+    if isinstance(a, Close):
+        return "rb-signal" if isinstance(b, Wait) else None
+    if isinstance(a, ChanOut):
+        return "rb-channel" if isinstance(b, ChanIn) else None
+    if (isinstance(a, TagComm) and isinstance(b, TagComm) and a.pol == "!"
+            and b.pol == "?" and len(a.branches) == 1):
+        label = a.branches[0][0]
+        if any(label == l for l, _ in b.branches):
             return "rb-tag"
-        return None
-
-    return match(p, q) or match(q, p)
+    return None
 
 
 def run(program: Program, seed: int = 0, max_steps: int = 100_000,
         entry: str = "Main", want_trace: bool = False) -> RunOutcome:
-    """Drive the soup until it empties, sticks, or hits the step limit."""
-    rng = SplitMix64(seed)
-    soup = Soup(program, rng)
+    """Run the entry definition of a program from a seed."""
+    soup = Soup(program, SplitMix64(seed))
     soup.spawn_main(entry)
+    return drive(soup, max_steps, want_trace)
+
+
+def drive(soup: Soup, max_steps: int, want_trace: bool) -> RunOutcome:
+    """Step a soup whose entry thread is spawned until it empties, sticks,
+    or hits the step limit."""
     trace: list[TraceEntry] = []
     steps = 0
-    # a lone done thread is already terminal
-    soup.threads = [t for t in soup.threads if not isinstance(t.proc, Done)]
+    kind = "terminated"
     while soup.threads:
         if steps >= max_steps:
-            return RunOutcome("step-limit", steps, trace, soup.dump())
+            kind = "step-limit"
+            break
         entry_line = soup.step(steps)
         if entry_line is None:
-            return RunOutcome("stuck", steps, trace, soup.dump())
+            kind = "stuck"
+            break
         if want_trace:
             trace.append(entry_line)
         steps += 1
-    return RunOutcome("terminated", steps, trace)
+    return RunOutcome(kind, steps, trace, soup.dump(),
+                      {"rules": soup.fired, "peakThreads": soup.peak_threads,
+                       "sessionsOpened": soup.next_session})

@@ -92,6 +92,23 @@ RANK = {
     "additionalProperties": False,
 }
 
+RUN_STATS = {
+    "type": "object",
+    "required": ["rules", "peakThreads", "sessionsOpened"],
+    "properties": {
+        # how often each rule fired, every rule listed
+        "rules": {
+            "type": "object",
+            "required": sorted(runtime.RULES),
+            "properties": {rule: {"type": "integer"} for rule in runtime.RULES},
+            "additionalProperties": False,
+        },
+        "peakThreads": {"type": "integer"},
+        "sessionsOpened": {"type": "integer"},
+    },
+    "additionalProperties": False,
+}
+
 RUN = {
     "type": "object",
     "required": ["outcome", "steps", "seed"],
@@ -99,6 +116,8 @@ RUN = {
         "outcome": {"enum": ["terminated", "step-limit", "stuck"]},
         "steps": {"type": "integer"},
         "seed": {"type": "integer"},
+        # only with --stats
+        "stats": RUN_STATS,
     },
     "additionalProperties": False,
 }

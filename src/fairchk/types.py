@@ -173,26 +173,34 @@ def dual(table: TypeTable, i: int) -> int:
     """Flip every polarity along the carrier; payloads stay as they are.
 
     The exchanged channel in a delegation is the same object at both ends,
-    so only the spine of the protocol is dualized.
+    so only the spine of the protocol is dualized. Placeholders are taken
+    in depth-first preorder, children in order, and filled once all exist;
+    an explicit stack keeps long carriers off the call stack.
     """
     memo: dict[int, int] = {}
-
-    def go(j: int) -> int:
+    order: list[int] = []
+    stack = [i]
+    while stack:
+        j = stack.pop()
         if j in memo:
-            return memo[j]
+            continue
         n = table.node(j)
-        out = table.placeholder(hint="co_" + table._name(j))
-        memo[j] = out
+        memo[j] = table.placeholder(hint="co_" + table._name(j))
+        order.append(j)
+        if n[0] == "tags":
+            stack.extend(c for _, c in reversed(n[2]))
+        elif n[0] == "chan":
+            stack.append(n[3])
+    for j in order:
+        n = table.node(j)
         if n[0] == "end":
             filled = ("end", co(n[1]))
         elif n[0] == "tags":
-            filled = ("tags", co(n[1]), tuple((l, go(c)) for l, c in n[2]))
+            filled = ("tags", co(n[1]), tuple((l, memo[c]) for l, c in n[2]))
         else:
-            filled = ("chan", co(n[1]), n[2], go(n[3]))
-        table.fill(out, filled)
-        return out
-
-    return go(i)
+            filled = ("chan", co(n[1]), n[2], memo[n[3]])
+        table.fill(memo[j], filled)
+    return memo[i]
 
 
 def equiv(table: TypeTable, a: int, b: int) -> bool:

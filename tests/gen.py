@@ -10,7 +10,8 @@ import random
 from fairchk.subtyping import fair_subtype, simulate
 from fairchk.surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
                              NewSession, ProcDef, Program, SourceProgram, Span,
-                             TagComm, TChan, TEnd, TName, TTags, Wait)
+                             TagComm, TChan, TEnd, TName, TTags, Wait,
+                             render_program)
 from fairchk.types import TypeTable
 
 LABELS = ["a", "b", "c", "d"]
@@ -286,23 +287,146 @@ def call_dag_source(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a slot machine M against a player P that closes its link z after a win
+SLOT_LINES = ["type S = ?{play: !{win: S, lose: S}, quit: end!}",
+              "type R = !{play: ?{win: Q, lose: R}}",
+              "type Q = !{quit: end?}",
+              "M(x: S) = x?{play: x!{win: M(x), lose: M(x)}, quit: close x}",
+              "P(y: R, z: end!) = y!play. y?{win: y!quit. wait y. close z, lose: P(y, z)}"]
+
+
 def session_chain_source(k: int) -> str:
     """D_i(z) opens a slot game and a link to D_{i+1}; D_k(z) = close z.
 
     Each D_i adds two sessions to the rank of the next, so D_i has rank
     2(k-i), and Main, which opens the outer link, has rank 2k+1.
     """
-    lines = ["type S = ?{play: !{win: S, lose: S}, quit: end!}",
-             "type R = !{play: ?{win: Q, lose: R}}",
-             "type Q = !{quit: end?}",
-             "M(x: S) = x?{play: x!{win: M(x), lose: M(x)}, quit: close x}",
-             "P(y: R, z: end!) = y!play. y?{win: y!quit. wait y. close z, lose: P(y, z)}"]
+    lines = list(SLOT_LINES)
     for i in range(k):
         lines.append(f"D{i}(z: end!) = new x: S / R in (M(x) | "
                      f"new y: end! / end? in (D{i + 1}(y) | wait y. P(x, z)))")
     lines.append(f"D{k}(z: end!) = close z")
     lines.append("Main() = new z: end! / end? in (D0(z) | wait z. done)")
     return "\n".join(lines) + "\n"
+
+
+def swarm_source(d: int) -> str:
+    """D_j(z) forks two copies of D_{j+1}; D_d(z) plays one slot game.
+
+    A run has 2^d games live at once, each on its own session, so the
+    thread count grows with d while every step touches one or two threads.
+    """
+    lines = list(SLOT_LINES)
+    for j in range(d):
+        lines.append(f"D{j}(z: end!) = new u: end! / end? in (D{j + 1}(u) | "
+                     f"new v: end! / end? in (D{j + 1}(v) | wait u. wait v. close z))")
+    lines.append(f"D{d}(z: end!) = new x: S / R in (M(x) | P(x, z))")
+    lines.append("Main() = new z: end! / end? in (D0(z) | wait z. done)")
+    return "\n".join(lines) + "\n"
+
+
+# -- ill-typed programs for the interpreter -------------------------------------
+
+RUN_DEFS = ["Main", "P0", "P1", "P2"]
+
+
+def random_runnable_source(rnd: random.Random) -> str:
+    """A program with a parameterless Main, to be run without the checker.
+
+    Each `new` mostly gets two sides that follow one protocol on its
+    channel, so sessions synchronise, but any side may be replaced by a
+    random process. Names may be unbound (a missing handle, an unbound
+    payload, a call with an unbound argument), and a side may fork a
+    thread that keeps using its channel: `new` copies the whole
+    environment to both of its sides, so both threads hold that handle.
+    """
+    params = {"Main": []}
+    for name in RUN_DEFS[1:]:
+        params[name] = rnd.sample(IDENTS, rnd.randint(0, 2))
+
+    def name_in(scope: list[str]) -> str:
+        return rnd.choice(scope) if scope and rnd.random() < 0.9 else rnd.choice(IDENTS)
+
+    def other_than(chan: str) -> str:
+        return rnd.choice([v for v in IDENTS if v != chan])
+
+    def proc(depth: int, scope: list[str]):
+        """Any process."""
+        if depth <= 0 or rnd.random() < 0.2:
+            leaf = rnd.randrange(3)
+            if leaf == 0:
+                return Done()
+            if leaf == 1:
+                return Close(name_in(scope))
+            callee = rnd.choice(RUN_DEFS)
+            return Call(callee, [name_in(scope) for _ in params[callee]])
+        d = depth - 1
+        kind = rnd.randrange(6)
+        if kind == 0:
+            return Wait(name_in(scope), proc(d, scope))
+        if kind == 1:
+            labels = rnd.sample(LABELS[:2], rnd.randint(1, 2))
+            return TagComm(name_in(scope), rnd.choice("!?"),
+                           [(l, proc(d, scope)) for l in labels])
+        if kind == 2:
+            return Choice(rnd.randint(1, 2), proc(d, scope), proc(d, scope))
+        if kind == 3:
+            return Cast(name_in(scope), TEnd("!"), None, proc(d, scope))
+        return session(d, scope)
+
+    def session(depth: int, scope: list[str]):
+        chan = rnd.choice(IDENTS)
+        left, right = sides(depth, scope + [chan], chan)
+        return NewSession(chan, TEnd("!"), TEnd("?"), left, right)
+
+    def sides(depth: int, scope: list[str], c: str):
+        """Two processes that mostly follow one protocol on c."""
+        d = depth - 1
+        kind = rnd.randrange(8) if depth > 0 else 0
+        if kind == 0:
+            left, right = Close(c), Wait(c, proc(d, scope))
+        elif kind == 1:
+            label = rnd.choice(LABELS[:2])
+            left, right = sides(d, scope, c)
+            spare = rnd.choice([l for l in LABELS if l != label])
+            right = TagComm(c, "?", [(label, right), (spare, proc(d, scope))])
+            left = TagComm(c, "!", [(label, left)])
+        elif kind == 2:
+            (l1, r1), (l2, r2) = sides(d, scope, c), sides(d, scope, c)
+            left = TagComm(c, "!", [("a", l1), ("b", l2)])
+            right = TagComm(c, "?", [("a", r1), ("b", r2)])
+        elif kind == 3:
+            payload = name_in([v for v in scope if v != c]) if len(scope) > 1 else other_than(c)
+            if payload == c:
+                payload = other_than(c)
+            var = other_than(c)
+            left, right = sides(d, [v for v in scope if v != payload], c)
+            left, right = ChanOut(c, payload, left), ChanIn(c, var, TEnd("!"), right)
+        elif kind == 4:
+            # the side forks a thread that acts on c as well
+            left, right = sides(d, scope, c)
+            fork = rnd.choice(IDENTS)
+            rival = rnd.choice(sides(d, scope + [fork], c))
+            left = NewSession(fork, TEnd("!"), TEnd("?"), left, rival)
+        elif kind == 5:
+            left, right = sides(d, scope, c)
+            left = Choice(rnd.randint(1, 2), left, proc(d, scope))
+        elif kind == 6:
+            left, right = sides(d, scope, c)
+            right = Cast(c, TEnd("?"), None, right)
+        else:
+            callee = rnd.choice(RUN_DEFS)
+            left = Call(callee, [name_in(scope) for _ in params[callee]])
+            right = proc(d, scope)
+        if rnd.random() < 0.1:
+            left, right = right, left
+        return left, right
+
+    procdefs = []
+    for name in RUN_DEFS:
+        body = session(5, []) if name == "Main" else proc(3, list(params[name]))
+        procdefs.append(ProcDef(name, [(v, TEnd("!")) for v in params[name]], None, body))
+    return render_program(SourceProgram([], procdefs))
 
 
 # -- type families for the subtyping solvers -----------------------------------

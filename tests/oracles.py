@@ -10,10 +10,13 @@ worklist, typing by unfolding definitions instead of the coinductive
 assumption set, ranks and action bounds by walks that unfold each
 definition at most once instead of fixpoints over the termination-path
 graph, free channels by recursion instead of one pass per definition,
-least closures by Kleene rounds instead of a counter worklist, and type
-rendering by recursion instead of an explicit stack.
+least closures by Kleene rounds instead of a counter worklist, type
+rendering and duality by recursion instead of an explicit stack, and the
+interpreter's redexes by a rebuild of the whole list at every step instead
+of an index that re-reads only the threads a step touched.
 """
 
+from fairchk.runtime import Handle, Soup
 from fairchk.semantics import compatible, session_rank
 from fairchk.subtyping import Simulation, _premises, _violation, fair_subtype, simulate
 from fairchk.surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
@@ -435,6 +438,31 @@ def closure_kleene(succ: dict, seeds, need) -> set:
         out |= grown
 
 
+# -- duality by recursion ------------------------------------------------------------
+
+def dual_recursive(table: TypeTable, i: int) -> int:
+    """`types.dual` by recursion along the carrier, filling each node once
+    its children are done."""
+    memo: dict[int, int] = {}
+
+    def go(j: int) -> int:
+        if j in memo:
+            return memo[j]
+        n = table.node(j)
+        out = table.placeholder(hint="co_" + table._name(j))
+        memo[j] = out
+        if n[0] == "end":
+            filled = ("end", co(n[1]))
+        elif n[0] == "tags":
+            filled = ("tags", co(n[1]), tuple((l, go(c)) for l, c in n[2]))
+        else:
+            filled = ("chan", co(n[1]), n[2], go(n[3]))
+        table.fill(out, filled)
+        return out
+
+    return go(i)
+
+
 # -- free channels by recursion ---------------------------------------------------
 
 def free_channels_recursive(p: ProcExpr) -> set[str]:
@@ -593,3 +621,83 @@ def infer_branches_by_cutoff(ck: Checker) -> None:
                 bounded = action_bounded(ck, d.body, frozenset())
                 scores[k] = (not bounded, rank == INF, rank, k != written)
             c.k = min((1, 2), key=lambda k: scores[k])
+
+
+# -- the interpreter's redexes by a rebuild at every step ---------------------------
+
+def redexes_rebuild(threads: dict) -> list[tuple]:
+    """Every enabled redex, in the order the scheduler draws from: the
+    single-thread ones in thread order, then the pairs by session. Where
+    several threads have their head on one handle, the last one pairs."""
+    single: list[tuple] = []
+    heads: dict[Handle, tuple[int, ProcExpr]] = {}
+    for i, th in threads.items():
+        p = th.proc
+        if isinstance(p, Choice):
+            single.append(("rb-choice", i))
+        elif isinstance(p, Call):
+            if all(a in th.env for a in p.args):
+                single.append(("sb-call", i))
+        elif isinstance(p, Cast):
+            if p.chan in th.env:
+                single.append(("rb-cast", i))
+        elif isinstance(p, NewSession):
+            single.append(("rb-par", i))
+        elif (isinstance(p, TagComm) and p.pol == "!" and len(p.branches) > 1
+              and p.chan in th.env):
+            single.append(("rb-pick", i))
+        elif isinstance(p, (Close, Wait, TagComm, ChanOut, ChanIn)):
+            h = th.env.get(p.chan)
+            if isinstance(p, ChanOut) and p.payload not in th.env:
+                h = None
+            if h is not None:
+                heads[h] = (i, p)
+    pairs: list[tuple] = []
+    for (sid, side), (i, p) in sorted(heads.items()):
+        if side != 0:
+            continue
+        other = heads.get((sid, 1))
+        if other is None:
+            continue
+        j, q = other
+        rule = _sync_rule(p, q)
+        if rule is not None:
+            pairs.append((rule, i, j) if _is_offer(p) else (rule, j, i))
+    return single + pairs
+
+
+def _is_offer(p: ProcExpr) -> bool:
+    """True for the side written first in the rule (closer/sender)."""
+    return isinstance(p, (Close, ChanOut)) or (
+        isinstance(p, TagComm) and p.pol == "!")
+
+
+def _sync_rule(p: ProcExpr, q: ProcExpr) -> str | None:
+    def match(a: ProcExpr, b: ProcExpr) -> str | None:
+        if isinstance(a, Close) and isinstance(b, Wait):
+            return "rb-signal"
+        if isinstance(a, ChanOut) and isinstance(b, ChanIn):
+            return "rb-channel"
+        if (isinstance(a, TagComm) and isinstance(b, TagComm)
+                and a.pol == "!" and b.pol == "?" and len(a.branches) == 1
+                and a.branches[0][0] in dict(b.branches)):
+            return "rb-tag"
+        return None
+
+    return match(p, q) or match(q, p)
+
+
+class OracleSoup(Soup):
+    """The interpreter with its redex index replaced by `redexes_rebuild`."""
+
+    def _draw(self) -> tuple | None:
+        redexes = redexes_rebuild(self.threads)
+        if not redexes:
+            return None
+        return redexes[self.rng.below(len(redexes))]
+
+    def _refresh(self, tids) -> None:
+        for tid in tids:
+            if isinstance(self.threads[tid].proc, Done):
+                del self.threads[tid]
+        self.peak_threads = max(self.peak_threads, len(self.threads))

@@ -332,6 +332,34 @@ def test_run_without_main_exits_two(tmp_path, capsys):
     assert "Main" in captured.err
 
 
+def test_run_json_stats(capsys):
+    code, out, err = run_cli(capsys, "run", "--json", "--stats", "--seed", "1",
+                             corpus_path("bsc"))
+    assert code == 0
+    payload = json.loads(out)
+    schema.validate(payload, schema.RUN)
+    assert payload["stats"]["rules"]["rb-par"] == payload["stats"]["sessionsOpened"] == 2
+    assert payload["stats"]["peakThreads"] == 3
+    assert sum(payload["stats"]["rules"].values()) == payload["steps"] == 11
+
+
+@pytest.mark.parametrize("name", ["bsc", "slot", "delegation", "infinite_sessions",
+                                  "finite_unfair"])
+def test_run_json_stats_validates_for_every_runnable_file(capsys, name):
+    code, out, err = run_cli(capsys, "run", "--unsafe", "--json", "--stats",
+                             "--max-steps", "300", corpus_path(name))
+    schema.validate(json.loads(out), schema.RUN)
+
+
+def test_run_stats_human_line(capsys):
+    code, out, err = run_cli(capsys, "run", "--stats", "--seed", "1", corpus_path("bsc"))
+    assert code == 0
+    assert out.splitlines() == [
+        "terminated after 11 steps (seed 1)",
+        "peak threads 3, sessions opened 2, rules fired: rb-cast 1, rb-par 2, "
+        "rb-pick 1, rb-signal 2, rb-tag 2, sb-call 3"]
+
+
 # ---------------------------------------------------------------- color
 
 

@@ -6,12 +6,17 @@ the generator stream, both of which are part of the observable contract
 (same seed, same trace).
 """
 
+import random
+from collections import Counter
+
 import pytest
 
-from conftest import RUNNABLE, load_corpus
-from fairchk.runtime import RULES, SplitMix64, run
-from fairchk.schema import TRACE_ENTRY, validate
-from fairchk.surface import load
+from conftest import CORPUS, RUNNABLE, load_corpus
+from fairchk.runtime import RULES, RunOutcome, Soup, SplitMix64, drive, run
+from fairchk.schema import RUN_STATS, TRACE_ENTRY, validate
+from fairchk.surface import ChanIn, ChanOut, Close, TagComm, Wait, load
+from gen import random_runnable_source, swarm_source
+from oracles import OracleSoup
 
 
 # SplitMix64 reference outputs for seed 0, from the published algorithm.
@@ -155,3 +160,114 @@ def test_twenty_seeds_terminate(name):
     for seed in range(20):
         out = run(load_corpus(name), seed=seed)
         assert out.kind == "terminated", f"{name} seed {seed}: {out.kind}"
+
+
+# -- the redex index against a rebuild at every step ---------------------------
+
+def _runs_agree(program, seed: int, max_steps: int) -> RunOutcome:
+    """Run `program` with the index and with the rebuild oracle; every
+    observable part of the two outcomes must be equal."""
+    got = run(program, seed=seed, max_steps=max_steps, want_trace=True)
+    soup = OracleSoup(program, SplitMix64(seed))
+    soup.spawn_main()
+    want = drive(soup, max_steps, want_trace=True)
+    assert (got.kind, got.steps) == (want.kind, want.steps)
+    assert [e.line() for e in got.trace] == [e.line() for e in want.trace]
+    assert got.dump == want.dump
+    assert got.stats == want.stats
+    return got
+
+
+def test_incremental_redexes_match_rebuild_oracle():
+    # every corpus file, accepted or not, run as --unsafe runs it
+    for path in sorted(CORPUS.glob("*.ft")):
+        program = load(path.read_text(encoding="utf-8"))
+        if "Main" not in program.procs:
+            continue
+        for seed in range(32):
+            _runs_agree(program, seed, 400)
+    for d in range(1, 7):
+        program = load(swarm_source(d))
+        for seed in range(2):
+            assert _runs_agree(program, seed, 100_000).kind == "terminated"
+    kinds: Counter = Counter()
+    fired: Counter = Counter()
+    for i in range(1000):
+        out = _runs_agree(load(random_runnable_source(random.Random(i))), i, 300)
+        kinds[out.kind] += 1
+        fired.update(rule for rule, n in out.stats["rules"].items() if n)
+    assert kinds["stuck"] >= 100 and kinds["step-limit"] >= 50 and kinds["terminated"] >= 25
+    assert min(fired[rule] for rule in RULES) >= 20, fired
+
+
+def test_random_runs_share_miss_and_leave_payloads_unbound():
+    # what the differential test above must cover: several threads with
+    # their head on one handle, heads on missing handles, unbound payloads
+    programs: Counter = Counter()
+
+    class Watch(Soup):
+        seen: set[str]
+
+        def step(self, step_no):
+            handles = []
+            for th in self.threads.values():
+                p = th.proc
+                if isinstance(p, (Close, Wait, TagComm, ChanOut, ChanIn)):
+                    if p.chan not in th.env:
+                        self.seen.add("missing")
+                    elif isinstance(p, ChanOut) and p.payload not in th.env:
+                        self.seen.add("unbound payload")
+                    else:
+                        handles.append(th.env[p.chan])
+            if len(set(handles)) < len(handles):
+                self.seen.add("shared")
+            return super().step(step_no)
+
+    for i in range(1000):
+        soup = Watch(load(random_runnable_source(random.Random(i))), SplitMix64(i))
+        soup.seen = set()
+        soup.spawn_main()
+        drive(soup, 300, want_trace=False)
+        programs.update(soup.seen)
+    assert min(programs[k] for k in ("shared", "missing", "unbound payload")) >= 50, programs
+
+
+def test_step_work_independent_of_thread_count(monkeypatch):
+    # count the threads each step re-reads; the work, not the time
+    per_step: list[int] = []
+    refresh, step = Soup._refresh, Soup.step
+
+    def counting_refresh(soup, tids):
+        tids = tuple(tids)
+        per_step[-1] += len(tids)
+        return refresh(soup, tids)
+
+    def counting_step(soup, step_no):
+        per_step.append(0)
+        return step(soup, step_no)
+
+    monkeypatch.setattr(Soup, "_refresh", counting_refresh)
+    monkeypatch.setattr(Soup, "step", counting_step)
+    for d in (3, 8):
+        per_step[:] = [0]  # spawning Main
+        out = run(load(swarm_source(d)), seed=d)
+        assert out.kind == "terminated"
+        assert out.stats["peakThreads"] > 2 ** d
+        assert len(per_step) == 1 + out.steps
+        assert per_step[0] == 1 and max(per_step) <= 3
+
+
+def test_run_stats_count_rules_threads_and_sessions():
+    out = run(load_corpus("bsc"), seed=1)
+    assert out.stats == {
+        "rules": {"rb-cast": 1, "rb-channel": 0, "rb-choice": 0, "rb-par": 2,
+                  "rb-pick": 1, "rb-signal": 2, "rb-tag": 2, "sb-call": 3},
+        "peakThreads": 3, "sessionsOpened": 2}
+    assert sum(out.stats["rules"].values()) == out.steps
+    validate(out.stats, RUN_STATS)
+    d = 4
+    out = run(load(swarm_source(d)), seed=0)
+    # Main's link, two links per inner tree node and one game per leaf
+    assert out.stats["sessionsOpened"] == 1 + 2 * (2 ** d - 1) + 2 ** d
+    assert out.stats["rules"]["rb-par"] == out.stats["sessionsOpened"]
+    assert run(load("Main() = done"), seed=0).stats["peakThreads"] == 0

@@ -1,13 +1,17 @@
 """Type-table behavior: interning, dual, plus, equiv, bounds, pair closure."""
 
 import random
+import sys
+import threading
 from typing import Optional
 
+import fairchk
+from fairchk import load
 from fairchk.types import TypeTable, co, dual, equiv, is_bounded, reachable_pairs
 
 from conftest import load_corpus
 from gen import intern_spec, random_spec, unfold_root
-from oracles import equiv_oracle, render_recursive
+from oracles import dual_recursive, equiv_oracle, render_recursive
 
 
 def plus(table: TypeTable, a: int, b: int) -> Optional[int]:
@@ -113,6 +117,63 @@ def test_dual_involution_random():
         table = TypeTable()
         t = intern_spec(table, random_spec(rnd))
         assert equiv(table, dual(table, dual(table, t)), t)
+
+
+def _dual_both_ways(source: str, name: str) -> tuple[TypeTable, TypeTable]:
+    """Tables after `dual` and after `dual_recursive` of one named type,
+    each applied to its own load of `source`."""
+    done = []
+    for fn in (dual, dual_recursive):
+        program = load(source)
+        fn(program.table, program.typedefs[name])
+        done.append(program.table)
+    return done[0], done[1]
+
+
+def _same_table(a: TypeTable, b: TypeTable) -> bool:
+    return a.nodes == b.nodes and a.name_hint == b.name_hint
+
+
+def test_dual_matches_recursive_oracle():
+    rnd = random.Random(23)
+    for _ in range(2000):
+        spec = random_spec(rnd)
+        tables = []
+        for fn in (dual, dual_recursive):
+            table = TypeTable()
+            root = intern_spec(table, spec)
+            tables.append((table, fn(table, root)))
+        (a, da), (b, db) = tables
+        assert da == db and _same_table(a, b)
+
+
+def test_dual_long_chain_matches_recursive_oracle():
+    # 1500 named types, each an output choice to the next
+    n = 1500
+    source = "".join(f"type A{i} = !{{a: A{i + 1}, b: end!}}\n" for i in range(n))
+    source += f"type A{n} = end!\nMain() = done\n"
+    recursive = None
+
+    def deep():
+        nonlocal recursive
+        recursive = _dual_both_ways(source, "A0")[1]
+
+    # the oracle recurses once per type: give it frames to spare
+    limit = sys.getrecursionlimit()
+    size = threading.stack_size(64 * 1024 * 1024)
+    try:
+        sys.setrecursionlimit(20 * n)
+        worker = threading.Thread(target=deep)
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        threading.stack_size(size)
+        sys.setrecursionlimit(limit)
+    assert not worker.is_alive() and recursive is not None
+    program = load(source)
+    d = fairchk.dual(program.table, program.typedefs["A0"])
+    assert _same_table(program.table, recursive)
+    assert equiv(program.table, dual(program.table, d), program.typedefs["A0"])
 
 
 def test_plus_merges_disjoint_outputs():
