@@ -38,6 +38,10 @@ def _load_program(path: str) -> Program:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8 text: {exc.reason} at byte {exc.start}",
+              file=sys.stderr)
+        raise SystemExit(2)
     try:
         return load(text)
     except SourceError as exc:
@@ -172,6 +176,14 @@ def cmd_run(args) -> int:
     return 0 if outcome.kind == "terminated" else 1
 
 
+def natural(text: str) -> int:
+    """An argparse type: a whole number, 0 or more."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairchk",
@@ -209,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute a program under the random scheduler")
     p.add_argument("file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=100_000)
+    p.add_argument("--max-steps", type=natural, default=100_000)
     p.add_argument("--trace", action="store_true",
                    help="print one line per applied rule")
     p.add_argument("--trace-json", action="store_true",

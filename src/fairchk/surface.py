@@ -35,7 +35,8 @@ from typing import Optional
 from .types import TypeTable
 
 IDENT_START = set(string.ascii_letters + "_")
-IDENT_CONT = IDENT_START | set(string.digits) | {"'"}
+DIGITS = set(string.digits)
+IDENT_CONT = IDENT_START | DIGITS | {"'"}
 KEYWORDS = {"type", "done", "close", "wait", "new", "in"}
 
 # Deepest syntactic nesting the parser admits: each process or type
@@ -267,9 +268,9 @@ def lex(src: str) -> list[Token]:
             toks.append(Token("ident", src[i:j], line, col))
             col += j - i
             i = j
-        elif c.isdigit():
+        elif c in DIGITS:
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j] in DIGITS:
                 j += 1
             toks.append(Token("nat", src[i:j], line, col))
             col += j - i
@@ -318,6 +319,13 @@ class _Parser:
         if t.text in KEYWORDS:
             raise SourceError(f"keyword {t.text!r} cannot be used as a name", t.line, t.col)
         return t
+
+    def nat(self) -> int:
+        t = self.expect("nat")
+        try:
+            return int(t.text)
+        except ValueError:  # more digits than int() converts
+            raise SourceError("number too long", t.line, t.col) from None
 
     def at_keyword(self, kw: str) -> bool:
         t = self.peek()
@@ -387,8 +395,8 @@ class _Parser:
             k = 1
             if self.peek().kind == "[":
                 self.next()
-                nat = self.expect("nat")
-                k = int(nat.text)
+                nat = self.peek()
+                k = self.nat()
                 if k not in (1, 2):
                     raise SourceError("choice branch must be 1 or 2", nat.line, nat.col)
                 self.expect("]")
@@ -415,7 +423,7 @@ class _Parser:
                 weight = None
                 if self.peek().kind == "@":
                     self.next()
-                    weight = int(self.expect("nat").text)
+                    weight = self.nat()
                 self.expect("]")
                 return Cast(chan.text, target, weight, self.parse_atom(), span)
             if self.at_keyword("done"):
@@ -528,7 +536,7 @@ class _Parser:
                 rank_ann = None
                 if self.peek().kind == "@":
                     self.next()
-                    rank_ann = int(self.expect("nat").text)
+                    rank_ann = self.nat()
                 self.expect("=")
                 body = self.parse_proc()
                 procdefs.append(ProcDef(name.text, params, rank_ann, body, Span(name.line, name.col)))
@@ -673,6 +681,7 @@ def resolve(sp: SourceProgram) -> Program:
     for name, body, span in sp.typedefs:
         if isinstance(body, TName):
             typedefs[name] = slots[chase(name)]
+    table.type_names = typedefs
 
     procs: dict[str, ProcDef] = {}
     for d in sp.procdefs:

@@ -13,6 +13,7 @@ converse is not guaranteed, so semantic comparisons go through `equiv`.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional
 
 from .graph import closure, reverse
@@ -21,6 +22,11 @@ OUT = "!"
 IN = "?"
 
 INF = float("inf")
+
+# Longest unfolding `TypeTable.render` prints. A type that shares a child
+# between two branches unfolds to a text exponential in its size, so past
+# this many characters shared nodes are printed once each, as equations.
+RENDER_LIMIT = 4096
 
 
 def co(pol: str) -> str:
@@ -41,6 +47,9 @@ class TypeTable:
     def __init__(self) -> None:
         self.nodes: list[Optional[tuple]] = []
         self.name_hint: dict[int, str] = {}
+        # type name -> id, every typedef of the program (aliases too); the
+        # equation form of `render` gives these names to no other node
+        self.type_names: dict[str, int] = {}
         self._cons: dict[tuple, int] = {}
 
     def placeholder(self, hint: str | None = None) -> int:
@@ -109,10 +118,64 @@ class TypeTable:
         return self.add(("tags", OUT, ((label, child),)))
 
     # Rendering is for diagnostics. Cycles are cut by emitting the name
-    # hint (or a generated one) at the second visit.
+    # hint (or a generated one) at the second visit. Shared children would
+    # make the unfolding exponential, so past RENDER_LIMIT characters it
+    # gives way to equations, one per shared node.
 
     def render(self, i: int) -> str:
         """The tree at i, unfolded until a node repeats on the current path.
+
+        When a composite node other than i is reached by two edges and the
+        unfolding passes RENDER_LIMIT characters, the text is the equation
+        form instead: i unfolded up to the shared nodes, which appear by
+        name, then ` where N1 = body1, N2 = body2, …`, one equation per
+        shared node in the order the names first appear. The equation form,
+        like an unfolding with nothing shared, prints each node once.
+        """
+        shared = self._shared(i)
+        if not shared:
+            return self._unfold(i, (), self._name)
+        text = self._unfold(i, (), self._name, RENDER_LIMIT)
+        return text if text is not None else self._equations(i, shared)
+
+    def _shared(self, i: int) -> set[int]:
+        """The composite nodes other than i with two or more incoming edges
+        from the nodes reachable from i."""
+        edges = Counter(c for j in self.reachable(i) for c in self.children(j))
+        return {c for c, k in edges.items() if k > 1 and c != i and self.kind(c) != "end"}
+
+    def _equations(self, i: int, shared: set[int]) -> str:
+        # i and the shared nodes get names in the order they are first
+        # referred to; a name is unique in the text and is no other node's
+        # type name
+        names: dict[int, str] = {}
+        order: list[int] = []
+        used: set[str] = set()
+
+        def ref(j: int) -> str:
+            got = names.get(j)
+            if got is None:
+                base = got = self._name(j)
+                k = 0
+                while got in used or self.type_names.get(got, j) != j:
+                    k += 1
+                    got = f"{base}_{k}"
+                used.add(got)
+                names[j] = got
+                order.append(j)
+            return got
+
+        ref(i)
+        cut = shared | {i}
+        texts = []
+        while len(texts) < len(order):
+            texts.append(self._unfold(order[len(texts)], cut, ref))
+        eqs = ", ".join(f"{names[j]} = {t}" for j, t in zip(order[1:], texts[1:]))
+        return f"{texts[0]} where {eqs}"
+
+    def _unfold(self, i: int, cut, ref, limit: float = INF) -> Optional[str]:
+        """The tree at i, with a node on the current path or in `cut` shown
+        as ref(node); None as soon as the text passes `limit` characters.
 
         An explicit stack instead of recursion, so that deep types render.
         Each open node keeps its own list of parts and joins it when it
@@ -140,16 +203,20 @@ class TypeTable:
         head, kids, tail = shape(i)
         if kids is None:
             return head
+        size = len(head)
         on_path = {i}
         stack = [(i, [head], iter(kids), tail)]
         while True:
             j, parts, todo, tail = stack[-1]
             for sep, c in todo:
                 parts.append(sep)
-                if c in on_path:
-                    parts.append(self._name(c))
-                    continue
-                head, kids, ctail = shape(c)
+                if c in on_path or c in cut:
+                    head, kids = ref(c), None
+                else:
+                    head, kids, ctail = shape(c)
+                size += len(sep) + len(head)
+                if size > limit:
+                    return None
                 if kids is None:
                     parts.append(head)
                     continue
@@ -158,6 +225,9 @@ class TypeTable:
                 break
             else:
                 parts.append(tail)
+                size += len(tail)
+                if size > limit:
+                    return None
                 stack.pop()
                 on_path.discard(j)
                 text = "".join(parts)

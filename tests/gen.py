@@ -484,6 +484,18 @@ def holding_loop_source(n: int) -> str:
     return "\n".join(lines) + "\nMain() = done\n"
 
 
+def shared_ladder_source(n: int) -> str:
+    """A_i = !{a: A_{i+1}, b: A_{i+1}, c: end!}, indices mod n, and a process
+    that leaves its channel of type A0 unused.
+
+    Each A_{i+1} is reached by two edges, so unfolding A0 takes 2^n copies
+    of the loop; the checker reports the unused channel as E-CONTEXT-LEAK
+    with A0 rendered.
+    """
+    lines = _ladder("A", n, lambda i: f"!{{a: A{(i + 1) % n}, b: A{(i + 1) % n}, c: end!}}")
+    return "\n".join(lines) + "\nP(x: A0) = done\n"
+
+
 # -- deeply nested programs, all accepted and terminating ----------------------
 
 def _nested_sessions(n: int) -> str:

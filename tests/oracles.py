@@ -156,7 +156,8 @@ def cutoff_rank(ck: Checker, name: str, unsafe: set[int]) -> int | float:
 # -- rendering by recursion ----------------------------------------------------
 
 def render_recursive(table: TypeTable, i: int, under: frozenset = frozenset()) -> str:
-    """`TypeTable.render` by recursion on the tree."""
+    """`TypeTable.render` by recursion on the tree, as it prints every type
+    that fits RENDER_LIMIT or shares no node below its root."""
     if i in under:
         return table._name(i)
     n = table.node(i)

@@ -13,7 +13,7 @@ from conftest import CORPUS, corpus_path
 from fairchk import schema
 from fairchk.cli import _color_enabled, main
 from fairchk.surface import MAX_NESTING, SourceError, parse
-from gen import NESTED_SOURCES, diverging_source
+from gen import NESTED_SOURCES, diverging_source, shared_ladder_source
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +128,41 @@ def test_missing_file_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "/nonexistent/nowhere.ft"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["check"], ["subtype", "A", "B"], ["compatible", "A", "B"],
+                                  ["rank", "A", "B"], ["graph", "A", "B"], ["run"]])
+def test_non_utf8_source_exits_two(argv, tmp_path, capsys):
+    path = tmp_path / "latin.ft"
+    path.write_bytes(b"Main() = done\n\xff")
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(path)] + argv[1:])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: not UTF-8 text: invalid start byte at byte 14\n"
+
+
+def test_negative_max_steps_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", corpus_path("bsc"), "--max-steps", "-3"])
+    assert exc.value.code == 2
+    assert "argument --max-steps: must be 0 or more, got -3" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "run", corpus_path("bsc"), "--max-steps", "0")
+    assert code == 1 and out == "step-limit after 0 steps (seed 0)\n"
+
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_leak_ladder_diagnostic_is_linear(n, tmp_path, capsys):
+    # unfolded, the unused channel's type would take 2^n copies of the loop
+    path = tmp_path / "ladder.ft"
+    path.write_text(shared_ladder_source(n), encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 1
+    body = lambda i: f"!{{a: A{(i + 1) % n}, b: A{(i + 1) % n}, c: end!}}"
+    shown = f"{body(0)} where " + ", ".join(f"A{i} = {body(i)}" for i in range(1, n))
+    assert err == (f"  {path}:{n + 1}:12: E-CONTEXT-LEAK: "
+                   f"unconsumed channels: x: {shown}\n")
+    assert len(err) < 50 * n + len(str(path))
 
 
 def test_unknown_type_name_exits_two(capsys):

@@ -138,6 +138,24 @@ def test_parse_errors(bad):
     assert err.value.line >= 1 and err.value.col >= 1
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff11"])
+def test_numbers_are_ascii_digits_only(digit):
+    # str.isdigit() holds for each, but the grammar's NAT is ASCII
+    with pytest.raises(SourceError, match=f"unexpected character {digit!r}"):
+        parse(f"P(x: T) = close x +[{digit}] close x")
+
+
+@pytest.mark.parametrize("source", [
+    "P() @ {} = done",
+    "P(x: end!) = [x: end! @ {}] close x",
+    "P(x: end!) = close x +[{}] close x",
+])
+def test_overlong_number_is_a_parse_error(source):
+    # more digits than int() converts from a string
+    with pytest.raises(SourceError, match="number too long"):
+        parse(source.format("1" * 5000))
+
+
 def test_nesting_counts_open_constructs_only():
     # siblings do not add up: only constructs still open count as levels
     n = 2 * MAX_NESTING

@@ -1,16 +1,22 @@
 """Type-table behavior: interning, dual, plus, equiv, bounds, pair closure."""
 
 import random
+import re
 import sys
 import threading
 from typing import Optional
 
+import pytest
+
 import fairchk
 from fairchk import load
-from fairchk.types import TypeTable, co, dual, equiv, is_bounded, reachable_pairs
+from fairchk import types
+from fairchk.types import (RENDER_LIMIT, TypeTable, co, dual, equiv, is_bounded,
+                           reachable_pairs)
 
-from conftest import load_corpus
-from gen import intern_spec, random_spec, unfold_root
+from conftest import CORPUS_RANKS, load_corpus
+from gen import (cascade_source, diverging_source, holding_source, intern_spec,
+                 random_spec, shared_ladder_source, unfold_root)
 from oracles import dual_recursive, equiv_oracle, render_recursive
 
 
@@ -339,3 +345,180 @@ def test_dump_emits_surface_equations():
     _end(table, "!")
     text = dump(table)
     assert "= end!" in text
+
+
+# -- the render budget and the equation form -------------------------------------
+
+def _assert_renders_as_oracle(table: TypeTable, i: int) -> str:
+    """Every render that fits the budget, and every render of a type that
+    shares no node below its root, is the recursive unfolding; the others
+    are in equation form."""
+    text = table.render(i)
+    if not table._shared(i):
+        assert text == render_recursive(table, i)
+        return text
+    full = render_recursive(table, i)
+    if len(full) <= types.RENDER_LIMIT:
+        assert text == full
+    else:
+        assert " where " in text
+    return text
+
+
+def test_render_under_budget_matches_recursive_oracle_on_the_corpus():
+    for name in sorted(CORPUS_RANKS):
+        table = load_corpus(name).table
+        for i, n in enumerate(table.nodes):
+            if n is not None:
+                _assert_renders_as_oracle(table, i)
+
+
+def test_render_under_a_small_budget_matches_recursive_oracle(monkeypatch):
+    # random draws unfold to far less than the real budget (see
+    # test_render_matches_recursive_oracle); a small one puts some past it
+    monkeypatch.setattr(types, "RENDER_LIMIT", 64)
+    rnd = random.Random(606)
+    over = 0
+    for _ in range(300):
+        table = TypeTable()
+        spec = random_spec(rnd, 12)
+        for root in range(len(spec)):
+            text = _assert_renders_as_oracle(table, intern_spec(table, spec, root))
+            over += " where " in text
+    assert over > 100
+
+
+@pytest.mark.parametrize("source,root", [(cascade_source, "A0"), (diverging_source, "U0"),
+                                         (diverging_source, "V0"), (holding_source, "W0")])
+def test_render_of_unshared_families_ignores_the_budget(source, root):
+    for n in (1, 3, 40, 300):
+        program = load(source(n))
+        _assert_renders_as_oracle(program.table, program.typedefs[root])
+    # past the budget, and too deep for the recursive oracle
+    program = load(source(1000))
+    text = program.table.render(program.typedefs[root])
+    assert len(text) > RENDER_LIMIT and " where " not in text
+    assert text.count("{") == text.count("}") == 1000
+
+
+def test_render_budget_boundary(monkeypatch):
+    # C's text ends in a leaf, A0's in a closing brace
+    for n in range(1, 10):
+        program = load(shared_ladder_source(n) + "type C = !(A0).end!\n")
+        table = program.table
+        for root in ("A0", "C"):
+            i = program.typedefs[root]
+            full = render_recursive(table, i)
+            monkeypatch.setattr(types, "RENDER_LIMIT", len(full))
+            assert table.render(i) == full
+            monkeypatch.setattr(types, "RENDER_LIMIT", len(full) - 1)
+            text = table.render(i)
+            assert (" where " in text) == bool(table._shared(i))
+            if root == "A0" and n > 1:
+                assert text.startswith("!{a: A1, b: A1, c: end!} where ")
+
+
+def test_render_skips_the_budget_without_sharing_below_the_root(monkeypatch):
+    monkeypatch.setattr(types, "RENDER_LIMIT", 0)
+    table = TypeTable()
+    r = table.placeholder(hint="R")
+    table.fill(r, ("tags", "!", (("a", r), ("b", r), ("c", _end(table, "!")))))
+    assert table.render(r) == "!{a: R, b: R, c: end!}"
+    program = load(diverging_source(5))
+    u0 = program.typedefs["U0"]
+    assert program.table.render(u0) == render_recursive(program.table, u0)
+
+
+def test_equation_names_are_unique_and_avoid_other_type_names(monkeypatch):
+    monkeypatch.setattr(types, "RENDER_LIMIT", 0)
+    table = TypeTable()
+    end = _end(table, "!")
+    root = table.placeholder(hint="R")
+    s1 = table.placeholder(hint="co_A")
+    s2 = table.placeholder(hint="co_A")
+    u = table.placeholder()
+    table.fill(s1, ("tags", "!", (("a", end),)))
+    table.fill(s2, ("tags", "?", (("a", end),)))
+    table.fill(u, ("chan", "!", end, end))
+    table.fill(root, ("tags", "!", (("a", s1), ("b", s1), ("c", s2), ("d", s2),
+                                   ("e", u), ("f", u))))
+    table.type_names = {"R": root, f"t{u}": root}
+    assert table.render(root) == (
+        f"!{{a: co_A, b: co_A, c: co_A_1, d: co_A_1, e: t{u}_1, f: t{u}_1}} "
+        f"where co_A = !{{a: end!}}, co_A_1 = ?{{a: end!}}, t{u}_1 = !(end!).end!")
+
+
+def test_equation_names_avoid_the_programs_type_names(monkeypatch):
+    # the anonymous ?{...} is node 2, shared by both branches of R
+    monkeypatch.setattr(types, "RENDER_LIMIT", 0)
+    program = load("type R = !{a: ?{p: R, q: R}, b: ?{p: R, q: R}}\ntype t2 = end?\n")
+    assert program.table.render(program.typedefs["R"]) == (
+        "!{a: t2_1, b: t2_1} where t2_1 = ?{p: R, q: R}")
+
+
+_NAME_REF = re.compile(r"(?<![A-Za-z0-9_'])[A-Za-z_][A-Za-z0-9_']*(?=[,})]| where |$)")
+
+
+def _reread(text: str) -> tuple:
+    """The equation form as `type` lines, loaded: (program, root name).
+
+    The root is the one name referred to but not defined by an equation;
+    when nothing refers to it, any fresh name does.
+    """
+    inline, _, rest = text.partition(" where ")
+    eqs = [e.split(" = ", 1) for e in re.split(r", (?=[A-Za-z_][A-Za-z0-9_']* = )", rest)]
+    defined = [name for name, _ in eqs]
+    assert len(set(defined)) == len(defined), text
+    free = set(_NAME_REF.findall(text)) - set(defined)
+    assert len(free) <= 1, (free, text)
+    root = free.pop() if free else "Root"
+    source = "".join(f"type {name} = {body}\n" for name, body in [(root, inline)] + eqs)
+    return load(source), root
+
+
+def _copy_into(dst: TypeTable, src: TypeTable, i: int) -> int:
+    ids = {j: dst.placeholder() for j in sorted(src.reachable(i))}
+    for j, k in ids.items():
+        n = src.node(j)
+        if n[0] == "tags":
+            n = ("tags", n[1], tuple((l, ids[c]) for l, c in n[2]))
+        elif n[0] == "chan":
+            n = ("chan", n[1], ids[n[2]], ids[n[3]])
+        dst.fill(k, n)
+    return ids[i]
+
+
+def _assert_rereads_equivalent(table: TypeTable, i: int) -> str:
+    text = table.render(i)
+    assert " where " in text
+    program, root = _reread(text)
+    assert equiv(table, i, _copy_into(table, program.table, program.typedefs[root]))
+    return text
+
+
+def test_equation_form_rereads_as_an_equivalent_tree(monkeypatch):
+    monkeypatch.setattr(types, "RENDER_LIMIT", 0)
+    rnd = random.Random(6060)
+    hints = ["A", "B", "t1", "t2", "co_A"]
+    drawn = 0
+    while drawn < 1000:
+        table = TypeTable()
+        spec = random_spec(rnd, 10)
+        ids = [intern_spec(table, spec, root) for root in range(len(spec))]
+        root = rnd.choice(ids)
+        if not table._shared(root):
+            continue
+        # clashing hints and type names, so that names must be made unique
+        for j in ids:
+            if rnd.random() < 0.4:
+                table.name_hint[j] = rnd.choice(hints)
+        table.type_names = {h: rnd.choice(ids) for h in hints if rnd.random() < 0.5}
+        _assert_rereads_equivalent(table, root)
+        drawn += 1
+
+
+def test_shared_ladder_rereads_as_an_equivalent_tree():
+    program = load(shared_ladder_source(20))
+    text = _assert_rereads_equivalent(program.table, program.typedefs["A0"])
+    body = lambda i: f"!{{a: A{(i + 1) % 20}, b: A{(i + 1) % 20}, c: end!}}"
+    assert text == f"{body(0)} where " + ", ".join(f"A{i} = {body(i)}" for i in range(1, 20))
