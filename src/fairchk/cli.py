@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import runtime, semantics, subtyping, typecheck
-from .surface import Program, SourceError, load
+from .surface import DIGITS, Program, SourceError, load
 from .types import INF
 
 
@@ -176,9 +176,21 @@ def cmd_run(args) -> int:
     return 0 if outcome.kind == "terminated" else 1
 
 
+def integer(text: str) -> int:
+    """An argparse type: ASCII digits, with an optional leading '-'.
+
+    `int` alone also takes other scripts' digits, `_` and spaces, none of
+    which the lexer admits in a source file.
+    """
+    digits = text.removeprefix("-")
+    if not digits or not set(digits) <= DIGITS:
+        raise ValueError(text)
+    return int(text)
+
+
 def natural(text: str) -> int:
     """An argparse type: a whole number, 0 or more."""
-    n = int(text)
+    n = integer(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be 0 or more, got {n}")
     return n
@@ -220,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute a program under the random scheduler")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--max-steps", type=natural, default=100_000)
     p.add_argument("--trace", action="store_true",
                    help="print one line per applied rule")

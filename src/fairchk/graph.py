@@ -4,12 +4,15 @@ The termination-path graph of the checker and the premise graph of a
 subtyping witness are both solved component by component, sinks first.
 Every least set closed backwards along edges (bounded occurrences,
 configurations that can terminate, dead simulation pairs) is one call of
-`closure`.
+`closure`. Every forward search (the nodes of a type, the pair carrier of
+a subtyping or equivalence question, a subtyping witness and its failure
+pair, the configuration graph) is one call of `reach`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Mapping
+from collections import deque
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
 from typing import Optional, TypeVar
 
 N = TypeVar("N", bound=Hashable)
@@ -108,3 +111,21 @@ def closure(seeds: Iterable[N], pred: Mapping[N, Iterable[N]],
             out.add(v)
             todo.append(v)
     return out
+
+
+def reach(roots: Iterable[N], succ: Callable[[N], Iterable[N]]) -> Iterator[N]:
+    """Every node reachable from the roots, each once, breadth first.
+
+    The roots come first, in order, and every other node in the order it
+    is discovered. `succ(v)` is called once, just after v is yielded, so
+    a caller that stops early expands nothing further.
+    """
+    queue = deque(dict.fromkeys(roots))
+    seen = set(queue)
+    while queue:
+        v = queue.popleft()
+        yield v
+        for w in succ(v):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)

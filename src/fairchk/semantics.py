@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graph import closure, reverse
+from .graph import closure, reach, reverse
 from .types import INF, OUT, TypeTable, co, equiv
 
 Config = tuple[int, int]
@@ -56,39 +56,29 @@ class ConfigGraph:
 
 
 def build_config_graph(table: TypeTable, s: int, t: int) -> ConfigGraph:
-    root = (s, t)
-    nodes: list[Config] = [root]
-    seen = {root}
-    tau: dict[Config, list[Config]] = {}
-    sync: dict[Config, list[tuple[str | int, Config]]] = {}
-    success: set[Config] = set()
-    queue = deque([root])
-    while queue:
-        cfg = queue.popleft()
+    """The configurations reachable from (s, t), breadth first, with their
+    picks, synchronizations and successes."""
+    g = ConfigGraph((s, t), [], {}, {})
+
+    def expand(cfg: Config) -> list[Config]:
         a, b = cfg
-        tau[cfg] = []
-        sync[cfg] = []
         na, nb = table.node(a), table.node(b)
         if na[0] == "end" and nb[0] == "end" and na[1] == co(nb[1]):
-            success.add(cfg)
-        for a2 in _picks(table, a):
-            tau[cfg].append((a2, b))
-        for b2 in _picks(table, b):
-            tau[cfg].append((a, b2))
+            g.success.add(cfg)
+        g.tau[cfg] = [(a2, b) for a2 in _picks(table, a)] + [(a, b2) for b2 in _picks(table, b)]
+        g.sync[cfg] = []
         for (la, a2) in _visible(table, a):
             for (lb, b2) in _visible(table, b):
                 if la[0] != lb[0] or la[1] != co(lb[1]):
                     continue
                 if la[0] == "tag" and la[2] == lb[2]:
-                    sync[cfg].append((la[2], (a2, b2)))
+                    g.sync[cfg].append((la[2], (a2, b2)))
                 elif la[0] == "chan" and equiv(table, la[2], lb[2]):
-                    sync[cfg].append((la[2], (a2, b2)))
-        for nxt in tau[cfg] + [d for _, d in sync[cfg]]:
-            if nxt not in seen:
-                seen.add(nxt)
-                nodes.append(nxt)
-                queue.append(nxt)
-    return ConfigGraph(root, nodes, tau, sync, success)
+                    g.sync[cfg].append((la[2], (a2, b2)))
+        return g.successors(cfg)
+
+    g.nodes = list(reach([g.root], expand))
+    return g
 
 
 def compatible(table: TypeTable, s: int, t: int) -> bool:

@@ -20,11 +20,10 @@ and fair subtyping fails.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import closure, cyclic, reverse, tarjan
+from .graph import closure, cyclic, reach, reverse, tarjan
 from .types import INF, OUT, TypeTable, equiv, reachable_pairs
 
 Pair = tuple[int, int]
@@ -83,38 +82,13 @@ def simulate(table: TypeTable, s: int, t: int) -> Simulation:
 
     root = (s, t)
     if root not in dead:
-        return Simulation(True, _witness(root, premises), None)
-
-    # Walk premise edges from the root through shape-valid pairs; the first
-    # shape violation found is the root cause of the removal cascade.
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        p = queue.popleft()
-        if reason[p] is not None:
-            return Simulation(False, [], (p, reason[p]))
-        for q in premises[p]:
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-    raise AssertionError("root removed without a shape violation")
-
-
-def _witness(root: Pair, premises: dict[Pair, list[Pair]]) -> list[Pair]:
-    """Pairs reachable from a surviving root, breadth first.
-
-    Every premise of a surviving pair survives, so no filter is needed.
-    """
-    order = [root]
-    seen = {root}
-    i = 0
-    while i < len(order):
-        for q in premises[order[i]]:
-            if q not in seen:
-                seen.add(q)
-                order.append(q)
-        i += 1
-    return order
+        # every premise of a surviving pair survives, so the witness is all
+        # of the pairs reachable from the root, breadth first
+        return Simulation(True, list(reach([root], premises.__getitem__)), None)
+    # The first shape violation breadth first from the root, along premise
+    # edges of shape-valid pairs, is the root cause of the removal cascade.
+    p = next(p for p in reach([root], premises.__getitem__) if reason[p] is not None)
+    return Simulation(False, [], (p, reason[p]))
 
 
 def unfair_subtype(table: TypeTable, s: int, t: int) -> bool:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from .types import TypeTable
 
@@ -348,7 +348,7 @@ class _Parser:
                 pol = self.next().kind
                 opener = self.next()
                 if opener.kind == "{":
-                    branches = self._type_branches()
+                    branches = self._branches(self.parse_type)
                     self.expect("}")
                     return TTags(pol, branches, span)
                 if opener.kind == "(":
@@ -367,12 +367,13 @@ class _Parser:
         finally:
             self.depth -= 1
 
-    def _type_branches(self) -> list[tuple[str, TypeExpr]]:
+    def _branches(self, item: Callable[[], Any]) -> list[tuple[str, Any]]:
+        """`LABEL ":" item ("," LABEL ":" item)*`, with distinct labels."""
         branches = []
         while True:
             label = self.ident()
             self.expect(":")
-            branches.append((label.text, self.parse_type()))
+            branches.append((label.text, item()))
             if self.peek().kind != ",":
                 break
             self.next()
@@ -470,7 +471,7 @@ class _Parser:
                 after = self.peek()
                 if after.kind == "{":
                     self.next()
-                    branches = self._proc_branches()
+                    branches = self._branches(self.parse_proc)
                     self.expect("}")
                     return TagComm(name.text, pol, branches, span)
                 if after.kind == "(":
@@ -494,23 +495,6 @@ class _Parser:
                               nxt.line, nxt.col)
         finally:
             self.depth -= 1
-
-    def _proc_branches(self) -> list[tuple[str, ProcExpr]]:
-        branches = []
-        while True:
-            label = self.ident()
-            self.expect(":")
-            branches.append((label.text, self.parse_proc()))
-            if self.peek().kind != ",":
-                break
-            self.next()
-        seen = set()
-        for label, _ in branches:
-            if label in seen:
-                t = self.peek()
-                raise SourceError(f"duplicate label {label!r}", t.line, t.col)
-            seen.add(label)
-        return branches
 
     # -- top level --------------------------------------------------------
 
@@ -653,31 +637,30 @@ def resolve(sp: SourceProgram) -> Program:
         if not isinstance(body, TName):
             slots[name] = table.placeholder(hint=name)
 
-    def intern(t: TypeExpr) -> int:
+    def intern(t: TypeExpr, slot: Optional[int] = None) -> int:
+        """The id of t; a constructor goes into `slot` when one is given."""
         if isinstance(t, TName):
             if t.name not in by_name:
                 raise SourceError(f"undefined type name {t.name!r}", t.span.line, t.span.col)
             return slots[chase(t.name)]
         if isinstance(t, TEnd):
-            return table.add(("end", t.pol))
-        if isinstance(t, TTags):
-            return table.add(("tags", t.pol, tuple((l, intern(b)) for l, b in t.branches)))
-        return table.add(("chan", t.pol, intern(t.payload), intern(t.cont)))
+            node: tuple = ("end", t.pol)
+        elif isinstance(t, TTags):
+            node = ("tags", t.pol, tuple((l, intern(b)) for l, b in t.branches))
+        else:
+            node = ("chan", t.pol, intern(t.payload), intern(t.cont))
+        if slot is None:
+            return table.add(node)
+        table.fill(slot, node)
+        return slot
 
     typedefs: dict[str, int] = {}
     for name, body, _ in sp.typedefs:
-        if isinstance(body, TName):
-            continue
-        # fill the slot in place rather than via add(), to keep the name tied
-        # to a stable id even when an identical anonymous shape exists
-        if isinstance(body, TEnd):
-            node = ("end", body.pol)
-        elif isinstance(body, TTags):
-            node = ("tags", body.pol, tuple((l, intern(b)) for l, b in body.branches))
-        else:
-            node = ("chan", body.pol, intern(body.payload), intern(body.cont))
-        table.fill(slots[name], node)
-        typedefs[name] = slots[name]
+        # a typedef fills its slot in place rather than via add(), to keep
+        # the name tied to a stable id even when an identical anonymous
+        # shape exists
+        if not isinstance(body, TName):
+            typedefs[name] = intern(body, slots[name])
     for name, body, span in sp.typedefs:
         if isinstance(body, TName):
             typedefs[name] = slots[chase(name)]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
+from typing import NoReturn
 
 from .graph import closure, cyclic, reverse, tarjan
 from .semantics import compatible
@@ -120,183 +121,149 @@ class Checker:
             except _Abort:
                 pass
 
+    def _fail(self, dn: str, code: str, p: ProcExpr, message: str, **details) -> NoReturn:
+        """Report a hard failure at p and end the walk of its definition."""
+        self.diag(dn, code, p.span, message, **details)
+        raise _Abort
+
     def _lookup(self, dn: str, p: ProcExpr, ctx: dict[str, int], var: str) -> int:
         if var not in ctx:
-            self.diag(dn, "E-UNBOUND-NAME", p.span, f"channel {var!r} is not in scope")
-            raise _Abort
+            self._fail(dn, "E-UNBOUND-NAME", p, f"channel {var!r} is not in scope")
         return ctx[var]
 
     def _leak(self, dn: str, p: ProcExpr, ctx: dict[str, int], keep: set[str]) -> None:
         extra = sorted(set(ctx) - keep)
         if extra:
             shown = ", ".join(f"{v}: {self._render(ctx[v])}" for v in extra)
-            self.diag(dn, "E-CONTEXT-LEAK", p.span, f"unconsumed channels: {shown}")
-            raise _Abort
+            self._fail(dn, "E-CONTEXT-LEAK", p, f"unconsumed channels: {shown}")
 
-    def _tc(self, dn: str, p: ProcExpr, ctx: dict[str, int]) -> None:
-        table = self.table
-        if isinstance(p, Done):
-            self._leak(dn, p, ctx, set())
-            return
-        if isinstance(p, Close):
-            t = self._lookup(dn, p, ctx, p.chan)
-            if table.node(t) != ("end", "!"):
-                self.diag(dn, "E-TYPE-MISMATCH", p.span,
-                          f"close needs {p.chan}: end!, found {self._render(t)}")
-                raise _Abort
-            self._leak(dn, p, ctx, {p.chan})
-            return
-        if isinstance(p, Wait):
-            t = self._lookup(dn, p, ctx, p.chan)
-            if table.node(t) != ("end", "?"):
-                self.diag(dn, "E-TYPE-MISMATCH", p.span,
-                          f"wait needs {p.chan}: end?, found {self._render(t)}")
-                raise _Abort
-            rest = dict(ctx)
-            del rest[p.chan]
-            self._tc(dn, p.cont, rest)
-            return
-        if isinstance(p, Call):
-            target = self.program.procs[p.name]
-            if len(p.args) != len(set(p.args)):
-                self.diag(dn, "E-CONTEXT-LEAK", p.span,
-                          f"call to {p.name} passes a channel twice")
-                raise _Abort
-            if len(p.args) != len(target.params):
-                self.diag(dn, "E-TYPE-MISMATCH", p.span,
-                          f"{p.name} expects {len(target.params)} arguments, got {len(p.args)}")
-                raise _Abort
-            for arg, want in zip(p.args, target.param_tids or []):
-                got = self._lookup(dn, p, ctx, arg)
-                if not equiv(table, got, want):
-                    self.diag(dn, "E-TYPE-MISMATCH", p.span,
-                              f"argument {arg} has type {self._render(got)}, "
-                              f"{p.name} expects {self._render(want)}")
-                    raise _Abort
-            self._leak(dn, p, ctx, set(p.args))
-            return
-        if isinstance(p, TagComm):
-            t = self._lookup(dn, p, ctx, p.chan)
-            node = table.node(t)
-            if node[0] != "tags" or node[1] != p.pol:
-                self.diag(dn, "E-TYPE-MISMATCH", p.span,
-                          f"{p.chan}{p.pol} does not match its type {self._render(t)}")
-                raise _Abort
-            tlabels = set(dict(node[2]))
-            plabels = {l for l, _ in p.branches}
-            if tlabels != plabels:
-                self.diag(dn, "E-TYPE-MISMATCH", p.span,
-                          f"labels on {p.chan} are {sorted(plabels)}, "
-                          f"type has {sorted(tlabels)}")
-                raise _Abort
-            children = dict(node[2])
-            for label, body in p.branches:
-                sub = dict(ctx)
-                sub[p.chan] = children[label]
-                self._tc(dn, body, sub)
-            return
-        if isinstance(p, ChanOut):
-            t = self._lookup(dn, p, ctx, p.chan)
-            node = table.node(t)
-            if node[0] != "chan" or node[1] != "!":
-                self.diag(dn, "E-TYPE-MISMATCH", p.span,
-                          f"{p.chan} cannot send a channel at type {self._render(t)}")
-                raise _Abort
-            if p.payload == p.chan:
-                self.diag(dn, "E-TYPE-MISMATCH", p.span,
-                          f"{p.chan} cannot carry itself")
-                raise _Abort
-            got = self._lookup(dn, p, ctx, p.payload)
-            if not equiv(table, got, node[2]):
-                self.diag(dn, "E-TYPE-MISMATCH", p.span,
-                          f"payload {p.payload} has type {self._render(got)}, "
-                          f"carrier expects {self._render(node[2])}")
-                raise _Abort
-            rest = dict(ctx)
-            del rest[p.payload]
-            rest[p.chan] = node[3]
-            self._tc(dn, p.cont, rest)
-            return
-        if isinstance(p, ChanIn):
-            t = self._lookup(dn, p, ctx, p.chan)
-            node = table.node(t)
-            if node[0] != "chan" or node[1] != "?":
-                self.diag(dn, "E-TYPE-MISMATCH", p.span,
-                          f"{p.chan} cannot receive a channel at type {self._render(t)}")
-                raise _Abort
-            assert p.tid is not None
-            if not equiv(table, p.tid, node[2]):
-                self.diag(dn, "E-TYPE-MISMATCH", p.span,
-                          f"annotation {self._render(p.tid)} differs from "
-                          f"payload type {self._render(node[2])}")
-                raise _Abort
-            if p.var in ctx or p.var == p.chan:
-                self.diag(dn, "E-CONTEXT-LEAK", p.span,
-                          f"{p.var!r} rebinds a live channel")
-                raise _Abort
-            rest = dict(ctx)
-            rest[p.chan] = node[3]
-            rest[p.var] = p.tid
-            self._tc(dn, p.cont, rest)
-            return
-        if isinstance(p, Choice):
-            self._tc(dn, p.left, dict(ctx))
-            self._tc(dn, p.right, dict(ctx))
-            return
-        if isinstance(p, NewSession):
-            if p.chan in ctx:
-                self.diag(dn, "E-CONTEXT-LEAK", p.span,
-                          f"{p.chan!r} rebinds a live channel")
-                raise _Abort
-            assert p.ltid is not None and p.rtid is not None
-            if not self._per_pair(compatible, p.ltid, p.rtid):
-                self.diag(dn, "E-INCOMPATIBLE", p.span,
-                          f"endpoint types of {p.chan} cannot terminate together",
-                          left=self._render(p.ltid), right=self._render(p.rtid))
-                raise _Abort
-            if dn not in self.free:
-                self.free[dn] = free_channels(self.occs[dn])
-            fvl, fvr = self.free[dn][id(p.left)], self.free[dn][id(p.right)]
-            lctx, rctx = {p.chan: p.ltid}, {p.chan: p.rtid}
-            for v, t in ctx.items():
-                if v in fvl and v in fvr:
-                    self.diag(dn, "E-CONTEXT-LEAK", p.span,
-                              f"channel {v!r} is used by both components")
-                    raise _Abort
-                if v in fvl:
-                    lctx[v] = t
-                elif v in fvr:
-                    rctx[v] = t
+    def _tc(self, dn: str, body: ProcExpr, ctx: dict[str, int]) -> None:
+        """Check a definition body against its parameters' context.
+
+        One loop over a stack of (node, context) pairs; children are pushed
+        in reverse, so they are checked, and report, in source order. A
+        context is never changed once made, so siblings may share one.
+        """
+        table, fail, render = self.table, self._fail, self._render
+        stack = [(body, ctx)]
+        while stack:
+            p, ctx = stack.pop()
+            if isinstance(p, Done):
+                self._leak(dn, p, ctx, set())
+            elif isinstance(p, Close):
+                t = self._lookup(dn, p, ctx, p.chan)
+                if table.node(t) != ("end", "!"):
+                    fail(dn, "E-TYPE-MISMATCH", p,
+                         f"close needs {p.chan}: end!, found {render(t)}")
+                self._leak(dn, p, ctx, {p.chan})
+            elif isinstance(p, Wait):
+                t = self._lookup(dn, p, ctx, p.chan)
+                if table.node(t) != ("end", "?"):
+                    fail(dn, "E-TYPE-MISMATCH", p,
+                         f"wait needs {p.chan}: end?, found {render(t)}")
+                stack.append((p.cont, {v: u for v, u in ctx.items() if v != p.chan}))
+            elif isinstance(p, Call):
+                target = self.program.procs[p.name]
+                if len(p.args) != len(set(p.args)):
+                    fail(dn, "E-CONTEXT-LEAK", p, f"call to {p.name} passes a channel twice")
+                if len(p.args) != len(target.params):
+                    fail(dn, "E-TYPE-MISMATCH", p,
+                         f"{p.name} expects {len(target.params)} arguments, got {len(p.args)}")
+                for arg, want in zip(p.args, target.param_tids or []):
+                    got = self._lookup(dn, p, ctx, arg)
+                    if not equiv(table, got, want):
+                        fail(dn, "E-TYPE-MISMATCH", p,
+                             f"argument {arg} has type {render(got)}, "
+                             f"{p.name} expects {render(want)}")
+                self._leak(dn, p, ctx, set(p.args))
+            elif isinstance(p, TagComm):
+                t = self._lookup(dn, p, ctx, p.chan)
+                node = table.node(t)
+                if node[0] != "tags" or node[1] != p.pol:
+                    fail(dn, "E-TYPE-MISMATCH", p,
+                         f"{p.chan}{p.pol} does not match its type {render(t)}")
+                branches = dict(node[2])
+                plabels = {l for l, _ in p.branches}
+                if set(branches) != plabels:
+                    fail(dn, "E-TYPE-MISMATCH", p,
+                         f"labels on {p.chan} are {sorted(plabels)}, "
+                         f"type has {sorted(branches)}")
+                stack.extend((b, {**ctx, p.chan: branches[l]}) for l, b in reversed(p.branches))
+            elif isinstance(p, ChanOut):
+                t = self._lookup(dn, p, ctx, p.chan)
+                node = table.node(t)
+                if node[0] != "chan" or node[1] != "!":
+                    fail(dn, "E-TYPE-MISMATCH", p,
+                         f"{p.chan} cannot send a channel at type {render(t)}")
+                if p.payload == p.chan:
+                    fail(dn, "E-TYPE-MISMATCH", p, f"{p.chan} cannot carry itself")
+                got = self._lookup(dn, p, ctx, p.payload)
+                if not equiv(table, got, node[2]):
+                    fail(dn, "E-TYPE-MISMATCH", p,
+                         f"payload {p.payload} has type {render(got)}, "
+                         f"carrier expects {render(node[2])}")
+                rest = {v: u for v, u in ctx.items() if v != p.payload}
+                stack.append((p.cont, {**rest, p.chan: node[3]}))
+            elif isinstance(p, ChanIn):
+                t = self._lookup(dn, p, ctx, p.chan)
+                node = table.node(t)
+                if node[0] != "chan" or node[1] != "?":
+                    fail(dn, "E-TYPE-MISMATCH", p,
+                         f"{p.chan} cannot receive a channel at type {render(t)}")
+                assert p.tid is not None
+                if not equiv(table, p.tid, node[2]):
+                    fail(dn, "E-TYPE-MISMATCH", p,
+                         f"annotation {render(p.tid)} differs from "
+                         f"payload type {render(node[2])}")
+                if p.var in ctx or p.var == p.chan:
+                    fail(dn, "E-CONTEXT-LEAK", p, f"{p.var!r} rebinds a live channel")
+                stack.append((p.cont, {**ctx, p.chan: node[3], p.var: p.tid}))
+            elif isinstance(p, Choice):
+                stack += [(p.right, ctx), (p.left, ctx)]
+            elif isinstance(p, NewSession):
+                if p.chan in ctx:
+                    fail(dn, "E-CONTEXT-LEAK", p, f"{p.chan!r} rebinds a live channel")
+                assert p.ltid is not None and p.rtid is not None
+                if not self._per_pair(compatible, p.ltid, p.rtid):
+                    fail(dn, "E-INCOMPATIBLE", p,
+                         f"endpoint types of {p.chan} cannot terminate together",
+                         left=render(p.ltid), right=render(p.rtid))
+                if dn not in self.free:
+                    self.free[dn] = free_channels(self.occs[dn])
+                fvl, fvr = self.free[dn][id(p.left)], self.free[dn][id(p.right)]
+                lctx, rctx = {p.chan: p.ltid}, {p.chan: p.rtid}
+                for v, t in ctx.items():
+                    if v in fvl and v in fvr:
+                        fail(dn, "E-CONTEXT-LEAK", p, f"channel {v!r} is used by both components")
+                    if v in fvl:
+                        lctx[v] = t
+                    elif v in fvr:
+                        rctx[v] = t
+                    else:
+                        fail(dn, "E-CONTEXT-LEAK", p,
+                             f"channel {v!r} is used by neither component")
+                stack += [(p.right, rctx), (p.left, lctx)]
+            elif isinstance(p, Cast):
+                t = self._lookup(dn, p, ctx, p.chan)
+                assert p.tid is not None
+                verdict = self._per_pair(fair_subtype, t, p.tid)
+                if verdict.holds:
+                    w = int(verdict.weight)
+                    if p.weight_ann is not None and w > p.weight_ann:
+                        self.diag(dn, "E-WEIGHT-EXCEEDED", p.span,
+                                  f"cast weight is {w}, annotation allows {p.weight_ann}")
                 else:
-                    self.diag(dn, "E-CONTEXT-LEAK", p.span,
-                              f"channel {v!r} is used by neither component")
-                    raise _Abort
-            self._tc(dn, p.left, lctx)
-            self._tc(dn, p.right, rctx)
-            return
-        if isinstance(p, Cast):
-            t = self._lookup(dn, p, ctx, p.chan)
-            assert p.tid is not None
-            verdict = self._per_pair(fair_subtype, t, p.tid)
-            if verdict.holds:
-                w = int(verdict.weight)
-                if p.weight_ann is not None and w > p.weight_ann:
-                    self.diag(dn, "E-WEIGHT-EXCEEDED", p.span,
-                              f"cast weight is {w}, annotation allows {p.weight_ann}")
+                    kind, (u, v), detail = verdict.failure  # type: ignore[misc]
+                    self.diag(dn, "E-SUBTYPE", p.span,
+                              f"cast target is not a fair supertype of {render(t)}",
+                              kind=kind, detail=detail,
+                              offendingPair=[render(u), render(v)],
+                              source=render(t), target=render(p.tid))
+                    w = 0
+                self.cast_weight[id(p)] = w
+                stack.append((p.cont, {**ctx, p.chan: p.tid}))
             else:
-                kind, (u, v), detail = verdict.failure  # type: ignore[misc]
-                self.diag(dn, "E-SUBTYPE", p.span,
-                          f"cast target is not a fair supertype of {self._render(t)}",
-                          kind=kind, detail=detail,
-                          offendingPair=[self._render(u), self._render(v)],
-                          source=self._render(t), target=self._render(p.tid))
-                w = 0
-            self.cast_weight[id(p)] = w
-            ctx = dict(ctx)
-            ctx[p.chan] = p.tid
-            self._tc(dn, p.cont, ctx)
-            return
-        raise TypeError(f"not a process node: {p!r}")
+                raise TypeError(f"not a process node: {p!r}")
 
     # -- termination-path graph and loop safety -----------------------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from .graph import closure, reverse
+from .graph import closure, reach, reverse
 
 OUT = "!"
 IN = "?"
@@ -101,14 +101,7 @@ class TypeTable:
         return [n[2], n[3]]
 
     def reachable(self, i: int) -> set[int]:
-        seen = {i}
-        todo = [i]
-        while todo:
-            for c in self.children(todo.pop()):
-                if c not in seen:
-                    seen.add(c)
-                    todo.append(c)
-        return seen
+        return set(reach([i], self.children))
 
     def singleton(self, i: int, label: str) -> int:
         """The output node !{label: S} obtained by picking one branch of i."""
@@ -149,8 +142,8 @@ class TypeTable:
         # referred to; a name is unique in the text and is no other node's
         # type name
         names: dict[int, str] = {}
-        order: list[int] = []
         used: set[str] = set()
+        texts: list[str] = []
 
         def ref(j: int) -> str:
             got = names.get(j)
@@ -162,14 +155,17 @@ class TypeTable:
                     got = f"{base}_{k}"
                 used.add(got)
                 names[j] = got
-                order.append(j)
             return got
+
+        def unfold(j: int) -> list[int]:
+            # j's text goes to texts; the nodes it names are j's successors
+            named: list[int] = []
+            texts.append(self._unfold(j, cut, lambda c: named.append(c) or ref(c)))
+            return named
 
         ref(i)
         cut = shared | {i}
-        texts = []
-        while len(texts) < len(order):
-            texts.append(self._unfold(order[len(texts)], cut, ref))
+        order = list(reach([i], unfold))
         eqs = ", ".join(f"{names[j]} = {t}" for j, t in zip(order[1:], texts[1:]))
         return f"{texts[0]} where {eqs}"
 
@@ -274,57 +270,43 @@ def dual(table: TypeTable, i: int) -> int:
 
 
 def equiv(table: TypeTable, a: int, b: int) -> bool:
-    """Tree equality, decided as a bisimulation over the reachable product."""
-    seen: set[tuple[int, int]] = set()
-    todo = [(a, b)]
-    while todo:
-        i, j = todo.pop()
-        if i == j or (i, j) in seen:
-            continue
-        seen.add((i, j))
+    """Tree equality, decided as a bisimulation over the reachable product.
+
+    Every pair under matched descent from (a, b) must agree in kind,
+    polarity and labels; a pair of equal ids is not descended into.
+    """
+    for i, j in reach([(a, b)], lambda p: [] if p[0] == p[1] else _matched(table, *p)):
         ni, nj = table.node(i), table.node(j)
-        if ni[0] != nj[0] or ni[1] != nj[1]:
+        if ni[:2] != nj[:2]:
             return False
-        if ni[0] == "end":
-            continue
-        if ni[0] == "tags":
-            bi, bj = dict(ni[2]), dict(nj[2])
-            if set(bi) != set(bj):
-                return False
-            todo.extend((bi[l], bj[l]) for l in bi)
-        else:
-            todo.append((ni[2], nj[2]))
-            todo.append((ni[3], nj[3]))
+        if ni[0] == "tags" and dict(ni[2]).keys() != dict(nj[2]).keys():
+            return False
     return True
 
 
 def is_bounded(table: TypeTable, i: int) -> bool:
     """True when every subtree can still reach a terminated endpoint."""
-    reach = table.reachable(i)
-    ends = [j for j in reach if table.kind(j) == "end"]
-    return reach <= closure(ends, reverse({j: table.children(j) for j in reach}))
+    nodes = table.reachable(i)
+    ends = [j for j in nodes if table.kind(j) == "end"]
+    return nodes <= closure(ends, reverse({j: table.children(j) for j in nodes}))
 
 
 def reachable_pairs(table: TypeTable, a: int, b: int) -> set[tuple[int, int]]:
     """Product closure under matched descent.
 
-    Tags nodes descend through shared labels, chan nodes through both the
-    payload pair and the continuation pair. This is the carrier on which
-    subtyping simulations and weight systems are solved.
+    This is the carrier on which subtyping simulations and weight systems
+    are solved.
     """
-    seen = {(a, b)}
-    todo = [(a, b)]
-    while todo:
-        i, j = todo.pop()
-        ni, nj = table.node(i), table.node(j)
-        nxt: list[tuple[int, int]] = []
-        if ni[0] == "tags" and nj[0] == "tags":
-            bi, bj = dict(ni[2]), dict(nj[2])
-            nxt = [(bi[l], bj[l]) for l in sorted(set(bi) & set(bj))]
-        elif ni[0] == "chan" and nj[0] == "chan":
-            nxt = [(ni[2], nj[2]), (ni[3], nj[3])]
-        for p in nxt:
-            if p not in seen:
-                seen.add(p)
-                todo.append(p)
-    return seen
+    return set(reach([(a, b)], lambda p: _matched(table, *p)))
+
+
+def _matched(table: TypeTable, i: int, j: int) -> list[tuple[int, int]]:
+    """Matched descent: tags nodes pair their children under shared labels,
+    in label order, chan nodes their payloads and their continuations."""
+    ni, nj = table.node(i), table.node(j)
+    if ni[0] == "tags" and nj[0] == "tags":
+        bi, bj = dict(ni[2]), dict(nj[2])
+        return [(bi[l], bj[l]) for l in sorted(set(bi) & set(bj))]
+    if ni[0] == "chan" and nj[0] == "chan":
+        return [(ni[2], nj[2]), (ni[3], nj[3])]
+    return []

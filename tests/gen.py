@@ -8,10 +8,10 @@ mutated structurally, which is how the subtyping chains are produced.
 import random
 
 from fairchk.subtyping import fair_subtype, simulate
-from fairchk.surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
-                             NewSession, ProcDef, Program, SourceProgram, Span,
-                             TagComm, TChan, TEnd, TName, TTags, Wait,
-                             render_program)
+from fairchk.surface import (MAX_NESTING, Call, Cast, ChanIn, ChanOut, Choice, Close,
+                             Done, NewSession, ProcDef, Program, SourceError,
+                             SourceProgram, Span, TagComm, TChan, TEnd, TName, TTags,
+                             Wait, parse, render_program)
 from fairchk.types import TypeTable
 
 LABELS = ["a", "b", "c", "d"]
@@ -547,3 +547,16 @@ NESTED_SOURCES = {
     "choices": _choice_chain, "channel-types": _channel_type,
     "casts": _cast_chain,
 }
+
+
+def deepest_admitted(source) -> int:
+    """The largest n whose source(n) the parser admits, by bisection."""
+    lo, hi = 1, 2 * MAX_NESTING
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            parse(source(mid))
+            lo = mid
+        except SourceError:
+            hi = mid - 1
+    return lo

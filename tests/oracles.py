@@ -10,9 +10,9 @@ worklist, typing by unfolding definitions instead of the coinductive
 assumption set, ranks and action bounds by walks that unfold each
 definition at most once instead of fixpoints over the termination-path
 graph, free channels by recursion instead of one pass per definition,
-least closures by Kleene rounds instead of a counter worklist, type
-rendering and duality by recursion instead of an explicit stack, and the
-interpreter's redexes by a rebuild of the whole list at every step instead
+least closures and reachability by Kleene rounds instead of worklists,
+type rendering, duality and the typing walk by recursion instead of an
+explicit stack, and the interpreter's redexes by a rebuild of the whole list at every step instead
 of an index that re-reads only the threads a step touched.
 """
 
@@ -21,7 +21,7 @@ from fairchk.semantics import compatible, session_rank
 from fairchk.subtyping import Simulation, _premises, _violation, fair_subtype, simulate
 from fairchk.surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
                              NewSession, ProcExpr, Program, TagComm, Wait)
-from fairchk.typecheck import Checker
+from fairchk.typecheck import Checker, _Abort, free_channels
 from fairchk.types import INF, OUT, TypeTable, co, equiv, reachable_pairs
 
 
@@ -439,6 +439,17 @@ def closure_kleene(succ: dict, seeds, need) -> set:
         out |= grown
 
 
+def reach_kleene(succ: dict, roots) -> set:
+    """The nodes `graph.reach` visits, by rounds that add every successor of
+    the set, until a round adds nothing."""
+    out = set(roots)
+    while True:
+        grown = {w for v in out for w in succ[v]} - out
+        if not grown:
+            return out
+        out |= grown
+
+
 # -- duality by recursion ------------------------------------------------------------
 
 def dual_recursive(table: TypeTable, i: int) -> int:
@@ -622,6 +633,178 @@ def infer_branches_by_cutoff(ck: Checker) -> None:
                 bounded = action_bounded(ck, d.body, frozenset())
                 scores[k] = (not bounded, rank == INF, rank, k != written)
             c.k = min((1, 2), key=lambda k: scores[k])
+
+
+# -- the typing walk by recursion ---------------------------------------------------
+
+class RecursiveTyping(Checker):
+    """`Checker` whose typing walk recurses on the tree, one call per node,
+    copying the context for each child."""
+
+    def _tc(self, dn: str, p: ProcExpr, ctx: dict[str, int]) -> None:
+        table = self.table
+        if isinstance(p, Done):
+            self._leak(dn, p, ctx, set())
+            return
+        if isinstance(p, Close):
+            t = self._lookup(dn, p, ctx, p.chan)
+            if table.node(t) != ("end", "!"):
+                self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                          f"close needs {p.chan}: end!, found {self._render(t)}")
+                raise _Abort
+            self._leak(dn, p, ctx, {p.chan})
+            return
+        if isinstance(p, Wait):
+            t = self._lookup(dn, p, ctx, p.chan)
+            if table.node(t) != ("end", "?"):
+                self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                          f"wait needs {p.chan}: end?, found {self._render(t)}")
+                raise _Abort
+            rest = dict(ctx)
+            del rest[p.chan]
+            self._tc(dn, p.cont, rest)
+            return
+        if isinstance(p, Call):
+            target = self.program.procs[p.name]
+            if len(p.args) != len(set(p.args)):
+                self.diag(dn, "E-CONTEXT-LEAK", p.span,
+                          f"call to {p.name} passes a channel twice")
+                raise _Abort
+            if len(p.args) != len(target.params):
+                self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                          f"{p.name} expects {len(target.params)} arguments, got {len(p.args)}")
+                raise _Abort
+            for arg, want in zip(p.args, target.param_tids or []):
+                got = self._lookup(dn, p, ctx, arg)
+                if not equiv(table, got, want):
+                    self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                              f"argument {arg} has type {self._render(got)}, "
+                              f"{p.name} expects {self._render(want)}")
+                    raise _Abort
+            self._leak(dn, p, ctx, set(p.args))
+            return
+        if isinstance(p, TagComm):
+            t = self._lookup(dn, p, ctx, p.chan)
+            node = table.node(t)
+            if node[0] != "tags" or node[1] != p.pol:
+                self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                          f"{p.chan}{p.pol} does not match its type {self._render(t)}")
+                raise _Abort
+            tlabels = set(dict(node[2]))
+            plabels = {l for l, _ in p.branches}
+            if tlabels != plabels:
+                self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                          f"labels on {p.chan} are {sorted(plabels)}, "
+                          f"type has {sorted(tlabels)}")
+                raise _Abort
+            children = dict(node[2])
+            for label, body in p.branches:
+                sub = dict(ctx)
+                sub[p.chan] = children[label]
+                self._tc(dn, body, sub)
+            return
+        if isinstance(p, ChanOut):
+            t = self._lookup(dn, p, ctx, p.chan)
+            node = table.node(t)
+            if node[0] != "chan" or node[1] != "!":
+                self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                          f"{p.chan} cannot send a channel at type {self._render(t)}")
+                raise _Abort
+            if p.payload == p.chan:
+                self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                          f"{p.chan} cannot carry itself")
+                raise _Abort
+            got = self._lookup(dn, p, ctx, p.payload)
+            if not equiv(table, got, node[2]):
+                self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                          f"payload {p.payload} has type {self._render(got)}, "
+                          f"carrier expects {self._render(node[2])}")
+                raise _Abort
+            rest = dict(ctx)
+            del rest[p.payload]
+            rest[p.chan] = node[3]
+            self._tc(dn, p.cont, rest)
+            return
+        if isinstance(p, ChanIn):
+            t = self._lookup(dn, p, ctx, p.chan)
+            node = table.node(t)
+            if node[0] != "chan" or node[1] != "?":
+                self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                          f"{p.chan} cannot receive a channel at type {self._render(t)}")
+                raise _Abort
+            assert p.tid is not None
+            if not equiv(table, p.tid, node[2]):
+                self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                          f"annotation {self._render(p.tid)} differs from "
+                          f"payload type {self._render(node[2])}")
+                raise _Abort
+            if p.var in ctx or p.var == p.chan:
+                self.diag(dn, "E-CONTEXT-LEAK", p.span,
+                          f"{p.var!r} rebinds a live channel")
+                raise _Abort
+            rest = dict(ctx)
+            rest[p.chan] = node[3]
+            rest[p.var] = p.tid
+            self._tc(dn, p.cont, rest)
+            return
+        if isinstance(p, Choice):
+            self._tc(dn, p.left, dict(ctx))
+            self._tc(dn, p.right, dict(ctx))
+            return
+        if isinstance(p, NewSession):
+            if p.chan in ctx:
+                self.diag(dn, "E-CONTEXT-LEAK", p.span,
+                          f"{p.chan!r} rebinds a live channel")
+                raise _Abort
+            assert p.ltid is not None and p.rtid is not None
+            if not self._per_pair(compatible, p.ltid, p.rtid):
+                self.diag(dn, "E-INCOMPATIBLE", p.span,
+                          f"endpoint types of {p.chan} cannot terminate together",
+                          left=self._render(p.ltid), right=self._render(p.rtid))
+                raise _Abort
+            if dn not in self.free:
+                self.free[dn] = free_channels(self.occs[dn])
+            fvl, fvr = self.free[dn][id(p.left)], self.free[dn][id(p.right)]
+            lctx, rctx = {p.chan: p.ltid}, {p.chan: p.rtid}
+            for v, t in ctx.items():
+                if v in fvl and v in fvr:
+                    self.diag(dn, "E-CONTEXT-LEAK", p.span,
+                              f"channel {v!r} is used by both components")
+                    raise _Abort
+                if v in fvl:
+                    lctx[v] = t
+                elif v in fvr:
+                    rctx[v] = t
+                else:
+                    self.diag(dn, "E-CONTEXT-LEAK", p.span,
+                              f"channel {v!r} is used by neither component")
+                    raise _Abort
+            self._tc(dn, p.left, lctx)
+            self._tc(dn, p.right, rctx)
+            return
+        if isinstance(p, Cast):
+            t = self._lookup(dn, p, ctx, p.chan)
+            assert p.tid is not None
+            verdict = self._per_pair(fair_subtype, t, p.tid)
+            if verdict.holds:
+                w = int(verdict.weight)
+                if p.weight_ann is not None and w > p.weight_ann:
+                    self.diag(dn, "E-WEIGHT-EXCEEDED", p.span,
+                              f"cast weight is {w}, annotation allows {p.weight_ann}")
+            else:
+                kind, (u, v), detail = verdict.failure  # type: ignore[misc]
+                self.diag(dn, "E-SUBTYPE", p.span,
+                          f"cast target is not a fair supertype of {self._render(t)}",
+                          kind=kind, detail=detail,
+                          offendingPair=[self._render(u), self._render(v)],
+                          source=self._render(t), target=self._render(p.tid))
+                w = 0
+            self.cast_weight[id(p)] = w
+            ctx = dict(ctx)
+            ctx[p.chan] = p.tid
+            self._tc(dn, p.cont, ctx)
+            return
+        raise TypeError(f"not a process node: {p!r}")
 
 
 # -- the interpreter's redexes by a rebuild at every step ---------------------------

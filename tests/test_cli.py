@@ -12,8 +12,9 @@ import pytest
 from conftest import CORPUS, corpus_path
 from fairchk import schema
 from fairchk.cli import _color_enabled, main
-from fairchk.surface import MAX_NESTING, SourceError, parse
-from gen import NESTED_SOURCES, diverging_source, shared_ladder_source
+from fairchk.surface import MAX_NESTING
+from gen import NESTED_SOURCES, deepest_admitted, diverging_source, shared_ladder_source
+from json_schema import validate
 
 
 def run_cli(capsys, *argv):
@@ -44,7 +45,7 @@ def test_check_json_shape_and_timings(capsys):
     code, out, err = run_cli(capsys, "check", "--json", corpus_path("bsc"))
     assert code == 0
     report = json.loads(out)
-    schema.validate(report, schema.CHECK)
+    validate(report, schema.CHECK)
     assert "timings" in report
     assert report["timings"]["checkMs"] >= 0
     timings = report["timings"]
@@ -56,7 +57,7 @@ def test_check_json_shape_and_timings(capsys):
     assert passes <= timings["checkMs"] + 0.01
     code, out, err = run_cli(capsys, "check", "--json", "--infer-branch",
                              corpus_path("infinite_sessions"))
-    schema.validate(json.loads(out), schema.CHECK)
+    validate(json.loads(out), schema.CHECK)
     assert json.loads(out)["timings"]["inferMs"] > 0
 
 
@@ -64,7 +65,7 @@ def test_check_json_shape_and_timings(capsys):
 def test_check_json_validates_for_every_corpus_file(capsys, name):
     code, out, err = run_cli(capsys, "check", "--json", corpus_path(name))
     report = json.loads(out)
-    schema.validate(report, schema.CHECK)
+    validate(report, schema.CHECK)
     assert code == (0 if report["verdict"] == "accepted" else 1)
 
 
@@ -91,24 +92,12 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert str(bad) in capsys.readouterr().err
 
 
-def _deepest_admitted(source) -> int:
-    lo, hi = 1, 2 * MAX_NESTING
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        try:
-            parse(source(mid))
-            lo = mid
-        except SourceError:
-            hi = mid - 1
-    return lo
-
-
 @pytest.mark.parametrize("shape", sorted(NESTED_SOURCES))
 def test_nesting_bound(shape, tmp_path, capsys):
     # the deepest admitted program passes every pass after the parser; one
     # level more, or far more, is a parse error and not a RecursionError
     source = NESTED_SOURCES[shape]
-    n = _deepest_admitted(source)
+    n = deepest_admitted(source)
     path = tmp_path / "deep.ft"
     path.write_text(source(n), encoding="utf-8")
     assert run_cli(capsys, "check", str(path))[0] == 0
@@ -203,7 +192,7 @@ def test_subtype_json(capsys):
     code, out, err = run_cli(capsys, "subtype", "--json",
                              corpus_path("bsc"), "SB", "SB'")
     verdict = json.loads(out)
-    schema.validate(verdict, schema.SUBTYPE)
+    validate(verdict, schema.SUBTYPE)
     assert verdict["holds"] is True
     assert verdict["weight"] == 1
     assert verdict["simulationSize"] == 3
@@ -213,7 +202,7 @@ def test_subtype_json_failure_carries_pair(capsys):
     code, out, err = run_cli(capsys, "subtype", "--json",
                              corpus_path("bsc"), "SB", "SBi")
     verdict = json.loads(out)
-    schema.validate(verdict, schema.SUBTYPE)
+    validate(verdict, schema.SUBTYPE)
     assert verdict["holds"] is False
     assert verdict["failure"] == "diverges"
     assert len(verdict["offendingPair"]) == 2
@@ -225,7 +214,7 @@ def test_subtype_deep_divergence_renders_without_recursion(tmp_path, capsys):
     path.write_text(diverging_source(1600), encoding="utf-8")
     code, out, err = run_cli(capsys, "subtype", "--json", str(path), "U0", "V0")
     verdict = json.loads(out)
-    schema.validate(verdict, schema.SUBTYPE)
+    validate(verdict, schema.SUBTYPE)
     assert code == 1 and err == ""
     assert verdict["failure"] == "diverges" and verdict["simulationSize"] == 1600
     sub, sup = verdict["offendingPair"]
@@ -273,7 +262,7 @@ def test_rank_json(capsys):
     code, out, err = run_cli(capsys, "rank", "--json",
                              corpus_path("rank_example"), "S4", "T4")
     payload = json.loads(out)
-    schema.validate(payload, schema.RANK)
+    validate(payload, schema.RANK)
     assert payload == {"rank": 4}
 
 
@@ -295,7 +284,7 @@ def test_run_json_golden(capsys):
                              corpus_path("bsc"))
     assert code == 0
     payload = json.loads(out)
-    schema.validate(payload, schema.RUN)
+    validate(payload, schema.RUN)
     assert payload == {"outcome": "terminated", "steps": 11, "seed": 1}
 
 
@@ -320,7 +309,7 @@ def test_run_trace_json_lines(capsys):
                              "--json", corpus_path("bsc"))
     lines = out.strip().splitlines()
     for line in lines[:11]:
-        schema.validate(json.loads(line), schema.TRACE_ENTRY)
+        validate(json.loads(line), schema.TRACE_ENTRY)
     payload = json.loads("".join(lines[11:]))
     assert payload["steps"] == 11
 
@@ -372,7 +361,7 @@ def test_run_json_stats(capsys):
                              corpus_path("bsc"))
     assert code == 0
     payload = json.loads(out)
-    schema.validate(payload, schema.RUN)
+    validate(payload, schema.RUN)
     assert payload["stats"]["rules"]["rb-par"] == payload["stats"]["sessionsOpened"] == 2
     assert payload["stats"]["peakThreads"] == 3
     assert sum(payload["stats"]["rules"].values()) == payload["steps"] == 11
@@ -383,7 +372,7 @@ def test_run_json_stats(capsys):
 def test_run_json_stats_validates_for_every_runnable_file(capsys, name):
     code, out, err = run_cli(capsys, "run", "--unsafe", "--json", "--stats",
                              "--max-steps", "300", corpus_path(name))
-    schema.validate(json.loads(out), schema.RUN)
+    validate(json.loads(out), schema.RUN)
 
 
 def test_run_stats_human_line(capsys):

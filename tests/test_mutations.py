@@ -8,7 +8,8 @@ or ValueError, and the CLI exits with 0, 1 or 2 and prints no traceback.
 Byte mutants work below the lexer: random bytes, a file cut inside a
 multi-byte character, invalid UTF-8, NUL and other non-ASCII text. With
 odd arguments (a directory as the file, a missing file, a negative step
-bound) they go through every subcommand under the same contract.
+bound, a number in other digits than ASCII) they go through every
+subcommand under the same contract.
 """
 
 import random
@@ -145,6 +146,13 @@ def test_odd_arguments_are_usage_errors(tmp_path, capsys):
         for argv in _every_subcommand(path, []):
             assert _cli(argv, capsys) == 2, argv
     bsc = corpus_path("bsc")
-    for bound in ("-3", "-1", "x", "1.5", ""):
+    # numbers are ASCII digits, as in a source file: int() alone would take
+    # an Arabic-Indic three, a superscript two, a fullwidth one, `_` and
+    # surrounding spaces
+    odd = ["x", "1.5", "", "-", "\u0663", "\u00b2", "\uff11", "1_0", " 3", "3 ", "+3"]
+    for bound in ["-3", "-1"] + odd:
         assert _cli(["run", bsc, "--max-steps", bound], capsys) == 2, bound
+    for seed in odd + ["-\u0661", "--1"]:
+        assert _cli(["run", bsc, "--seed", seed], capsys) == 2, seed
     assert _cli(["run", bsc, "--max-steps", "0"], capsys) == 1
+    assert _cli(["run", bsc, "--seed", "-1", "--max-steps", "0100"], capsys) == 0

@@ -2,18 +2,21 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from fairchk import schema, typecheck
-from fairchk.surface import Call, Choice, load, preorder
+from fairchk.surface import Call, Choice, SourceError, load, preorder, resolve
 from fairchk.typecheck import Checker, check_program, free_channels
 from fairchk.types import INF
 
 from conftest import ACCEPTED, CORPUS_RANKS, REJECTED, corpus_text, load_corpus
-from gen import (NESTED_SOURCES, RANK_DEFS, call_dag_source, random_rank_program,
-                 random_source_program, session_chain_source)
-from oracles import (action_bounded, cutoff_rank, free_channels_recursive,
+from gen import (NESTED_SOURCES, RANK_DEFS, call_dag_source, deepest_admitted,
+                 random_rank_program, random_runnable_source, random_source_program,
+                 session_chain_source)
+from json_schema import validate
+from oracles import (RecursiveTyping, action_bounded, cutoff_rank, free_channels_recursive,
                      infer_branches_by_cutoff, min_rank, typing_unfold_ok,
                      unsafe_by_reachability)
 
@@ -269,6 +272,65 @@ def test_typing_walk_is_linear_in_session_nesting(monkeypatch):
         assert sum(len(s) for s in ck.free["Main"].values()) == 2 * n
 
 
+def _typing(checker):
+    checker.check_types()
+    return ({name: [d.to_json() for d in ds] for name, ds in checker.diags.items()},
+            checker.cast_weight)
+
+
+# every prefix that changes the context, on both sides of a choice or in
+# two branches: the second side must see the context the first one saw
+SHARED_CONTEXTS = """
+P1(x: ?(end!).end?) = x?(y: end!). wait x. close y +[1] x?(y: end!). wait x. close y
+P2(x: !(end!).end!, z: end!) = x!(z). close x +[2] x!(z). close x
+P3(x: end?, z: end!) = wait x. close z +[1] wait x. close z
+P4(x: !{a: end!}) = x!a. close x +[1] x!a. close x
+P5(x: !{a: end!, b: end!}) = [x: !{a: end!}] x!a. close x +[1] [x: !{a: end!}] x!a. close x
+P6(x: ?{a: end?, b: end?}, z: end!) = x?{a: wait x. close z, b: wait x. close z}
+"""
+
+
+def test_typing_walk_matches_recursive_oracle():
+    shared = load(SHARED_CONTEXTS)
+    assert _typing(Checker(shared))[0] == {name: [] for name in shared.procs}
+    programs = [shared] + [load_corpus(name) for name in sorted(CORPUS_RANKS)]
+    programs += [load(source(deepest_admitted(source)))
+                 for _, source in sorted(NESTED_SOURCES.items())]
+    rnd = random.Random(66)
+    for _ in range(2000):
+        try:
+            programs.append(resolve(random_source_program(rnd)))
+        except SourceError:
+            pass
+    # bodies that are mostly well typed, so the walk goes deeper
+    programs += [load(random_runnable_source(random.Random(i))) for i in range(300)]
+    codes = Counter()
+    for program in programs:
+        got = _typing(Checker(program))
+        assert got == _typing(RecursiveTyping(program))
+        codes.update(d["code"] for ds in got[0].values() for d in ds)
+        codes["clean"] += sum(not ds for ds in got[0].values())
+    assert len(programs) > 1700 and codes["clean"] > 200, codes
+    assert all(codes[c] > 10 for c in ("E-UNBOUND-NAME", "E-CONTEXT-LEAK", "E-TYPE-MISMATCH",
+                                       "E-INCOMPATIBLE", "E-SUBTYPE")), codes
+
+
+def test_typing_walk_enters_once_per_definition(monkeypatch):
+    calls = Counter()
+    walk = Checker._tc
+
+    def counted(self, dn, body, ctx):
+        calls[dn] += 1
+        return walk(self, dn, body, ctx)
+
+    monkeypatch.setattr(Checker, "_tc", counted)
+    for name in sorted(CORPUS_RANKS):
+        program = load_corpus(name)
+        calls.clear()
+        Checker(program).check_types()
+        assert calls == dict.fromkeys(program.procs, 1), name
+
+
 def test_call_dag_ranks_at_scale():
     report = check_program(load(call_dag_source(60)))
     assert report["verdict"] == "accepted"
@@ -307,7 +369,7 @@ def test_report_is_deterministic():
 
 def test_report_matches_schema():
     for name in sorted(CORPUS_RANKS):
-        schema.validate(_report(name), schema.CHECK)
+        validate(_report(name), schema.CHECK)
 
 
 def test_bounded_unfolding_agrees_on_accepted_corpus():
