@@ -41,7 +41,7 @@ DEFINITION = {
     "additionalProperties": False,
 }
 
-TIMINGS = ["checkMs", "typingMs", "safetyMs", "ranksMs", "boundsMs", "inferMs"]
+TIMINGS = ["loadMs", "checkMs", "typingMs", "safetyMs", "ranksMs", "boundsMs", "inferMs"]
 
 CHECK = {
     "type": "object",
@@ -51,7 +51,8 @@ CHECK = {
     "properties": {
         "verdict": {"enum": ["accepted", "rejected"]},
         "definitions": {"type": "array", "items": DEFINITION},
-        # milliseconds: the whole pipeline, then each pass
+        # milliseconds: reading and parsing the file, all the checker's
+        # passes together, then each pass
         "timings": {
             "type": "object",
             "required": TIMINGS,

@@ -28,15 +28,13 @@ header asserts an upper bound on the definition's rank.
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from operator import itemgetter
+from typing import Any, Callable, NamedTuple, Optional
 
 from .types import TypeTable
 
-IDENT_START = set(string.ascii_letters + "_")
-DIGITS = set(string.digits)
-IDENT_CONT = IDENT_START | DIGITS | {"'"}
 KEYWORDS = {"type", "done", "close", "wait", "new", "in"}
 
 # Deepest syntactic nesting the parser admits: each process or type
@@ -55,8 +53,7 @@ class SourceError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     line: int
     col: int
 
@@ -234,62 +231,53 @@ class Program:
 
 # Lexer ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
-    kind: str   # "ident", "nat", or the punctuation itself
-    text: str
-    line: int
-    col: int
+# A token is a plain tuple (kind, text, line, col). The kind is "ident",
+# "nat", "eof" or the punctuation character itself.
+Token = tuple[str, str, int, int]
 
-
-PUNCT = "(){}[]:,./=!?+|@"
+# One token per match; the search skips blanks (space, tab, CR), each one
+# column wide. The last alternative takes any other character, so a line is
+# read in one pass, in time linear in its length. Every class is spelled out
+# in ASCII: `\w`, `\d` and `\s` would also match other scripts' characters.
+_TOKEN = re.compile(r"(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<nat>[0-9]+)"
+                    r"|[(){}\[\]:,./=!?+|@]|(?P<bad>[^ \t\r])")
 
 
 def lex(src: str) -> list[Token]:
     toks: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == "-" and src[i : i + 2] == "--":
-            while i < n and src[i] != "\n":
-                i += 1
-        elif c in IDENT_START:
-            j = i
-            while j < n and src[j] in IDENT_CONT:
-                j += 1
-            toks.append(Token("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-        elif c in DIGITS:
-            j = i
-            while j < n and src[j] in DIGITS:
-                j += 1
-            toks.append(Token("nat", src[i:j], line, col))
-            col += j - i
-            i = j
-        elif c in PUNCT:
-            toks.append(Token(c, c, line, col))
-            i += 1
-            col += 1
-        else:
-            raise SourceError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+    lines = src.split("\n")  # only "\n" ends a line
+    for line_no, line in enumerate(lines, 1):
+        # No token contains "-", so the first "--" starts a comment, unless
+        # the line goes wrong before it.
+        end = line.find("--")
+        if end < 0:
+            end = len(line)
+        toks += [(m.lastgroup or m[0], m[0], line_no, m.start() + 1)
+                 for m in _TOKEN.finditer(line, 0, end)]
+    if "bad" in map(itemgetter(0), toks):
+        _, c, line_no, col = next(t for t in toks if t[0] == "bad")
+        raise SourceError(f"unexpected character {c!r}", line_no, col)
+    # eof follows the last line, or sits where its comment starts: a comment
+    # takes no columns.
+    toks.append(("eof", "", len(lines), end + 1))
     return toks
 
 
 # Parser ---------------------------------------------------------------------
 
+def _error(msg: str, t: Token) -> SourceError:
+    return SourceError(msg, t[2], t[3])
+
+
+def _found(t: Token) -> str:
+    """How an error message names the token it found."""
+    return repr(t[1] or t[0])
+
+
 class _Parser:
     def __init__(self, toks: list[Token]):
-        self.toks = toks
+        # A copy of eof past the end keeps a lookahead after it in bounds.
+        self.toks = toks + toks[-1:]
         self.pos = 0
         self.depth = 0
 
@@ -297,11 +285,10 @@ class _Parser:
         """Enter one level of nesting; the caller restores the depth on return."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            t = self.peek()
-            raise SourceError(f"nesting deeper than {MAX_NESTING} levels", t.line, t.col)
+            raise _error(f"nesting deeper than {MAX_NESTING} levels", self.peek())
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -309,27 +296,24 @@ class _Parser:
         return t
 
     def expect(self, kind: str) -> Token:
-        t = self.next()
-        if t.kind != kind:
-            raise SourceError(f"expected {kind!r}, found {t.text or t.kind!r}", t.line, t.col)
+        t = self.toks[self.pos]
+        self.pos += 1
+        if t[0] != kind:
+            raise _error(f"expected {kind!r}, found {_found(t)}", t)
         return t
 
-    def ident(self) -> Token:
+    def ident(self) -> str:
         t = self.expect("ident")
-        if t.text in KEYWORDS:
-            raise SourceError(f"keyword {t.text!r} cannot be used as a name", t.line, t.col)
-        return t
+        if t[1] in KEYWORDS:
+            raise _error(f"keyword {t[1]!r} cannot be used as a name", t)
+        return t[1]
 
     def nat(self) -> int:
         t = self.expect("nat")
         try:
-            return int(t.text)
+            return int(t[1])
         except ValueError:  # more digits than int() converts
-            raise SourceError("number too long", t.line, t.col) from None
-
-    def at_keyword(self, kw: str) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.text == kw
+            raise _error("number too long", t) from None
 
     # -- types ----------------------------------------------------------
 
@@ -337,33 +321,34 @@ class _Parser:
         self.descend()
         try:
             t = self.peek()
-            span = Span(t.line, t.col)
-            if t.kind == "ident" and t.text == "end":
+            kind, text, line, col = t
+            span = Span(line, col)
+            if kind == "ident" and text == "end":
                 self.next()
                 pol = self.next()
-                if pol.kind not in ("!", "?"):
-                    raise SourceError("expected '!' or '?' after 'end'", pol.line, pol.col)
-                return TEnd(pol.kind, span)
-            if t.kind in ("!", "?"):
-                pol = self.next().kind
+                if pol[0] not in ("!", "?"):
+                    raise _error("expected '!' or '?' after 'end'", pol)
+                return TEnd(pol[0], span)
+            if kind in ("!", "?"):
+                self.next()
                 opener = self.next()
-                if opener.kind == "{":
+                if opener[0] == "{":
                     branches = self._branches(self.parse_type)
                     self.expect("}")
-                    return TTags(pol, branches, span)
-                if opener.kind == "(":
+                    return TTags(kind, branches, span)
+                if opener[0] == "(":
                     payload = self.parse_type()
                     self.expect(")")
                     self.expect(".")
                     cont = self.parse_type()
-                    return TChan(pol, payload, cont, span)
-                raise SourceError("expected '{' or '(' after polarity", opener.line, opener.col)
-            if t.kind == "ident":
+                    return TChan(kind, payload, cont, span)
+                raise _error("expected '{' or '(' after polarity", opener)
+            if kind == "ident":
                 self.next()
-                if t.text in KEYWORDS:
-                    raise SourceError(f"keyword {t.text!r} is not a type", t.line, t.col)
-                return TName(t.text, span)
-            raise SourceError(f"expected a type, found {t.text or t.kind!r}", t.line, t.col)
+                if text in KEYWORDS:
+                    raise _error(f"keyword {text!r} is not a type", t)
+                return TName(text, span)
+            raise _error(f"expected a type, found {_found(t)}", t)
         finally:
             self.depth -= 1
 
@@ -373,15 +358,14 @@ class _Parser:
         while True:
             label = self.ident()
             self.expect(":")
-            branches.append((label.text, item()))
-            if self.peek().kind != ",":
+            branches.append((label, item()))
+            if self.peek()[0] != ",":
                 break
             self.next()
         seen = set()
         for label, _ in branches:
             if label in seen:
-                t = self.peek()
-                raise SourceError(f"duplicate label {label!r}", t.line, t.col)
+                raise _error(f"duplicate label {label!r}", self.peek())
             seen.add(label)
         return branches
 
@@ -390,109 +374,109 @@ class _Parser:
     def parse_proc(self) -> ProcExpr:
         outer = self.depth
         left = self.parse_atom()
-        while self.peek().kind == "+":
+        while self.peek()[0] == "+":
             self.descend()
-            plus = self.next()
+            _, _, line, col = self.next()
             k = 1
-            if self.peek().kind == "[":
+            if self.peek()[0] == "[":
                 self.next()
                 nat = self.peek()
                 k = self.nat()
                 if k not in (1, 2):
-                    raise SourceError("choice branch must be 1 or 2", nat.line, nat.col)
+                    raise _error("choice branch must be 1 or 2", nat)
                 self.expect("]")
             right = self.parse_atom()
-            left = Choice(k, left, right, Span(plus.line, plus.col))
+            left = Choice(k, left, right, Span(line, col))
         self.depth = outer
         return left
 
     def parse_atom(self) -> ProcExpr:
         self.descend()
         try:
-            t = self.peek()
-            span = Span(t.line, t.col)
-            if t.kind == "(":
+            kind, text, line, col = self.peek()
+            span = Span(line, col)
+            if kind == "(":
                 self.next()
                 p = self.parse_proc()
                 self.expect(")")
                 return p
-            if t.kind == "[":
+            if kind == "[":
                 self.next()
                 chan = self.ident()
                 self.expect(":")
                 target = self.parse_type()
                 weight = None
-                if self.peek().kind == "@":
+                if self.peek()[0] == "@":
                     self.next()
                     weight = self.nat()
                 self.expect("]")
-                return Cast(chan.text, target, weight, self.parse_atom(), span)
-            if self.at_keyword("done"):
-                self.next()
-                return Done(span)
-            if self.at_keyword("close"):
-                self.next()
-                return Close(self.ident().text, span)
-            if self.at_keyword("wait"):
-                self.next()
-                chan = self.ident()
-                self.expect(".")
-                return Wait(chan.text, self.parse_atom(), span)
-            if self.at_keyword("new"):
-                self.next()
-                chan = self.ident()
-                self.expect(":")
-                lty = self.parse_type()
-                self.expect("/")
-                rty = self.parse_type()
-                t = self.next()
-                if not (t.kind == "ident" and t.text == "in"):
-                    raise SourceError("expected 'in'", t.line, t.col)
-                self.expect("(")
-                left = self.parse_proc()
-                self.expect("|")
-                right = self.parse_proc()
-                self.expect(")")
-                return NewSession(chan.text, lty, rty, left, right, span)
+                return Cast(chan, target, weight, self.parse_atom(), span)
+            if kind == "ident":
+                if text == "done":
+                    self.next()
+                    return Done(span)
+                if text == "close":
+                    self.next()
+                    return Close(self.ident(), span)
+                if text == "wait":
+                    self.next()
+                    chan = self.ident()
+                    self.expect(".")
+                    return Wait(chan, self.parse_atom(), span)
+                if text == "new":
+                    self.next()
+                    chan = self.ident()
+                    self.expect(":")
+                    lty = self.parse_type()
+                    self.expect("/")
+                    rty = self.parse_type()
+                    t = self.next()
+                    if t[:2] != ("ident", "in"):
+                        raise _error("expected 'in'", t)
+                    self.expect("(")
+                    left = self.parse_proc()
+                    self.expect("|")
+                    right = self.parse_proc()
+                    self.expect(")")
+                    return NewSession(chan, lty, rty, left, right, span)
             name = self.ident()
             nxt = self.peek()
-            if nxt.kind == "(":
+            if nxt[0] == "(":
                 self.next()
                 args = []
-                if self.peek().kind != ")":
-                    args.append(self.ident().text)
-                    while self.peek().kind == ",":
+                if self.peek()[0] != ")":
+                    args.append(self.ident())
+                    while self.peek()[0] == ",":
                         self.next()
-                        args.append(self.ident().text)
+                        args.append(self.ident())
                 self.expect(")")
-                return Call(name.text, args, span)
-            if nxt.kind in ("!", "?"):
-                pol = self.next().kind
-                after = self.peek()
-                if after.kind == "{":
+                return Call(name, args, span)
+            if nxt[0] in ("!", "?"):
+                pol = self.next()[0]
+                after = self.peek()[0]
+                if after == "{":
                     self.next()
                     branches = self._branches(self.parse_proc)
                     self.expect("}")
-                    return TagComm(name.text, pol, branches, span)
-                if after.kind == "(":
+                    return TagComm(name, pol, branches, span)
+                if after == "(":
                     self.next()
                     if pol == "!":
                         payload = self.ident()
                         self.expect(")")
                         self.expect(".")
-                        return ChanOut(name.text, payload.text, self.parse_atom(), span)
+                        return ChanOut(name, payload, self.parse_atom(), span)
                     var = self.ident()
                     self.expect(":")
                     ann = self.parse_type()
                     self.expect(")")
                     self.expect(".")
-                    return ChanIn(name.text, var.text, ann, self.parse_atom(), span)
+                    return ChanIn(name, var, ann, self.parse_atom(), span)
                 label = self.ident()
                 self.expect(".")
                 cont = self.parse_atom()
-                return TagComm(name.text, pol, [(label.text, cont)], span)
-            raise SourceError(f"expected a process, found {nxt.text or nxt.kind!r}",
-                              nxt.line, nxt.col)
+                return TagComm(name, pol, [(label, cont)], span)
+            raise _error(f"expected a process, found {_found(nxt)}", nxt)
         finally:
             self.depth -= 1
 
@@ -501,35 +485,36 @@ class _Parser:
     def parse_program(self) -> SourceProgram:
         typedefs: list[tuple[str, TypeExpr, Span]] = []
         procdefs: list[ProcDef] = []
-        while self.peek().kind != "eof":
-            if self.at_keyword("type"):
-                t = self.next()
+        while self.peek()[0] != "eof":
+            if self.peek()[:2] == ("ident", "type"):
+                _, _, line, col = self.next()
                 name = self.ident()
                 self.expect("=")
-                typedefs.append((name.text, self.parse_type(), Span(t.line, t.col)))
+                typedefs.append((name, self.parse_type(), Span(line, col)))
             else:
+                _, _, line, col = self.peek()
                 name = self.ident()
                 self.expect("(")
                 params: list[tuple[str, TypeExpr]] = []
-                if self.peek().kind != ")":
+                if self.peek()[0] != ")":
                     params.append(self._param())
-                    while self.peek().kind == ",":
+                    while self.peek()[0] == ",":
                         self.next()
                         params.append(self._param())
                 self.expect(")")
                 rank_ann = None
-                if self.peek().kind == "@":
+                if self.peek()[0] == "@":
                     self.next()
                     rank_ann = self.nat()
                 self.expect("=")
                 body = self.parse_proc()
-                procdefs.append(ProcDef(name.text, params, rank_ann, body, Span(name.line, name.col)))
+                procdefs.append(ProcDef(name, params, rank_ann, body, Span(line, col)))
         return SourceProgram(typedefs, procdefs)
 
     def _param(self) -> tuple[str, TypeExpr]:
         var = self.ident()
         self.expect(":")
-        return var.text, self.parse_type()
+        return var, self.parse_type()
 
 
 def parse(text: str) -> SourceProgram:

@@ -28,11 +28,11 @@ MAX_STEPS = 200
 
 
 def _mutants(text: str, rnd: random.Random) -> list[str]:
-    toks = [t for t in lex(text) if t.kind != "eof"]
-    names = sorted({t.text for t in toks if t.kind == "ident" and t.text not in KEYWORDS})
+    toks = [t for t in lex(text) if t[0] != "eof"]  # (kind, text, line, col)
+    names = sorted({t[1] for t in toks if t[0] == "ident" and t[1] not in KEYWORDS})
     out = []
     for _ in range(MUTANTS_PER_FILE):
-        words = [t.text for t in toks]
+        words = [t[1] for t in toks]
         i = rnd.randrange(len(words))
         # half of the mutants are renames: most of them still parse
         kind = rnd.randrange(6)
@@ -44,7 +44,7 @@ def _mutants(text: str, rnd: random.Random) -> list[str]:
             j = rnd.randrange(len(words))
             words[i], words[j] = words[j], words[i]
         else:
-            i = rnd.choice([k for k, t in enumerate(toks) if t.text in names])
+            i = rnd.choice([k for k, t in enumerate(toks) if t[1] in names])
             words[i] = rnd.choice([n for n in names + ["q"] if n != words[i]])
         out.append(" ".join(words))
     return out

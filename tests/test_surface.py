@@ -1,6 +1,7 @@
 """Lexing, parsing, rendering, and name resolution."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 
 from fairchk.surface import (MAX_NESTING, Cast, ChanIn, ChanOut, Choice, Close,
                              Done, NewSession, SourceError, TagComm, TChan, TEnd,
-                             TName, TTags, Wait, load, parse, preorder,
+                             TName, TTags, Wait, lex, load, parse, preorder,
                              render_program, render_type, resolve)
 from fairchk.types import equiv
 
+import gen
 from conftest import CORPUS_RANKS, corpus_text
 from gen import random_source_program
+from oracles import lex_charwise
 
 
 def _same_source(a, b):
@@ -118,6 +121,83 @@ def test_spans_point_into_the_source():
     sp = parse("type E = end!\nMain() = done")
     assert sp.procdefs[0].span.line == 2
     assert sp.procdefs[0].body.span == type(sp.procdefs[0].body.span)(2, 10)
+
+
+def _tokens_or_error(lexer, text):
+    try:
+        return lexer(text)
+    except SourceError as err:
+        return str(err)
+
+
+def _lexer_inputs():
+    """The corpus, every generated family, and seeded random programs."""
+    yield from (corpus_text(name) for name in sorted(CORPUS_RANKS))
+    for n in (1, 5, 17):
+        yield gen.call_dag_source(n)
+        yield gen.session_chain_source(n)
+        yield gen.cascade_source(n)
+        yield gen.diverging_source(n)
+        yield gen.holding_source(n)
+        yield gen.holding_loop_source(n)
+        yield gen.shared_ladder_source(n)
+    yield from (gen.swarm_source(d) for d in (1, 4))
+    for source in gen.NESTED_SOURCES.values():
+        yield source(gen.deepest_admitted(source))
+        yield source(gen.deepest_admitted(source) + 1)
+    rnd = random.Random(8)
+    for _ in range(200):
+        yield render_program(random_source_program(rnd))
+        yield gen.random_runnable_source(rnd)
+
+
+def test_lexer_matches_charwise_oracle_on_programs():
+    for text in _lexer_inputs():
+        assert _tokens_or_error(lex, text) == _tokens_or_error(lex_charwise, text)
+
+
+def test_lexer_matches_charwise_oracle_on_corpus_prefixes():
+    for name in sorted(CORPUS_RANKS):
+        text = corpus_text(name)
+        for i in range(len(text) + 1):
+            assert _tokens_or_error(lex, text[:i]) == _tokens_or_error(lex_charwise, text[:i])
+
+
+# Every kind of token and blank, a lone dash and a leading apostrophe, and
+# then, one third as often, characters the lexer must refuse: form feed, a
+# non-ASCII letter, digits of other scripts and NUL.
+_LEXER_ALPHABET = "aZ_q09(){}[]:,./=!?+|@--''\t\r \n\n" * 3 + "\x0c\u00e9\u00b2\u0663\x00"
+
+
+def test_lexer_matches_charwise_oracle_on_random_text():
+    rnd = random.Random(88)
+    for _ in range(20_000):
+        text = "".join(rnd.choices(_LEXER_ALPHABET, k=rnd.randrange(40)))
+        assert _tokens_or_error(lex, text) == _tokens_or_error(lex_charwise, text)
+
+
+@pytest.mark.parametrize("end, where", [("", "1:20"), ("\n", "2:1")])
+def test_eof_after_a_comment(end, where):
+    # a comment takes no columns: eof sits where it starts, or on the next line
+    text = "P(x: end!) = close -- bye" + end
+    assert lex(text) == lex_charwise(text)
+    with pytest.raises(SourceError) as err:
+        parse(text)
+    assert str(err.value) == f"{where}: expected 'ident', found 'eof'"
+
+
+@pytest.mark.parametrize("text, lexer, where, msg", [
+    ("a" * 10**6 + "-", lex, "1:1000001", "unexpected character '-'"),
+    ("a b " * 250_000 + "'", lex, "1:1000001", 'unexpected character "\'"'),
+    ("P() = -- " + "a" * 10**6, parse, "1:7", "expected 'ident', found 'eof'"),
+], ids=["dash-after-long-name", "apostrophe-after-many-blanks", "long-comment"])
+def test_long_lines_lex_in_linear_time(text, lexer, where, msg):
+    # a pattern that backtracks over these lines would take ages, not milliseconds
+    started = time.perf_counter()
+    with pytest.raises(SourceError) as err:
+        lexer(text)
+    assert time.perf_counter() - started < 2.0
+    assert str(err.value) == f"{where}: {msg}"
 
 
 @pytest.mark.parametrize("bad", [
