@@ -10,6 +10,7 @@ and never when NO_COLOR is set.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -33,6 +34,24 @@ def _paint(text: str, good: bool) -> str:
 
 
 def _load_program(path: str) -> Program:
+    """Read and load a program, with the cyclic garbage collector paused.
+
+    Loading allocates a tuple per token and an object per syntax node, none
+    of which can form a cycle, so the collector's scans over them would find
+    nothing. Only the load is paused: argparse's parser and an indented
+    `json.dumps` do leave cycles behind.
+    """
+    collecting = gc.isenabled()
+    if collecting:
+        gc.disable()
+    try:
+        return _read_program(path)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _read_program(path: str) -> Program:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()

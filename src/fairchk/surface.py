@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from .types import TypeTable
 
@@ -60,20 +60,20 @@ class Span(NamedTuple):
 
 # Type expressions -----------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class TEnd:
     pol: str
     span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
 
-@dataclass
+@dataclass(slots=True)
 class TTags:
     pol: str
     branches: list[tuple[str, "TypeExpr"]]
     span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
 
-@dataclass
+@dataclass(slots=True)
 class TChan:
     pol: str
     payload: "TypeExpr"
@@ -81,7 +81,7 @@ class TChan:
     span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
 
-@dataclass
+@dataclass(slots=True)
 class TName:
     name: str
     span: Span = field(compare=False, repr=False, default=Span(0, 0))
@@ -92,32 +92,32 @@ TypeExpr = TEnd | TTags | TChan | TName
 
 # Process expressions --------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Done:
     span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
 
-@dataclass
+@dataclass(slots=True)
 class Call:
     name: str
     args: list[str]
     span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
 
-@dataclass
+@dataclass(slots=True)
 class Close:
     chan: str
     span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
 
-@dataclass
+@dataclass(slots=True)
 class Wait:
     chan: str
     cont: "ProcExpr"
     span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
 
-@dataclass
+@dataclass(slots=True)
 class TagComm:
     chan: str
     pol: str
@@ -125,7 +125,7 @@ class TagComm:
     span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
 
-@dataclass
+@dataclass(slots=True)
 class ChanOut:
     chan: str
     payload: str
@@ -133,7 +133,7 @@ class ChanOut:
     span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
 
-@dataclass
+@dataclass(slots=True)
 class ChanIn:
     chan: str
     var: str
@@ -143,7 +143,7 @@ class ChanIn:
     tid: Optional[int] = field(compare=False, default=None)
 
 
-@dataclass
+@dataclass(slots=True)
 class Choice:
     k: int
     left: "ProcExpr"
@@ -151,7 +151,7 @@ class Choice:
     span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
 
-@dataclass
+@dataclass(slots=True)
 class NewSession:
     chan: str
     lty: TypeExpr
@@ -163,7 +163,7 @@ class NewSession:
     rtid: Optional[int] = field(compare=False, default=None)
 
 
-@dataclass
+@dataclass(slots=True)
 class Cast:
     chan: str
     target: TypeExpr
@@ -274,10 +274,28 @@ def _found(t: Token) -> str:
     return repr(t[1] or t[0])
 
 
+def _expected(kind: str, t: Token) -> SourceError:
+    return _error(f"expected {kind!r}, found {_found(t)}", t)
+
+
+def _name(t: Token) -> str:
+    """The text of an identifier token that is not a keyword."""
+    if t[0] != "ident":
+        raise _expected("ident", t)
+    if t[1] in KEYWORDS:
+        raise _error(f"keyword {t[1]!r} cannot be used as a name", t)
+    return t[1]
+
+
 class _Parser:
+    # The hot paths (`parse_type`, `_branches`, the `type NAME =` header)
+    # index `self.toks` directly; the rest goes through peek/next/expect.
+
     def __init__(self, toks: list[Token]):
         # A copy of eof past the end keeps a lookahead after it in bounds.
-        self.toks = toks + toks[-1:]
+        # The list is lex's own, so it is padded in place, not copied.
+        toks.append(toks[-1])
+        self.toks = toks
         self.pos = 0
         self.depth = 0
 
@@ -299,14 +317,13 @@ class _Parser:
         t = self.toks[self.pos]
         self.pos += 1
         if t[0] != kind:
-            raise _error(f"expected {kind!r}, found {_found(t)}", t)
+            raise _expected(kind, t)
         return t
 
     def ident(self) -> str:
-        t = self.expect("ident")
-        if t[1] in KEYWORDS:
-            raise _error(f"keyword {t[1]!r} cannot be used as a name", t)
-        return t[1]
+        t = self.toks[self.pos]
+        self.pos += 1
+        return _name(t)
 
     def nat(self) -> int:
         t = self.expect("nat")
@@ -320,53 +337,70 @@ class _Parser:
     def parse_type(self) -> TypeExpr:
         self.descend()
         try:
-            t = self.peek()
+            toks, pos = self.toks, self.pos
+            t = toks[pos]
             kind, text, line, col = t
-            span = Span(line, col)
-            if kind == "ident" and text == "end":
-                self.next()
-                pol = self.next()
-                if pol[0] not in ("!", "?"):
-                    raise _error("expected '!' or '?' after 'end'", pol)
-                return TEnd(pol[0], span)
-            if kind in ("!", "?"):
-                self.next()
-                opener = self.next()
-                if opener[0] == "{":
-                    branches = self._branches(self.parse_type)
-                    self.expect("}")
-                    return TTags(kind, branches, span)
-                if opener[0] == "(":
-                    payload = self.parse_type()
-                    self.expect(")")
-                    self.expect(".")
-                    cont = self.parse_type()
-                    return TChan(kind, payload, cont, span)
-                raise _error("expected '{' or '(' after polarity", opener)
             if kind == "ident":
-                self.next()
+                if text == "end":
+                    pol = toks[pos + 1][0]
+                    self.pos = pos + 2
+                    if pol not in ("!", "?"):
+                        raise _error("expected '!' or '?' after 'end'", toks[pos + 1])
+                    return TEnd(pol, Span(line, col))
+                self.pos = pos + 1
                 if text in KEYWORDS:
                     raise _error(f"keyword {text!r} is not a type", t)
-                return TName(text, span)
+                return TName(text, Span(line, col))
+            if kind in ("!", "?"):
+                opener = toks[pos + 1]
+                self.pos = pos + 2
+                if opener[0] == "{":
+                    branches = self._branches(self.parse_type)
+                    close = toks[self.pos]
+                    self.pos += 1
+                    if close[0] != "}":
+                        raise _expected("}", close)
+                    return TTags(kind, branches, Span(line, col))
+                if opener[0] == "(":
+                    payload = self.parse_type()
+                    close, dot = toks[self.pos], toks[self.pos + 1]
+                    if close[0] != ")":
+                        raise _expected(")", close)
+                    if dot[0] != ".":
+                        raise _expected(".", dot)
+                    self.pos += 2
+                    return TChan(kind, payload, self.parse_type(), Span(line, col))
+                raise _error("expected '{' or '(' after polarity", opener)
             raise _error(f"expected a type, found {_found(t)}", t)
         finally:
             self.depth -= 1
 
     def _branches(self, item: Callable[[], Any]) -> list[tuple[str, Any]]:
-        """`LABEL ":" item ("," LABEL ":" item)*`, with distinct labels."""
+        """`LABEL ":" item ("," LABEL ":" item)*`, with distinct labels.
+
+        A repeated label is reported where it first repeats, once the whole
+        list has parsed, so a syntax error later in the list comes first.
+        """
+        toks = self.toks
         branches = []
+        seen: set[str] = set()
+        repeated = None
         while True:
-            label = self.ident()
-            self.expect(":")
-            branches.append((label, item()))
-            if self.peek()[0] != ",":
-                break
-            self.next()
-        seen = set()
-        for label, _ in branches:
+            t = toks[self.pos]
+            label = _name(t)
+            colon = toks[self.pos + 1]
+            if colon[0] != ":":
+                raise _expected(":", colon)
+            self.pos += 2
             if label in seen:
-                raise _error(f"duplicate label {label!r}", self.peek())
+                repeated = repeated or t
             seen.add(label)
+            branches.append((label, item()))
+            if toks[self.pos][0] != ",":
+                break
+            self.pos += 1
+        if repeated:
+            raise _error(f"duplicate label {repeated[1]!r}", repeated)
         return branches
 
     # -- processes --------------------------------------------------------
@@ -485,11 +519,15 @@ class _Parser:
     def parse_program(self) -> SourceProgram:
         typedefs: list[tuple[str, TypeExpr, Span]] = []
         procdefs: list[ProcDef] = []
-        while self.peek()[0] != "eof":
-            if self.peek()[:2] == ("ident", "type"):
-                _, _, line, col = self.next()
-                name = self.ident()
-                self.expect("=")
+        toks = self.toks
+        while toks[self.pos][0] != "eof":
+            kind, text, line, col = toks[self.pos]
+            if kind == "ident" and text == "type":
+                name = _name(toks[self.pos + 1])
+                eq = toks[self.pos + 2]
+                if eq[0] != "=":
+                    raise _expected("=", eq)
+                self.pos += 3
                 typedefs.append((name, self.parse_type(), Span(line, col)))
             else:
                 _, _, line, col = self.peek()
@@ -585,6 +623,19 @@ def render_program(sp: SourceProgram) -> str:
 
 # Resolution -----------------------------------------------------------------
 
+# the label and the subtree of a (label, subtree) branch
+_label, _subtree = itemgetter(0), itemgetter(1)
+
+
+def _subtypes(t: TypeExpr) -> Iterator[TypeExpr]:
+    """The direct sub-expressions of a type expression, in source order."""
+    if isinstance(t, TTags):
+        return map(_subtree, t.branches)
+    if isinstance(t, TChan):
+        return iter((t.payload, t.cont))
+    return iter(())
+
+
 def resolve(sp: SourceProgram) -> Program:
     """Check names, reject non-contractive typedefs, intern all annotations."""
     by_name: dict[str, TypeExpr] = {}
@@ -622,22 +673,58 @@ def resolve(sp: SourceProgram) -> Program:
         if not isinstance(body, TName):
             slots[name] = table.placeholder(hint=name)
 
-    def intern(t: TypeExpr, slot: Optional[int] = None) -> int:
-        """The id of t; a constructor goes into `slot` when one is given."""
-        if isinstance(t, TName):
-            if t.name not in by_name:
-                raise SourceError(f"undefined type name {t.name!r}", t.span.line, t.span.col)
-            return slots[chase(t.name)]
-        if isinstance(t, TEnd):
-            node: tuple = ("end", t.pol)
-        elif isinstance(t, TTags):
-            node = ("tags", t.pol, tuple((l, intern(b)) for l, b in t.branches))
-        else:
-            node = ("chan", t.pol, intern(t.payload), intern(t.cont))
-        if slot is None:
-            return table.add(node)
-        table.fill(slot, node)
-        return slot
+    # type name -> the id it stands for; an alias is added at its first use
+    ids = dict(slots)
+
+    def name_id(t: TName) -> int:
+        """The id of a name not yet in `ids`: an alias, or an undefined name."""
+        if t.name not in by_name:
+            raise SourceError(f"undefined type name {t.name!r}", t.span.line, t.span.col)
+        ids[t.name] = slots[chase(t.name)]
+        return ids[t.name]
+
+    def intern(root: TypeExpr, slot: Optional[int] = None) -> int:
+        """The id of root; a constructor goes into `slot` when one is given.
+
+        A post-order walk on an explicit stack of (node, iterator over its
+        children): children are interned left to right before their parent,
+        so the ids and the first error are those of a left-to-right
+        recursion. A leaf is interned where it is met; a node whose children
+        are done takes their ids off the end of `done`.
+        """
+        if isinstance(root, TName):
+            tid = ids.get(root.name)
+            return name_id(root) if tid is None else tid
+        done: list[int] = []
+        stack = [(root, _subtypes(root))]
+        while stack:
+            t, rest = stack[-1]
+            for c in rest:  # resumes after the child last descended into
+                if isinstance(c, TName):
+                    tid = ids.get(c.name)
+                    done.append(name_id(c) if tid is None else tid)
+                elif isinstance(c, TEnd):
+                    done.append(table.add(("end", c.pol)))
+                else:
+                    stack.append((c, _subtypes(c)))
+                    break
+            else:
+                stack.pop()
+                if isinstance(t, TTags):
+                    cut = len(done) - len(t.branches)
+                    node: tuple = ("tags", t.pol, tuple(zip(map(_label, t.branches), done[cut:])))
+                    del done[cut:]
+                elif isinstance(t, TChan):
+                    cont = done.pop()
+                    node = ("chan", t.pol, done.pop(), cont)
+                else:
+                    node = ("end", t.pol)
+                if slot is not None and not stack:  # the root is finished last
+                    table.fill(slot, node)
+                    done.append(slot)
+                else:
+                    done.append(table.add(node))
+        return done[0]
 
     typedefs: dict[str, int] = {}
     for name, body, _ in sp.typedefs:

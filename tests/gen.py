@@ -228,6 +228,29 @@ def random_source_program(rnd: random.Random) -> SourceProgram:
     return SourceProgram(typedefs, procdefs)
 
 
+def random_naming_program(rnd: random.Random) -> SourceProgram:
+    """Typedefs that name each other in any order, through aliases, alias
+    cycles and an undefined name U, and annotations that use them: the
+    inputs on which name resolution succeeds or fails in many ways."""
+    defined = [f"T{i}" for i in range(rnd.randint(1, 4))]
+    names = tuple(defined + ["U"])
+    typedefs = []
+    for name in defined:
+        if rnd.random() < 0.4:
+            body = TName(rnd.choice(names))
+        else:
+            body = random_type_expr(rnd, 3, names)
+        typedefs.append((name, body, Span(0, 0)))
+
+    def ty():
+        return random_type_expr(rnd, 2, names)
+
+    params = [(v, ty()) for v in rnd.sample(IDENTS, rnd.randint(0, 2))]
+    cast = Cast("y", ty(), None, Done())
+    body = NewSession("x", ty(), ty(), Done(), ChanIn("y", "z", ty(), cast))
+    return SourceProgram(typedefs, [ProcDef("P0", params, None, body)])
+
+
 # -- structural programs for the rank equations --------------------------------
 
 RANK_DEFS = ["A0", "A1", "A2"]

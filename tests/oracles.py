@@ -13,8 +13,10 @@ graph, free channels by recursion instead of one pass per definition,
 least closures and reachability by Kleene rounds instead of worklists,
 type rendering, duality and the typing walk by recursion instead of an
 explicit stack, the interpreter's redexes by a rebuild of the whole list at every step instead
-of an index that re-reads only the threads a step touched, and tokens by a
-loop over single characters instead of a regular expression per line.
+of an index that re-reads only the threads a step touched, tokens by a
+loop over single characters instead of a regular expression per line, and
+the interning of type annotations by recursion, with a fresh alias chase
+per name, instead of a post-order stack and a memo per name.
 """
 
 import string
@@ -23,8 +25,9 @@ from fairchk.runtime import Handle, Soup
 from fairchk.semantics import compatible, session_rank
 from fairchk.subtyping import Simulation, _premises, _violation, fair_subtype, simulate
 from fairchk.surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
-                             NewSession, ProcExpr, Program, SourceError, TagComm,
-                             Wait)
+                             NewSession, ProcDef, ProcExpr, Program, SourceError,
+                             SourceProgram, TagComm, TEnd, TName, TTags, TypeExpr,
+                             Wait, preorder)
 from fairchk.typecheck import Checker, _Abort, free_channels
 from fairchk.types import INF, OUT, TypeTable, co, equiv, reachable_pairs
 
@@ -76,6 +79,101 @@ def lex_charwise(src: str) -> list[tuple[str, str, int, int]]:
             raise SourceError(f"unexpected character {c!r}", line, col)
     toks.append(("eof", "", line, col))
     return toks
+
+
+# -- name resolution by recursion --------------------------------------------------
+
+def resolve_recursive(sp: SourceProgram) -> Program:
+    """`surface.resolve` with `intern` recursing on the type expression."""
+    by_name: dict[str, TypeExpr] = {}
+    for name, body, span in sp.typedefs:
+        if name in by_name:
+            raise SourceError(f"duplicate type definition {name!r}", span.line, span.col)
+        by_name[name] = body
+
+    # A typedef whose body is a bare name is an alias. Follow alias chains
+    # now so cycles that never cross a constructor are caught up front. A
+    # chain is followed by a loop, and every alias on it remembers where it
+    # ends, so each alias is resolved once however long the chains are.
+    ends: dict[str, str] = {}
+
+    def chase(name: str) -> str:
+        path: dict[str, None] = {}  # insertion-ordered, constant-time lookup
+        while name not in ends and isinstance(by_name[name], TName):
+            body = by_name[name]
+            if body.name not in by_name:
+                raise SourceError(f"undefined type name {body.name!r}",
+                                  body.span.line, body.span.col)
+            path[name] = None
+            if body.name in path:
+                raise SourceError(f"non-contractive type definition {name!r}",
+                                  body.span.line, body.span.col)
+            name = body.name
+        end = ends.get(name, name)
+        for alias in path:
+            ends[alias] = end
+        return end
+
+    table = TypeTable()
+    slots: dict[str, int] = {}
+    for name, body, _ in sp.typedefs:
+        if not isinstance(body, TName):
+            slots[name] = table.placeholder(hint=name)
+
+    def intern(t: TypeExpr, slot: int | None = None) -> int:
+        """The id of t; a constructor goes into `slot` when one is given."""
+        if isinstance(t, TName):
+            if t.name not in by_name:
+                raise SourceError(f"undefined type name {t.name!r}", t.span.line, t.span.col)
+            return slots[chase(t.name)]
+        if isinstance(t, TEnd):
+            node: tuple = ("end", t.pol)
+        elif isinstance(t, TTags):
+            node = ("tags", t.pol, tuple((l, intern(b)) for l, b in t.branches))
+        else:
+            node = ("chan", t.pol, intern(t.payload), intern(t.cont))
+        if slot is None:
+            return table.add(node)
+        table.fill(slot, node)
+        return slot
+
+    typedefs: dict[str, int] = {}
+    for name, body, _ in sp.typedefs:
+        # a typedef fills its slot in place rather than via add(), to keep
+        # the name tied to a stable id even when an identical anonymous
+        # shape exists
+        if not isinstance(body, TName):
+            typedefs[name] = intern(body, slots[name])
+    for name, body, span in sp.typedefs:
+        if isinstance(body, TName):
+            typedefs[name] = slots[chase(name)]
+    table.type_names = typedefs
+
+    procs: dict[str, ProcDef] = {}
+    for d in sp.procdefs:
+        if d.name in procs:
+            raise SourceError(f"duplicate process definition {d.name!r}", d.span.line, d.span.col)
+        procs[d.name] = d
+
+    for d in procs.values():
+        seen_params = set()
+        for v, _ in d.params:
+            if v in seen_params:
+                raise SourceError(f"duplicate parameter {v!r} in {d.name}", d.span.line, d.span.col)
+            seen_params.add(v)
+        d.param_tids = [intern(t) for _, t in d.params]
+        for p in preorder(d.body):
+            if isinstance(p, Call) and p.name not in procs:
+                raise SourceError(f"undefined process name {p.name!r}", p.span.line, p.span.col)
+            if isinstance(p, ChanIn):
+                p.tid = intern(p.ann)
+            elif isinstance(p, Cast):
+                p.tid = intern(p.target)
+            elif isinstance(p, NewSession):
+                p.ltid = intern(p.lty)
+                p.rtid = intern(p.rty)
+
+    return Program(table, typedefs, procs)
 
 
 # -- raw transitions of one endpoint type ------------------------------------------

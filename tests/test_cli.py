@@ -5,12 +5,13 @@ stdout, and stderr. Exit code contract: 0 success/holds, 1 fails/rejected,
 2 usage or parse errors.
 """
 
+import gc
 import json
 
 import pytest
 
 from conftest import CORPUS, corpus_path
-from fairchk import schema
+from fairchk import cli, schema
 from fairchk.cli import _color_enabled, main
 from fairchk.surface import MAX_NESTING
 from gen import NESTED_SOURCES, deepest_admitted, diverging_source, shared_ladder_source
@@ -160,6 +161,51 @@ def test_unknown_type_name_exits_two(capsys):
         main(["subtype", corpus_path("bsc"), "SB", "NoSuchType"])
     assert exc.value.code == 2
     assert "NoSuchType" in capsys.readouterr().err
+
+
+def _collector_cases(tmp_path):
+    """(argv, exit code) of each way main can end after or inside a load."""
+    bad = tmp_path / "bad.ft"
+    bad.write_text("Main() = close close\n")
+    latin = tmp_path / "latin.ft"
+    latin.write_bytes(b"Main() = done\n\xff")
+    return [(["check", corpus_path("bsc")], 0), (["check", corpus_path("fwd")], 1),
+            (["check", str(bad)], 2), (["check", str(latin)], 2),
+            (["check", str(tmp_path / "missing.ft")], 2), (["check", "--no-such-flag"], 2)]
+
+
+def _set_collector(on):
+    if on:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_state_is_restored(enabled, tmp_path, capsys, monkeypatch):
+    # the load runs with the collector paused, whatever the state before
+    during = []
+
+    def watched_load(text):
+        during.append(gc.isenabled())
+        return load(text)
+
+    load = cli.load
+    monkeypatch.setattr(cli, "load", watched_load)
+    was = gc.isenabled()
+    try:
+        for argv, want in _collector_cases(tmp_path):
+            _set_collector(enabled)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert code == want, argv
+            assert gc.isenabled() is enabled, argv
+    finally:
+        _set_collector(was)
+    capsys.readouterr()
+    assert during == [False] * 3
 
 
 def test_missing_subcommand_exits_two(capsys):

@@ -1,5 +1,6 @@
 """Lexing, parsing, rendering, and name resolution."""
 
+import gc
 import random
 import time
 
@@ -16,7 +17,7 @@ from fairchk.types import equiv
 import gen
 from conftest import CORPUS_RANKS, corpus_text
 from gen import random_source_program
-from oracles import lex_charwise
+from oracles import lex_charwise, resolve_recursive
 
 
 def _same_source(a, b):
@@ -218,6 +219,28 @@ def test_parse_errors(bad):
     assert err.value.line >= 1 and err.value.col >= 1
 
 
+@pytest.mark.parametrize("source, message", [
+    ("type T = !{a: end!, a: end!}", "1:21: duplicate label 'a'"),
+    ("Main() = x?{a: close x, b: close x, a: close x}", "1:37: duplicate label 'a'"),
+    ("type T = !{b: end!, a: end!, b: end?, a: end?}", "1:30: duplicate label 'b'"),
+])
+def test_duplicate_label_is_reported_at_the_repeat(source, message):
+    # at the first label that repeats an earlier one
+    with pytest.raises(SourceError) as err:
+        parse(source)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("source, message", [
+    ("type T = !{a: end!, a: end!, b: }", "1:33: expected a type, found '}'"),
+    ("Main() = x?{a: done, a: done, b done}", "1:33: expected ':', found 'done'"),
+])
+def test_a_later_syntax_error_in_the_list_comes_first(source, message):
+    with pytest.raises(SourceError) as err:
+        parse(source)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff11"])
 def test_numbers_are_ascii_digits_only(digit):
     # str.isdigit() holds for each, but the grammar's NAT is ASCII
@@ -313,6 +336,81 @@ def test_resolution_interns_annotations():
     assert body.ltid is not None and body.rtid is not None
     want = program.table.add(("tags", "!", (("a", program.table.add(("end", "!"))),)))
     assert equiv(program.table, body.ltid, want)
+
+
+# name resolution against the recursive oracle, and the acyclic load
+
+# every gen family at a small and a large size
+FAMILY_SIZES = [
+    (gen.call_dag_source, 3, 400), (gen.session_chain_source, 3, 60),
+    (gen.swarm_source, 1, 7), (gen.cascade_source, 3, 400),
+    (gen.diverging_source, 3, 400), (gen.holding_source, 3, 200),
+    (gen.holding_loop_source, 3, 200), (gen.shared_ladder_source, 3, 200),
+]
+
+
+def _load_inputs(draws):
+    """The corpus, the gen families, nested shapes at the bound, random draws."""
+    yield from (corpus_text(name) for name in sorted(CORPUS_RANKS))
+    for family, small, large in FAMILY_SIZES:
+        yield family(small)
+        yield family(large)
+    for source in gen.NESTED_SOURCES.values():
+        yield source(gen.deepest_admitted(source))
+    rnd = random.Random(9)
+    for _ in range(draws):
+        yield render_program(random_source_program(rnd))
+
+
+def _resolution(resolver, text):
+    """Everything resolution computes from text, or its error."""
+    try:
+        program = resolver(parse(text))
+    except SourceError as err:
+        return str(err)
+    table = program.table
+    annotations = [(d.name, d.param_tids,
+                    [(p.tid,) if isinstance(p, (ChanIn, Cast)) else (p.ltid, p.rtid)
+                     for p in preorder(d.body) if isinstance(p, (ChanIn, Cast, NewSession))])
+                   for d in program.procs.values()]
+    return (table.nodes, list(table.name_hint.items()), list(table.type_names.items()),
+            list(program.typedefs.items()), annotations)
+
+
+def test_resolve_matches_recursive_oracle():
+    rnd = random.Random(10)
+    naming = [render_program(gen.random_naming_program(rnd)) for _ in range(2000)]
+    outcomes = set()
+    for text in [*_load_inputs(2000), *naming]:
+        got = _resolution(resolve, text)
+        assert got == _resolution(resolve_recursive, text), text
+        outcomes.add(got.split(": ")[1].split(" '")[0] if isinstance(got, str) else "ok")
+    # the inputs resolve, and fail on undefined and on cyclic names
+    assert outcomes == {"ok", "undefined type name", "non-contractive type definition",
+                        "undefined process name"}
+
+
+def test_load_leaves_no_cyclic_garbage():
+    # the premise of the collector's pause in cli._load_program
+    inputs = list(_load_inputs(1000))
+    loaded = 0
+    collecting = gc.isenabled()
+    gc.disable()
+    gc.freeze()  # a full collection then scans only what the loop allocates
+    try:
+        for text in inputs:
+            gc.collect()
+            try:
+                load(text)
+            except SourceError:
+                continue
+            assert gc.collect() == 0, text
+            loaded += 1
+    finally:
+        gc.unfreeze()
+        if collecting:
+            gc.enable()
+    assert loaded > len(inputs) // 2
 
 
 # hypothesis: the parser is total (SourceError or an AST, nothing else)
