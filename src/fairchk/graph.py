@@ -6,7 +6,8 @@ Every least set closed backwards along edges (bounded occurrences,
 configurations that can terminate, dead simulation pairs) is one call of
 `closure`. Every forward search (the nodes of a type, the pair carrier of
 a subtyping or equivalence question, a subtyping witness and its failure
-pair, the configuration graph) is one call of `reach`.
+pair, the configuration graph, a layer of the session rank's search) is
+one call of `reach`.
 """
 
 from __future__ import annotations

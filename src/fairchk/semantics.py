@@ -11,7 +11,6 @@ synchronizations the shortest terminating schedule needs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .graph import closure, reach, reverse
@@ -91,28 +90,22 @@ def compatible(table: TypeTable, s: int, t: int) -> bool:
 def session_rank(table: TypeTable, s: int, t: int) -> int | float:
     """One plus the synchronization length of the shortest terminating run.
 
-    Picks are free, synchronizations cost one; a 0-1 BFS over the config
-    graph finds the cheapest path into the success set.
+    Picks are free and synchronizations cost one, so the config graph is
+    searched in layers: layer d holds the configurations first reached
+    after d synchronizations, closed under picks.
     """
     g = build_config_graph(table, s, t)
-    dist = {g.root: 0}
-    queue: deque[Config] = deque([g.root])
-    settled: set[Config] = set()
-    while queue:
-        c = queue.popleft()
-        if c in settled:
-            continue
-        settled.add(c)
-        if c in g.success:
-            return 1 + dist[c]
-        for d in g.tau[c]:
-            if dist[c] < dist.get(d, INF):
-                dist[d] = dist[c]
-                queue.appendleft(d)
-        for _, d in g.sync[c]:
-            if dist[c] + 1 < dist.get(d, INF):
-                dist[d] = dist[c] + 1
-                queue.append(d)
+    seen: set[Config] = set()
+    roots = [g.root]
+    d = 0
+    while roots:
+        layer = list(reach([c for c in roots if c not in seen],
+                           lambda c: [e for e in g.tau[c] if e not in seen]))
+        if not g.success.isdisjoint(layer):
+            return 1 + d
+        seen.update(layer)
+        roots = [e for c in layer for _, e in g.sync[c]]
+        d += 1
     return INF
 
 

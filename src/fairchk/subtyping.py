@@ -24,39 +24,40 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graph import closure, cyclic, reach, reverse, tarjan
-from .types import INF, OUT, TypeTable, equiv, reachable_pairs
+from .types import INF, OUT, TypeTable, _matched, equiv, reachable_pairs
 
 Pair = tuple[int, int]
 
 
-def _violation(table: TypeTable, u: int, v: int) -> Optional[str]:
-    """Reason this pair breaks the simulation shape rules, or None."""
+def _judge(table: TypeTable, u: int, v: int) -> tuple[str, Optional[list[Pair]]]:
+    """How a pair fares under the simulation rules, read once.
+
+    A pair that breaks a shape rule gives the reason and None. Any other
+    pair gives the name of its weight equation ("end", "chan", "max",
+    "strict" or "equal") and its premises, the matched descent of its two
+    nodes without a channel's payload pair.
+    """
     nu, nv = table.node(u), table.node(v)
     if nu[0] != nv[0]:
-        return "shape mismatch"
+        return "shape mismatch", None
     if nu[1] != nv[1]:
-        return "polarity mismatch"
-    if nu[0] == "tags":
-        lu, lv = set(dict(nu[2])), set(dict(nv[2]))
-        if nu[1] == OUT:
-            if not lv <= lu:
-                return "supertype outputs a label the subtype lacks"
-        elif not lu <= lv:
-            return "supertype misses an input branch of the subtype"
-    elif nu[0] == "chan" and not equiv(table, nu[2], nv[2]):
-        return "channel payload types differ"
-    return None
-
-
-def _premises(table: TypeTable, u: int, v: int) -> list[Pair]:
-    """Premise pairs of a shape-valid simulation pair, in a fixed order."""
-    nu, nv = table.node(u), table.node(v)
-    if nu[0] == "tags":
-        bu, bv = dict(nu[2]), dict(nv[2])
-        return [(bu[l], bv[l]) for l in sorted(set(bu) & set(bv))]
+        return "polarity mismatch", None
+    if nu[0] == "end":
+        return "end", []
     if nu[0] == "chan":
-        return [(nu[3], nv[3])]
-    return []
+        if not equiv(table, nu[2], nv[2]):
+            return "channel payload types differ", None
+        return "chan", _matched(table, u, v)[1:]
+    lu, lv = dict(nu[2]).keys(), dict(nv[2]).keys()
+    if nu[1] != OUT:
+        if not lu <= lv:
+            return "supertype misses an input branch of the subtype", None
+        rule = "max"
+    elif not lv <= lu:
+        return "supertype outputs a label the subtype lacks", None
+    else:
+        rule = "strict" if lv < lu else "equal"
+    return rule, _matched(table, u, v)
 
 
 @dataclass
@@ -66,45 +67,36 @@ class Simulation:
     witness: list[Pair]
     # shape-violating pair that undermines the root, with its reason
     failure: Optional[tuple[Pair, str]]
+    # weight equation and premise pairs of each witness pair
+    equation: dict[Pair, str]
+    premises: dict[Pair, list[Pair]]
 
 
 def simulate(table: TypeTable, s: int, t: int) -> Simulation:
     """Greatest fixpoint of the simulation rules over reachable pairs.
 
-    Each shape-valid pair's premises are computed once. The dead pairs
-    are a backward closure: the shape violations, and every pair with a
-    dead premise.
+    Each pair is judged once. The dead pairs are a backward closure: the
+    shape violations, and every pair with a dead premise.
     """
-    carrier = reachable_pairs(table, s, t)
-    reason = {p: _violation(table, *p) for p in carrier}
-    premises = {p: _premises(table, *p) for p in carrier if reason[p] is None}
-    dead = closure([p for p in carrier if reason[p] is not None], reverse(premises))
+    judged = {p: _judge(table, *p) for p in reachable_pairs(table, s, t)}
+    premises = {p: prem for p, (_, prem) in judged.items() if prem is not None}
+    dead = closure([p for p in judged if p not in premises], reverse(premises))
 
     root = (s, t)
     if root not in dead:
         # every premise of a surviving pair survives, so the witness is all
         # of the pairs reachable from the root, breadth first
-        return Simulation(True, list(reach([root], premises.__getitem__)), None)
+        witness = list(reach([root], premises.__getitem__))
+        return Simulation(True, witness, None, {p: judged[p][0] for p in witness},
+                          {p: premises[p] for p in witness})
     # The first shape violation breadth first from the root, along premise
     # edges of shape-valid pairs, is the root cause of the removal cascade.
-    p = next(p for p in reach([root], premises.__getitem__) if reason[p] is not None)
-    return Simulation(False, [], (p, reason[p]))
+    p = next(p for p in reach([root], premises.__getitem__) if p not in premises)
+    return Simulation(False, [], (p, judged[p][0]), {}, {})
 
 
 def unfair_subtype(table: TypeTable, s: int, t: int) -> bool:
     return simulate(table, s, t).holds
-
-
-def _rule(table: TypeTable, u: int, v: int) -> str:
-    """Which weight equation a shape-valid pair obeys."""
-    nu, nv = table.node(u), table.node(v)
-    if nu[0] != "tags":
-        return nu[0]  # "end" or "chan"
-    if nu[1] != OUT:
-        return "max"
-    if set(dict(nv[2])) < set(dict(nu[2])):
-        return "strict"
-    return "equal"
 
 
 def _equation(rule: str, prem: list[int | float]) -> int | float:
@@ -117,8 +109,8 @@ def _equation(rule: str, prem: list[int | float]) -> int | float:
     return min(1 + min(prem), max(prem))
 
 
-def solve_weights(table: TypeTable, witness: list[Pair]) -> dict[Pair, int | float]:
-    """Least solution of the weight system, restricted to the witness.
+def solve_weights(sim: Simulation) -> dict[Pair, int | float]:
+    """Least solution of the weight system on the simulation's witness.
 
     Finite components of the least solution stay within K = number of
     pairs, so anything above K is clamped to ∞. The premise graph is
@@ -126,19 +118,17 @@ def solve_weights(table: TypeTable, witness: list[Pair]) -> dict[Pair, int | flo
     pair off every cycle evaluates its equation once, and a cycle is
     settled level by level in `_settle_cycle`.
     """
-    pairs = set(witness)
-    prem = {p: [q for q in _premises(table, *p) if q in pairs] for p in witness}
-    rule = {p: _rule(table, *p) for p in witness}
-    cutoff = len(witness)
+    prem, rule = sim.premises, sim.equation
+    cutoff = len(sim.witness)
     rk: dict[Pair, int | float] = {}
-    for scc in tarjan(witness, prem):
+    for scc in tarjan(sim.witness, prem):
         if cyclic(scc, prem):
             _settle_cycle(scc, prem, rule, rk, cutoff)
         else:
             p = scc[0]
             w = _equation(rule[p], [rk[q] for q in prem[p]])
             rk[p] = INF if w > cutoff else w
-    return {p: rk[p] for p in witness}
+    return {p: rk[p] for p in sim.witness}
 
 
 def _settle_cycle(scc: list[Pair], prem: dict[Pair, list[Pair]],
@@ -187,7 +177,7 @@ def subtype_weight(table: TypeTable, s: int, t: int) -> int | float:
     sim = simulate(table, s, t)
     if not sim.holds:
         raise ValueError("subtype_weight requires the simulation to hold")
-    return solve_weights(table, sim.witness)[(s, t)]
+    return solve_weights(sim)[(s, t)]
 
 
 @dataclass
@@ -226,7 +216,7 @@ def fair_subtype(table: TypeTable, s: int, t: int) -> SubtypeVerdict:
     if not sim.holds:
         pair, why = sim.failure  # type: ignore[misc]
         return SubtypeVerdict(False, INF, ("not-simulated", pair, why), 0)
-    rk = solve_weights(table, sim.witness)
+    rk = solve_weights(sim)
     for p in sim.witness:
         if rk[p] == INF:
             return SubtypeVerdict(False, INF, ("diverges", p, "weight is infinite"),
@@ -237,4 +227,4 @@ def fair_subtype(table: TypeTable, s: int, t: int) -> SubtypeVerdict:
 def diverges(table: TypeTable, s: int, t: int) -> bool:
     """Simulation holds but the refinement can be postponed forever."""
     sim = simulate(table, s, t)
-    return sim.holds and solve_weights(table, sim.witness)[(s, t)] == INF
+    return sim.holds and solve_weights(sim)[(s, t)] == INF

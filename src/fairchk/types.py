@@ -294,8 +294,8 @@ def is_bounded(table: TypeTable, i: int) -> bool:
 def reachable_pairs(table: TypeTable, a: int, b: int) -> set[tuple[int, int]]:
     """Product closure under matched descent.
 
-    This is the carrier on which subtyping simulations and weight systems
-    are solved.
+    This is the carrier on which subtyping simulations are solved. The
+    weight system is solved on the simulation's witness, a part of it.
     """
     return set(reach([(a, b)], lambda p: _matched(table, *p)))
 

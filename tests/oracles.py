@@ -2,15 +2,17 @@
 
 Nothing here shares algorithmic structure with the implementation: tree
 equivalence is decided by bounded expansion instead of bisimulation, the
-session rank by Bellman-Ford value iteration over marker states instead of
-0-1 BFS over materialized singletons, the subtyping weight by a bounded
-derivation search and by Kleene rounds instead of the component-by-
-component level solver, the simulation by full sweeps instead of a
-worklist, typing by unfolding definitions instead of the coinductive
-assumption set, ranks and action bounds by walks that unfold each
-definition at most once instead of fixpoints over the termination-path
-graph, free channels by recursion instead of one pass per definition,
-least closures and reachability by Kleene rounds instead of worklists,
+session rank by Bellman-Ford value iteration over marker states and by a
+0-1 BFS instead of a layered search over materialized singletons, the
+subtyping weight by a bounded derivation search and by Kleene rounds
+instead of the component-by-component level solver, the simulation by full
+sweeps instead of a worklist, with a pair's shape rules, premises and
+weight equation read by three functions instead of one, typing by
+unfolding definitions instead of the coinductive assumption set, ranks
+and action bounds by walks that unfold each definition at most once
+instead of fixpoints over the termination-path graph, free channels by
+recursion instead of one pass per definition, least closures and
+reachability by Kleene rounds instead of worklists,
 type rendering, duality and the typing walk by recursion instead of an
 explicit stack, the interpreter's redexes by a rebuild of the whole list at every step instead
 of an index that re-reads only the threads a step touched, tokens by a
@@ -20,10 +22,11 @@ per name, instead of a post-order stack and a memo per name.
 """
 
 import string
+from collections import deque
 
 from fairchk.runtime import Handle, Soup
-from fairchk.semantics import compatible, session_rank
-from fairchk.subtyping import Simulation, _premises, _violation, fair_subtype, simulate
+from fairchk.semantics import build_config_graph, compatible, session_rank
+from fairchk.subtyping import Simulation, fair_subtype, simulate
 from fairchk.surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
                              NewSession, ProcDef, ProcExpr, Program, SourceError,
                              SourceProgram, TagComm, TEnd, TName, TTags, TypeExpr,
@@ -428,7 +431,82 @@ def rank_oracle(table: TypeTable, s: int, t: int):
     return INF if value[root] == INF else 1 + value[root]
 
 
+def session_rank_01bfs(table: TypeTable, s: int, t: int):
+    """`session_rank` by a 0-1 BFS over the config graph: picks go to the
+    front of the queue at no cost, synchronizations to the back at cost 1."""
+    g = build_config_graph(table, s, t)
+    dist = {g.root: 0}
+    queue = deque([g.root])
+    settled = set()
+    while queue:
+        c = queue.popleft()
+        if c in settled:
+            continue
+        settled.add(c)
+        if c in g.success:
+            return 1 + dist[c]
+        for d in g.tau[c]:
+            if dist[c] < dist.get(d, INF):
+                dist[d] = dist[c]
+                queue.appendleft(d)
+        for _, d in g.sync[c]:
+            if dist[c] + 1 < dist.get(d, INF):
+                dist[d] = dist[c] + 1
+                queue.append(d)
+    return INF
+
+
 # -- simulation by sweeps, weights by Kleene rounds ------------------------------
+
+def _violation(table: TypeTable, u: int, v: int):
+    """Reason this pair breaks the simulation shape rules, or None."""
+    nu, nv = table.node(u), table.node(v)
+    if nu[0] != nv[0]:
+        return "shape mismatch"
+    if nu[1] != nv[1]:
+        return "polarity mismatch"
+    if nu[0] == "tags":
+        lu, lv = set(dict(nu[2])), set(dict(nv[2]))
+        if nu[1] == OUT:
+            if not lv <= lu:
+                return "supertype outputs a label the subtype lacks"
+        elif not lu <= lv:
+            return "supertype misses an input branch of the subtype"
+    elif nu[0] == "chan" and not equiv(table, nu[2], nv[2]):
+        return "channel payload types differ"
+    return None
+
+
+def _premises(table: TypeTable, u: int, v: int) -> list:
+    """Premise pairs of a shape-valid simulation pair, in a fixed order."""
+    nu, nv = table.node(u), table.node(v)
+    if nu[0] == "tags":
+        bu, bv = dict(nu[2]), dict(nv[2])
+        return [(bu[l], bv[l]) for l in sorted(set(bu) & set(bv))]
+    if nu[0] == "chan":
+        return [(nu[3], nv[3])]
+    return []
+
+
+def _rule(table: TypeTable, u: int, v: int) -> str:
+    """Which weight equation a shape-valid pair obeys."""
+    nu, nv = table.node(u), table.node(v)
+    if nu[0] != "tags":
+        return nu[0]  # "end" or "chan"
+    if nu[1] != OUT:
+        return "max"
+    if set(dict(nv[2])) < set(dict(nu[2])):
+        return "strict"
+    return "equal"
+
+
+def judge_oracle(table: TypeTable, u: int, v: int):
+    """`subtyping._judge` from the three separate readings of a pair."""
+    why = _violation(table, u, v)
+    if why is not None:
+        return why, None
+    return _rule(table, u, v), _premises(table, u, v)
+
 
 def simulate_sweep(table: TypeTable, s: int, t: int) -> Simulation:
     """`simulate` by sweeping every live pair until nothing is removed."""
@@ -456,14 +534,15 @@ def simulate_sweep(table: TypeTable, s: int, t: int) -> Simulation:
                 if q in alive and q not in seen:
                     seen.add(q)
                     order.append(q)
-        return Simulation(True, order, None)
+        return Simulation(True, order, None, {p: _rule(table, *p) for p in order},
+                          {p: _premises(table, *p) for p in order})
 
     seen = {root}
     queue = [root]
     while queue:
         p = queue.pop(0)
         if reason[p] is not None:
-            return Simulation(False, [], (p, reason[p]))
+            return Simulation(False, [], (p, reason[p]), {}, {})
         for q in _premises(table, *p):
             if q not in seen:
                 seen.add(q)

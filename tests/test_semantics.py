@@ -2,13 +2,15 @@
 
 import random
 
+from fairchk import semantics
 from fairchk.semantics import build_config_graph, compatible, session_rank, to_dot
 from fairchk.subtyping import unfair_subtype
-from fairchk.types import INF, TypeTable
+from fairchk.types import INF, TypeTable, dual
 
 from conftest import load_corpus
 from gen import intern_spec, random_spec
-from oracles import rank_compatibility_agreement, rank_oracle, type_transitions
+from oracles import (rank_compatibility_agreement, rank_oracle, session_rank_01bfs,
+                     type_transitions)
 
 
 def _ends(table):
@@ -79,6 +81,38 @@ def test_compatible_examples():
     assert not compatible(bsc.table, bsc.typedefs["SBi"], bsc.typedefs["SS"])
 
 
+class _ReadOnce(dict):
+    """A successor map that fails when one configuration is looked up twice."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, c):
+        assert c not in self.read, f"{c} expanded twice"
+        self.read.add(c)
+        return super().__getitem__(c)
+
+
+def test_session_rank_expands_each_configuration_once(monkeypatch):
+    def build_once(table, s, t):
+        g = build_config_graph(table, s, t)
+        g.tau, g.sync = _ReadOnce(g.tau), _ReadOnce(g.sync)
+        return g
+
+    monkeypatch.setattr(semantics, "build_config_graph", build_once)
+    rnd = random.Random(33)
+    infinite = 0
+    for i in range(500):
+        table = TypeTable()
+        a = intern_spec(table, random_spec(rnd, 8))
+        b = dual(table, a) if i % 2 else intern_spec(table, random_spec(rnd, 8))
+        got = session_rank(table, a, b)
+        assert got == session_rank_01bfs(table, a, b)
+        infinite += got == INF
+    assert infinite > 50
+
+
 def test_session_rank_examples():
     ranks = load_corpus("rank_example.ft")
     assert session_rank(ranks.table, ranks.typedefs["S4"], ranks.typedefs["T4"]) == 4
@@ -92,15 +126,15 @@ def test_session_rank_examples():
 
 def test_session_rank_matches_value_iteration_oracle():
     rnd = random.Random(31)
-    finite = 0
-    for _ in range(150):
+    ranks = []
+    for i in range(2000):
         table = TypeTable()
-        a = intern_spec(table, random_spec(rnd, 5))
-        b = intern_spec(table, random_spec(rnd, 5))
+        a = intern_spec(table, random_spec(rnd, 8))
+        b = dual(table, a) if i % 2 else intern_spec(table, random_spec(rnd, 8))
         got = session_rank(table, a, b)
-        assert got == rank_oracle(table, a, b)
-        finite += got < INF
-    assert finite > 0
+        assert got == rank_oracle(table, a, b) == session_rank_01bfs(table, a, b)
+        ranks.append(got)
+    assert sum(3 <= r < INF for r in ranks) > 50 and ranks.count(INF) > 100
 
 
 def test_compatible_is_symmetric():

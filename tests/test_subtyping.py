@@ -6,18 +6,18 @@ import pytest
 
 from fairchk import schema
 from fairchk.graph import cyclic, tarjan
-from fairchk.subtyping import (_premises, diverges, fair_subtype, render_weight,
+from fairchk.subtyping import (_judge, diverges, fair_subtype, render_weight,
                                simulate, solve_weights, subtype_weight,
                                unfair_subtype)
 from fairchk.surface import load
-from fairchk.types import INF, TypeTable
+from fairchk.types import INF, TypeTable, _matched, reachable_pairs
 
 from conftest import load_corpus
 from gen import (cascade_source, diverging_source, holding_loop_source,
                  holding_source, intern_spec, mutated_pair, random_spec,
                  supertype_of, unfold_root)
 from json_schema import validate
-from oracles import (simulate_sweep, solve_weights_kleene,
+from oracles import (_premises, judge_oracle, simulate_sweep, solve_weights_kleene,
                      weight_agrees_with_search)
 
 
@@ -157,7 +157,7 @@ def test_weights_stay_under_cutoff():
         sim = simulate(table, a, b)
         if not sim.holds:
             continue
-        rk = solve_weights(table, sim.witness)
+        rk = solve_weights(sim)
         for w in rk.values():
             assert w == INF or w <= len(sim.witness)
         holding += 1
@@ -212,10 +212,9 @@ def _weights(text: str, sub: str, sup: str):
     table = program.table
     sim = simulate(table, program.typedefs[sub], program.typedefs[sup])
     assert sim.holds
-    rk = solve_weights(table, sim.witness)
+    rk = solve_weights(sim)
     assert rk == solve_weights_kleene(table, sim.witness)
-    prem = {p: _premises(table, *p) for p in sim.witness}
-    return program, rk, tarjan(sim.witness, prem)
+    return program, rk, tarjan(sim.witness, sim.premises)
 
 
 def test_solvers_match_sweep_and_kleene_oracles():
@@ -238,7 +237,7 @@ def test_solvers_match_sweep_and_kleene_oracles():
         if not got.holds:
             seen["failure"] += 1
             continue
-        rk = solve_weights(table, got.witness)
+        rk = solve_weights(got)
         assert rk == solve_weights_kleene(table, got.witness)
         assert list(rk) == got.witness
         seen["infinite"] += INF in rk.values()
@@ -249,6 +248,46 @@ def test_solvers_match_sweep_and_kleene_oracles():
             for scc in tarjan(got.witness, prem))
     assert seen["failure"] > 1000 and seen["positive"] > 200
     assert seen["infinite"] > 50 and seen["positive_cycle"] > 50
+
+
+def test_judge_matches_the_three_oracle_readings():
+    # every carrier pair, the pairs below a shape violation included
+    rnd = random.Random(48)
+
+    def rewired(node, n):
+        # channel payloads pointed elsewhere, labels listed in reverse
+        if node[0] == "chan":
+            return ("chan", node[1], rnd.randrange(n), node[3])
+        if node[0] == "tags":
+            return ("tags", node[1], node[2][::-1])
+        return node
+
+    seen = {"payload": 0, "below": 0, "strict": 0, "equal": 0, "chan": 0}
+    for i in range(4000):
+        table = TypeTable()
+        if i % 4 == 0:
+            a = intern_spec(table, random_spec(rnd, 8))
+            b = intern_spec(table, random_spec(rnd, 8))
+        elif i % 4 == 1:
+            sub, sup = mutated_pair(rnd, 8)
+            a, b = intern_spec(table, sub), intern_spec(table, sup)
+        elif i % 4 == 2:
+            sub = random_spec(rnd, 8)
+            a = intern_spec(table, sub)
+            b = intern_spec(table, supertype_of(sub, rnd))
+        else:
+            sub = random_spec(rnd, 8)
+            a = intern_spec(table, [rewired(n, len(sub)) for n in sub])
+            b = intern_spec(table, [rewired(n, len(sub)) for n in sub])
+        for p in reachable_pairs(table, a, b):
+            got = _judge(table, *p)
+            assert got == judge_oracle(table, *p)
+            seen["payload"] += got[0] == "channel payload types differ"
+            # a shape violation with carrier pairs below it
+            seen["below"] += got[1] is None and bool(_matched(table, *p))
+            seen[got[0]] = seen.get(got[0], 0) + 1
+    assert seen["payload"] > 100 and seen["below"] > 200
+    assert min(seen["strict"], seen["equal"], seen["chan"]) > 100
 
 
 def test_weight_of_a_zero_cost_input_loop_is_zero():
