@@ -36,9 +36,9 @@ def _paint(text: str, good: bool) -> str:
 def _load_program(path: str) -> Program:
     """Read and load a program, with the cyclic garbage collector paused.
 
-    Loading allocates a tuple per token and an object per syntax node, none
-    of which can form a cycle, so the collector's scans over them would find
-    nothing. Only the load is paused: argparse's parser and an indented
+    Loading allocates a string per token and an object per syntax node,
+    none of which can form a cycle, so the collector's scans over them would
+    find nothing. Only the load is paused: argparse's parser and an indented
     `json.dumps` do leave cycles behind.
     """
     collecting = gc.isenabled()

@@ -243,13 +243,13 @@ class Soup:
             assert isinstance(th.proc, TagComm)
             p = th.proc
             label, cont = p.branches[self.rng.below(len(p.branches))]
-            th.proc = TagComm(p.chan, p.pol, [(label, cont)], p.span)
+            th.proc = TagComm(p.chan, p.pol, [(label, cont)], p.at)
             return TraceEntry(step_no, rule, f"s{th.env[p.chan][0]}", label)
         if rule == "rb-signal":
             closer, waiter = self.threads[redex[1]], self.threads[redex[2]]
             assert isinstance(closer.proc, Close) and isinstance(waiter.proc, Wait)
             sid = closer.env[closer.proc.chan][0]
-            closer.proc = Done(closer.proc.span)
+            closer.proc = Done(closer.proc.at)
             waiter.proc = waiter.proc.cont
             return TraceEntry(step_no, rule, f"s{sid}", "close/wait")
         if rule == "rb-tag":

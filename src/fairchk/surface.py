@@ -39,9 +39,10 @@ KEYWORDS = {"type", "done", "close", "wait", "new", "in"}
 
 # Deepest syntactic nesting the parser admits: each process or type
 # constructor inside another is one level, and so is each `+` of a choice
-# chain, which nests to the left. The parser and the passes after it
-# recurse on the tree, so a bound well inside the interpreter's stack turns
-# a deep input into a SourceError instead of a RecursionError.
+# chain, which nests to the left. The parser and `render_proc` recurse on
+# the tree (every other pass walks it on an explicit stack), so a bound well
+# inside the interpreter's stack turns a deep input into a SourceError
+# instead of a RecursionError.
 MAX_NESTING = 250
 
 
@@ -58,19 +59,25 @@ class Span(NamedTuple):
     col: int
 
 
+# A syntax node keeps `at`, the index in lex's token list of its first
+# token, and no line or column: those are looked up in the source's
+# position table (`token_positions`) only when one is printed. A node that
+# was not parsed from text has `at` = -1, printed as 0:0.
+
+
 # Type expressions -----------------------------------------------------------
 
 @dataclass(slots=True)
 class TEnd:
     pol: str
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
+    at: int = field(compare=False, repr=False, default=-1)
 
 
 @dataclass(slots=True)
 class TTags:
     pol: str
     branches: list[tuple[str, "TypeExpr"]]
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
+    at: int = field(compare=False, repr=False, default=-1)
 
 
 @dataclass(slots=True)
@@ -78,13 +85,13 @@ class TChan:
     pol: str
     payload: "TypeExpr"
     cont: "TypeExpr"
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
+    at: int = field(compare=False, repr=False, default=-1)
 
 
 @dataclass(slots=True)
 class TName:
     name: str
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
+    at: int = field(compare=False, repr=False, default=-1)
 
 
 TypeExpr = TEnd | TTags | TChan | TName
@@ -94,27 +101,27 @@ TypeExpr = TEnd | TTags | TChan | TName
 
 @dataclass(slots=True)
 class Done:
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
+    at: int = field(compare=False, repr=False, default=-1)
 
 
 @dataclass(slots=True)
 class Call:
     name: str
     args: list[str]
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
+    at: int = field(compare=False, repr=False, default=-1)
 
 
 @dataclass(slots=True)
 class Close:
     chan: str
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
+    at: int = field(compare=False, repr=False, default=-1)
 
 
 @dataclass(slots=True)
 class Wait:
     chan: str
     cont: "ProcExpr"
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
+    at: int = field(compare=False, repr=False, default=-1)
 
 
 @dataclass(slots=True)
@@ -122,7 +129,7 @@ class TagComm:
     chan: str
     pol: str
     branches: list[tuple[str, "ProcExpr"]]
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
+    at: int = field(compare=False, repr=False, default=-1)
 
 
 @dataclass(slots=True)
@@ -130,7 +137,7 @@ class ChanOut:
     chan: str
     payload: str
     cont: "ProcExpr"
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
+    at: int = field(compare=False, repr=False, default=-1)
 
 
 @dataclass(slots=True)
@@ -139,7 +146,7 @@ class ChanIn:
     var: str
     ann: TypeExpr
     cont: "ProcExpr"
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
+    at: int = field(compare=False, repr=False, default=-1)
     tid: Optional[int] = field(compare=False, default=None)
 
 
@@ -148,7 +155,7 @@ class Choice:
     k: int
     left: "ProcExpr"
     right: "ProcExpr"
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
+    at: int = field(compare=False, repr=False, default=-1)
 
 
 @dataclass(slots=True)
@@ -158,7 +165,7 @@ class NewSession:
     rty: TypeExpr
     left: "ProcExpr"
     right: "ProcExpr"
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
+    at: int = field(compare=False, repr=False, default=-1)
     ltid: Optional[int] = field(compare=False, default=None)
     rtid: Optional[int] = field(compare=False, default=None)
 
@@ -169,7 +176,7 @@ class Cast:
     target: TypeExpr
     weight_ann: Optional[int]
     cont: "ProcExpr"
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
+    at: int = field(compare=False, repr=False, default=-1)
     tid: Optional[int] = field(compare=False, default=None)
 
 
@@ -211,14 +218,16 @@ class ProcDef:
     params: list[tuple[str, TypeExpr]]
     rank_ann: Optional[int]
     body: ProcExpr
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
+    at: int = field(compare=False, repr=False, default=-1)
     param_tids: Optional[list[int]] = field(compare=False, default=None)
 
 
 @dataclass
 class SourceProgram:
-    typedefs: list[tuple[str, TypeExpr, Span]]
+    # (name, body, at): `at` is the index of the `type` token
+    typedefs: list[tuple[str, TypeExpr, int]]
     procdefs: list[ProcDef]
+    source: str = ""  # the text the token indices point into
 
 
 @dataclass
@@ -227,151 +236,177 @@ class Program:
     table: TypeTable
     typedefs: dict[str, int]
     procs: dict[str, ProcDef]
+    source: str = ""
+    _positions: Optional[list[tuple[int, int]]] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def span(self, at: int) -> Span:
+        """The line and column of token `at` of the source; the position
+        table is built at the first call."""
+        if self._positions is None:
+            self._positions = token_positions(self.source)
+        return _span(self._positions, at)
 
 
 # Lexer ----------------------------------------------------------------------
 
-# A token is a plain tuple (kind, text, line, col). The kind is "ident",
-# "nat", "eof" or the punctuation character itself.
-Token = tuple[str, str, int, int]
+# A token is its text: an identifier, a numeral or one punctuation
+# character, and "" for eof. Its kind is read off its first character:
+# a letter or `_` starts an identifier, a digit a numeral.
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
-# One token per match; the search skips blanks (space, tab, CR), each one
-# column wide. The last alternative takes any other character, so a line is
-# read in one pass, in time linear in its length. Every class is spelled out
-# in ASCII: `\w`, `\d` and `\s` would also match other scripts' characters.
-_TOKEN = re.compile(r"(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<nat>[0-9]+)"
-                    r"|[(){}\[\]:,./=!?+|@]|(?P<bad>[^ \t\r])")
+# One findall over the whole text; the search skips blanks (space, tab, CR,
+# LF). The group holds a token. A comment, and any other character, match
+# outside it and come back as "". No token contains "-", so a "--" outside
+# a token starts a comment. Every class is spelled out in ASCII: `\w`, `\d`
+# and `\s` would also match other scripts' characters.
+_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_']*|[0-9]+|[(){}\[\]:,./=!?+|@])"
+                    r"|--[^\n]*|[^ \t\r\n]")
+_COMMENT = re.compile(r"--[^\n]*")
+# The position table's pass: a line break (group 1), a comment (group 2), a
+# token, or a stray character (group 3).
+_POSITION = re.compile(r"(\n)|(--[^\n]*)|[A-Za-z_][A-Za-z0-9_']*|[0-9]+"
+                       r"|[(){}\[\]:,./=!?+|@]|([^ \t\r])")
 
 
-def lex(src: str) -> list[Token]:
-    toks: list[Token] = []
-    lines = src.split("\n")  # only "\n" ends a line
-    for line_no, line in enumerate(lines, 1):
-        # No token contains "-", so the first "--" starts a comment, unless
-        # the line goes wrong before it.
-        end = line.find("--")
-        if end < 0:
-            end = len(line)
-        toks += [(m.lastgroup or m[0], m[0], line_no, m.start() + 1)
-                 for m in _TOKEN.finditer(line, 0, end)]
-    if "bad" in map(itemgetter(0), toks):
-        _, c, line_no, col = next(t for t in toks if t[0] == "bad")
-        raise SourceError(f"unexpected character {c!r}", line_no, col)
-    # eof follows the last line, or sits where its comment starts: a comment
-    # takes no columns.
-    toks.append(("eof", "", len(lines), end + 1))
+def lex(src: str) -> list[str]:
+    """The tokens of src, then "" for eof; SourceError at a stray character."""
+    toks = _TOKEN.findall(src)
+    blanks = toks.count("")
+    if blanks:
+        # more blanks than comments: a stray character, which the position
+        # table's pass reports where it first occurs
+        if blanks != len(_COMMENT.findall(src)):
+            token_positions(src)
+        toks = list(filter(None, toks))
+    toks.append("")
     return toks
+
+
+def token_positions(src: str) -> list[tuple[int, int]]:
+    """The (line, col) of every token of `lex(src)`, eof last.
+
+    Only "\\n" ends a line, and every other character is one column wide.
+    A comment takes no columns, so eof sits where the last line's comment
+    starts, if it has one. Raises lex's SourceError at a stray character.
+    """
+    where: list[tuple[int, int]] = []
+    line, bol, cut = 1, 0, -1  # bol: where the line begins; cut: its comment
+    for m in _POSITION.finditer(src):
+        group = m.lastindex
+        if group is None:
+            where.append((line, m.start() - bol + 1))
+        elif group == 1:
+            line, bol, cut = line + 1, m.end(), -1
+        elif group == 2:
+            cut = m.start()
+        else:
+            raise SourceError(f"unexpected character {m[3]!r}", line, m.start() - bol + 1)
+    where.append((line, (len(src) if cut < 0 else cut) - bol + 1))
+    return where
+
+
+def _span(positions: list[tuple[int, int]], at: int) -> Span:
+    return Span(*positions[at]) if at >= 0 else Span(0, 0)
+
+
+def source_error(src: str, msg: str, at: int) -> SourceError:
+    """A SourceError at token `at` of src."""
+    return SourceError(msg, *_span(token_positions(src), at))
 
 
 # Parser ---------------------------------------------------------------------
 
-def _error(msg: str, t: Token) -> SourceError:
-    return SourceError(msg, t[2], t[3])
-
-
-def _found(t: Token) -> str:
-    """How an error message names the token it found."""
-    return repr(t[1] or t[0])
-
-
-def _expected(kind: str, t: Token) -> SourceError:
-    return _error(f"expected {kind!r}, found {_found(t)}", t)
-
-
-def _name(t: Token) -> str:
-    """The text of an identifier token that is not a keyword."""
-    if t[0] != "ident":
-        raise _expected("ident", t)
-    if t[1] in KEYWORDS:
-        raise _error(f"keyword {t[1]!r} cannot be used as a name", t)
-    return t[1]
-
-
 class _Parser:
-    # The hot paths (`parse_type`, `_branches`, the `type NAME =` header)
-    # index `self.toks` directly; the rest goes through peek/next/expect.
+    """Recursive descent that indexes lex's list of token strings.
 
-    def __init__(self, toks: list[Token]):
-        # A copy of eof past the end keeps a lookahead after it in bounds.
+    A node keeps the index of its first token. Lookahead reads at most one
+    token past one already known not to be eof, and the list ends in two
+    eofs, so every index stays in bounds.
+    """
+
+    def __init__(self, toks: list[str], src: str):
         # The list is lex's own, so it is padded in place, not copied.
-        toks.append(toks[-1])
+        toks.append("")
         self.toks = toks
+        self.src = src
         self.pos = 0
         self.depth = 0
+
+    def error(self, msg: str, at: int) -> SourceError:
+        return source_error(self.src, msg, at)
+
+    def expected(self, kind: str, at: int) -> SourceError:
+        return self.error(f"expected {kind!r}, found {self.toks[at] or 'eof'!r}", at)
+
+    def expect(self, punct: str) -> None:
+        pos = self.pos
+        if self.toks[pos] != punct:
+            raise self.expected(punct, pos)
+        self.pos = pos + 1
+
+    def name(self, at: int) -> str:
+        """The identifier at token `at`, which may not be a keyword."""
+        t = self.toks[at]
+        if t[:1] not in _IDENT_START:
+            raise self.expected("ident", at)
+        if t in KEYWORDS:
+            raise self.error(f"keyword {t!r} cannot be used as a name", at)
+        return t
+
+    def nat(self, at: int) -> int:
+        t = self.toks[at]
+        if not t[:1].isdigit():
+            raise self.expected("nat", at)
+        try:
+            return int(t)
+        except ValueError:  # more digits than int() converts
+            raise self.error("number too long", at) from None
 
     def descend(self) -> None:
         """Enter one level of nesting; the caller restores the depth on return."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise _error(f"nesting deeper than {MAX_NESTING} levels", self.peek())
-
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, kind: str) -> Token:
-        t = self.toks[self.pos]
-        self.pos += 1
-        if t[0] != kind:
-            raise _expected(kind, t)
-        return t
-
-    def ident(self) -> str:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return _name(t)
-
-    def nat(self) -> int:
-        t = self.expect("nat")
-        try:
-            return int(t[1])
-        except ValueError:  # more digits than int() converts
-            raise _error("number too long", t) from None
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels", self.pos)
 
     # -- types ----------------------------------------------------------
 
     def parse_type(self) -> TypeExpr:
-        self.descend()
+        self.depth += 1  # `descend`, inlined on the hottest path
         try:
-            toks, pos = self.toks, self.pos
-            t = toks[pos]
-            kind, text, line, col = t
-            if kind == "ident":
-                if text == "end":
-                    pol = toks[pos + 1][0]
-                    self.pos = pos + 2
-                    if pol not in ("!", "?"):
-                        raise _error("expected '!' or '?' after 'end'", toks[pos + 1])
-                    return TEnd(pol, Span(line, col))
-                self.pos = pos + 1
-                if text in KEYWORDS:
-                    raise _error(f"keyword {text!r} is not a type", t)
-                return TName(text, Span(line, col))
-            if kind in ("!", "?"):
-                opener = toks[pos + 1]
-                self.pos = pos + 2
-                if opener[0] == "{":
+            toks, at = self.toks, self.pos
+            if self.depth > MAX_NESTING:
+                raise self.error(f"nesting deeper than {MAX_NESTING} levels", at)
+            t = toks[at]
+            if t == "!" or t == "?":
+                opener = toks[at + 1]
+                self.pos = at + 2
+                if opener == "{":
                     branches = self._branches(self.parse_type)
-                    close = toks[self.pos]
-                    self.pos += 1
-                    if close[0] != "}":
-                        raise _expected("}", close)
-                    return TTags(kind, branches, Span(line, col))
-                if opener[0] == "(":
+                    self.expect("}")
+                    return TTags(t, branches, at)
+                if opener == "(":
                     payload = self.parse_type()
-                    close, dot = toks[self.pos], toks[self.pos + 1]
-                    if close[0] != ")":
-                        raise _expected(")", close)
-                    if dot[0] != ".":
-                        raise _expected(".", dot)
-                    self.pos += 2
-                    return TChan(kind, payload, self.parse_type(), Span(line, col))
-                raise _error("expected '{' or '(' after polarity", opener)
-            raise _error(f"expected a type, found {_found(t)}", t)
+                    pos = self.pos
+                    if toks[pos] != ")":
+                        raise self.expected(")", pos)
+                    if toks[pos + 1] != ".":
+                        raise self.expected(".", pos + 1)
+                    self.pos = pos + 2
+                    return TChan(t, payload, self.parse_type(), at)
+                raise self.error("expected '{' or '(' after polarity", at + 1)
+            if t[:1] in _IDENT_START:
+                if t == "end":
+                    pol = toks[at + 1]
+                    self.pos = at + 2
+                    if pol != "!" and pol != "?":
+                        raise self.error("expected '!' or '?' after 'end'", at + 1)
+                    return TEnd(pol, at)
+                self.pos = at + 1
+                if t in KEYWORDS:
+                    raise self.error(f"keyword {t!r} is not a type", at)
+                return TName(t, at)
+            raise self.error(f"expected a type, found {t or 'eof'!r}", at)
         finally:
             self.depth -= 1
 
@@ -384,179 +419,204 @@ class _Parser:
         toks = self.toks
         branches = []
         seen: set[str] = set()
-        repeated = None
+        repeated = -1
         while True:
-            t = toks[self.pos]
-            label = _name(t)
-            colon = toks[self.pos + 1]
-            if colon[0] != ":":
-                raise _expected(":", colon)
-            self.pos += 2
-            if label in seen:
-                repeated = repeated or t
+            at = self.pos
+            label = toks[at]
+            if label[:1] not in _IDENT_START or label in KEYWORDS:
+                self.name(at)  # raises
+            if toks[at + 1] != ":":
+                raise self.expected(":", at + 1)
+            self.pos = at + 2
+            if label in seen and repeated < 0:
+                repeated = at
             seen.add(label)
             branches.append((label, item()))
-            if toks[self.pos][0] != ",":
+            if toks[self.pos] != ",":
                 break
             self.pos += 1
-        if repeated:
-            raise _error(f"duplicate label {repeated[1]!r}", repeated)
+        if repeated >= 0:
+            raise self.error(f"duplicate label {toks[repeated]!r}", repeated)
         return branches
 
     # -- processes --------------------------------------------------------
 
     def parse_proc(self) -> ProcExpr:
         outer = self.depth
+        toks = self.toks
         left = self.parse_atom()
-        while self.peek()[0] == "+":
+        while toks[self.pos] == "+":
             self.descend()
-            _, _, line, col = self.next()
+            at = self.pos
             k = 1
-            if self.peek()[0] == "[":
-                self.next()
-                nat = self.peek()
-                k = self.nat()
+            if toks[at + 1] == "[":
+                k = self.nat(at + 2)
                 if k not in (1, 2):
-                    raise _error("choice branch must be 1 or 2", nat)
-                self.expect("]")
-            right = self.parse_atom()
-            left = Choice(k, left, right, Span(line, col))
+                    raise self.error("choice branch must be 1 or 2", at + 2)
+                if toks[at + 3] != "]":
+                    raise self.expected("]", at + 3)
+                self.pos = at + 4
+            else:
+                self.pos = at + 1
+            left = Choice(k, left, self.parse_atom(), at)
         self.depth = outer
         return left
 
     def parse_atom(self) -> ProcExpr:
         self.descend()
         try:
-            kind, text, line, col = self.peek()
-            span = Span(line, col)
-            if kind == "(":
-                self.next()
+            toks, at = self.toks, self.pos
+            t = toks[at]
+            if t == "(":
+                self.pos = at + 1
                 p = self.parse_proc()
                 self.expect(")")
                 return p
-            if kind == "[":
-                self.next()
-                chan = self.ident()
-                self.expect(":")
+            if t == "[":
+                chan = self.name(at + 1)
+                if toks[at + 2] != ":":
+                    raise self.expected(":", at + 2)
+                self.pos = at + 3
                 target = self.parse_type()
-                weight = None
-                if self.peek()[0] == "@":
-                    self.next()
-                    weight = self.nat()
-                self.expect("]")
-                return Cast(chan, target, weight, self.parse_atom(), span)
-            if kind == "ident":
-                if text == "done":
-                    self.next()
-                    return Done(span)
-                if text == "close":
-                    self.next()
-                    return Close(self.ident(), span)
-                if text == "wait":
-                    self.next()
-                    chan = self.ident()
-                    self.expect(".")
-                    return Wait(chan, self.parse_atom(), span)
-                if text == "new":
-                    self.next()
-                    chan = self.ident()
-                    self.expect(":")
-                    lty = self.parse_type()
-                    self.expect("/")
-                    rty = self.parse_type()
-                    t = self.next()
-                    if t[:2] != ("ident", "in"):
-                        raise _error("expected 'in'", t)
-                    self.expect("(")
-                    left = self.parse_proc()
-                    self.expect("|")
-                    right = self.parse_proc()
-                    self.expect(")")
-                    return NewSession(chan, lty, rty, left, right, span)
-            name = self.ident()
-            nxt = self.peek()
-            if nxt[0] == "(":
-                self.next()
-                args = []
-                if self.peek()[0] != ")":
-                    args.append(self.ident())
-                    while self.peek()[0] == ",":
-                        self.next()
-                        args.append(self.ident())
+                pos, weight = self.pos, None
+                if toks[pos] == "@":
+                    weight = self.nat(pos + 1)
+                    pos += 2
+                if toks[pos] != "]":
+                    raise self.expected("]", pos)
+                self.pos = pos + 1
+                return Cast(chan, target, weight, self.parse_atom(), at)
+            if t == "done":
+                self.pos = at + 1
+                return Done(at)
+            if t == "close":
+                self.pos = at + 2
+                return Close(self.name(at + 1), at)
+            if t == "wait":
+                chan = self.name(at + 1)
+                if toks[at + 2] != ".":
+                    raise self.expected(".", at + 2)
+                self.pos = at + 3
+                return Wait(chan, self.parse_atom(), at)
+            if t == "new":
+                chan = self.name(at + 1)
+                if toks[at + 2] != ":":
+                    raise self.expected(":", at + 2)
+                self.pos = at + 3
+                lty = self.parse_type()
+                self.expect("/")
+                rty = self.parse_type()
+                pos = self.pos
+                if toks[pos] != "in":
+                    raise self.error("expected 'in'", pos)
+                if toks[pos + 1] != "(":
+                    raise self.expected("(", pos + 1)
+                self.pos = pos + 2
+                left = self.parse_proc()
+                self.expect("|")
+                right = self.parse_proc()
                 self.expect(")")
-                return Call(name, args, span)
-            if nxt[0] in ("!", "?"):
-                pol = self.next()[0]
-                after = self.peek()[0]
+                return NewSession(chan, lty, rty, left, right, at)
+            name = self.name(at)
+            nxt = toks[at + 1]
+            if nxt == "(":
+                args = []
+                pos = at + 2
+                if toks[pos] != ")":
+                    args.append(self.name(pos))
+                    pos += 1
+                    while toks[pos] == ",":
+                        args.append(self.name(pos + 1))
+                        pos += 2
+                if toks[pos] != ")":
+                    raise self.expected(")", pos)
+                self.pos = pos + 1
+                return Call(name, args, at)
+            if nxt == "!" or nxt == "?":
+                after = toks[at + 2]
                 if after == "{":
-                    self.next()
+                    self.pos = at + 3
                     branches = self._branches(self.parse_proc)
                     self.expect("}")
-                    return TagComm(name, pol, branches, span)
+                    return TagComm(name, nxt, branches, at)
                 if after == "(":
-                    self.next()
-                    if pol == "!":
-                        payload = self.ident()
-                        self.expect(")")
-                        self.expect(".")
-                        return ChanOut(name, payload, self.parse_atom(), span)
-                    var = self.ident()
-                    self.expect(":")
+                    var = self.name(at + 3)
+                    if nxt == "!":
+                        if toks[at + 4] != ")":
+                            raise self.expected(")", at + 4)
+                        if toks[at + 5] != ".":
+                            raise self.expected(".", at + 5)
+                        self.pos = at + 6
+                        return ChanOut(name, var, self.parse_atom(), at)
+                    if toks[at + 4] != ":":
+                        raise self.expected(":", at + 4)
+                    self.pos = at + 5
                     ann = self.parse_type()
-                    self.expect(")")
-                    self.expect(".")
-                    return ChanIn(name, var, ann, self.parse_atom(), span)
-                label = self.ident()
-                self.expect(".")
-                cont = self.parse_atom()
-                return TagComm(name, pol, [(label, cont)], span)
-            raise _error(f"expected a process, found {_found(nxt)}", nxt)
+                    pos = self.pos
+                    if toks[pos] != ")":
+                        raise self.expected(")", pos)
+                    if toks[pos + 1] != ".":
+                        raise self.expected(".", pos + 1)
+                    self.pos = pos + 2
+                    return ChanIn(name, var, ann, self.parse_atom(), at)
+                label = self.name(at + 2)
+                if toks[at + 3] != ".":
+                    raise self.expected(".", at + 3)
+                self.pos = at + 4
+                return TagComm(name, nxt, [(label, self.parse_atom())], at)
+            raise self.error(f"expected a process, found {nxt or 'eof'!r}", at + 1)
         finally:
             self.depth -= 1
 
     # -- top level --------------------------------------------------------
 
     def parse_program(self) -> SourceProgram:
-        typedefs: list[tuple[str, TypeExpr, Span]] = []
+        typedefs: list[tuple[str, TypeExpr, int]] = []
         procdefs: list[ProcDef] = []
         toks = self.toks
-        while toks[self.pos][0] != "eof":
-            kind, text, line, col = toks[self.pos]
-            if kind == "ident" and text == "type":
-                name = _name(toks[self.pos + 1])
-                eq = toks[self.pos + 2]
-                if eq[0] != "=":
-                    raise _expected("=", eq)
-                self.pos += 3
-                typedefs.append((name, self.parse_type(), Span(line, col)))
-            else:
-                _, _, line, col = self.peek()
-                name = self.ident()
-                self.expect("(")
-                params: list[tuple[str, TypeExpr]] = []
-                if self.peek()[0] != ")":
+        while toks[self.pos]:  # "" is eof
+            at = self.pos
+            if toks[at] == "type":
+                name = self.name(at + 1)
+                if toks[at + 2] != "=":
+                    raise self.expected("=", at + 2)
+                self.pos = at + 3
+                typedefs.append((name, self.parse_type(), at))
+                continue
+            name = self.name(at)
+            if toks[at + 1] != "(":
+                raise self.expected("(", at + 1)
+            self.pos = at + 2
+            params: list[tuple[str, TypeExpr]] = []
+            if toks[self.pos] != ")":
+                params.append(self._param())
+                while toks[self.pos] == ",":
+                    self.pos += 1
                     params.append(self._param())
-                    while self.peek()[0] == ",":
-                        self.next()
-                        params.append(self._param())
-                self.expect(")")
-                rank_ann = None
-                if self.peek()[0] == "@":
-                    self.next()
-                    rank_ann = self.nat()
-                self.expect("=")
-                body = self.parse_proc()
-                procdefs.append(ProcDef(name, params, rank_ann, body, Span(line, col)))
-        return SourceProgram(typedefs, procdefs)
+            pos = self.pos
+            if toks[pos] != ")":
+                raise self.expected(")", pos)
+            rank_ann = None
+            if toks[pos + 1] == "@":
+                rank_ann = self.nat(pos + 2)
+                pos += 2
+            if toks[pos + 1] != "=":
+                raise self.expected("=", pos + 1)
+            self.pos = pos + 2
+            procdefs.append(ProcDef(name, params, rank_ann, self.parse_proc(), at))
+        return SourceProgram(typedefs, procdefs, self.src)
 
     def _param(self) -> tuple[str, TypeExpr]:
-        var = self.ident()
-        self.expect(":")
+        at = self.pos
+        var = self.name(at)
+        if self.toks[at + 1] != ":":
+            raise self.expected(":", at + 1)
+        self.pos = at + 2
         return var, self.parse_type()
 
 
 def parse(text: str) -> SourceProgram:
-    return _Parser(lex(text)).parse_program()
+    return _Parser(lex(text), text).parse_program()
 
 
 # Renderer -------------------------------------------------------------------
@@ -638,10 +698,11 @@ def _subtypes(t: TypeExpr) -> Iterator[TypeExpr]:
 
 def resolve(sp: SourceProgram) -> Program:
     """Check names, reject non-contractive typedefs, intern all annotations."""
+    src = sp.source
     by_name: dict[str, TypeExpr] = {}
-    for name, body, span in sp.typedefs:
+    for name, body, at in sp.typedefs:
         if name in by_name:
-            raise SourceError(f"duplicate type definition {name!r}", span.line, span.col)
+            raise source_error(src, f"duplicate type definition {name!r}", at)
         by_name[name] = body
 
     # A typedef whose body is a bare name is an alias. Follow alias chains
@@ -655,12 +716,11 @@ def resolve(sp: SourceProgram) -> Program:
         while name not in ends and isinstance(by_name[name], TName):
             body = by_name[name]
             if body.name not in by_name:
-                raise SourceError(f"undefined type name {body.name!r}",
-                                  body.span.line, body.span.col)
+                raise source_error(src, f"undefined type name {body.name!r}", body.at)
             path[name] = None
             if body.name in path:
-                raise SourceError(f"non-contractive type definition {name!r}",
-                                  body.span.line, body.span.col)
+                raise source_error(src, f"non-contractive type definition {name!r}",
+                                   body.at)
             name = body.name
         end = ends.get(name, name)
         for alias in path:
@@ -679,7 +739,7 @@ def resolve(sp: SourceProgram) -> Program:
     def name_id(t: TName) -> int:
         """The id of a name not yet in `ids`: an alias, or an undefined name."""
         if t.name not in by_name:
-            raise SourceError(f"undefined type name {t.name!r}", t.span.line, t.span.col)
+            raise source_error(src, f"undefined type name {t.name!r}", t.at)
         ids[t.name] = slots[chase(t.name)]
         return ids[t.name]
 
@@ -733,7 +793,7 @@ def resolve(sp: SourceProgram) -> Program:
         # shape exists
         if not isinstance(body, TName):
             typedefs[name] = intern(body, slots[name])
-    for name, body, span in sp.typedefs:
+    for name, body, _ in sp.typedefs:
         if isinstance(body, TName):
             typedefs[name] = slots[chase(name)]
     table.type_names = typedefs
@@ -741,19 +801,19 @@ def resolve(sp: SourceProgram) -> Program:
     procs: dict[str, ProcDef] = {}
     for d in sp.procdefs:
         if d.name in procs:
-            raise SourceError(f"duplicate process definition {d.name!r}", d.span.line, d.span.col)
+            raise source_error(src, f"duplicate process definition {d.name!r}", d.at)
         procs[d.name] = d
 
     for d in procs.values():
         seen_params = set()
         for v, _ in d.params:
             if v in seen_params:
-                raise SourceError(f"duplicate parameter {v!r} in {d.name}", d.span.line, d.span.col)
+                raise source_error(src, f"duplicate parameter {v!r} in {d.name}", d.at)
             seen_params.add(v)
         d.param_tids = [intern(t) for _, t in d.params]
         for p in preorder(d.body):
             if isinstance(p, Call) and p.name not in procs:
-                raise SourceError(f"undefined process name {p.name!r}", p.span.line, p.span.col)
+                raise source_error(src, f"undefined process name {p.name!r}", p.at)
             if isinstance(p, ChanIn):
                 p.tid = intern(p.ann)
             elif isinstance(p, Cast):
@@ -762,7 +822,7 @@ def resolve(sp: SourceProgram) -> Program:
                 p.ltid = intern(p.lty)
                 p.rtid = intern(p.rty)
 
-    return Program(table, typedefs, procs)
+    return Program(table, typedefs, procs, src)
 
 
 def load(text: str) -> Program:

@@ -103,8 +103,9 @@ class Checker:
             self.pair_memo[key] = fn(self.table, s, t)
         return self.pair_memo[key]
 
-    def diag(self, defname: str, code: str, span: Span, message: str, **details) -> Diagnostic:
-        d = Diagnostic(code, span, message, details)
+    def diag(self, defname: str, code: str, at: int, message: str, **details) -> Diagnostic:
+        """Report a diagnostic at token `at` of the source."""
+        d = Diagnostic(code, self.program.span(at), message, details)
         self.diags[defname].append(d)
         return d
 
@@ -123,7 +124,7 @@ class Checker:
 
     def _fail(self, dn: str, code: str, p: ProcExpr, message: str, **details) -> NoReturn:
         """Report a hard failure at p and end the walk of its definition."""
-        self.diag(dn, code, p.span, message, **details)
+        self.diag(dn, code, p.at, message, **details)
         raise _Abort
 
     def _lookup(self, dn: str, p: ProcExpr, ctx: dict[str, int], var: str) -> int:
@@ -250,11 +251,11 @@ class Checker:
                 if verdict.holds:
                     w = int(verdict.weight)
                     if p.weight_ann is not None and w > p.weight_ann:
-                        self.diag(dn, "E-WEIGHT-EXCEEDED", p.span,
+                        self.diag(dn, "E-WEIGHT-EXCEEDED", p.at,
                                   f"cast weight is {w}, annotation allows {p.weight_ann}")
                 else:
                     kind, (u, v), detail = verdict.failure  # type: ignore[misc]
-                    self.diag(dn, "E-SUBTYPE", p.span,
+                    self.diag(dn, "E-SUBTYPE", p.at,
                               f"cast target is not a fair supertype of {render(t)}",
                               kind=kind, detail=detail,
                               offendingPair=[render(u), render(v)],
@@ -283,10 +284,10 @@ class Checker:
                 if id(n) not in self.graph.unsafe:
                     continue
                 if isinstance(n, NewSession):
-                    self.diag(name, "E-UNSAFE-LOOP", n.span,
+                    self.diag(name, "E-UNSAFE-LOOP", n.at,
                               "session created inside a termination-path loop")
                 else:
-                    self.diag(name, "E-UNSAFE-LOOP", n.span,
+                    self.diag(name, "E-UNSAFE-LOOP", n.at,
                               "positive-weight cast inside a termination-path loop",
                               weight=self.cast_weight[id(n)])
 
@@ -299,11 +300,11 @@ class Checker:
         for name, d in self.program.procs.items():
             self.ranks[name] = rank[id(d.body)]
             if self.ranks[name] == INF:
-                self.diag(name, "E-INFINITE-RANK", d.span,
+                self.diag(name, "E-INFINITE-RANK", d.at,
                           f"{name} admits no finite rank: its termination "
                           "paths cross an unsafe loop")
             if d.rank_ann is not None and self.ranks[name] > d.rank_ann:
-                self.diag(name, "E-RANK-EXCEEDED", d.span,
+                self.diag(name, "E-RANK-EXCEEDED", d.at,
                           f"rank of {name} is {render_weight(self.ranks[name])}, "
                           f"annotation allows {d.rank_ann}")
 
@@ -318,7 +319,7 @@ class Checker:
             while stack:
                 p = stack.pop()
                 if id(p) not in bounded:
-                    self.diag(name, "E-UNBOUNDED-ACTION", p.span,
+                    self.diag(name, "E-UNBOUNDED-ACTION", p.at,
                               "no branch of this process reaches done or close "
                               "without unfolding a definition twice")
                     continue
@@ -329,8 +330,10 @@ class Checker:
     def infer_branches(self) -> None:
         """Flip choice markers where the other branch checks out better.
 
-        Each choice is treated independently: better means action bounded
-        first, then a finite and smaller rank, then the branch as written.
+        Choices are taken in definition order, then in preorder, and each
+        is scored with the markers already decided for earlier ones: better
+        means the body is action bounded first, then has a finite and
+        smaller rank; a tie keeps the written marker.
         """
         for name, d in self.program.procs.items():
             choices = [n for n in self.occs[name] if isinstance(n, Choice)]

@@ -10,7 +10,7 @@ import random
 from fairchk.subtyping import fair_subtype, simulate
 from fairchk.surface import (MAX_NESTING, Call, Cast, ChanIn, ChanOut, Choice, Close,
                              Done, NewSession, ProcDef, Program, SourceError,
-                             SourceProgram, Span, TagComm, TChan, TEnd, TName, TTags,
+                             SourceProgram, TagComm, TChan, TEnd, TName, TTags,
                              Wait, parse, render_program)
 from fairchk.types import TypeTable
 
@@ -217,7 +217,7 @@ def random_source_program(rnd: random.Random) -> SourceProgram:
     typedefs = []
     names: list[str] = []
     for i in range(rnd.randint(0, 2)):
-        typedefs.append((f"T{i}", random_type_expr(rnd, 2, tuple(names)), Span(0, 0)))
+        typedefs.append((f"T{i}", random_type_expr(rnd, 2, tuple(names)), -1))
         names.append(f"T{i}")
     procdefs = []
     for name in DEFS[: rnd.randint(1, 3)]:
@@ -240,7 +240,7 @@ def random_naming_program(rnd: random.Random) -> SourceProgram:
             body = TName(rnd.choice(names))
         else:
             body = random_type_expr(rnd, 3, names)
-        typedefs.append((name, body, Span(0, 0)))
+        typedefs.append((name, body, -1))
 
     def ty():
         return random_type_expr(rnd, 2, names)

@@ -16,13 +16,16 @@ reachability by Kleene rounds instead of worklists,
 type rendering, duality and the typing walk by recursion instead of an
 explicit stack, the interpreter's redexes by a rebuild of the whole list at every step instead
 of an index that re-reads only the threads a step touched, tokens by a
-loop over single characters instead of a regular expression per line, and
+loop over single characters and by a regular expression per line instead
+of one pass over the whole text with positions looked up later, and
 the interning of type annotations by recursion, with a fresh alias chase
 per name, instead of a post-order stack and a memo per name.
 """
 
+import re
 import string
 from collections import deque
+from operator import itemgetter
 
 from fairchk.runtime import Handle, Soup
 from fairchk.semantics import build_config_graph, compatible, session_rank
@@ -30,7 +33,7 @@ from fairchk.subtyping import Simulation, fair_subtype, simulate
 from fairchk.surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
                              NewSession, ProcDef, ProcExpr, Program, SourceError,
                              SourceProgram, TagComm, TEnd, TName, TTags, TypeExpr,
-                             Wait, preorder)
+                             Wait, preorder, source_error)
 from fairchk.typecheck import Checker, _Abort, free_channels
 from fairchk.types import INF, OUT, TypeTable, co, equiv, reachable_pairs
 
@@ -84,14 +87,44 @@ def lex_charwise(src: str) -> list[tuple[str, str, int, int]]:
     return toks
 
 
+# -- tokens, one regular expression per line ----------------------------------------
+
+# One token per match; the search skips blanks (space, tab, CR), each one
+# column wide. The last alternative takes any other character.
+_LINE_TOKEN = re.compile(r"(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<nat>[0-9]+)"
+                         r"|[(){}\[\]:,./=!?+|@]|(?P<bad>[^ \t\r])")
+
+
+def lex_lines(src: str) -> list[tuple[str, str, int, int]]:
+    """The (kind, text, line, col) tokens of src, by a `finditer` per line."""
+    toks = []
+    lines = src.split("\n")  # only "\n" ends a line
+    for line_no, line in enumerate(lines, 1):
+        # No token contains "-", so the first "--" starts a comment, unless
+        # the line goes wrong before it.
+        end = line.find("--")
+        if end < 0:
+            end = len(line)
+        toks += [(m.lastgroup or m[0], m[0], line_no, m.start() + 1)
+                 for m in _LINE_TOKEN.finditer(line, 0, end)]
+    if "bad" in map(itemgetter(0), toks):
+        _, c, line_no, col = next(t for t in toks if t[0] == "bad")
+        raise SourceError(f"unexpected character {c!r}", line_no, col)
+    # eof follows the last line, or sits where its comment starts: a comment
+    # takes no columns.
+    toks.append(("eof", "", len(lines), end + 1))
+    return toks
+
+
 # -- name resolution by recursion --------------------------------------------------
 
 def resolve_recursive(sp: SourceProgram) -> Program:
     """`surface.resolve` with `intern` recursing on the type expression."""
+    src = sp.source
     by_name: dict[str, TypeExpr] = {}
-    for name, body, span in sp.typedefs:
+    for name, body, at in sp.typedefs:
         if name in by_name:
-            raise SourceError(f"duplicate type definition {name!r}", span.line, span.col)
+            raise source_error(src, f"duplicate type definition {name!r}", at)
         by_name[name] = body
 
     # A typedef whose body is a bare name is an alias. Follow alias chains
@@ -105,12 +138,11 @@ def resolve_recursive(sp: SourceProgram) -> Program:
         while name not in ends and isinstance(by_name[name], TName):
             body = by_name[name]
             if body.name not in by_name:
-                raise SourceError(f"undefined type name {body.name!r}",
-                                  body.span.line, body.span.col)
+                raise source_error(src, f"undefined type name {body.name!r}", body.at)
             path[name] = None
             if body.name in path:
-                raise SourceError(f"non-contractive type definition {name!r}",
-                                  body.span.line, body.span.col)
+                raise source_error(src, f"non-contractive type definition {name!r}",
+                                   body.at)
             name = body.name
         end = ends.get(name, name)
         for alias in path:
@@ -127,7 +159,7 @@ def resolve_recursive(sp: SourceProgram) -> Program:
         """The id of t; a constructor goes into `slot` when one is given."""
         if isinstance(t, TName):
             if t.name not in by_name:
-                raise SourceError(f"undefined type name {t.name!r}", t.span.line, t.span.col)
+                raise source_error(src, f"undefined type name {t.name!r}", t.at)
             return slots[chase(t.name)]
         if isinstance(t, TEnd):
             node: tuple = ("end", t.pol)
@@ -147,7 +179,7 @@ def resolve_recursive(sp: SourceProgram) -> Program:
         # shape exists
         if not isinstance(body, TName):
             typedefs[name] = intern(body, slots[name])
-    for name, body, span in sp.typedefs:
+    for name, body, _ in sp.typedefs:
         if isinstance(body, TName):
             typedefs[name] = slots[chase(name)]
     table.type_names = typedefs
@@ -155,19 +187,19 @@ def resolve_recursive(sp: SourceProgram) -> Program:
     procs: dict[str, ProcDef] = {}
     for d in sp.procdefs:
         if d.name in procs:
-            raise SourceError(f"duplicate process definition {d.name!r}", d.span.line, d.span.col)
+            raise source_error(src, f"duplicate process definition {d.name!r}", d.at)
         procs[d.name] = d
 
     for d in procs.values():
         seen_params = set()
         for v, _ in d.params:
             if v in seen_params:
-                raise SourceError(f"duplicate parameter {v!r} in {d.name}", d.span.line, d.span.col)
+                raise source_error(src, f"duplicate parameter {v!r} in {d.name}", d.at)
             seen_params.add(v)
         d.param_tids = [intern(t) for _, t in d.params]
         for p in preorder(d.body):
             if isinstance(p, Call) and p.name not in procs:
-                raise SourceError(f"undefined process name {p.name!r}", p.span.line, p.span.col)
+                raise source_error(src, f"undefined process name {p.name!r}", p.at)
             if isinstance(p, ChanIn):
                 p.tid = intern(p.ann)
             elif isinstance(p, Cast):
@@ -176,7 +208,7 @@ def resolve_recursive(sp: SourceProgram) -> Program:
                 p.ltid = intern(p.lty)
                 p.rtid = intern(p.rty)
 
-    return Program(table, typedefs, procs)
+    return Program(table, typedefs, procs, src)
 
 
 # -- raw transitions of one endpoint type ------------------------------------------
@@ -879,7 +911,7 @@ class RecursiveTyping(Checker):
         if isinstance(p, Close):
             t = self._lookup(dn, p, ctx, p.chan)
             if table.node(t) != ("end", "!"):
-                self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                self.diag(dn, "E-TYPE-MISMATCH", p.at,
                           f"close needs {p.chan}: end!, found {self._render(t)}")
                 raise _Abort
             self._leak(dn, p, ctx, {p.chan})
@@ -887,7 +919,7 @@ class RecursiveTyping(Checker):
         if isinstance(p, Wait):
             t = self._lookup(dn, p, ctx, p.chan)
             if table.node(t) != ("end", "?"):
-                self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                self.diag(dn, "E-TYPE-MISMATCH", p.at,
                           f"wait needs {p.chan}: end?, found {self._render(t)}")
                 raise _Abort
             rest = dict(ctx)
@@ -897,17 +929,17 @@ class RecursiveTyping(Checker):
         if isinstance(p, Call):
             target = self.program.procs[p.name]
             if len(p.args) != len(set(p.args)):
-                self.diag(dn, "E-CONTEXT-LEAK", p.span,
+                self.diag(dn, "E-CONTEXT-LEAK", p.at,
                           f"call to {p.name} passes a channel twice")
                 raise _Abort
             if len(p.args) != len(target.params):
-                self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                self.diag(dn, "E-TYPE-MISMATCH", p.at,
                           f"{p.name} expects {len(target.params)} arguments, got {len(p.args)}")
                 raise _Abort
             for arg, want in zip(p.args, target.param_tids or []):
                 got = self._lookup(dn, p, ctx, arg)
                 if not equiv(table, got, want):
-                    self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                    self.diag(dn, "E-TYPE-MISMATCH", p.at,
                               f"argument {arg} has type {self._render(got)}, "
                               f"{p.name} expects {self._render(want)}")
                     raise _Abort
@@ -917,13 +949,13 @@ class RecursiveTyping(Checker):
             t = self._lookup(dn, p, ctx, p.chan)
             node = table.node(t)
             if node[0] != "tags" or node[1] != p.pol:
-                self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                self.diag(dn, "E-TYPE-MISMATCH", p.at,
                           f"{p.chan}{p.pol} does not match its type {self._render(t)}")
                 raise _Abort
             tlabels = set(dict(node[2]))
             plabels = {l for l, _ in p.branches}
             if tlabels != plabels:
-                self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                self.diag(dn, "E-TYPE-MISMATCH", p.at,
                           f"labels on {p.chan} are {sorted(plabels)}, "
                           f"type has {sorted(tlabels)}")
                 raise _Abort
@@ -937,16 +969,16 @@ class RecursiveTyping(Checker):
             t = self._lookup(dn, p, ctx, p.chan)
             node = table.node(t)
             if node[0] != "chan" or node[1] != "!":
-                self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                self.diag(dn, "E-TYPE-MISMATCH", p.at,
                           f"{p.chan} cannot send a channel at type {self._render(t)}")
                 raise _Abort
             if p.payload == p.chan:
-                self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                self.diag(dn, "E-TYPE-MISMATCH", p.at,
                           f"{p.chan} cannot carry itself")
                 raise _Abort
             got = self._lookup(dn, p, ctx, p.payload)
             if not equiv(table, got, node[2]):
-                self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                self.diag(dn, "E-TYPE-MISMATCH", p.at,
                           f"payload {p.payload} has type {self._render(got)}, "
                           f"carrier expects {self._render(node[2])}")
                 raise _Abort
@@ -959,17 +991,17 @@ class RecursiveTyping(Checker):
             t = self._lookup(dn, p, ctx, p.chan)
             node = table.node(t)
             if node[0] != "chan" or node[1] != "?":
-                self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                self.diag(dn, "E-TYPE-MISMATCH", p.at,
                           f"{p.chan} cannot receive a channel at type {self._render(t)}")
                 raise _Abort
             assert p.tid is not None
             if not equiv(table, p.tid, node[2]):
-                self.diag(dn, "E-TYPE-MISMATCH", p.span,
+                self.diag(dn, "E-TYPE-MISMATCH", p.at,
                           f"annotation {self._render(p.tid)} differs from "
                           f"payload type {self._render(node[2])}")
                 raise _Abort
             if p.var in ctx or p.var == p.chan:
-                self.diag(dn, "E-CONTEXT-LEAK", p.span,
+                self.diag(dn, "E-CONTEXT-LEAK", p.at,
                           f"{p.var!r} rebinds a live channel")
                 raise _Abort
             rest = dict(ctx)
@@ -983,12 +1015,12 @@ class RecursiveTyping(Checker):
             return
         if isinstance(p, NewSession):
             if p.chan in ctx:
-                self.diag(dn, "E-CONTEXT-LEAK", p.span,
+                self.diag(dn, "E-CONTEXT-LEAK", p.at,
                           f"{p.chan!r} rebinds a live channel")
                 raise _Abort
             assert p.ltid is not None and p.rtid is not None
             if not self._per_pair(compatible, p.ltid, p.rtid):
-                self.diag(dn, "E-INCOMPATIBLE", p.span,
+                self.diag(dn, "E-INCOMPATIBLE", p.at,
                           f"endpoint types of {p.chan} cannot terminate together",
                           left=self._render(p.ltid), right=self._render(p.rtid))
                 raise _Abort
@@ -998,7 +1030,7 @@ class RecursiveTyping(Checker):
             lctx, rctx = {p.chan: p.ltid}, {p.chan: p.rtid}
             for v, t in ctx.items():
                 if v in fvl and v in fvr:
-                    self.diag(dn, "E-CONTEXT-LEAK", p.span,
+                    self.diag(dn, "E-CONTEXT-LEAK", p.at,
                               f"channel {v!r} is used by both components")
                     raise _Abort
                 if v in fvl:
@@ -1006,7 +1038,7 @@ class RecursiveTyping(Checker):
                 elif v in fvr:
                     rctx[v] = t
                 else:
-                    self.diag(dn, "E-CONTEXT-LEAK", p.span,
+                    self.diag(dn, "E-CONTEXT-LEAK", p.at,
                               f"channel {v!r} is used by neither component")
                     raise _Abort
             self._tc(dn, p.left, lctx)
@@ -1019,11 +1051,11 @@ class RecursiveTyping(Checker):
             if verdict.holds:
                 w = int(verdict.weight)
                 if p.weight_ann is not None and w > p.weight_ann:
-                    self.diag(dn, "E-WEIGHT-EXCEEDED", p.span,
+                    self.diag(dn, "E-WEIGHT-EXCEEDED", p.at,
                               f"cast weight is {w}, annotation allows {p.weight_ann}")
             else:
                 kind, (u, v), detail = verdict.failure  # type: ignore[misc]
-                self.diag(dn, "E-SUBTYPE", p.span,
+                self.diag(dn, "E-SUBTYPE", p.at,
                           f"cast target is not a fair supertype of {self._render(t)}",
                           kind=kind, detail=detail,
                           offendingPair=[self._render(u), self._render(v)],

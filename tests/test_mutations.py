@@ -28,11 +28,11 @@ MAX_STEPS = 200
 
 
 def _mutants(text: str, rnd: random.Random) -> list[str]:
-    toks = [t for t in lex(text) if t[0] != "eof"]  # (kind, text, line, col)
-    names = sorted({t[1] for t in toks if t[0] == "ident" and t[1] not in KEYWORDS})
+    toks = lex(text)[:-1]  # the token strings, without eof
+    names = sorted({t for t in toks if (t[0].isalpha() or t[0] == "_") and t not in KEYWORDS})
     out = []
     for _ in range(MUTANTS_PER_FILE):
-        words = [t[1] for t in toks]
+        words = list(toks)
         i = rnd.randrange(len(words))
         # half of the mutants are renames: most of them still parse
         kind = rnd.randrange(6)
@@ -44,7 +44,7 @@ def _mutants(text: str, rnd: random.Random) -> list[str]:
             j = rnd.randrange(len(words))
             words[i], words[j] = words[j], words[i]
         else:
-            i = rnd.choice([k for k, t in enumerate(toks) if t[1] in names])
+            i = rnd.choice([k for k, t in enumerate(toks) if t in names])
             words[i] = rnd.choice([n for n in names + ["q"] if n != words[i]])
         out.append(" ".join(words))
     return out

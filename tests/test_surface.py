@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from fairchk.surface import (MAX_NESTING, Cast, ChanIn, ChanOut, Choice, Close,
                              Done, NewSession, SourceError, TagComm, TChan, TEnd,
                              TName, TTags, Wait, lex, load, parse, preorder,
-                             render_program, render_type, resolve)
+                             render_program, render_type, resolve, token_positions)
 from fairchk.types import equiv
 
 import gen
 from conftest import CORPUS_RANKS, corpus_text
 from gen import random_source_program
-from oracles import lex_charwise, resolve_recursive
+from oracles import lex_charwise, lex_lines, resolve_recursive
+from test_mutations import _byte_mutants, _mutants
 
 
 def _same_source(a, b):
@@ -119,16 +120,41 @@ def test_apostrophe_identifiers():
 
 
 def test_spans_point_into_the_source():
-    sp = parse("type E = end!\nMain() = done")
-    assert sp.procdefs[0].span.line == 2
-    assert sp.procdefs[0].body.span == type(sp.procdefs[0].body.span)(2, 10)
+    # a node keeps the index of its first token, and the position table
+    # gives that token's line and column
+    text = "type E = end!\nMain() = done"
+    sp = parse(text)
+    where = token_positions(text)
+    assert where[sp.typedefs[0][2]] == (1, 1)
+    assert where[sp.procdefs[0].at] == (2, 1)
+    assert where[sp.procdefs[0].body.at] == (2, 10)
+    assert load(text).span(sp.procdefs[0].body.at) == (2, 10)
 
 
-def _tokens_or_error(lexer, text):
+def _lexed(text):
+    """lex's tokens and the position table's (line, col) for each, eof
+    included, or the error text."""
     try:
-        return lexer(text)
+        return lex(text), token_positions(text)
     except SourceError as err:
         return str(err)
+
+
+def _lexed_by(oracle, text):
+    """The same, from one of the tuple lexers."""
+    try:
+        toks = oracle(text)
+    except SourceError as err:
+        return str(err)
+    return [t[1] for t in toks], [(t[2], t[3]) for t in toks]
+
+
+def _assert_lexes_as_oracles(text):
+    # the same token texts, hence the same len, and the same positions or
+    # the same error as both oracles
+    got = _lexed(text)
+    assert got == _lexed_by(lex_charwise, text), text
+    assert got == _lexed_by(lex_lines, text), text
 
 
 def _lexer_inputs():
@@ -148,20 +174,38 @@ def _lexer_inputs():
         yield source(gen.deepest_admitted(source) + 1)
     rnd = random.Random(8)
     for _ in range(200):
-        yield render_program(random_source_program(rnd))
         yield gen.random_runnable_source(rnd)
+    for _ in range(2000):
+        yield render_program(random_source_program(rnd))
 
 
 def test_lexer_matches_charwise_oracle_on_programs():
     for text in _lexer_inputs():
-        assert _tokens_or_error(lex, text) == _tokens_or_error(lex_charwise, text)
+        _assert_lexes_as_oracles(text)
+
+
+def test_lexer_matches_both_oracles_on_mutants():
+    # the token and byte mutants of the mutation tests, those that decode
+    errors = 0
+    for name in sorted(CORPUS_RANKS):
+        text = corpus_text(name)
+        for mutant in _mutants(text, random.Random(f"mutate {name}")):
+            _assert_lexes_as_oracles(mutant)
+        for data in _byte_mutants(text.encode("utf-8"), random.Random(f"bytes {name}")):
+            try:
+                mutant = data.decode("utf-8")
+            except UnicodeDecodeError:
+                continue
+            _assert_lexes_as_oracles(mutant)
+            errors += isinstance(_lexed(mutant), str)
+    assert errors > 50
 
 
 def test_lexer_matches_charwise_oracle_on_corpus_prefixes():
     for name in sorted(CORPUS_RANKS):
         text = corpus_text(name)
         for i in range(len(text) + 1):
-            assert _tokens_or_error(lex, text[:i]) == _tokens_or_error(lex_charwise, text[:i])
+            _assert_lexes_as_oracles(text[:i])
 
 
 # Every kind of token and blank, a lone dash and a leading apostrophe, and
@@ -174,14 +218,15 @@ def test_lexer_matches_charwise_oracle_on_random_text():
     rnd = random.Random(88)
     for _ in range(20_000):
         text = "".join(rnd.choices(_LEXER_ALPHABET, k=rnd.randrange(40)))
-        assert _tokens_or_error(lex, text) == _tokens_or_error(lex_charwise, text)
+        _assert_lexes_as_oracles(text)
 
 
 @pytest.mark.parametrize("end, where", [("", "1:20"), ("\n", "2:1")])
 def test_eof_after_a_comment(end, where):
     # a comment takes no columns: eof sits where it starts, or on the next line
     text = "P(x: end!) = close -- bye" + end
-    assert lex(text) == lex_charwise(text)
+    _assert_lexes_as_oracles(text)
+    assert token_positions(text)[-1] == tuple(map(int, where.split(":")))
     with pytest.raises(SourceError) as err:
         parse(text)
     assert str(err.value) == f"{where}: expected 'ident', found 'eof'"
@@ -201,7 +246,8 @@ def test_long_lines_lex_in_linear_time(text, lexer, where, msg):
     assert str(err.value) == f"{where}: {msg}"
 
 
-@pytest.mark.parametrize("bad", [
+# Their `line:col: message` texts are pinned in golden_check.json.
+PARSE_ERRORS = [
     "type = end!",                       # missing name
     "type T = !{a: end!",                # unterminated branches
     "type T = !{a: end!, a: end!}",      # duplicate label
@@ -212,7 +258,20 @@ def test_long_lines_lex_in_linear_time(text, lexer, where, msg):
     "Main() = new x: end! in (done | done)",  # missing second endpoint
     "Main( = done",                      # broken parameter list
     "type T = end",                      # polarity missing
-])
+]
+
+RESOLVE_ERRORS = [
+    "type X = X  Main() = done",                    # direct self alias
+    "type A = B\ntype B = A\nMain() = done",        # alias cycle
+    "type A = end!\ntype A = end?\nMain() = done",  # duplicate typedef
+    "Main() = done\nMain() = done",                 # duplicate procdef
+    "Main(x: end!, x: end?) = close x",             # duplicate parameter
+    "Main(x: T) = close x",                         # undefined type
+    "Main() = Other()",                             # undefined process
+]
+
+
+@pytest.mark.parametrize("bad", PARSE_ERRORS)
 def test_parse_errors(bad):
     with pytest.raises(SourceError) as err:
         parse(bad)
@@ -273,15 +332,7 @@ def test_nesting_counts_open_constructs_only():
     assert (err.value.line, err.value.col) == (1, 10 + 8 * MAX_NESTING)
 
 
-@pytest.mark.parametrize("bad", [
-    "type X = X  Main() = done",                    # direct self alias
-    "type A = B\ntype B = A\nMain() = done",        # alias cycle
-    "type A = end!\ntype A = end?\nMain() = done",  # duplicate typedef
-    "Main() = done\nMain() = done",                 # duplicate procdef
-    "Main(x: end!, x: end?) = close x",             # duplicate parameter
-    "Main(x: T) = close x",                         # undefined type
-    "Main() = Other()",                             # undefined process
-])
+@pytest.mark.parametrize("bad", RESOLVE_ERRORS)
 def test_resolve_errors(bad):
     with pytest.raises(SourceError):
         load(bad)

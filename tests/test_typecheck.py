@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from fairchk import schema, typecheck
+from fairchk import schema, surface, typecheck
 from fairchk.surface import Call, Choice, SourceError, load, preorder, resolve
 from fairchk.typecheck import Checker, check_program, free_channels
 from fairchk.types import INF
@@ -404,6 +404,28 @@ def test_infer_branch_keeps_good_markers():
         CORPUS_RANKS["infinite_sessions.ft"]
 
 
+def _sessions(n: int) -> str:
+    """A process of rank n: n sessions opened one after another."""
+    if n == 0:
+        return "done"
+    return f"new x{n}: end! / end? in (close x{n} | wait x{n}. {_sessions(n - 1)})"
+
+
+@pytest.mark.parametrize("outer_rank, markers, rank", [(1, [2, 1], 1), (3, [1, 2], 0)])
+def test_infer_branch_sees_the_flips_committed_before(outer_rank, markers, rank):
+    # Main = (A +[1] done) +[1] C with A of rank 2. The outer choice comes
+    # first in preorder. At rank 1, C is better than the inner choice as
+    # written, so the outer marker flips; the body then no longer reaches
+    # the inner choice, its two scores tie, and it keeps its written marker.
+    # At rank 3 the outer marker stays, and the inner one flips to `done`.
+    # Choices judged independently would give [2, 2] in the first case.
+    program = load(f"Main() = ({_sessions(2)} +[1] done) +[1] {_sessions(outer_rank)}")
+    report = check_program(program, infer_branch=True)
+    assert [n.k for n in preorder(program.procs["Main"].body)
+            if isinstance(n, Choice)] == markers
+    assert report["definitions"][0]["rank"] == rank
+
+
 def test_action_bounds_outermost_reporting():
     # the unbounded call sits under a prefix; only the outermost failing
     # occurrence is reported
@@ -417,3 +439,17 @@ def test_diagnostic_spans_are_meaningful():
     for d in report["definitions"]:
         for diag in d["diagnostics"]:
             assert diag["span"]["line"] >= 1 and diag["span"]["col"] >= 1
+
+
+def test_positions_are_looked_up_only_for_diagnostics(monkeypatch):
+    # loading and checking an accepted program build no position table; a
+    # rejected one builds it once, however many diagnostics it prints
+    built = []
+    table = surface.token_positions
+    monkeypatch.setattr(surface, "token_positions", lambda src: built.append(src) or table(src))
+    for name in ACCEPTED:
+        assert check_program(load_corpus(name))["verdict"] == "accepted"
+    assert built == []
+    report = _report("fwd.ft")
+    assert len(built) == 1
+    assert sum(len(d["diagnostics"]) for d in report["definitions"]) > 1
