@@ -246,7 +246,8 @@ def test_long_lines_lex_in_linear_time(text, lexer, where, msg):
     assert str(err.value) == f"{where}: {msg}"
 
 
-# Their `line:col: message` texts are pinned in golden_check.json.
+# The `line:col: message` texts of these and of RESOLVE_ERRORS are pinned
+# in golden_check.json.
 PARSE_ERRORS = [
     "type = end!",                       # missing name
     "type T = !{a: end!",                # unterminated branches
