@@ -78,6 +78,13 @@ def _named_type(program: Program, name: str) -> int:
     return tid
 
 
+def _load_pair(args) -> tuple[Program, int, int]:
+    """The program of args.file and the ids of its types args.left and
+    args.right, for the subcommands that ask about a pair of types."""
+    program = _load_program(args.file)
+    return program, _named_type(program, args.left), _named_type(program, args.right)
+
+
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -115,9 +122,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_subtype(args) -> int:
-    program = _load_program(args.file)
-    s = _named_type(program, args.sub)
-    t = _named_type(program, args.sup)
+    program, s, t = _load_pair(args)
     verdict = subtyping.fair_subtype(program.table, s, t)
     if args.json:
         _emit_json(verdict.to_json(program.table))
@@ -134,9 +139,7 @@ def cmd_subtype(args) -> int:
 
 
 def cmd_compatible(args) -> int:
-    program = _load_program(args.file)
-    s = _named_type(program, args.left)
-    t = _named_type(program, args.right)
+    program, s, t = _load_pair(args)
     ok = semantics.compatible(program.table, s, t)
     if args.json:
         _emit_json({"compatible": ok})
@@ -146,9 +149,7 @@ def cmd_compatible(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    program = _load_program(args.file)
-    s = _named_type(program, args.left)
-    t = _named_type(program, args.right)
+    program, s, t = _load_pair(args)
     rank = semantics.session_rank(program.table, s, t)
     if args.json:
         _emit_json({"rank": subtyping.render_weight(rank)})
@@ -158,9 +159,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    program = _load_program(args.file)
-    s = _named_type(program, args.left)
-    t = _named_type(program, args.right)
+    program, s, t = _load_pair(args)
     g = semantics.build_config_graph(program.table, s, t)
     print(semantics.to_dot(program.table, g))
     return 0
@@ -221,68 +220,61 @@ def natural(text: str) -> int:
     return n
 
 
+# name, help, handler, and the names shown for the two type arguments of
+# the subcommands that load a pair of types through `_load_pair`
+COMMANDS = [
+    ("check", "type-check a program and report ranks", cmd_check, ()),
+    ("subtype", "decide fair subtyping between two named types", cmd_subtype, ("sub", "sup")),
+    ("compatible", "decide compatibility of two named types", cmd_compatible,
+     ("left", "right")),
+    ("rank", "session rank of a pair of named types", cmd_rank, ("left", "right")),
+    ("run", "execute a program under the random scheduler", cmd_run, ()),
+    ("graph", "emit the configuration graph of a type pair", cmd_graph, ("left", "right")),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairchk",
         description="Checker and interpreter for fair-termination session types.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="type-check a program and report ranks")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--infer-branch", action="store_true",
-                   help="flip choice markers when the other branch checks better")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("subtype", help="decide fair subtyping between two named types")
-    p.add_argument("file")
-    p.add_argument("sub")
-    p.add_argument("sup")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_subtype)
-
-    p = sub.add_parser("compatible", help="decide compatibility of two named types")
-    p.add_argument("file")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_compatible)
-
-    p = sub.add_parser("rank", help="session rank of a pair of named types")
-    p.add_argument("file")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_rank)
-
-    p = sub.add_parser("run", help="execute a program under the random scheduler")
-    p.add_argument("file")
-    p.add_argument("--seed", type=integer, default=0)
-    p.add_argument("--max-steps", type=natural, default=100_000)
-    p.add_argument("--trace", action="store_true",
-                   help="print one line per applied rule")
-    p.add_argument("--trace-json", action="store_true",
-                   help="print the trace as JSON lines")
-    p.add_argument("--unsafe", action="store_true",
-                   help="skip the checker before running")
-    p.add_argument("--stats", action="store_true",
-                   help="report rules fired, peak live threads and sessions opened")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_run)
-
-    p = sub.add_parser("graph", help="emit the configuration graph of a type pair")
-    p.add_argument("file")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--emit-graph", choices=["dot"], default="dot")
-    p.set_defaults(fn=cmd_graph)
-
+    for name, help_text, fn, pair in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(fn=fn)
+        p.add_argument("file")
+        for dest, shown in zip(("left", "right"), pair):
+            p.add_argument(dest, metavar=shown)
+        if name == "run":
+            p.add_argument("--seed", type=integer, default=0)
+            p.add_argument("--max-steps", type=natural, default=100_000)
+            p.add_argument("--trace", action="store_true",
+                           help="print one line per applied rule")
+            p.add_argument("--trace-json", action="store_true",
+                           help="print the trace as JSON lines")
+            p.add_argument("--unsafe", action="store_true",
+                           help="skip the checker before running")
+            p.add_argument("--stats", action="store_true",
+                           help="report rules fired, peak live threads and sessions opened")
+        if name != "graph":
+            p.add_argument("--json", action="store_true")
+        if name == "check":
+            p.add_argument("--infer-branch", action="store_true",
+                           help="flip choice markers when the other branch checks better")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: exit 2 without a traceback, and point
+        # stdout at the null device so that the interpreter's last flush
+        # of what is still buffered fails quietly too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
-                      NewSession, ProcExpr, Program, TagComm, Wait, render_proc)
+                      NewSession, ProcExpr, Program, TagComm, Wait, render)
 
 _M64 = (1 << 64) - 1
 
@@ -282,7 +282,7 @@ class Soup:
         out = []
         for th in self.threads.values():
             env = ", ".join(f"{v}=s{h[0]}.{h[1]}" for v, h in sorted(th.env.items()))
-            out.append(f"{render_proc(th.proc)}  [{env}]")
+            out.append(f"{render(th.proc)}  [{env}]")
         return out
 
 

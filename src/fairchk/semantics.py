@@ -23,7 +23,7 @@ def _picks(table: TypeTable, i: int) -> list[int]:
     """Silent pick successors, with the singleton self-loop contracted."""
     n = table.node(i)
     if n[0] == "tags" and n[1] == OUT and len(n[2]) > 1:
-        return [table.singleton(i, label) for label in table.labels(i)]
+        return [table.singleton(i, label) for label in sorted(l for l, _ in n[2])]
     return []
 
 

@@ -39,10 +39,10 @@ KEYWORDS = {"type", "done", "close", "wait", "new", "in"}
 
 # Deepest syntactic nesting the parser admits: each process or type
 # constructor inside another is one level, and so is each `+` of a choice
-# chain, which nests to the left. The parser and `render_proc` recurse on
-# the tree (every other pass walks it on an explicit stack), so a bound well
-# inside the interpreter's stack turns a deep input into a SourceError
-# instead of a RecursionError.
+# chain, which nests to the left. Only the parser recurses on the tree
+# (every other pass, the printers too, walks it on an explicit stack), so a
+# bound well inside the interpreter's stack turns a deep input into a
+# SourceError instead of a RecursionError.
 MAX_NESTING = 250
 
 
@@ -621,63 +621,82 @@ def parse(text: str) -> SourceProgram:
 
 # Renderer -------------------------------------------------------------------
 
-def render_type(t: TypeExpr) -> str:
-    if isinstance(t, TEnd):
-        return f"end{t.pol}"
-    if isinstance(t, TName):
-        return t.name
-    if isinstance(t, TTags):
-        inner = ", ".join(f"{l}: {render_type(b)}" for l, b in t.branches)
-        return f"{t.pol}{{{inner}}}"
-    return f"{t.pol}({render_type(t.payload)}). {render_type(t.cont)}"
+def _operand(p: ProcExpr) -> tuple:
+    """p as the operand of a prefix or the right operand of a choice: a
+    choice there is parenthesized. Left operands re-associate correctly on
+    reparse; right ones do not."""
+    return ("(", p, ")") if isinstance(p, Choice) else (p,)
 
 
-def _atom(p: ProcExpr) -> str:
-    s = render_proc(p)
-    return f"({s})" if isinstance(p, Choice) else s
+def _branches_text(branches: list[tuple[str, Any]]) -> list:
+    return [x for k, (l, b) in enumerate(branches) for x in (f", {l}: " if k else f"{l}: ", b)]
 
 
-def render_proc(p: ProcExpr) -> str:
-    if isinstance(p, Done):
-        return "done"
-    if isinstance(p, Call):
-        return f"{p.name}({', '.join(p.args)})"
-    if isinstance(p, Close):
-        return f"close {p.chan}"
-    if isinstance(p, Wait):
-        return f"wait {p.chan}. {_atom(p.cont)}"
-    if isinstance(p, TagComm):
-        if len(p.branches) == 1:
-            label, cont = p.branches[0]
-            return f"{p.chan}{p.pol}{label}. {_atom(cont)}"
-        inner = ", ".join(f"{l}: {render_proc(b)}" for l, b in p.branches)
-        return f"{p.chan}{p.pol}{{{inner}}}"
-    if isinstance(p, ChanOut):
-        return f"{p.chan}!({p.payload}). {_atom(p.cont)}"
-    if isinstance(p, ChanIn):
-        return f"{p.chan}?({p.var}: {render_type(p.ann)}). {_atom(p.cont)}"
-    if isinstance(p, Choice):
-        # Left operands re-associate correctly on reparse; right ones do not.
-        return f"{render_proc(p.left)} +[{p.k}] {_atom(p.right)}"
-    if isinstance(p, NewSession):
-        head = f"new {p.chan}: {render_type(p.lty)} / {render_type(p.rty)}"
-        return f"{head} in ({render_proc(p.left)} | {render_proc(p.right)})"
-    if isinstance(p, Cast):
-        w = f" @{p.weight_ann}" if p.weight_ann is not None else ""
-        return f"[{p.chan}: {render_type(p.target)}{w}] {_atom(p.cont)}"
-    raise TypeError(f"not a process node: {p!r}")
+def _pieces(n: TypeExpr | ProcExpr) -> tuple:
+    """The text of one syntax node: strings, with its child nodes in place."""
+    if isinstance(n, TEnd):
+        return (f"end{n.pol}",)
+    if isinstance(n, TName):
+        return (n.name,)
+    if isinstance(n, TTags):
+        return (f"{n.pol}{{", *_branches_text(n.branches), "}")
+    if isinstance(n, TChan):
+        return (f"{n.pol}(", n.payload, "). ", n.cont)
+    if isinstance(n, Done):
+        return ("done",)
+    if isinstance(n, Call):
+        return (f"{n.name}({', '.join(n.args)})",)
+    if isinstance(n, Close):
+        return (f"close {n.chan}",)
+    if isinstance(n, Wait):
+        return (f"wait {n.chan}. ", *_operand(n.cont))
+    if isinstance(n, TagComm):
+        if len(n.branches) == 1:
+            label, cont = n.branches[0]
+            return (f"{n.chan}{n.pol}{label}. ", *_operand(cont))
+        return (f"{n.chan}{n.pol}{{", *_branches_text(n.branches), "}")
+    if isinstance(n, ChanOut):
+        return (f"{n.chan}!({n.payload}). ", *_operand(n.cont))
+    if isinstance(n, ChanIn):
+        return (f"{n.chan}?({n.var}: ", n.ann, "). ", *_operand(n.cont))
+    if isinstance(n, Choice):
+        return (n.left, f" +[{n.k}] ", *_operand(n.right))
+    if isinstance(n, NewSession):
+        return (f"new {n.chan}: ", n.lty, " / ", n.rty, " in (", n.left, " | ", n.right, ")")
+    if isinstance(n, Cast):
+        w = f" @{n.weight_ann}" if n.weight_ann is not None else ""
+        return (f"[{n.chan}: ", n.target, f"{w}] ", *_operand(n.cont))
+    raise TypeError(f"not a syntax node: {n!r}")
+
+
+def render(n: TypeExpr | ProcExpr) -> str:
+    """The text of a type or process expression.
+
+    One explicit stack of pieces, taken from the top: a string is the next
+    text and a node is replaced by its pieces, so that the depth of the
+    tree costs no frames.
+    """
+    out: list[str] = []
+    stack: list = [n]
+    while stack:
+        piece = stack.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+        else:
+            stack.extend(reversed(_pieces(piece)))
+    return "".join(out)
 
 
 def render_program(sp: SourceProgram) -> str:
     lines = []
     for name, body, _ in sp.typedefs:
-        lines.append(f"type {name} = {render_type(body)}")
+        lines.append(f"type {name} = {render(body)}")
     if sp.typedefs and sp.procdefs:
         lines.append("")
     for d in sp.procdefs:
-        params = ", ".join(f"{v}: {render_type(t)}" for v, t in d.params)
+        params = ", ".join(f"{v}: {render(t)}" for v, t in d.params)
         rank = f" @{d.rank_ann}" if d.rank_ann is not None else ""
-        lines.append(f"{d.name}({params}){rank} = {render_proc(d.body)}")
+        lines.append(f"{d.name}({params}){rank} = {render(d.body)}")
     return "\n".join(lines) + "\n"
 
 

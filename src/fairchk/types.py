@@ -82,16 +82,6 @@ class TypeTable:
     def kind(self, i: int) -> str:
         return self.node(i)[0]
 
-    def branches(self, i: int) -> dict[str, int]:
-        """Label → child id of a tags node, insertion order preserved."""
-        n = self.node(i)
-        assert n[0] == "tags"
-        return dict(n[2])
-
-    def labels(self, i: int) -> list[str]:
-        """Sorted labels of a tags node; semantic iteration order."""
-        return sorted(self.branches(i))
-
     def children(self, i: int) -> list[int]:
         n = self.node(i)
         if n[0] == "end":
@@ -118,18 +108,18 @@ class TypeTable:
     def render(self, i: int) -> str:
         """The tree at i, unfolded until a node repeats on the current path.
 
-        When a composite node other than i is reached by two edges and the
-        unfolding passes RENDER_LIMIT characters, the text is the equation
+        When the unfolding passes RENDER_LIMIT characters and a composite
+        node other than i is reached by two edges, the text is the equation
         form instead: i unfolded up to the shared nodes, which appear by
         name, then ` where N1 = body1, N2 = body2, …`, one equation per
         shared node in the order the names first appear. The equation form,
         like an unfolding with nothing shared, prints each node once.
         """
-        shared = self._shared(i)
-        if not shared:
-            return self._unfold(i, (), self._name)
-        text = self._unfold(i, (), self._name, RENDER_LIMIT)
-        return text if text is not None else self._equations(i, shared)
+        text = self._print(i, RENDER_LIMIT)
+        if text is None:
+            shared = self._shared(i)
+            text = self._print(i, cut=shared | {i}) if shared else self._print(i)
+        return text
 
     def _shared(self, i: int) -> set[int]:
         """The composite nodes other than i with two or more incoming edges
@@ -137,17 +127,29 @@ class TypeTable:
         edges = Counter(c for j in self.reachable(i) for c in self.children(j))
         return {c for c, k in edges.items() if k > 1 and c != i and self.kind(c) != "end"}
 
-    def _equations(self, i: int, shared: set[int]) -> str:
-        # i and the shared nodes get names in the order they are first
-        # referred to; a name is unique in the text and is no other node's
-        # type name
-        names: dict[int, str] = {}
-        used: set[str] = set()
-        texts: list[str] = []
+    def _print(self, i: int, limit: float = INF, cut: frozenset | set = frozenset()
+               ) -> Optional[str]:
+        """The tree at i, with a node on the current path printed by name;
+        None as soon as the text passes `limit` characters.
 
-        def ref(j: int) -> str:
+        With a `cut` that holds i, this is the equation form: a node in
+        `cut` is printed by name too, and its equation follows the text of
+        i, in the order the names first appear. Those names are unique, are
+        no other node's type name, and i has the first.
+
+        One explicit stack of pieces, taken from the top and joined once at
+        the end. A piece is a string, a node id, or ~j (a negative int),
+        which takes node j off the current path.
+        """
+        names: dict[int, str] = {}  # node in `cut` -> its name
+        order: list[int] = []  # the named nodes, by first use
+        used: set[str] = set()
+
+        def name(j: int) -> str:
             got = names.get(j)
             if got is None:
+                if not cut:
+                    return self._name(j)
                 base = got = self._name(j)
                 k = 0
                 while got in used or self.type_names.get(got, j) != j:
@@ -155,81 +157,54 @@ class TypeTable:
                     got = f"{base}_{k}"
                 used.add(got)
                 names[j] = got
+                order.append(j)
             return got
 
-        def unfold(j: int) -> list[int]:
-            # j's text goes to texts; the nodes it names are j's successors
-            named: list[int] = []
-            texts.append(self._unfold(j, cut, lambda c: named.append(c) or ref(c)))
-            return named
-
-        ref(i)
-        cut = shared | {i}
-        order = list(reach([i], unfold))
-        eqs = ", ".join(f"{names[j]} = {t}" for j, t in zip(order[1:], texts[1:]))
-        return f"{texts[0]} where {eqs}"
-
-    def _unfold(self, i: int, cut, ref, limit: float = INF) -> Optional[str]:
-        """The tree at i, with a node on the current path or in `cut` shown
-        as ref(node); None as soon as the text passes `limit` characters.
-
-        An explicit stack instead of recursion, so that deep types render.
-        Each open node keeps its own list of parts and joins it when it
-        closes; its parent then holds one string per child, not every
-        fragment below it.
-        """
-        # id -> (head, [(separator, child), ...], tail); an end node has
-        # its whole text as head and None for the children
-        shapes: dict[int, tuple] = {}
-
-        def shape(j: int) -> tuple:
-            got = shapes.get(j)
-            if got is None:
-                n = self.node(j)
-                if n[0] == "end":
-                    got = (f"end{n[1]}", None, "")
-                elif n[0] == "tags":
-                    got = (f"{n[1]}{{", [(f", {l}: " if k else f"{l}: ", c)
-                                         for k, (l, c) in enumerate(n[2])], "}")
-                else:
-                    got = (f"{n[1]}(", [("", n[2]), (").", n[3])], "")
-                shapes[j] = got
-            return got
-
-        head, kids, tail = shape(i)
-        if kids is None:
-            return head
-        size = len(head)
-        on_path = {i}
-        stack = [(i, [head], iter(kids), tail)]
-        while True:
-            j, parts, todo, tail = stack[-1]
-            for sep, c in todo:
-                parts.append(sep)
-                if c in on_path or c in cut:
-                    head, kids = ref(c), None
-                else:
-                    head, kids, ctail = shape(c)
-                size += len(sep) + len(head)
+        # id -> (its opening text, the pieces that follow it, top last)
+        shapes: dict[int, tuple[str, list]] = {}
+        if cut:
+            name(i)
+        out: list[str] = []
+        size, path = 0, set()
+        # `order` grows while it is read: a body may name further nodes
+        for k, body in enumerate(order if cut else [i]):
+            stack = [body, f"{' where ' if k == 1 else ', '}{names[body]} = "] if k else [body]
+            while stack:
+                piece = stack.pop()
+                if type(piece) is int:
+                    if piece < 0:
+                        path.discard(~piece)
+                        continue
+                    if piece in path or piece in cut and piece != body:
+                        piece = name(piece)
+                    else:
+                        got = shapes.get(piece)
+                        if got is None:
+                            got = shapes[piece] = self._shape(piece)
+                        if got[1]:
+                            path.add(piece)
+                            stack += got[1]
+                        piece = got[0]
+                size += len(piece)
                 if size > limit:
                     return None
-                if kids is None:
-                    parts.append(head)
-                    continue
-                on_path.add(c)
-                stack.append((c, [head], iter(kids), ctail))
-                break
-            else:
-                parts.append(tail)
-                size += len(tail)
-                if size > limit:
-                    return None
-                stack.pop()
-                on_path.discard(j)
-                text = "".join(parts)
-                if not stack:
-                    return text
-                stack[-1][1].append(text)
+                out.append(piece)
+        return "".join(out)
+
+    def _shape(self, j: int) -> tuple[str, list]:
+        """Node j's opening text and the pieces that follow it, the next
+        one last: its children, the texts between them, and ~j."""
+        n = self.node(j)
+        if n[0] == "end":
+            return f"end{n[1]}", []
+        if n[0] == "chan":
+            return f"{n[1]}(", [~j, n[3], ").", n[2]]
+        (l, c), *rest = n[2]
+        more = [~j, "}"]
+        for l2, c2 in reversed(rest):
+            more += (c2, f", {l2}: ")
+        more.append(c)
+        return f"{n[1]}{{{l}: ", more
 
     def _name(self, i: int) -> str:
         return self.name_hint.get(i, f"t{i}")

@@ -14,8 +14,12 @@ instead of fixpoints over the termination-path graph, free channels by
 recursion instead of one pass per definition, least closures and
 reachability by Kleene rounds instead of worklists,
 type rendering, duality and the typing walk by recursion instead of an
-explicit stack, the interpreter's redexes by a rebuild of the whole list at every step instead
-of an index that re-reads only the threads a step touched, tokens by a
+explicit stack, type rendering also by the former pair of printers (an
+unfolding that joins each subtree's text into its parent's, and a separate
+equation printer) instead of one stack of pieces, syntax printing by
+recursion instead of a stack of pieces, the interpreter's redexes by a
+rebuild of the whole list at every step instead of an index that re-reads
+only the threads a step touched, tokens by a
 loop over single characters and by a regular expression per line instead
 of one pass over the whole text with positions looked up later, and
 the interning of type annotations by recursion, with a fresh alias chase
@@ -24,16 +28,18 @@ per name, instead of a post-order stack and a memo per name.
 
 import re
 import string
-from collections import deque
+from collections import Counter, deque
 from operator import itemgetter
 
+from fairchk import types
+from fairchk.graph import reach
 from fairchk.runtime import Handle, Soup
 from fairchk.semantics import build_config_graph, compatible, session_rank
 from fairchk.subtyping import Simulation, fair_subtype, simulate
 from fairchk.surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
                              NewSession, ProcDef, ProcExpr, Program, SourceError,
-                             SourceProgram, TagComm, TEnd, TName, TTags, TypeExpr,
-                             Wait, preorder, source_error)
+                             SourceProgram, TagComm, TChan, TEnd, TName, TTags,
+                             TypeExpr, Wait, preorder, source_error)
 from fairchk.typecheck import Checker, _Abort, free_channels
 from fairchk.types import INF, OUT, TypeTable, co, equiv, reachable_pairs
 
@@ -355,6 +361,166 @@ def render_recursive(table: TypeTable, i: int, under: frozenset = frozenset()) -
         return f"{n[1]}{{{inner}}}"
     return (f"{n[1]}({render_recursive(table, n[2], under)})."
             f"{render_recursive(table, n[3], under)}")
+
+
+def render_composed(table: TypeTable, i: int) -> str:
+    """`TypeTable.render` as two printers: an unfolding on a stack where
+    each open node joins its own list of parts into its parent's, and the
+    equation form, which unfolds each named node once and orders the
+    equations by a breadth-first search over the names each text uses."""
+    edges = Counter(c for j in table.reachable(i) for c in table.children(j))
+    shared = {c for c, k in edges.items() if k > 1 and c != i and table.kind(c) != "end"}
+    if not shared:
+        return _unfold_composed(table, i, (), table._name)
+    text = _unfold_composed(table, i, (), table._name, types.RENDER_LIMIT)
+    return text if text is not None else _equations_composed(table, i, shared)
+
+
+def _equations_composed(table: TypeTable, i: int, shared: set[int]) -> str:
+    # i and the shared nodes get names in the order they are first
+    # referred to; a name is unique in the text and is no other node's
+    # type name
+    names: dict[int, str] = {}
+    used: set[str] = set()
+    texts: list[str] = []
+
+    def ref(j: int) -> str:
+        got = names.get(j)
+        if got is None:
+            base = got = table._name(j)
+            k = 0
+            while got in used or table.type_names.get(got, j) != j:
+                k += 1
+                got = f"{base}_{k}"
+            used.add(got)
+            names[j] = got
+        return got
+
+    def unfold(j: int) -> list[int]:
+        # j's text goes to texts; the nodes it names are j's successors
+        named: list[int] = []
+        texts.append(_unfold_composed(table, j, cut, lambda c: named.append(c) or ref(c)))
+        return named
+
+    ref(i)
+    cut = shared | {i}
+    order = list(reach([i], unfold))
+    eqs = ", ".join(f"{names[j]} = {t}" for j, t in zip(order[1:], texts[1:]))
+    return f"{texts[0]} where {eqs}"
+
+
+def _unfold_composed(table: TypeTable, i: int, cut, ref, limit: float = INF):
+    """The tree at i, with a node on the current path or in `cut` shown as
+    ref(node); None as soon as the text passes `limit` characters."""
+    # id -> (head, [(separator, child), ...], tail); an end node has its
+    # whole text as head and None for the children
+    shapes: dict[int, tuple] = {}
+
+    def shape(j: int) -> tuple:
+        got = shapes.get(j)
+        if got is None:
+            n = table.node(j)
+            if n[0] == "end":
+                got = (f"end{n[1]}", None, "")
+            elif n[0] == "tags":
+                got = (f"{n[1]}{{", [(f", {l}: " if k else f"{l}: ", c)
+                                     for k, (l, c) in enumerate(n[2])], "}")
+            else:
+                got = (f"{n[1]}(", [("", n[2]), (").", n[3])], "")
+            shapes[j] = got
+        return got
+
+    head, kids, tail = shape(i)
+    if kids is None:
+        return head
+    size = len(head)
+    on_path = {i}
+    stack = [(i, [head], iter(kids), tail)]
+    while True:
+        j, parts, todo, tail = stack[-1]
+        for sep, c in todo:
+            parts.append(sep)
+            if c in on_path or c in cut:
+                head, kids = ref(c), None
+            else:
+                head, kids, ctail = shape(c)
+            size += len(sep) + len(head)
+            if size > limit:
+                return None
+            if kids is None:
+                parts.append(head)
+                continue
+            on_path.add(c)
+            stack.append((c, [head], iter(kids), ctail))
+            break
+        else:
+            parts.append(tail)
+            size += len(tail)
+            if size > limit:
+                return None
+            stack.pop()
+            on_path.discard(j)
+            text = "".join(parts)
+            if not stack:
+                return text
+            stack[-1][1].append(text)
+
+
+# -- syntax printing by recursion ------------------------------------------------
+
+def render_syntax_recursive(n) -> str:
+    """`surface.render` by recursion on the syntax tree."""
+    return (_render_type_recursive(n) if isinstance(n, (TEnd, TTags, TChan, TName))
+            else _render_proc_recursive(n))
+
+
+def _render_type_recursive(t: TypeExpr) -> str:
+    if isinstance(t, TEnd):
+        return f"end{t.pol}"
+    if isinstance(t, TName):
+        return t.name
+    if isinstance(t, TTags):
+        inner = ", ".join(f"{l}: {_render_type_recursive(b)}" for l, b in t.branches)
+        return f"{t.pol}{{{inner}}}"
+    return f"{t.pol}({_render_type_recursive(t.payload)}). {_render_type_recursive(t.cont)}"
+
+
+def _atom_recursive(p: ProcExpr) -> str:
+    s = _render_proc_recursive(p)
+    return f"({s})" if isinstance(p, Choice) else s
+
+
+def _render_proc_recursive(p: ProcExpr) -> str:
+    if isinstance(p, Done):
+        return "done"
+    if isinstance(p, Call):
+        return f"{p.name}({', '.join(p.args)})"
+    if isinstance(p, Close):
+        return f"close {p.chan}"
+    if isinstance(p, Wait):
+        return f"wait {p.chan}. {_atom_recursive(p.cont)}"
+    if isinstance(p, TagComm):
+        if len(p.branches) == 1:
+            label, cont = p.branches[0]
+            return f"{p.chan}{p.pol}{label}. {_atom_recursive(cont)}"
+        inner = ", ".join(f"{l}: {_render_proc_recursive(b)}" for l, b in p.branches)
+        return f"{p.chan}{p.pol}{{{inner}}}"
+    if isinstance(p, ChanOut):
+        return f"{p.chan}!({p.payload}). {_atom_recursive(p.cont)}"
+    if isinstance(p, ChanIn):
+        return f"{p.chan}?({p.var}: {_render_type_recursive(p.ann)}). {_atom_recursive(p.cont)}"
+    if isinstance(p, Choice):
+        # Left operands re-associate correctly on reparse; right ones do not.
+        return f"{_render_proc_recursive(p.left)} +[{p.k}] {_atom_recursive(p.right)}"
+    if isinstance(p, NewSession):
+        head = (f"new {p.chan}: {_render_type_recursive(p.lty)} / "
+                f"{_render_type_recursive(p.rty)}")
+        return (f"{head} in ({_render_proc_recursive(p.left)} | "
+                f"{_render_proc_recursive(p.right)})")
+    if isinstance(p, Cast):
+        w = f" @{p.weight_ann}" if p.weight_ann is not None else ""
+        return f"[{p.chan}: {_render_type_recursive(p.target)}{w}] {_atom_recursive(p.cont)}"
+    raise TypeError(f"not a process node: {p!r}")
 
 
 # -- equivalence by expansion --------------------------------------------------

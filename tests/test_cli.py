@@ -7,6 +7,10 @@ stdout, and stderr. Exit code contract: 0 success/holds, 1 fails/rejected,
 
 import gc
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -429,6 +433,23 @@ def test_run_stats_human_line(capsys):
         "terminated after 11 steps (seed 1)",
         "peak threads 3, sessions opened 2, rules fired: rb-cast 1, rb-par 2, "
         "rb-pick 1, rb-signal 2, rb-tag 2, sb-call 3"]
+
+
+def test_a_closed_stdout_exits_two_without_a_traceback(tmp_path):
+    # the trace is about 2 MB, and the reader closes after its first line
+    (tmp_path / "loop.ft").write_text("Main() = Main()\n")
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fairchk.cli", "run", str(tmp_path / "loop.ft"), "--unsafe",
+         "--trace", "--max-steps", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.readline() == b"0\tsb-call\t-\tMain\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == b""
 
 
 # ---------------------------------------------------------------- color

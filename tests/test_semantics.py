@@ -204,3 +204,12 @@ def test_dot_marks_picks_dashed():
     dot = to_dot(bsc.table, g)
     assert 'label="pick", style=dashed' in dot
     assert 'label="add"' in dot or 'label="pay"' in dot
+
+
+def test_picks_follow_label_order_not_source_order():
+    table = TypeTable()
+    e, d = _ends(table)
+    s = table.add(("tags", "!", (("b", e), ("a", e))))
+    t = table.add(("tags", "?", (("a", d), ("b", d))))
+    dot = to_dot(table, build_config_graph(table, s, t))
+    assert dot.index('"!{a: end!} #') < dot.index('"!{b: end!} #')

@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairchk.surface import (MAX_NESTING, Cast, ChanIn, ChanOut, Choice, Close,
-                             Done, NewSession, SourceError, TagComm, TChan, TEnd,
-                             TName, TTags, Wait, lex, load, parse, preorder,
-                             render_program, render_type, resolve, token_positions)
+                             Done, NewSession, ProcDef, SourceError, SourceProgram, TagComm,
+                             TChan, TEnd, TName, TTags, Wait, lex, load, parse, preorder,
+                             render, render_program, resolve, token_positions)
 from fairchk.types import equiv
 
 import gen
 from conftest import CORPUS_RANKS, corpus_text
 from gen import random_source_program
-from oracles import lex_charwise, lex_lines, resolve_recursive
+from oracles import lex_charwise, lex_lines, render_syntax_recursive, resolve_recursive
 from test_mutations import _byte_mutants, _mutants
 
 
@@ -49,9 +49,64 @@ def test_random_program_round_trip():
 
 
 def test_render_type_examples():
-    assert render_type(TEnd("!")) == "end!"
+    assert render(TEnd("!")) == "end!"
     t = TTags("!", [("add", TName("SB")), ("pay", TEnd("!"))])
-    assert render_type(t) == "!{add: SB, pay: end!}"
+    assert render(t) == "!{add: SB, pay: end!}"
+
+
+def _syntax_trees(sp):
+    """Every type and process expression of sp, each subprocess too."""
+    for _, body, _ in sp.typedefs:
+        yield body
+    for d in sp.procdefs:
+        yield from (t for _, t in d.params)
+        yield from preorder(d.body)
+
+
+def test_syntax_render_matches_recursive_oracle():
+    rnd = random.Random(22)
+    programs = [parse(corpus_text(name)) for name in sorted(CORPUS_RANKS)]
+    programs += [random_source_program(rnd) for _ in range(2000)]
+    kinds = set()
+    for sp in programs:
+        for tree in _syntax_trees(sp):
+            assert render(tree) == render_syntax_recursive(tree)
+            kinds.add(type(tree).__name__)
+    assert len(kinds) == 14, kinds  # every kind of type and process node
+
+
+DEPTH = 10**5
+
+# shape -> (a syntax tree DEPTH levels deep, built directly because the
+# parser admits only MAX_NESTING levels, and the text render_program gives)
+_DEEP_SHAPES = {
+    "sessions": (
+        lambda p: NewSession("x", TEnd("!"), TEnd("?"), Close("x"), Wait("x", p)), Done(),
+        "new x: end! / end? in (close x | wait x. ", "done", ")"),
+    "prefixes": (lambda p: TagComm("x", "!", [("a", p)]), Close("x"), "x!a. ", "close x", ""),
+    "branches": (lambda p: TagComm("x", "?", [("a", p), ("b", Done())]), Done(),
+                 "x?{a: ", "done", ", b: done}"),
+    "parentheses": (lambda p: Choice(1, Done(), p), Choice(1, Done(), Done()),
+                    "done +[1] (", "done +[1] done", ")"),
+    "choices": (lambda p: Choice(2, p, Done()), Done(), "", "done", " +[2] done"),
+    "channel-types": (lambda t: TChan("!", TEnd("?"), t), TEnd("!"), "!(end?). ", "end!", ""),
+    "casts": (lambda p: Cast("x", TTags("!", [("a", TEnd("!"))]), None, p), Close("x"),
+              "[x: !{a: end!}] ", "close x", ""),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP_SHAPES))
+def test_render_prints_trees_a_hundred_thousand_levels_deep(shape):
+    wrap, leaf, opening, middle, closing = _DEEP_SHAPES[shape]
+    tree = leaf
+    for _ in range(DEPTH):
+        tree = wrap(tree)
+    if shape == "channel-types":
+        sp, head = SourceProgram([("T", tree, -1)], []), "type T = "
+    else:
+        sp, head = SourceProgram([], [ProcDef("Main", [], None, tree)]), "Main() = "
+    # strings compared, not trees: a dataclass __eq__ recurses
+    assert render_program(sp) == head + opening * DEPTH + middle + closing * DEPTH + "\n"
 
 
 def test_comments_and_whitespace():
@@ -489,4 +544,4 @@ _type_exprs = st.recursive(
 @given(_type_exprs)
 @settings(max_examples=200, deadline=None)
 def test_type_round_trip(t):
-    assert parse(f"type T = {render_type(t)}").typedefs[0][1] == t
+    assert parse(f"type T = {render(t)}").typedefs[0][1] == t

@@ -17,7 +17,7 @@ from fairchk.types import (RENDER_LIMIT, TypeTable, co, dual, equiv, is_bounded,
 from conftest import CORPUS_RANKS, load_corpus
 from gen import (cascade_source, diverging_source, holding_source, intern_spec,
                  random_spec, shared_ladder_source, unfold_root)
-from oracles import dual_recursive, equiv_oracle, render_recursive
+from oracles import dual_recursive, equiv_oracle, render_composed, render_recursive
 
 
 def plus(table: TypeTable, a: int, b: int) -> Optional[int]:
@@ -333,11 +333,39 @@ def test_render_matches_recursive_oracle():
 
 
 def test_render_deep_chain():
+    # 10^5 composite nodes, one inside the other
     table = TypeTable()
     t = _end(table, "!")
-    for _ in range(5000):
+    for _ in range(50_000):
         t = table.add(("chan", "?", _end(table, "?"), table.add(("tags", "?", (("a", t),)))))
-    assert table.render(t) == "?(end?).?{a: " * 5000 + "end!" + "}" * 5000
+    assert table.render(t) == "?(end?).?{a: " * 50_000 + "end!" + "}" * 50_000
+
+
+@pytest.mark.parametrize("budget", [RENDER_LIMIT, 64, 0])
+def test_render_matches_composed_oracle(monkeypatch, budget):
+    monkeypatch.setattr(types, "RENDER_LIMIT", budget)
+    rnd = random.Random(1212)
+    tables = [load_corpus(name).table for name in sorted(CORPUS_RANKS)]
+    tables += [load(source(n)).table for source in (shared_ladder_source, diverging_source)
+               for n in (1, 4, 13)]
+    for _ in range(500):
+        table = TypeTable()
+        spec = random_spec(rnd, 12)
+        ids = [intern_spec(table, spec, root) for root in range(len(spec))]
+        # clashing hints and type names, so that names must be made unique
+        for j in ids:
+            if rnd.random() < 0.3:
+                table.name_hint[j] = rnd.choice(["A", "t1", "t2"])
+        table.type_names = {h: rnd.choice(ids) for h in ("A", "t1") if rnd.random() < 0.5}
+        tables.append(table)
+    forms = set()
+    for table in tables:
+        for i, n in enumerate(table.nodes):
+            if n is not None:
+                text = table.render(i)
+                assert text == render_composed(table, i)
+                forms.add(" where " in text)
+    assert forms == {True, False}
 
 
 def test_dump_emits_surface_equations():
