@@ -19,58 +19,57 @@ from typing import Optional, TypeVar
 N = TypeVar("N", bound=Hashable)
 
 
-def tarjan(nodes: list[N], succ: dict[N, list[N]]) -> list[list[N]]:
+def tarjan(nodes: Iterable[N], succ: Mapping[N, list[N]] | list[list[N]]) -> list[list[N]]:
     """Iterative strongly-connected components, deterministic order.
 
     Every component comes out after all the components it reaches, so a
-    caller that walks the list in order meets the successors first.
+    caller that walks the list in order meets the successors first. Each
+    work frame holds its node's successor iterator and resumes it where it
+    stopped (Tarjan, "Depth-first search and linear graph algorithms",
+    1972), so every edge is looked at once.
     """
     index: dict[N, int] = {}
     low: dict[N, int] = {}
     on_stack: set[N] = set()
     stack: list[N] = []
     sccs: list[list[N]] = []
-    counter = 0
     for root in nodes:
         if root in index:
             continue
-        work: list[tuple[N, int]] = [(root, 0)]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            for j in range(pi, len(succ[v])):
-                w = succ[v][j]
+            v, ws = work[-1]
+            for w in ws:
                 if w not in index:
-                    work[-1] = (v, j + 1)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(comp)
     return sccs
 
 
-def cyclic(scc: list[N], succ: dict[N, list[N]]) -> bool:
+def cyclic(scc: list[N], succ: Mapping[N, list[N]] | list[list[N]]) -> bool:
     """The component holds a cycle: two members or more, or a self-loop."""
     return len(scc) > 1 or scc[0] in succ[scc[0]]
 

@@ -89,6 +89,10 @@ class Checker:
         self.diags: dict[str, list[Diagnostic]] = {n: [] for n in program.procs}
         self.cast_weight: dict[int, int] = {}
         self.occs = {name: preorder(d.body) for name, d in program.procs.items()}
+        # every occurrence numbered once: definitions in order, each in
+        # preorder; the termination-path graph and its results use these
+        self.nodes = [n for order in self.occs.values() for n in order]
+        self.number = {id(n): v for v, n in enumerate(self.nodes)}
         # per definition, built at its first session: most have none
         self.free: dict[str, dict[int, set[str]]] = {}
         self.ranks: dict[str, int | float] = {}
@@ -268,20 +272,14 @@ class Checker:
 
     # -- termination-path graph and loop safety -----------------------------
 
-    def term_successors(self, p: ProcExpr) -> tuple[ProcExpr, ...]:
-        if isinstance(p, Call):
-            return (self.program.procs[p.name].body,)
-        if isinstance(p, Choice):
-            return (p.left if p.k == 1 else p.right,)
-        return children(p)
-
     def check_safe(self) -> None:
         """Build the termination-path graph and flag the sessions and
         positive-weight casts on its loops."""
         self.graph = TermGraph(self)
+        unsafe = self.graph.unsafe
         for name, order in self.occs.items():
-            for n in order:
-                if id(n) not in self.graph.unsafe:
+            for v, n in enumerate(order, self.number[id(order[0])]):
+                if v not in unsafe:
                     continue
                 if isinstance(n, NewSession):
                     self.diag(name, "E-UNSAFE-LOOP", n.at,
@@ -298,7 +296,7 @@ class Checker:
         body's termination paths cross an unsafe loop."""
         rank = self.graph.ranks()
         for name, d in self.program.procs.items():
-            self.ranks[name] = rank[id(d.body)]
+            self.ranks[name] = rank[self.number[id(d.body)]]
             if self.ranks[name] == INF:
                 self.diag(name, "E-INFINITE-RANK", d.at,
                           f"{name} admits no finite rank: its termination "
@@ -312,13 +310,16 @@ class Checker:
 
     def check_action_bounds(self) -> None:
         # every sub-occurrence must be bounded on its own; report only the
-        # outermost failures, in preorder, to keep the noise down
-        bounded = self.graph.bounded()
+        # outermost failures, in preorder, to keep the noise down; when
+        # every occurrence is bounded there is nothing to look for
+        bounded, number = self.graph.bounded(), self.number
+        if len(bounded) == len(self.nodes):
+            return
         for name, d in self.program.procs.items():
             stack = [d.body]
             while stack:
                 p = stack.pop()
-                if id(p) not in bounded:
+                if number[id(p)] not in bounded:
                     self.diag(name, "E-UNBOUNDED-ACTION", p.at,
                               "no branch of this process reaches done or close "
                               "without unfolding a definition twice")
@@ -333,20 +334,26 @@ class Checker:
         Choices are taken in definition order, then in preorder, and each
         is scored with the markers already decided for earlier ones: better
         means the body is action bounded first, then has a finite and
-        smaller rank; a tie keeps the written marker.
+        smaller rank; a tie keeps the written marker. The written marker
+        scores on the current graph, so each choice builds one graph, with
+        its marker flipped, and that graph becomes the current one when the
+        flip is kept.
         """
+        g = TermGraph(self)
+        rank, bounded = g.ranks(), g.bounded()
         for name, d in self.program.procs.items():
-            choices = [n for n in self.occs[name] if isinstance(n, Choice)]
-            for c in choices:
-                written = c.k
-                scores = {}
-                for k in (1, 2):
-                    c.k = k
-                    g = TermGraph(self)
-                    rank = g.ranks()[id(d.body)]
-                    scores[k] = (id(d.body) not in g.bounded(), rank == INF, rank,
-                                 k != written)
-                c.k = min((1, 2), key=lambda k: scores[k])
+            b = self.number[id(d.body)]
+            for c in self.occs[name]:
+                if type(c) is not Choice:
+                    continue
+                c.k = 3 - c.k
+                g = TermGraph(self)
+                flip_rank, flip_bounded = g.ranks(), g.bounded()
+                if ((b not in flip_bounded, flip_rank[b] == INF, flip_rank[b])
+                        < (b not in bounded, rank[b] == INF, rank[b])):
+                    rank, bounded = flip_rank, flip_bounded
+                else:
+                    c.k = 3 - c.k
 
     # -- driver -----------------------------------------------------------------
 
@@ -378,52 +385,67 @@ class Checker:
 class TermGraph:
     """The termination-path relation over every occurrence of a program.
 
-    Nodes are occurrence ids and edges are `Checker.term_successors`; the
+    Node v is occurrence `checker.nodes[v]`, and `succ[v]` lists the
+    numbers of the occurrences a terminating run continues with. The
     strongly connected components come from one run of `tarjan`, which
     emits every component after all the components it reaches. Ranks and
     action bounds are least fixpoints over this graph, each solved in time
-    linear in its size.
+    linear in its size and returned by occurrence number.
     """
 
     def __init__(self, checker: Checker):
-        self.node: dict[int, ProcExpr] = {}
-        self.succ: dict[int, list[int]] = {}
-        for order in checker.occs.values():
-            for n in order:
-                self.node[id(n)] = n
-                self.succ[id(n)] = [id(m) for m in checker.term_successors(n)]
-        self.sccs = tarjan(list(self.node), self.succ)
-        self.weight = checker.cast_weight
+        self.node = node = checker.nodes
+        number, procs = checker.number, checker.program.procs
+        self.succ = succ = []
+        for v, n in enumerate(node):
+            # preorder numbering puts a node's first child right after it
+            kind = type(n)
+            if kind is Call:
+                succ.append([number[id(procs[n.name].body)]])
+            elif kind is Choice:
+                succ.append([v + 1 if n.k == 1 else number[id(n.right)]])
+            elif kind is NewSession:
+                succ.append([v + 1, number[id(n.right)]])
+            elif kind is TagComm:
+                succ.append([number[id(b)] for _, b in n.branches])
+            elif kind is Done or kind is Close:
+                succ.append([])
+            else:
+                succ.append([v + 1])
+        self.sccs = tarjan(range(len(node)), succ)
+        self.weight = weight = checker.cast_weight
         # sessions and positive-weight casts on a cycle: no finite rank
         # exists past them
-        self.unsafe = {v for scc in self.sccs if cyclic(scc, self.succ) for v in scc
-                       if isinstance(self.node[v], NewSession) or self.weight.get(v, 0) > 0}
+        self.unsafe = {v for scc in self.sccs if cyclic(scc, succ) for v in scc
+                       if type(node[v]) is NewSession or weight.get(id(node[v]), 0) > 0}
 
-    def ranks(self) -> dict[int, int | float]:
+    def ranks(self) -> list[int | float]:
         """Least solution of the rank equations at every occurrence.
 
         Off cycles each node applies its own equation. A cycle holding an
         unsafe node diverges; any other cycle only passes values along
         under max, so its members share the largest value leaving it.
         """
-        rank: dict[int, int | float] = {}
+        node, succ = self.node, self.succ
+        rank: list[int | float] = [0] * len(succ)
         for scc in self.sccs:
-            if not cyclic(scc, self.succ):
+            if not cyclic(scc, succ):
                 v = scc[0]
-                n, kids = self.node[v], [rank[w] for w in self.succ[v]]
-                if isinstance(n, NewSession):
-                    r = 1 + kids[0] + kids[1]
-                elif isinstance(n, Cast):
-                    r = self.weight.get(v, 0) + kids[0]
+                n, ws = node[v], succ[v]
+                kind = type(n)
+                if kind is NewSession:
+                    r = 1 + rank[ws[0]] + rank[ws[1]]
+                elif kind is Cast:
+                    r = self.weight.get(id(n), 0) + rank[ws[0]]
                 else:
                     # done and close have no successors; a tag choice
                     # takes its worst branch; every other node copies
-                    r = max(kids, default=0)
+                    r = max([rank[w] for w in ws], default=0)
             elif self.unsafe.intersection(scc):
                 r = INF
             else:
                 members = set(scc)
-                r = max((rank[w] for v in scc for w in self.succ[v] if w not in members),
+                r = max((rank[w] for v in scc for w in succ[v] if w not in members),
                         default=0)
             for v in scc:
                 rank[v] = r
@@ -433,9 +455,9 @@ class TermGraph:
         """Action-bounded occurrences, as a least fixpoint: done and close
         are bounded, a session needs both sides, every other node needs one
         successor."""
-        seeds = [v for v, n in self.node.items() if isinstance(n, (Done, Close))]
-        need = {v: 2 if isinstance(n, NewSession) else 1 for v, n in self.node.items()}
-        return closure(seeds, reverse(self.succ), need)
+        seeds = [v for v, n in enumerate(self.node) if type(n) is Done or type(n) is Close]
+        need = {v: 2 if type(n) is NewSession else 1 for v, n in enumerate(self.node)}
+        return closure(seeds, reverse(dict(enumerate(self.succ))), need)
 
 
 def check_program(program: Program, infer_branch: bool = False) -> dict:

@@ -248,8 +248,11 @@ def equiv(table: TypeTable, a: int, b: int) -> bool:
     """Tree equality, decided as a bisimulation over the reachable product.
 
     Every pair under matched descent from (a, b) must agree in kind,
-    polarity and labels; a pair of equal ids is not descended into.
+    polarity and labels; a pair of equal ids is not descended into, and
+    equal ids at the root are the answer without a search.
     """
+    if a == b:
+        return True
     for i, j in reach([(a, b)], lambda p: [] if p[0] == p[1] else _matched(table, *p)):
         ni, nj = table.node(i), table.node(j)
         if ni[:2] != nj[:2]:

@@ -12,7 +12,10 @@ unfolding definitions instead of the coinductive assumption set, ranks
 and action bounds by walks that unfold each definition at most once
 instead of fixpoints over the termination-path graph, free channels by
 recursion instead of one pass per definition, least closures and
-reachability by Kleene rounds instead of worklists,
+reachability by Kleene rounds instead of worklists, strongly connected
+components by rescanning a node's successors from an index instead of
+resuming an iterator, branch inference by two graph builds per choice
+instead of one,
 type rendering, duality and the typing walk by recursion instead of an
 explicit stack, type rendering also by the former pair of printers (an
 unfolding that joins each subtree's text into its parent's, and a separate
@@ -40,7 +43,7 @@ from fairchk.surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
                              NewSession, ProcDef, ProcExpr, Program, SourceError,
                              SourceProgram, TagComm, TChan, TEnd, TName, TTags,
                              TypeExpr, Wait, preorder, source_error)
-from fairchk.typecheck import Checker, _Abort, free_channels
+from fairchk.typecheck import Checker, TermGraph, _Abort, free_channels
 from fairchk.types import INF, OUT, TypeTable, co, equiv, reachable_pairs
 
 
@@ -321,6 +324,22 @@ def action_bounded(ck: Checker, p: ProcExpr, visiting: frozenset[str],
     return r
 
 
+def term_successors(ck: Checker, p: ProcExpr) -> list[ProcExpr]:
+    """The occurrences a terminating run continues with after p: the
+    callee's body, the marked branch of a choice, else every sub-process."""
+    if isinstance(p, Call):
+        return [ck.program.procs[p.name].body]
+    if isinstance(p, Choice):
+        return [p.left if p.k == 1 else p.right]
+    if isinstance(p, NewSession):
+        return [p.left, p.right]
+    if isinstance(p, TagComm):
+        return [b for _, b in p.branches]
+    if isinstance(p, (Done, Close)):
+        return []
+    return [p.cont]
+
+
 def reaches(ck: Checker, body: ProcExpr, targets: set[int]) -> bool:
     """Some termination path from `body` hits an occurrence in `targets`."""
     seen = {id(body)}
@@ -329,7 +348,7 @@ def reaches(ck: Checker, body: ProcExpr, targets: set[int]) -> bool:
         n = stack.pop()
         if id(n) in targets:
             return True
-        for m in ck.term_successors(n):
+        for m in term_successors(ck, n):
             if id(m) not in seen:
                 seen.add(id(m))
                 stack.append(m)
@@ -878,6 +897,56 @@ def reach_kleene(succ: dict, roots) -> set:
         out |= grown
 
 
+# -- strongly connected components by rescanning -----------------------------------
+
+def tarjan_rescan(nodes: list, succ: dict) -> list[list]:
+    """Iterative strongly-connected components whose work frames hold an
+    index into the successor list and rescan it from there on resuming."""
+    index: dict = {}
+    low: dict = {}
+    on_stack: set = set()
+    stack: list = []
+    sccs: list[list] = []
+    counter = 0
+    for root in nodes:
+        if root in index:
+            continue
+        work: list[tuple] = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack.add(v)
+            advanced = False
+            for j in range(pi, len(succ[v])):
+                w = succ[v][j]
+                if w not in index:
+                    work[-1] = (v, j + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(comp)
+    return sccs
+
+
 # -- duality by recursion ------------------------------------------------------------
 
 def dual_recursive(table: TypeTable, i: int) -> int:
@@ -1044,7 +1113,7 @@ def unsafe_by_reachability(ck: Checker) -> set[int]:
         for n in order:
             if isinstance(n, NewSession) or (isinstance(n, Cast)
                                              and ck.cast_weight.get(id(n), 0) > 0):
-                if any(reaches(ck, m, {id(n)}) for m in ck.term_successors(n)):
+                if any(reaches(ck, m, {id(n)}) for m in term_successors(ck, n)):
                     out.add(id(n))
     return out
 
@@ -1060,6 +1129,22 @@ def infer_branches_by_cutoff(ck: Checker) -> None:
                 rank = cutoff_rank(ck, name, unsafe_by_reachability(ck))
                 bounded = action_bounded(ck, d.body, frozenset())
                 scores[k] = (not bounded, rank == INF, rank, k != written)
+            c.k = min((1, 2), key=lambda k: scores[k])
+
+
+def infer_branches_rebuild(ck: Checker) -> None:
+    """`Checker.infer_branches` with a fresh graph for both markers of
+    every choice."""
+    for name, d in ck.program.procs.items():
+        body = ck.number[id(d.body)]
+        for c in [n for n in ck.occs[name] if isinstance(n, Choice)]:
+            written = c.k
+            scores = {}
+            for k in (1, 2):
+                c.k = k
+                g = TermGraph(ck)
+                rank = g.ranks()[body]
+                scores[k] = (body not in g.bounded(), rank == INF, rank, k != written)
             c.k = min((1, 2), key=lambda k: scores[k])
 
 

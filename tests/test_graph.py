@@ -1,10 +1,11 @@
-"""Shared graph algorithms: the backward-closure worklist and the forward search."""
+"""Shared graph algorithms: the backward-closure worklist, the forward
+search and the strongly connected components."""
 
 import random
 
-from fairchk.graph import closure, reach, reverse
+from fairchk.graph import closure, cyclic, reach, reverse, tarjan
 
-from oracles import closure_kleene, reach_kleene
+from oracles import closure_kleene, reach_kleene, tarjan_rescan
 
 
 def test_closure_matches_kleene_oracle():
@@ -27,7 +28,6 @@ def test_closure_matches_kleene_oracle():
             seen["held back"] += any(v in need for v in outside)
             seen["absent"] += any(v not in need for v in outside)
     assert all(k > 100 for k in seen.values()), seen
-
 
 
 def test_reach_matches_kleene_oracle():
@@ -65,3 +65,27 @@ def test_reach_matches_kleene_oracle():
         seen["grown"] += len(got) > len(first)
         seen["repeated root"] += len(first) < len(roots)
     assert all(k > 100 for k in seen.values()), seen
+
+
+def test_tarjan_matches_rescan_oracle():
+    rnd = random.Random(66)
+    seen = {"self-loop": 0, "parallel": 0, "unreached": 0, "cycle": 0, "pairs": 0}
+    for i in range(3000):
+        n = rnd.randint(1, 12)
+        # repeated successors are parallel edges; pairs stand for the
+        # witness pairs of a subtyping simulation
+        names = [(v, rnd.randrange(3)) for v in range(n)] if i % 3 == 0 else list(range(n))
+        succ = {v: [names[rnd.randrange(n)] for _ in range(rnd.randint(0, 3))] for v in names}
+        nodes = rnd.sample(names, n)
+        got = tarjan(nodes, succ)
+        assert got == tarjan_rescan(nodes, succ)
+        assert sorted(v for scc in got for v in scc) == sorted(names)
+        if i % 3 != 0:
+            # an occurrence graph: successor lists indexed by node number
+            assert tarjan(nodes, [succ[v] for v in range(n)]) == got
+        seen["self-loop"] += any(v in succ[v] for v in names)
+        seen["parallel"] += any(len(set(ws)) < len(ws) for ws in succ.values())
+        seen["unreached"] += any(all(v not in ws for ws in succ.values()) for v in names)
+        seen["cycle"] += any(cyclic(scc, succ) and len(scc) > 1 for scc in got)
+        seen["pairs"] += i % 3 == 0
+    assert all(k > 500 for k in seen.values()), seen

@@ -18,7 +18,7 @@ from gen import (cascade_source, diverging_source, holding_loop_source,
                  supertype_of, unfold_root)
 from json_schema import validate
 from oracles import (_premises, judge_oracle, simulate_sweep, solve_weights_kleene,
-                     weight_agrees_with_search)
+                     tarjan_rescan, weight_agrees_with_search)
 
 
 def test_unfair_examples(bsc):
@@ -240,6 +240,7 @@ def test_solvers_match_sweep_and_kleene_oracles():
         rk = solve_weights(got)
         assert rk == solve_weights_kleene(table, got.witness)
         assert list(rk) == got.witness
+        assert tarjan(got.witness, got.premises) == tarjan_rescan(got.witness, got.premises)
         seen["infinite"] += INF in rk.values()
         seen["positive"] += any(0 < w < INF for w in rk.values())
         prem = {p: _premises(table, *p) for p in got.witness}

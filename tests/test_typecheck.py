@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from fairchk import schema, surface, typecheck
+from fairchk.cli import main
 from fairchk.surface import Call, Choice, SourceError, load, preorder, resolve
 from fairchk.typecheck import Checker, check_program, free_channels
 from fairchk.types import INF
@@ -17,8 +18,8 @@ from gen import (NESTED_SOURCES, RANK_DEFS, call_dag_source, deepest_admitted,
                  session_chain_source)
 from json_schema import validate
 from oracles import (RecursiveTyping, action_bounded, cutoff_rank, free_channels_recursive,
-                     infer_branches_by_cutoff, min_rank, typing_unfold_ok,
-                     unsafe_by_reachability)
+                     infer_branches_by_cutoff, infer_branches_rebuild, min_rank,
+                     typing_unfold_ok, unsafe_by_reachability)
 
 
 def _report(name):
@@ -197,19 +198,19 @@ def test_term_graph_matches_cutoff_oracles():
     for _ in range(2000):
         ck = _weighted_rank_program(rnd)
         ck.check_safe()
-        unsafe = ck.graph.unsafe
+        # the graph answers by occurrence number, the oracles by node id
+        unsafe = {id(ck.nodes[v]) for v in ck.graph.unsafe}
         assert unsafe == unsafe_by_reachability(ck)
         ck.compute_ranks()
         for name in RANK_DEFS:
             assert ck.ranks[name] == cutoff_rank(ck, name, unsafe), name
         bounded = ck.graph.bounded()
-        for order in ck.occs.values():
-            for n in order:
-                assert (id(n) in bounded) == action_bounded(ck, n, frozenset())
+        for v, n in enumerate(ck.nodes):
+            assert (v in bounded) == action_bounded(ck, n, frozenset())
         seen["inf"] += INF in ck.ranks.values()
         seen["weighted"] += any(w > 0 for w in ck.cast_weight.values()) and \
             any(0 < r < INF for r in ck.ranks.values())
-        seen["unbounded"] += len(bounded) < len(ck.graph.node)
+        seen["unbounded"] += len(bounded) < len(ck.graph.succ)
     assert all(seen.values()), seen
 
 
@@ -222,13 +223,62 @@ def test_infer_branches_matches_cutoff_oracle():
     flipped = 0
     for _ in range(500):
         seed = rnd.randrange(2 ** 32)
-        ck, oracle, written = (_weighted_rank_program(random.Random(seed))
-                               for _ in range(3))
+        ck, oracle, rebuilt, written = (_weighted_rank_program(random.Random(seed))
+                                        for _ in range(4))
         ck.infer_branches()
         infer_branches_by_cutoff(oracle)
-        assert _markers(ck) == _markers(oracle)
+        infer_branches_rebuild(rebuilt)
+        assert _markers(ck) == _markers(oracle) == _markers(rebuilt)
         flipped += _markers(ck) != _markers(written)
     assert flipped > 0
+
+
+# C0 .. C12, each with one choice: as written, every marker is kept; with
+# the operands swapped, every marker flips, away from a loop at C12
+INFER_CHAINS = {
+    "kept": "".join(f"C{i}(x: end!) = close x +[2] C{i + 1}(x)\n" for i in range(12))
+            + "C12(x: end!) = close x +[1] close x\n",
+    "flipped": "".join(f"C{i}(x: end!) = C{i + 1}(x) +[1] close x\n" for i in range(12))
+               + "C12(x: end!) = C12(x) +[1] close x\n",
+}
+
+
+@pytest.mark.parametrize("chain", sorted(INFER_CHAINS))
+def test_infer_branch_builds_one_graph_per_choice(chain, monkeypatch, capsys, tmp_path):
+    # the written markers score on the current graph, so each choice
+    # builds only the graph with its marker flipped
+    path = tmp_path / "chain.ft"
+    path.write_text(INFER_CHAINS[chain], encoding="utf-8")
+    builds = Counter()
+    inside = []
+
+    class CountedGraph(typecheck.TermGraph):
+        def __init__(self, checker):
+            builds[bool(inside)] += 1
+            super().__init__(checker)
+
+    infer = Checker.infer_branches
+
+    def counted_infer(self):
+        inside.append(True)
+        try:
+            infer(self)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(typecheck, "TermGraph", CountedGraph)
+    monkeypatch.setattr(Checker, "infer_branches", counted_infer)
+    program = load(INFER_CHAINS[chain])
+    written = [n.k for d in program.procs.values() for n in preorder(d.body)
+               if isinstance(n, Choice)]
+    assert main(["check", "--infer-branch", "--json", str(path)]) == 0
+    assert builds == {True: 1 + len(written), False: 1}
+    report = json.loads(capsys.readouterr().out)
+    assert {d["rank"] for d in report["definitions"]} == {0}
+    check_program(program, infer_branch=True)
+    inferred = [n.k for d in program.procs.values() for n in preorder(d.body)
+                if isinstance(n, Choice)]
+    assert inferred == (written if chain == "kept" else [3 - k for k in written])
 
 
 def test_free_channel_table_matches_recursive_oracle():

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import threading
+from collections import Counter
 from typing import Optional
 
 import pytest
@@ -254,6 +255,45 @@ def test_equiv_matches_expansion_oracle():
         agree_true += got
         agree_false += not got
     assert agree_true > 0 and agree_false > 0
+
+
+def test_equiv_answers_equal_ids_without_a_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("equiv searched from a pair of equal ids")
+
+    monkeypatch.setattr(types, "reach", no_search)
+    asked = 0
+    for name in sorted(CORPUS_RANKS):
+        table = load_corpus(name).table
+        for i, n in enumerate(table.nodes):
+            if n is not None:
+                assert equiv(table, i, i)
+                asked += 1
+    assert asked > 50
+
+
+def test_equiv_matches_expansion_oracle_with_equal_ids():
+    rnd = random.Random(15)
+    seen = Counter()
+    for i in range(2000):
+        table = TypeTable()
+        spec = random_spec(rnd, 5)
+        a = intern_spec(table, spec)
+        roll = i % 5
+        if roll == 0:
+            b = a
+        elif roll == 1:
+            # a node of a's own graph, often a itself
+            b = rnd.choice(sorted(table.reachable(a)))
+        elif roll == 2:
+            b = intern_spec(table, unfold_root(spec))
+        else:
+            b = intern_spec(table, random_spec(rnd, 5))
+        got = equiv(table, a, b)
+        assert got == equiv_oracle(table, a, b)
+        seen["equal ids"] += a == b
+        seen[got] += 1
+    assert seen["equal ids"] >= 200 and seen[True] > seen["equal ids"] and seen[False] > 0, seen
 
 
 def test_equiv_is_an_equivalence():
