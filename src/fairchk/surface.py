@@ -339,11 +339,14 @@ class _Parser:
     def expected(self, kind: str, at: int) -> SourceError:
         return self.error(f"expected {kind!r}, found {self.toks[at] or 'eof'!r}", at)
 
+    def want(self, punct: str, at: int) -> None:
+        """Fail unless token `at` is `punct`."""
+        if self.toks[at] != punct:
+            raise self.expected(punct, at)
+
     def expect(self, punct: str) -> None:
-        pos = self.pos
-        if self.toks[pos] != punct:
-            raise self.expected(punct, pos)
-        self.pos = pos + 1
+        self.want(punct, self.pos)
+        self.pos += 1
 
     def name(self, at: int) -> str:
         """The identifier at token `at`, which may not be a keyword."""
@@ -388,10 +391,8 @@ class _Parser:
                 if opener == "(":
                     payload = self.parse_type()
                     pos = self.pos
-                    if toks[pos] != ")":
-                        raise self.expected(")", pos)
-                    if toks[pos + 1] != ".":
-                        raise self.expected(".", pos + 1)
+                    self.want(")", pos)
+                    self.want(".", pos + 1)
                     self.pos = pos + 2
                     return TChan(t, payload, self.parse_type(), at)
                 raise self.error("expected '{' or '(' after polarity", at + 1)
@@ -425,8 +426,7 @@ class _Parser:
             label = toks[at]
             if label[:1] not in _IDENT_START or label in KEYWORDS:
                 self.name(at)  # raises
-            if toks[at + 1] != ":":
-                raise self.expected(":", at + 1)
+            self.want(":", at + 1)
             self.pos = at + 2
             if label in seen and repeated < 0:
                 repeated = at
@@ -453,8 +453,7 @@ class _Parser:
                 k = self.nat(at + 2)
                 if k not in (1, 2):
                     raise self.error("choice branch must be 1 or 2", at + 2)
-                if toks[at + 3] != "]":
-                    raise self.expected("]", at + 3)
+                self.want("]", at + 3)
                 self.pos = at + 4
             else:
                 self.pos = at + 1
@@ -474,16 +473,14 @@ class _Parser:
                 return p
             if t == "[":
                 chan = self.name(at + 1)
-                if toks[at + 2] != ":":
-                    raise self.expected(":", at + 2)
+                self.want(":", at + 2)
                 self.pos = at + 3
                 target = self.parse_type()
                 pos, weight = self.pos, None
                 if toks[pos] == "@":
                     weight = self.nat(pos + 1)
                     pos += 2
-                if toks[pos] != "]":
-                    raise self.expected("]", pos)
+                self.want("]", pos)
                 self.pos = pos + 1
                 return Cast(chan, target, weight, self.parse_atom(), at)
             if t == "done":
@@ -494,14 +491,12 @@ class _Parser:
                 return Close(self.name(at + 1), at)
             if t == "wait":
                 chan = self.name(at + 1)
-                if toks[at + 2] != ".":
-                    raise self.expected(".", at + 2)
+                self.want(".", at + 2)
                 self.pos = at + 3
                 return Wait(chan, self.parse_atom(), at)
             if t == "new":
                 chan = self.name(at + 1)
-                if toks[at + 2] != ":":
-                    raise self.expected(":", at + 2)
+                self.want(":", at + 2)
                 self.pos = at + 3
                 lty = self.parse_type()
                 self.expect("/")
@@ -509,8 +504,7 @@ class _Parser:
                 pos = self.pos
                 if toks[pos] != "in":
                     raise self.error("expected 'in'", pos)
-                if toks[pos + 1] != "(":
-                    raise self.expected("(", pos + 1)
+                self.want("(", pos + 1)
                 self.pos = pos + 2
                 left = self.parse_proc()
                 self.expect("|")
@@ -528,8 +522,7 @@ class _Parser:
                     while toks[pos] == ",":
                         args.append(self.name(pos + 1))
                         pos += 2
-                if toks[pos] != ")":
-                    raise self.expected(")", pos)
+                self.want(")", pos)
                 self.pos = pos + 1
                 return Call(name, args, at)
             if nxt == "!" or nxt == "?":
@@ -542,26 +535,20 @@ class _Parser:
                 if after == "(":
                     var = self.name(at + 3)
                     if nxt == "!":
-                        if toks[at + 4] != ")":
-                            raise self.expected(")", at + 4)
-                        if toks[at + 5] != ".":
-                            raise self.expected(".", at + 5)
+                        self.want(")", at + 4)
+                        self.want(".", at + 5)
                         self.pos = at + 6
                         return ChanOut(name, var, self.parse_atom(), at)
-                    if toks[at + 4] != ":":
-                        raise self.expected(":", at + 4)
+                    self.want(":", at + 4)
                     self.pos = at + 5
                     ann = self.parse_type()
                     pos = self.pos
-                    if toks[pos] != ")":
-                        raise self.expected(")", pos)
-                    if toks[pos + 1] != ".":
-                        raise self.expected(".", pos + 1)
+                    self.want(")", pos)
+                    self.want(".", pos + 1)
                     self.pos = pos + 2
                     return ChanIn(name, var, ann, self.parse_atom(), at)
                 label = self.name(at + 2)
-                if toks[at + 3] != ".":
-                    raise self.expected(".", at + 3)
+                self.want(".", at + 3)
                 self.pos = at + 4
                 return TagComm(name, nxt, [(label, self.parse_atom())], at)
             raise self.error(f"expected a process, found {nxt or 'eof'!r}", at + 1)
@@ -578,14 +565,12 @@ class _Parser:
             at = self.pos
             if toks[at] == "type":
                 name = self.name(at + 1)
-                if toks[at + 2] != "=":
-                    raise self.expected("=", at + 2)
+                self.want("=", at + 2)
                 self.pos = at + 3
                 typedefs.append((name, self.parse_type(), at))
                 continue
             name = self.name(at)
-            if toks[at + 1] != "(":
-                raise self.expected("(", at + 1)
+            self.want("(", at + 1)
             self.pos = at + 2
             params: list[tuple[str, TypeExpr]] = []
             if toks[self.pos] != ")":
@@ -594,14 +579,12 @@ class _Parser:
                     self.pos += 1
                     params.append(self._param())
             pos = self.pos
-            if toks[pos] != ")":
-                raise self.expected(")", pos)
+            self.want(")", pos)
             rank_ann = None
             if toks[pos + 1] == "@":
                 rank_ann = self.nat(pos + 2)
                 pos += 2
-            if toks[pos + 1] != "=":
-                raise self.expected("=", pos + 1)
+            self.want("=", pos + 1)
             self.pos = pos + 2
             procdefs.append(ProcDef(name, params, rank_ann, self.parse_proc(), at))
         return SourceProgram(typedefs, procdefs, self.src)
@@ -609,8 +592,7 @@ class _Parser:
     def _param(self) -> tuple[str, TypeExpr]:
         at = self.pos
         var = self.name(at)
-        if self.toks[at + 1] != ":":
-            raise self.expected(":", at + 1)
+        self.want(":", at + 1)
         self.pos = at + 2
         return var, self.parse_type()
 

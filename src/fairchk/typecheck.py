@@ -29,7 +29,7 @@ from .semantics import compatible
 from .subtyping import fair_subtype, render_weight
 from .surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
                       NewSession, ProcExpr, Program, Span, TagComm, Wait,
-                      children, preorder)
+                      children)
 from .types import INF, TypeTable, equiv
 
 
@@ -53,17 +53,17 @@ class _Abort(Exception):
     """Stops the typing walk of one definition after a hard failure."""
 
 
-def free_channels(order: list[ProcExpr]) -> dict[int, set[str]]:
-    """The free channels of every node of a preorder, keyed by node id.
+def free_channels(nodes: list[ProcExpr], kids: list[list[int]]) -> list[set[str]]:
+    """The free channels of every numbered occurrence, by number.
 
-    One pass in reverse preorder meets every node after its children, so
-    each node's set is built from its children's sets once.
+    A child is numbered after its parent, so one pass from the last number
+    back builds each node's set from its children's sets once.
     """
-    free: dict[int, set[str]] = {}
-    for p in reversed(order):
-        out: set[str] = set()
-        for c in children(p):
-            out |= free[id(c)]
+    free: list[set[str]] = [set() for _ in nodes]
+    for v in reversed(range(len(nodes))):
+        p, out = nodes[v], free[v]
+        for c in kids[v]:
+            out |= free[c]
         if isinstance(p, Call):
             out.update(p.args)
         elif isinstance(p, ChanOut):
@@ -75,7 +75,6 @@ def free_channels(order: list[ProcExpr]) -> dict[int, set[str]]:
             out.discard(p.chan)
         elif not isinstance(p, (Done, Choice)):
             out.add(p.chan)
-        free[id(p)] = out
     return free
 
 
@@ -87,14 +86,28 @@ class Checker:
         self.table: TypeTable = program.table
         self.infer_branch = infer_branch
         self.diags: dict[str, list[Diagnostic]] = {n: [] for n in program.procs}
+        # every occurrence numbered once, definitions in order and each in
+        # preorder; `kids[v]` lists the numbers of v's children in order
+        self.nodes: list[ProcExpr] = []
+        self.kids: list[list[int]] = []
+        self.owner: list[str] = []
+        self.start: dict[str, int] = {}
+        nodes, kids = self.nodes, self.kids
+        for name, d in program.procs.items():
+            self.start[name] = len(nodes)
+            stack, into = [d.body], [[]]  # into[i]: the list stack[i] joins
+            while stack:
+                n = stack.pop()
+                into.pop().append(len(nodes))
+                nodes.append(n)
+                kids.append(mine := [])
+                stack += children(n)[::-1]
+                into += [mine] * (len(stack) - len(into))
+            self.owner += [name] * (len(nodes) - self.start[name])
         self.cast_weight: dict[int, int] = {}
-        self.occs = {name: preorder(d.body) for name, d in program.procs.items()}
-        # every occurrence numbered once: definitions in order, each in
-        # preorder; the termination-path graph and its results use these
-        self.nodes = [n for order in self.occs.values() for n in order]
-        self.number = {id(n): v for v, n in enumerate(self.nodes)}
-        # per definition, built at its first session: most have none
-        self.free: dict[str, dict[int, set[str]]] = {}
+        # built at the program's first session: most programs have none
+        self.free: list[set[str]] = []
+        self.graph: TermGraph | None = None
         self.ranks: dict[str, int | float] = {}
         self.timings: dict[str, float] = {"inferMs": 0.0}
         self.pair_memo: dict[tuple, object] = {}
@@ -122,7 +135,7 @@ class Checker:
         for name, d in self.program.procs.items():
             ctx = {v: t for (v, _), t in zip(d.params, d.param_tids or [])}
             try:
-                self._tc(name, d.body, ctx)
+                self._tc(name, self.start[name], ctx)
             except _Abort:
                 pass
 
@@ -142,17 +155,19 @@ class Checker:
             shown = ", ".join(f"{v}: {self._render(ctx[v])}" for v in extra)
             self._fail(dn, "E-CONTEXT-LEAK", p, f"unconsumed channels: {shown}")
 
-    def _tc(self, dn: str, body: ProcExpr, ctx: dict[str, int]) -> None:
-        """Check a definition body against its parameters' context.
+    def _tc(self, dn: str, body: int, ctx: dict[str, int]) -> None:
+        """Check the body numbered `body` against its parameters' context.
 
-        One loop over a stack of (node, context) pairs; children are pushed
-        in reverse, so they are checked, and report, in source order. A
-        context is never changed once made, so siblings may share one.
+        One loop over a stack of (number, context) pairs; children are
+        pushed in reverse, so they are checked, and report, in source order.
+        A context is never changed once made, so siblings may share one.
         """
         table, fail, render = self.table, self._fail, self._render
+        nodes, kids = self.nodes, self.kids
         stack = [(body, ctx)]
         while stack:
-            p, ctx = stack.pop()
+            v, ctx = stack.pop()
+            p, ks = nodes[v], kids[v]
             if isinstance(p, Done):
                 self._leak(dn, p, ctx, set())
             elif isinstance(p, Close):
@@ -166,7 +181,7 @@ class Checker:
                 if table.node(t) != ("end", "?"):
                     fail(dn, "E-TYPE-MISMATCH", p,
                          f"wait needs {p.chan}: end?, found {render(t)}")
-                stack.append((p.cont, {v: u for v, u in ctx.items() if v != p.chan}))
+                stack.append((ks[0], {c: u for c, u in ctx.items() if c != p.chan}))
             elif isinstance(p, Call):
                 target = self.program.procs[p.name]
                 if len(p.args) != len(set(p.args)):
@@ -193,7 +208,8 @@ class Checker:
                     fail(dn, "E-TYPE-MISMATCH", p,
                          f"labels on {p.chan} are {sorted(plabels)}, "
                          f"type has {sorted(branches)}")
-                stack.extend((b, {**ctx, p.chan: branches[l]}) for l, b in reversed(p.branches))
+                stack.extend((k, {**ctx, p.chan: branches[l]})
+                             for (l, _), k in zip(reversed(p.branches), reversed(ks)))
             elif isinstance(p, ChanOut):
                 t = self._lookup(dn, p, ctx, p.chan)
                 node = table.node(t)
@@ -207,8 +223,8 @@ class Checker:
                     fail(dn, "E-TYPE-MISMATCH", p,
                          f"payload {p.payload} has type {render(got)}, "
                          f"carrier expects {render(node[2])}")
-                rest = {v: u for v, u in ctx.items() if v != p.payload}
-                stack.append((p.cont, {**rest, p.chan: node[3]}))
+                rest = {c: u for c, u in ctx.items() if c != p.payload}
+                stack.append((ks[0], {**rest, p.chan: node[3]}))
             elif isinstance(p, ChanIn):
                 t = self._lookup(dn, p, ctx, p.chan)
                 node = table.node(t)
@@ -222,9 +238,9 @@ class Checker:
                          f"payload type {render(node[2])}")
                 if p.var in ctx or p.var == p.chan:
                     fail(dn, "E-CONTEXT-LEAK", p, f"{p.var!r} rebinds a live channel")
-                stack.append((p.cont, {**ctx, p.chan: node[3], p.var: p.tid}))
+                stack.append((ks[0], {**ctx, p.chan: node[3], p.var: p.tid}))
             elif isinstance(p, Choice):
-                stack += [(p.right, ctx), (p.left, ctx)]
+                stack += [(ks[1], ctx), (ks[0], ctx)]
             elif isinstance(p, NewSession):
                 if p.chan in ctx:
                     fail(dn, "E-CONTEXT-LEAK", p, f"{p.chan!r} rebinds a live channel")
@@ -233,21 +249,21 @@ class Checker:
                     fail(dn, "E-INCOMPATIBLE", p,
                          f"endpoint types of {p.chan} cannot terminate together",
                          left=render(p.ltid), right=render(p.rtid))
-                if dn not in self.free:
-                    self.free[dn] = free_channels(self.occs[dn])
-                fvl, fvr = self.free[dn][id(p.left)], self.free[dn][id(p.right)]
+                if not self.free:
+                    self.free = free_channels(nodes, kids)
+                fvl, fvr = self.free[ks[0]], self.free[ks[1]]
                 lctx, rctx = {p.chan: p.ltid}, {p.chan: p.rtid}
-                for v, t in ctx.items():
-                    if v in fvl and v in fvr:
-                        fail(dn, "E-CONTEXT-LEAK", p, f"channel {v!r} is used by both components")
-                    if v in fvl:
-                        lctx[v] = t
-                    elif v in fvr:
-                        rctx[v] = t
+                for c, t in ctx.items():
+                    if c in fvl and c in fvr:
+                        fail(dn, "E-CONTEXT-LEAK", p, f"channel {c!r} is used by both components")
+                    if c in fvl:
+                        lctx[c] = t
+                    elif c in fvr:
+                        rctx[c] = t
                     else:
                         fail(dn, "E-CONTEXT-LEAK", p,
-                             f"channel {v!r} is used by neither component")
-                stack += [(p.right, rctx), (p.left, lctx)]
+                             f"channel {c!r} is used by neither component")
+                stack += [(ks[1], rctx), (ks[0], lctx)]
             elif isinstance(p, Cast):
                 t = self._lookup(dn, p, ctx, p.chan)
                 assert p.tid is not None
@@ -258,36 +274,34 @@ class Checker:
                         self.diag(dn, "E-WEIGHT-EXCEEDED", p.at,
                                   f"cast weight is {w}, annotation allows {p.weight_ann}")
                 else:
-                    kind, (u, v), detail = verdict.failure  # type: ignore[misc]
+                    kind, (a, b), detail = verdict.failure  # type: ignore[misc]
                     self.diag(dn, "E-SUBTYPE", p.at,
                               f"cast target is not a fair supertype of {render(t)}",
                               kind=kind, detail=detail,
-                              offendingPair=[render(u), render(v)],
+                              offendingPair=[render(a), render(b)],
                               source=render(t), target=render(p.tid))
                     w = 0
-                self.cast_weight[id(p)] = w
-                stack.append((p.cont, {**ctx, p.chan: p.tid}))
+                self.cast_weight[v] = w
+                stack.append((ks[0], {**ctx, p.chan: p.tid}))
             else:
                 raise TypeError(f"not a process node: {p!r}")
 
     # -- termination-path graph and loop safety -----------------------------
 
     def check_safe(self) -> None:
-        """Build the termination-path graph and flag the sessions and
-        positive-weight casts on its loops."""
-        self.graph = TermGraph(self)
-        unsafe = self.graph.unsafe
-        for name, order in self.occs.items():
-            for v, n in enumerate(order, self.number[id(order[0])]):
-                if v not in unsafe:
-                    continue
-                if isinstance(n, NewSession):
-                    self.diag(name, "E-UNSAFE-LOOP", n.at,
-                              "session created inside a termination-path loop")
-                else:
-                    self.diag(name, "E-UNSAFE-LOOP", n.at,
-                              "positive-weight cast inside a termination-path loop",
-                              weight=self.cast_weight[id(n)])
+        """Flag the sessions and positive-weight casts on the loops of the
+        termination-path graph, which branch inference may have built."""
+        if self.graph is None:
+            self.graph = TermGraph(self)
+        for v in sorted(self.graph.unsafe):
+            n = self.nodes[v]
+            if isinstance(n, NewSession):
+                self.diag(self.owner[v], "E-UNSAFE-LOOP", n.at,
+                          "session created inside a termination-path loop")
+            else:
+                self.diag(self.owner[v], "E-UNSAFE-LOOP", n.at,
+                          "positive-weight cast inside a termination-path loop",
+                          weight=self.cast_weight[v])
 
     # -- ranks --------------------------------------------------------------
 
@@ -296,7 +310,7 @@ class Checker:
         body's termination paths cross an unsafe loop."""
         rank = self.graph.ranks()
         for name, d in self.program.procs.items():
-            self.ranks[name] = rank[self.number[id(d.body)]]
+            self.ranks[name] = rank[self.start[name]]
             if self.ranks[name] == INF:
                 self.diag(name, "E-INFINITE-RANK", d.at,
                           f"{name} admits no finite rank: its termination "
@@ -312,19 +326,19 @@ class Checker:
         # every sub-occurrence must be bounded on its own; report only the
         # outermost failures, in preorder, to keep the noise down; when
         # every occurrence is bounded there is nothing to look for
-        bounded, number = self.graph.bounded(), self.number
+        bounded = self.graph.bounded()
         if len(bounded) == len(self.nodes):
             return
-        for name, d in self.program.procs.items():
-            stack = [d.body]
+        for name, b in self.start.items():
+            stack = [b]
             while stack:
-                p = stack.pop()
-                if number[id(p)] not in bounded:
-                    self.diag(name, "E-UNBOUNDED-ACTION", p.at,
+                v = stack.pop()
+                if v not in bounded:
+                    self.diag(name, "E-UNBOUNDED-ACTION", self.nodes[v].at,
                               "no branch of this process reaches done or close "
                               "without unfolding a definition twice")
                     continue
-                stack.extend(children(p)[::-1])
+                stack.extend(self.kids[v][::-1])
 
     # -- branch inference ------------------------------------------------------
 
@@ -337,23 +351,22 @@ class Checker:
         smaller rank; a tie keeps the written marker. The written marker
         scores on the current graph, so each choice builds one graph, with
         its marker flipped, and that graph becomes the current one when the
-        flip is kept.
+        flip is kept. The last current graph is the one `check_safe` reads.
         """
-        g = TermGraph(self)
-        rank, bounded = g.ranks(), g.bounded()
-        for name, d in self.program.procs.items():
-            b = self.number[id(d.body)]
-            for c in self.occs[name]:
-                if type(c) is not Choice:
-                    continue
+        self.graph = TermGraph(self)
+        rank, bounded = self.graph.ranks(), self.graph.bounded()
+        for v, c in enumerate(self.nodes):
+            if type(c) is not Choice:
+                continue
+            b = self.start[self.owner[v]]
+            c.k = 3 - c.k
+            g = TermGraph(self)
+            flip_rank, flip_bounded = g.ranks(), g.bounded()
+            if ((b not in flip_bounded, flip_rank[b] == INF, flip_rank[b])
+                    < (b not in bounded, rank[b] == INF, rank[b])):
+                self.graph, rank, bounded = g, flip_rank, flip_bounded
+            else:
                 c.k = 3 - c.k
-                g = TermGraph(self)
-                flip_rank, flip_bounded = g.ranks(), g.bounded()
-                if ((b not in flip_bounded, flip_rank[b] == INF, flip_rank[b])
-                        < (b not in bounded, rank[b] == INF, rank[b])):
-                    rank, bounded = flip_rank, flip_bounded
-                else:
-                    c.k = 3 - c.k
 
     # -- driver -----------------------------------------------------------------
 
@@ -395,29 +408,16 @@ class TermGraph:
 
     def __init__(self, checker: Checker):
         self.node = node = checker.nodes
-        number, procs = checker.number, checker.program.procs
-        self.succ = succ = []
-        for v, n in enumerate(node):
-            # preorder numbering puts a node's first child right after it
-            kind = type(n)
-            if kind is Call:
-                succ.append([number[id(procs[n.name].body)]])
-            elif kind is Choice:
-                succ.append([v + 1 if n.k == 1 else number[id(n.right)]])
-            elif kind is NewSession:
-                succ.append([v + 1, number[id(n.right)]])
-            elif kind is TagComm:
-                succ.append([number[id(b)] for _, b in n.branches])
-            elif kind is Done or kind is Close:
-                succ.append([])
-            else:
-                succ.append([v + 1])
+        start, kids = checker.start, checker.kids
+        self.succ = succ = [[start[n.name]] if type(n) is Call
+                            else [kids[v][n.k - 1]] if type(n) is Choice
+                            else kids[v] for v, n in enumerate(node)]
         self.sccs = tarjan(range(len(node)), succ)
         self.weight = weight = checker.cast_weight
         # sessions and positive-weight casts on a cycle: no finite rank
         # exists past them
         self.unsafe = {v for scc in self.sccs if cyclic(scc, succ) for v in scc
-                       if type(node[v]) is NewSession or weight.get(id(node[v]), 0) > 0}
+                       if type(node[v]) is NewSession or weight.get(v, 0) > 0}
 
     def ranks(self) -> list[int | float]:
         """Least solution of the rank equations at every occurrence.
@@ -436,7 +436,7 @@ class TermGraph:
                 if kind is NewSession:
                     r = 1 + rank[ws[0]] + rank[ws[1]]
                 elif kind is Cast:
-                    r = self.weight.get(id(n), 0) + rank[ws[0]]
+                    r = self.weight.get(v, 0) + rank[ws[0]]
                 else:
                     # done and close have no successors; a tag choice
                     # takes its worst branch; every other node copies

@@ -11,7 +11,7 @@ weight equation read by three functions instead of one, typing by
 unfolding definitions instead of the coinductive assumption set, ranks
 and action bounds by walks that unfold each definition at most once
 instead of fixpoints over the termination-path graph, free channels by
-recursion instead of one pass per definition, least closures and
+recursion instead of one pass per program, least closures and
 reachability by Kleene rounds instead of worklists, strongly connected
 components by rescanning a node's successors from an index instead of
 resuming an iterator, branch inference by two graph builds per choice
@@ -43,7 +43,7 @@ from fairchk.surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
                              NewSession, ProcDef, ProcExpr, Program, SourceError,
                              SourceProgram, TagComm, TChan, TEnd, TName, TTags,
                              TypeExpr, Wait, preorder, source_error)
-from fairchk.typecheck import Checker, TermGraph, _Abort, free_channels
+from fairchk.typecheck import Checker, TermGraph, _Abort
 from fairchk.types import INF, OUT, TypeTable, co, equiv, reachable_pairs
 
 
@@ -262,6 +262,12 @@ def rank_compatibility_agreement(table: TypeTable, s: int, t: int) -> dict:
 
 # -- ranks and action bounds by cutoff walks ----------------------------------------
 
+def cast_weight(ck: Checker, p: ProcExpr) -> int:
+    """The weight the checker gave cast p, which it keeps by occurrence
+    number; 0 for a cast it has not weighed."""
+    return next((w for v, w in ck.cast_weight.items() if ck.nodes[v] is p), 0)
+
+
 def min_rank(ck: Checker, p: ProcExpr, visited: frozenset[str],
              memo: dict | None = None) -> int:
     """The cutoff rank equations; calls unfold at most once per name."""
@@ -275,7 +281,7 @@ def min_rank(ck: Checker, p: ProcExpr, visited: frozenset[str],
     elif isinstance(p, (Wait, ChanOut, ChanIn)):
         r = min_rank(ck, p.cont, visited, memo)
     elif isinstance(p, Cast):
-        r = ck.cast_weight.get(id(p), 0) + min_rank(ck, p.cont, visited, memo)
+        r = cast_weight(ck, p) + min_rank(ck, p.cont, visited, memo)
     elif isinstance(p, TagComm):
         r = max(min_rank(ck, b, visited, memo) for _, b in p.branches)
     elif isinstance(p, Choice):
@@ -1109,19 +1115,17 @@ def typing_unfold_ok(program: Program, name: str, depth: int) -> bool:
 def unsafe_by_reachability(ck: Checker) -> set[int]:
     """Sessions and positive-weight casts that some successor leads back to."""
     out = set()
-    for order in ck.occs.values():
-        for n in order:
-            if isinstance(n, NewSession) or (isinstance(n, Cast)
-                                             and ck.cast_weight.get(id(n), 0) > 0):
-                if any(reaches(ck, m, {id(n)}) for m in term_successors(ck, n)):
-                    out.add(id(n))
+    for n in ck.nodes:
+        if isinstance(n, NewSession) or (isinstance(n, Cast) and cast_weight(ck, n) > 0):
+            if any(reaches(ck, m, {id(n)}) for m in term_successors(ck, n)):
+                out.add(id(n))
     return out
 
 
 def infer_branches_by_cutoff(ck: Checker) -> None:
     """`Checker.infer_branches` scored with the cutoff walks."""
     for name, d in ck.program.procs.items():
-        for c in [n for n in ck.occs[name] if isinstance(n, Choice)]:
+        for c in [n for n in preorder(d.body) if isinstance(n, Choice)]:
             written = c.k
             scores = {}
             for k in (1, 2):
@@ -1136,8 +1140,8 @@ def infer_branches_rebuild(ck: Checker) -> None:
     """`Checker.infer_branches` with a fresh graph for both markers of
     every choice."""
     for name, d in ck.program.procs.items():
-        body = ck.number[id(d.body)]
-        for c in [n for n in ck.occs[name] if isinstance(n, Choice)]:
+        body = ck.start[name]
+        for c in [n for n in preorder(d.body) if isinstance(n, Choice)]:
             written = c.k
             scores = {}
             for k in (1, 2):
@@ -1152,9 +1156,18 @@ def infer_branches_rebuild(ck: Checker) -> None:
 
 class RecursiveTyping(Checker):
     """`Checker` whose typing walk recurses on the tree, one call per node,
-    copying the context for each child."""
+    copying the context for each child and finding free channels by
+    recursion."""
 
-    def _tc(self, dn: str, p: ProcExpr, ctx: dict[str, int]) -> None:
+    def __init__(self, program: Program):
+        super().__init__(program)
+        # the checker keeps cast weights by occurrence number
+        self.number = {id(n): v for v, n in enumerate(self.nodes)}
+
+    def _tc(self, dn: str, body: int, ctx: dict[str, int]) -> None:
+        self._walk(dn, self.nodes[body], ctx)
+
+    def _walk(self, dn: str, p: ProcExpr, ctx: dict[str, int]) -> None:
         table = self.table
         if isinstance(p, Done):
             self._leak(dn, p, ctx, set())
@@ -1175,7 +1188,7 @@ class RecursiveTyping(Checker):
                 raise _Abort
             rest = dict(ctx)
             del rest[p.chan]
-            self._tc(dn, p.cont, rest)
+            self._walk(dn, p.cont, rest)
             return
         if isinstance(p, Call):
             target = self.program.procs[p.name]
@@ -1214,7 +1227,7 @@ class RecursiveTyping(Checker):
             for label, body in p.branches:
                 sub = dict(ctx)
                 sub[p.chan] = children[label]
-                self._tc(dn, body, sub)
+                self._walk(dn, body, sub)
             return
         if isinstance(p, ChanOut):
             t = self._lookup(dn, p, ctx, p.chan)
@@ -1236,7 +1249,7 @@ class RecursiveTyping(Checker):
             rest = dict(ctx)
             del rest[p.payload]
             rest[p.chan] = node[3]
-            self._tc(dn, p.cont, rest)
+            self._walk(dn, p.cont, rest)
             return
         if isinstance(p, ChanIn):
             t = self._lookup(dn, p, ctx, p.chan)
@@ -1258,11 +1271,11 @@ class RecursiveTyping(Checker):
             rest = dict(ctx)
             rest[p.chan] = node[3]
             rest[p.var] = p.tid
-            self._tc(dn, p.cont, rest)
+            self._walk(dn, p.cont, rest)
             return
         if isinstance(p, Choice):
-            self._tc(dn, p.left, dict(ctx))
-            self._tc(dn, p.right, dict(ctx))
+            self._walk(dn, p.left, dict(ctx))
+            self._walk(dn, p.right, dict(ctx))
             return
         if isinstance(p, NewSession):
             if p.chan in ctx:
@@ -1275,9 +1288,7 @@ class RecursiveTyping(Checker):
                           f"endpoint types of {p.chan} cannot terminate together",
                           left=self._render(p.ltid), right=self._render(p.rtid))
                 raise _Abort
-            if dn not in self.free:
-                self.free[dn] = free_channels(self.occs[dn])
-            fvl, fvr = self.free[dn][id(p.left)], self.free[dn][id(p.right)]
+            fvl, fvr = free_channels_recursive(p.left), free_channels_recursive(p.right)
             lctx, rctx = {p.chan: p.ltid}, {p.chan: p.rtid}
             for v, t in ctx.items():
                 if v in fvl and v in fvr:
@@ -1292,8 +1303,8 @@ class RecursiveTyping(Checker):
                     self.diag(dn, "E-CONTEXT-LEAK", p.at,
                               f"channel {v!r} is used by neither component")
                     raise _Abort
-            self._tc(dn, p.left, lctx)
-            self._tc(dn, p.right, rctx)
+            self._walk(dn, p.left, lctx)
+            self._walk(dn, p.right, rctx)
             return
         if isinstance(p, Cast):
             t = self._lookup(dn, p, ctx, p.chan)
@@ -1312,10 +1323,10 @@ class RecursiveTyping(Checker):
                           offendingPair=[self._render(u), self._render(v)],
                           source=self._render(t), target=self._render(p.tid))
                 w = 0
-            self.cast_weight[id(p)] = w
+            self.cast_weight[self.number[id(p)]] = w
             ctx = dict(ctx)
             ctx[p.chan] = p.tid
-            self._tc(dn, p.cont, ctx)
+            self._walk(dn, p.cont, ctx)
             return
         raise TypeError(f"not a process node: {p!r}")
 

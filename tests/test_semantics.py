@@ -206,6 +206,15 @@ def test_dot_marks_picks_dashed():
     assert 'label="add"' in dot or 'label="pay"' in dot
 
 
+def test_dot_labels_a_channel_payload_with_its_type():
+    table = TypeTable()
+    e, d = _ends(table)
+    s = table.add(("chan", "!", e, e))
+    t = table.add(("chan", "?", e, d))
+    dot = to_dot(table, build_config_graph(table, s, t))
+    assert '  n0 -> n1 [label="(end!)"];' in dot.splitlines()
+
+
 def test_picks_follow_label_order_not_source_order():
     table = TypeTable()
     e, d = _ends(table)

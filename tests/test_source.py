@@ -1,0 +1,90 @@
+"""Checks on the library's own source, read with `ast`."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fairchk"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _self_calls(tree: ast.Module) -> list[str]:
+    """The functions that call themselves by name, as `Class.method` or
+    `function`, outside the class `_Parser`: a method through `self.`, any
+    other function through its bare name."""
+    found = []
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if child.name != "_Parser":
+                    visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(child):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    f = call.func
+                    if owner is None and isinstance(f, ast.Name) and f.id == child.name:
+                        found.append(child.name)
+                    elif (owner is not None and isinstance(f, ast.Attribute)
+                          and f.attr == child.name and isinstance(f.value, ast.Name)
+                          and f.value.id == "self"):
+                        found.append(f"{owner}.{child.name}")
+                visit(child, None)
+
+    visit(tree, None)
+    return found
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Imported names that nothing in the module reads; a name listed in
+    `__all__` is read by the package's users."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_recursion_outside_the_parser(path):
+    # every walk over a tree or a graph runs on an explicit stack, so the
+    # depth of the input costs no frames; the parser is the one exception
+    assert _self_calls(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    assert _unused_imports(_tree(path)) == []
+
+
+def test_the_checks_find_what_they_look_for():
+    tree = ast.parse(
+        "import os\n"
+        "from json import dumps, loads as ld\n"
+        "def f(n):\n"
+        "    return f(n - 1) + len(dumps(n))\n"
+        "class A:\n"
+        "    def g(self):\n"
+        "        return self.g()\n"
+        "class _Parser:\n"
+        "    def h(self):\n"
+        "        return self.h()\n")
+    assert _self_calls(tree) == ["f", "A.g"]
+    assert _unused_imports(tree) == ["ld (line 2)", "os (line 1)"]
+    assert len(MODULES) > 5

@@ -356,6 +356,30 @@ def test_a_later_syntax_error_in_the_list_comes_first(source, message):
     assert str(err.value) == message
 
 
+# One input per place where the parser wants a given punctuation token
+# next, each with the message and position it reports.
+@pytest.mark.parametrize("source, message", [
+    ("type T = !(end!. end!", "1:16: expected ')', found '.'"),
+    ("Main() = done +[1 done", "1:19: expected ']', found 'done'"),
+    ("Main(x: end!) = [x: end! x] close x", "1:26: expected ']', found 'x'"),
+    ("Main(x: end?) = wait x done", "1:24: expected '.', found 'done'"),
+    ("Main() = new x end! / end? in (close x | wait x. done)",
+     "1:16: expected ':', found 'end'"),
+    ("Main(x: !(end!).end!, y: end!) = x!(y. close x", "1:38: expected ')', found '.'"),
+    ("Main(x: !(end!).end!, y: end!) = x!(y) close x", "1:40: expected '.', found 'close'"),
+    ("Main(x: ?(end!).end?) = x?(y). wait x. close y", "1:29: expected ':', found ')'"),
+    ("Main(x: ?(end!).end?) = x?(y: end!. wait x. close y",
+     "1:35: expected ')', found '.'"),
+    ("Main(x: ?(end!).end?) = x?(y: end!) wait x. close y",
+     "1:37: expected '.', found 'wait'"),
+    ("Main(x: end! = close x", "1:14: expected ')', found '='"),
+])
+def test_expected_punctuation_errors(source, message):
+    with pytest.raises(SourceError) as err:
+        parse(source)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff11"])
 def test_numbers_are_ascii_digits_only(digit):
     # str.isdigit() holds for each, but the grammar's NAT is ASCII

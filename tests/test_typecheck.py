@@ -8,7 +8,7 @@ import pytest
 
 from fairchk import schema, surface, typecheck
 from fairchk.cli import main
-from fairchk.surface import Call, Choice, SourceError, load, preorder, resolve
+from fairchk.surface import Cast, Choice, SourceError, children, load, preorder, resolve
 from fairchk.typecheck import Checker, check_program, free_channels
 from fairchk.types import INF
 
@@ -31,13 +31,6 @@ def _codes(report, defname):
         if d["name"] == defname:
             return [diag["code"] for diag in d["diagnostics"]]
     raise AssertionError(f"no definition {defname}")
-
-
-def _collect_casts(checker):
-    out = []
-    for order in checker.occs.values():
-        out.extend(n for n in order if type(n).__name__ == "Cast")
-    return out
 
 
 @pytest.mark.parametrize("name", ACCEPTED)
@@ -138,6 +131,23 @@ def test_typing_unit_errors():
         assert code in codes, (text, codes)
 
 
+@pytest.mark.parametrize("text, code, col, message", [
+    ("Main(x: !(end!).end!) = x!(x). close x",
+     "E-TYPE-MISMATCH", 25, "x cannot carry itself"),
+    ("Main(x: !(end!).end!, y: end?) = x!(y). close x",
+     "E-TYPE-MISMATCH", 34, "payload y has type end?, carrier expects end!"),
+    ("Main(x: ?(end!).end?, y: end!) = x?(y: end!). wait x. close y",
+     "E-CONTEXT-LEAK", 34, "'y' rebinds a live channel"),
+])
+def test_delegation_typing_errors(text, code, col, message):
+    # sending a channel over itself, a payload of the wrong type, and
+    # receiving into a name that is still live
+    report = check_program(load(text))
+    assert report["verdict"] == "rejected"
+    assert report["definitions"][0]["diagnostics"] == [
+        {"code": code, "span": {"line": 1, "col": col}, "message": message, "details": {}}]
+
+
 def test_both_sides_using_a_channel_leaks():
     text = ("T(y: end?) = new x: end! / end? in (wait y. close x | wait y. wait x. done)\n"
             "Main() = done")
@@ -173,10 +183,9 @@ def test_min_rank_antitone_in_assumptions():
     for _ in range(200):
         program = random_rank_program(rnd)
         ck = Checker(program)
-        for order in ck.occs.values():
-            for n in order:
-                if type(n).__name__ == "Cast":
-                    ck.cast_weight[id(n)] = rnd.randint(0, 2)
+        for v, n in enumerate(ck.nodes):
+            if isinstance(n, Cast):
+                ck.cast_weight[v] = rnd.randint(0, 2)
         small = frozenset(rnd.sample(RANK_DEFS, rnd.randint(0, 2)))
         big = small | frozenset(rnd.sample(RANK_DEFS, rnd.randint(0, 2)))
         for name in RANK_DEFS:
@@ -187,8 +196,9 @@ def test_min_rank_antitone_in_assumptions():
 def _weighted_rank_program(rnd):
     """A random rank program whose casts weigh 0 to 2, and its checker."""
     ck = Checker(random_rank_program(rnd))
-    for n in _collect_casts(ck):
-        ck.cast_weight[id(n)] = rnd.randint(0, 2)
+    for v, n in enumerate(ck.nodes):
+        if isinstance(n, Cast):
+            ck.cast_weight[v] = rnd.randint(0, 2)
     return ck
 
 
@@ -215,7 +225,7 @@ def test_term_graph_matches_cutoff_oracles():
 
 
 def _markers(ck):
-    return [n.k for order in ck.occs.values() for n in order if isinstance(n, Choice)]
+    return [n.k for n in ck.nodes if isinstance(n, Choice)]
 
 
 def test_infer_branches_matches_cutoff_oracle():
@@ -246,7 +256,8 @@ INFER_CHAINS = {
 @pytest.mark.parametrize("chain", sorted(INFER_CHAINS))
 def test_infer_branch_builds_one_graph_per_choice(chain, monkeypatch, capsys, tmp_path):
     # the written markers score on the current graph, so each choice
-    # builds only the graph with its marker flipped
+    # builds only the graph with its marker flipped, and the loop-safety
+    # pass reads the graph that inference ends with
     path = tmp_path / "chain.ft"
     path.write_text(INFER_CHAINS[chain], encoding="utf-8")
     builds = Counter()
@@ -272,9 +283,13 @@ def test_infer_branch_builds_one_graph_per_choice(chain, monkeypatch, capsys, tm
     written = [n.k for d in program.procs.values() for n in preorder(d.body)
                if isinstance(n, Choice)]
     assert main(["check", "--infer-branch", "--json", str(path)]) == 0
-    assert builds == {True: 1 + len(written), False: 1}
+    assert builds == {True: 1 + len(written)}
     report = json.loads(capsys.readouterr().out)
     assert {d["rank"] for d in report["definitions"]} == {0}
+    builds.clear()
+    assert main(["check", "--json", str(path)]) == (0 if chain == "kept" else 1)
+    assert builds == {False: 1}
+    capsys.readouterr()
     check_program(program, infer_branch=True)
     inferred = [n.k for d in program.procs.values() for n in preorder(d.body)
                 if isinstance(n, Choice)]
@@ -291,17 +306,18 @@ def test_free_channel_table_matches_recursive_oracle():
     sizes = set()
     for body in bodies:
         order = preorder(body)
-        table = free_channels(order)
+        number = {id(n): v for v, n in enumerate(order)}
+        table = free_channels(order, [[number[id(c)] for c in children(n)] for n in order])
         assert len(table) == len(order)
-        for n in order:
-            assert table[id(n)] == free_channels_recursive(n)
-            sizes.add(len(table[id(n)]))
+        for v, n in enumerate(order):
+            assert table[v] == free_channels_recursive(n)
+            sizes.add(len(table[v]))
     assert sizes == {0, 1, 2, 3, 4}
 
 
 def test_typing_walk_is_linear_in_session_nesting(monkeypatch):
-    # every session reads its sides' free channels from one table per
-    # definition, built by one visit to each node
+    # numbering the occurrences visits each node once, and every session
+    # reads its sides' free channels from one table built from the numbers
     visits = 0
     real_children = typecheck.children
 
@@ -312,14 +328,15 @@ def test_typing_walk_is_linear_in_session_nesting(monkeypatch):
 
     monkeypatch.setattr(typecheck, "children", counting)
     for n in (31, 62, 124):
-        ck = Checker(load(NESTED_SOURCES["sessions"](n)))
+        program = load(NESTED_SOURCES["sessions"](n))
         visits = 0
+        ck = Checker(program)
         ck.check_types()
         assert not ck.diags["Main"]
-        nodes = len(ck.occs["Main"])
+        nodes = len(ck.nodes)
         assert nodes == 3 * n + 1
         assert visits == nodes
-        assert sum(len(s) for s in ck.free["Main"].values()) == 2 * n
+        assert sum(len(s) for s in ck.free) == 2 * n
 
 
 def _typing(checker):
