@@ -198,20 +198,6 @@ def children(p: ProcExpr) -> tuple[ProcExpr, ...]:
     return (p.cont,)
 
 
-def preorder(p: ProcExpr) -> list[ProcExpr]:
-    """Every node under p, each before its children, in source order.
-
-    An explicit stack, so that the depth of the tree costs no frames.
-    """
-    order: list[ProcExpr] = []
-    stack = [p]
-    while stack:
-        n = stack.pop()
-        order.append(n)
-        stack.extend(children(n)[::-1])
-    return order
-
-
 @dataclass
 class ProcDef:
     name: str
@@ -232,13 +218,38 @@ class SourceProgram:
 
 @dataclass
 class Program:
-    """A resolved program: every annotation interned into one TypeTable."""
+    """A resolved program: every annotation interned into one TypeTable.
+
+    Building one numbers every occurrence once, definitions in order and
+    each in preorder: `nodes[v]` is occurrence v, `kids[v]` the numbers of
+    its children in source order, `start[name]` the number of a body and
+    `owner[v]` the definition that holds v.
+    """
     table: TypeTable
     typedefs: dict[str, int]
     procs: dict[str, ProcDef]
     source: str = ""
+    nodes: list[ProcExpr] = field(init=False, repr=False, compare=False)
+    kids: list[list[int]] = field(init=False, repr=False, compare=False)
+    start: dict[str, int] = field(init=False, repr=False, compare=False)
+    owner: list[str] = field(init=False, repr=False, compare=False)
     _positions: Optional[list[tuple[int, int]]] = field(
         default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        nodes, kids = self.nodes, self.kids = [], []
+        self.start, self.owner = {}, []
+        for name, d in self.procs.items():
+            self.start[name] = first = len(nodes)
+            stack, into = [d.body], [[]]  # into[i]: the list stack[i] joins
+            while stack:
+                n = stack.pop()
+                into.pop().append(len(nodes))
+                nodes.append(n)
+                kids.append(mine := [])
+                stack += children(n)[::-1]
+                into += [mine] * (len(stack) - len(into))
+            self.owner += [name] * (len(nodes) - first)
 
     def span(self, at: int) -> Span:
         """The line and column of token `at` of the source; the position
@@ -805,14 +816,18 @@ def resolve(sp: SourceProgram) -> Program:
             raise source_error(src, f"duplicate process definition {d.name!r}", d.at)
         procs[d.name] = d
 
-    for d in procs.values():
+    program = Program(table, typedefs, procs, src)
+    # definition by definition, parameters before body: the first error
+    # found is the first in source order
+    bounds = [*program.start.values(), len(program.nodes)]
+    for d, first, end in zip(procs.values(), bounds, bounds[1:]):
         seen_params = set()
         for v, _ in d.params:
             if v in seen_params:
                 raise source_error(src, f"duplicate parameter {v!r} in {d.name}", d.at)
             seen_params.add(v)
         d.param_tids = [intern(t) for _, t in d.params]
-        for p in preorder(d.body):
+        for p in program.nodes[first:end]:
             if isinstance(p, Call) and p.name not in procs:
                 raise source_error(src, f"undefined process name {p.name!r}", p.at)
             if isinstance(p, ChanIn):
@@ -822,8 +837,7 @@ def resolve(sp: SourceProgram) -> Program:
             elif isinstance(p, NewSession):
                 p.ltid = intern(p.lty)
                 p.rtid = intern(p.rty)
-
-    return Program(table, typedefs, procs, src)
+    return program
 
 
 def load(text: str) -> Program:

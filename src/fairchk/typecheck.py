@@ -28,8 +28,7 @@ from .graph import closure, cyclic, reverse, tarjan
 from .semantics import compatible
 from .subtyping import fair_subtype, render_weight
 from .surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
-                      NewSession, ProcExpr, Program, Span, TagComm, Wait,
-                      children)
+                      NewSession, ProcExpr, Program, Span, TagComm, Wait)
 from .types import INF, TypeTable, equiv
 
 
@@ -86,24 +85,8 @@ class Checker:
         self.table: TypeTable = program.table
         self.infer_branch = infer_branch
         self.diags: dict[str, list[Diagnostic]] = {n: [] for n in program.procs}
-        # every occurrence numbered once, definitions in order and each in
-        # preorder; `kids[v]` lists the numbers of v's children in order
-        self.nodes: list[ProcExpr] = []
-        self.kids: list[list[int]] = []
-        self.owner: list[str] = []
-        self.start: dict[str, int] = {}
-        nodes, kids = self.nodes, self.kids
-        for name, d in program.procs.items():
-            self.start[name] = len(nodes)
-            stack, into = [d.body], [[]]  # into[i]: the list stack[i] joins
-            while stack:
-                n = stack.pop()
-                into.pop().append(len(nodes))
-                nodes.append(n)
-                kids.append(mine := [])
-                stack += children(n)[::-1]
-                into += [mine] * (len(stack) - len(into))
-            self.owner += [name] * (len(nodes) - self.start[name])
+        self.nodes, self.kids = program.nodes, program.kids
+        self.owner, self.start = program.owner, program.start
         self.cast_weight: dict[int, int] = {}
         # built at the program's first session: most programs have none
         self.free: list[set[str]] = []
@@ -128,9 +111,6 @@ class Checker:
 
     # -- pass 1: typing walk ----------------------------------------------
 
-    def _render(self, tid: int) -> str:
-        return self.table.render(tid)
-
     def check_types(self) -> None:
         for name, d in self.program.procs.items():
             ctx = {v: t for (v, _), t in zip(d.params, d.param_tids or [])}
@@ -152,7 +132,7 @@ class Checker:
     def _leak(self, dn: str, p: ProcExpr, ctx: dict[str, int], keep: set[str]) -> None:
         extra = sorted(set(ctx) - keep)
         if extra:
-            shown = ", ".join(f"{v}: {self._render(ctx[v])}" for v in extra)
+            shown = ", ".join(f"{v}: {self.table.render(ctx[v])}" for v in extra)
             self._fail(dn, "E-CONTEXT-LEAK", p, f"unconsumed channels: {shown}")
 
     def _tc(self, dn: str, body: int, ctx: dict[str, int]) -> None:
@@ -162,7 +142,7 @@ class Checker:
         pushed in reverse, so they are checked, and report, in source order.
         A context is never changed once made, so siblings may share one.
         """
-        table, fail, render = self.table, self._fail, self._render
+        table, fail, render = self.table, self._fail, self.table.render
         nodes, kids = self.nodes, self.kids
         stack = [(body, ctx)]
         while stack:
@@ -362,8 +342,7 @@ class Checker:
             c.k = 3 - c.k
             g = TermGraph(self)
             flip_rank, flip_bounded = g.ranks(), g.bounded()
-            if ((b not in flip_bounded, flip_rank[b] == INF, flip_rank[b])
-                    < (b not in bounded, rank[b] == INF, rank[b])):
+            if (b not in flip_bounded, flip_rank[b]) < (b not in bounded, rank[b]):
                 self.graph, rank, bounded = g, flip_rank, flip_bounded
             else:
                 c.k = 3 - c.k

@@ -259,9 +259,14 @@ RANK_DEFS = ["A0", "A1", "A2"]
 def random_rank_program(rnd: random.Random) -> Program:
     """A resolved-enough Program for minRank and action-bounds tests.
 
-    The bodies are never type-checked, so channel names and annotations
-    are placeholders; only the tree structure and call graph matter.
+    Channel names are placeholders, so the typing walk rejects most
+    bodies; only the tree structure and call graph matter. Every session
+    and cast carries its ids from the program's own table, so the whole
+    pipeline runs on a draw.
     """
+    table = TypeTable()
+    end_out, end_in = table.add(("end", "!")), table.add(("end", "?"))
+
     def body(depth: int):
         roll = rnd.random()
         if depth == 0 or roll < 0.3:
@@ -281,11 +286,12 @@ def random_rank_program(rnd: random.Random) -> Program:
         if kind == 2:
             return Choice(rnd.randint(1, 2), body(d), body(d))
         if kind == 3:
-            return NewSession("y", TEnd("!"), TEnd("?"), body(d), body(d))
-        return Cast("x", TEnd("!"), None, body(d))
+            return NewSession("y", TEnd("!"), TEnd("?"), body(d), body(d),
+                              ltid=end_out, rtid=end_in)
+        return Cast("x", TEnd("!"), None, body(d), tid=end_out)
 
     procs = {n: ProcDef(n, [], None, body(3)) for n in RANK_DEFS}
-    return Program(TypeTable(), {}, procs)
+    return Program(table, {}, procs)
 
 
 # -- scaling families with ranks known by construction ------------------------

@@ -26,7 +26,8 @@ only the threads a step touched, tokens by a
 loop over single characters and by a regular expression per line instead
 of one pass over the whole text with positions looked up later, and
 the interning of type annotations by recursion, with a fresh alias chase
-per name, instead of a post-order stack and a memo per name.
+per name, instead of a post-order stack and a memo per name, and the order
+of a program's occurrence numbers by recursion instead of a numbering stack.
 """
 
 import re
@@ -42,7 +43,7 @@ from fairchk.subtyping import Simulation, fair_subtype, simulate
 from fairchk.surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
                              NewSession, ProcDef, ProcExpr, Program, SourceError,
                              SourceProgram, TagComm, TChan, TEnd, TName, TTags,
-                             TypeExpr, Wait, preorder, source_error)
+                             TypeExpr, Wait, children, source_error)
 from fairchk.typecheck import Checker, TermGraph, _Abort
 from fairchk.types import INF, OUT, TypeTable, co, equiv, reachable_pairs
 
@@ -123,6 +124,22 @@ def lex_lines(src: str) -> list[tuple[str, str, int, int]]:
     # takes no columns.
     toks.append(("eof", "", len(lines), end + 1))
     return toks
+
+
+# -- the order of occurrence numbers by recursion ----------------------------------
+
+def preorder(p: ProcExpr) -> list[ProcExpr]:
+    """Every node under p, each before its children, in source order: the
+    order in which `Program` numbers a body."""
+    order: list[ProcExpr] = []
+
+    def visit(n: ProcExpr) -> None:
+        order.append(n)
+        for c in children(n):
+            visit(c)
+
+    visit(p)
+    return order
 
 
 # -- name resolution by recursion --------------------------------------------------
@@ -1176,7 +1193,7 @@ class RecursiveTyping(Checker):
             t = self._lookup(dn, p, ctx, p.chan)
             if table.node(t) != ("end", "!"):
                 self.diag(dn, "E-TYPE-MISMATCH", p.at,
-                          f"close needs {p.chan}: end!, found {self._render(t)}")
+                          f"close needs {p.chan}: end!, found {self.table.render(t)}")
                 raise _Abort
             self._leak(dn, p, ctx, {p.chan})
             return
@@ -1184,7 +1201,7 @@ class RecursiveTyping(Checker):
             t = self._lookup(dn, p, ctx, p.chan)
             if table.node(t) != ("end", "?"):
                 self.diag(dn, "E-TYPE-MISMATCH", p.at,
-                          f"wait needs {p.chan}: end?, found {self._render(t)}")
+                          f"wait needs {p.chan}: end?, found {self.table.render(t)}")
                 raise _Abort
             rest = dict(ctx)
             del rest[p.chan]
@@ -1204,8 +1221,8 @@ class RecursiveTyping(Checker):
                 got = self._lookup(dn, p, ctx, arg)
                 if not equiv(table, got, want):
                     self.diag(dn, "E-TYPE-MISMATCH", p.at,
-                              f"argument {arg} has type {self._render(got)}, "
-                              f"{p.name} expects {self._render(want)}")
+                              f"argument {arg} has type {self.table.render(got)}, "
+                              f"{p.name} expects {self.table.render(want)}")
                     raise _Abort
             self._leak(dn, p, ctx, set(p.args))
             return
@@ -1214,7 +1231,7 @@ class RecursiveTyping(Checker):
             node = table.node(t)
             if node[0] != "tags" or node[1] != p.pol:
                 self.diag(dn, "E-TYPE-MISMATCH", p.at,
-                          f"{p.chan}{p.pol} does not match its type {self._render(t)}")
+                          f"{p.chan}{p.pol} does not match its type {self.table.render(t)}")
                 raise _Abort
             tlabels = set(dict(node[2]))
             plabels = {l for l, _ in p.branches}
@@ -1234,7 +1251,7 @@ class RecursiveTyping(Checker):
             node = table.node(t)
             if node[0] != "chan" or node[1] != "!":
                 self.diag(dn, "E-TYPE-MISMATCH", p.at,
-                          f"{p.chan} cannot send a channel at type {self._render(t)}")
+                          f"{p.chan} cannot send a channel at type {self.table.render(t)}")
                 raise _Abort
             if p.payload == p.chan:
                 self.diag(dn, "E-TYPE-MISMATCH", p.at,
@@ -1243,8 +1260,8 @@ class RecursiveTyping(Checker):
             got = self._lookup(dn, p, ctx, p.payload)
             if not equiv(table, got, node[2]):
                 self.diag(dn, "E-TYPE-MISMATCH", p.at,
-                          f"payload {p.payload} has type {self._render(got)}, "
-                          f"carrier expects {self._render(node[2])}")
+                          f"payload {p.payload} has type {self.table.render(got)}, "
+                          f"carrier expects {self.table.render(node[2])}")
                 raise _Abort
             rest = dict(ctx)
             del rest[p.payload]
@@ -1256,13 +1273,13 @@ class RecursiveTyping(Checker):
             node = table.node(t)
             if node[0] != "chan" or node[1] != "?":
                 self.diag(dn, "E-TYPE-MISMATCH", p.at,
-                          f"{p.chan} cannot receive a channel at type {self._render(t)}")
+                          f"{p.chan} cannot receive a channel at type {self.table.render(t)}")
                 raise _Abort
             assert p.tid is not None
             if not equiv(table, p.tid, node[2]):
                 self.diag(dn, "E-TYPE-MISMATCH", p.at,
-                          f"annotation {self._render(p.tid)} differs from "
-                          f"payload type {self._render(node[2])}")
+                          f"annotation {self.table.render(p.tid)} differs from "
+                          f"payload type {self.table.render(node[2])}")
                 raise _Abort
             if p.var in ctx or p.var == p.chan:
                 self.diag(dn, "E-CONTEXT-LEAK", p.at,
@@ -1286,7 +1303,7 @@ class RecursiveTyping(Checker):
             if not self._per_pair(compatible, p.ltid, p.rtid):
                 self.diag(dn, "E-INCOMPATIBLE", p.at,
                           f"endpoint types of {p.chan} cannot terminate together",
-                          left=self._render(p.ltid), right=self._render(p.rtid))
+                          left=self.table.render(p.ltid), right=self.table.render(p.rtid))
                 raise _Abort
             fvl, fvr = free_channels_recursive(p.left), free_channels_recursive(p.right)
             lctx, rctx = {p.chan: p.ltid}, {p.chan: p.rtid}
@@ -1318,10 +1335,10 @@ class RecursiveTyping(Checker):
             else:
                 kind, (u, v), detail = verdict.failure  # type: ignore[misc]
                 self.diag(dn, "E-SUBTYPE", p.at,
-                          f"cast target is not a fair supertype of {self._render(t)}",
+                          f"cast target is not a fair supertype of {self.table.render(t)}",
                           kind=kind, detail=detail,
-                          offendingPair=[self._render(u), self._render(v)],
-                          source=self._render(t), target=self._render(p.tid))
+                          offendingPair=[self.table.render(u), self.table.render(v)],
+                          source=self.table.render(t), target=self.table.render(p.tid))
                 w = 0
             self.cast_weight[self.number[id(p)]] = w
             ctx = dict(ctx)

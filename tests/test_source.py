@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -52,13 +53,39 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in read)
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names listed in the module's `__all__`."""
+    out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            read.update(ast.literal_eval(node.value))
-    return sorted(f"{name} (line {line})" for name, line in imported.items()
-                  if name not in read)
+            out.update(ast.literal_eval(node.value))
+    return out
+
+
+def _names(node: ast.AST) -> Counter:
+    """How often each name is read under node, as a name or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _unnamed_functions(trees: dict[str, ast.Module]) -> list[str]:
+    """The functions and methods that no module names outside their own
+    body: as a name, as an attribute or in `__all__`. Python itself calls
+    the dunder methods."""
+    named = Counter()
+    for tree in trees.values():
+        named += _names(tree) + Counter(_exported(tree))
+    return sorted(f"{module}: {node.name} (line {node.lineno})"
+                  for module, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not (node.name.startswith("__") and node.name.endswith("__"))
+                  and named[node.name] == _names(node)[node.name])
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -71,6 +98,11 @@ def test_no_recursion_outside_the_parser(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert _unused_imports(_tree(path)) == []
+
+
+def test_every_function_is_named_somewhere_else():
+    # a function nothing names is dead code
+    assert _unnamed_functions({p.name: _tree(p) for p in MODULES}) == []
 
 
 def test_the_checks_find_what_they_look_for():
@@ -87,4 +119,22 @@ def test_the_checks_find_what_they_look_for():
         "        return self.h()\n")
     assert _self_calls(tree) == ["f", "A.g"]
     assert _unused_imports(tree) == ["ld (line 2)", "os (line 1)"]
+    dead = ast.parse(
+        "__all__ = ['api']\n"
+        "def api():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return Box()\n"
+        "def loop(n):\n"
+        "    return loop(n - 1)\n"
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.x = 0\n"
+        "    def used(self):\n"
+        "        pass\n"
+        "    def stale(self):\n"
+        "        pass\n")
+    user = ast.parse("from dead import Box\nBox().used()\n")
+    assert _unnamed_functions({"dead.py": dead, "user.py": user}) == [
+        "dead.py: loop (line 6)", "dead.py: stale (line 13)"]
     assert len(MODULES) > 5

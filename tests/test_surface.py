@@ -9,15 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairchk.surface import (MAX_NESTING, Cast, ChanIn, ChanOut, Choice, Close,
-                             Done, NewSession, ProcDef, SourceError, SourceProgram, TagComm,
-                             TChan, TEnd, TName, TTags, Wait, lex, load, parse, preorder,
-                             render, render_program, resolve, token_positions)
-from fairchk.types import equiv
+                             Done, NewSession, ProcDef, Program, SourceError, SourceProgram,
+                             TagComm, TChan, TEnd, TName, TTags, Wait, children, lex, load,
+                             parse, render, render_program, resolve, token_positions)
+from fairchk.types import TypeTable, equiv
 
 import gen
 from conftest import CORPUS_RANKS, corpus_text
 from gen import random_source_program
-from oracles import lex_charwise, lex_lines, render_syntax_recursive, resolve_recursive
+from oracles import (lex_charwise, lex_lines, preorder, render_syntax_recursive,
+                     resolve_recursive)
 from test_mutations import _byte_mutants, _mutants
 
 
@@ -453,6 +454,48 @@ def test_preorder_and_resolution_follow_source_order():
     with pytest.raises(SourceError) as err:
         load("Main() = new x: end! / end? in (Q(x) | wait x. R(x))")
     assert err.value.msg == "undefined process name 'Q'"
+
+
+@pytest.mark.parametrize("text, msg, where", [
+    ("P(x: end!, x: end!) = Q(x)", "duplicate parameter 'x' in P", (1, 1)),
+    ("P(x: U) = Q(x)", "undefined type name 'U'", (1, 6)),
+    ("P() = Q()\nR(x: end!, x: end!) = done", "undefined process name 'Q'", (1, 7)),
+    ("P() = [x: U] Q()\nR(x: V) = done", "undefined type name 'U'", (1, 11)),
+])
+def test_resolution_reports_parameters_before_the_body(text, msg, where):
+    # definition by definition, and in each the parameters first
+    with pytest.raises(SourceError) as err:
+        load(text)
+    assert (err.value.msg, (err.value.line, err.value.col)) == (msg, where)
+
+
+def _check_numbering(program):
+    """Each body's occurrences are numbered in preorder, the definitions in
+    order, and every child table and owner agrees with those numbers."""
+    nodes, kids, start, owner = program.nodes, program.kids, program.start, program.owner
+    first = 0
+    for name, d in program.procs.items():
+        order = preorder(d.body)
+        mine = nodes[first:first + len(order)]
+        assert start[name] == first
+        assert len(mine) == len(order) and all(a is b for a, b in zip(mine, order))
+        assert owner[first:first + len(order)] == [name] * len(order)
+        first += len(order)
+    assert len(nodes) == len(kids) == len(owner) == first
+    for v, n in enumerate(nodes):
+        assert [id(nodes[w]) for w in kids[v]] == [id(c) for c in children(n)]
+
+
+def test_occurrence_numbers_follow_preorder():
+    for name in sorted(CORPUS_RANKS):
+        _check_numbering(load(corpus_text(name)))
+    for source in gen.NESTED_SOURCES.values():
+        _check_numbering(load(source(gen.deepest_admitted(source))))
+    # a program built by hand is numbered by the same constructor
+    rnd = random.Random(71)
+    for _ in range(2000):
+        sp = random_source_program(rnd)
+        _check_numbering(Program(TypeTable(), {}, {d.name: d for d in sp.procdefs}))
 
 
 def test_recursive_typedef_is_cyclic():

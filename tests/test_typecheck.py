@@ -8,7 +8,7 @@ import pytest
 
 from fairchk import schema, surface, typecheck
 from fairchk.cli import main
-from fairchk.surface import Cast, Choice, SourceError, children, load, preorder, resolve
+from fairchk.surface import Cast, Choice, SourceError, children, load, resolve
 from fairchk.typecheck import Checker, check_program, free_channels
 from fairchk.types import INF
 
@@ -18,7 +18,7 @@ from gen import (NESTED_SOURCES, RANK_DEFS, call_dag_source, deepest_admitted,
                  session_chain_source)
 from json_schema import validate
 from oracles import (RecursiveTyping, action_bounded, cutoff_rank, free_channels_recursive,
-                     infer_branches_by_cutoff, infer_branches_rebuild, min_rank,
+                     infer_branches_by_cutoff, infer_branches_rebuild, min_rank, preorder,
                      typing_unfold_ok, unsafe_by_reachability)
 
 
@@ -243,6 +243,21 @@ def test_infer_branches_matches_cutoff_oracle():
     assert flipped > 0
 
 
+def test_check_program_runs_on_rank_programs():
+    # every draw runs the whole pipeline, and the markers it infers are
+    # those of the rebuild oracle on the same draw after its typing walk
+    flipped = 0
+    for seed in range(1000):
+        program, written = (random_rank_program(random.Random(seed)) for _ in range(2))
+        check_program(program, infer_branch=True)
+        rebuilt = Checker(random_rank_program(random.Random(seed)))
+        rebuilt.check_types()
+        infer_branches_rebuild(rebuilt)
+        assert _markers(program) == _markers(rebuilt), seed
+        flipped += _markers(program) != _markers(written)
+    assert flipped > 0
+
+
 # C0 .. C12, each with one choice: as written, every marker is kept; with
 # the operands swapped, every marker flips, away from a loop at C12
 INFER_CHAINS = {
@@ -316,20 +331,21 @@ def test_free_channel_table_matches_recursive_oracle():
 
 
 def test_typing_walk_is_linear_in_session_nesting(monkeypatch):
-    # numbering the occurrences visits each node once, and every session
-    # reads its sides' free channels from one table built from the numbers
+    # loading numbers the occurrences, visiting each node once, and every
+    # session reads its sides' free channels from one table built from
+    # the numbers
     visits = 0
-    real_children = typecheck.children
+    real_children = surface.children
 
     def counting(p):
         nonlocal visits
         visits += 1
         return real_children(p)
 
-    monkeypatch.setattr(typecheck, "children", counting)
+    monkeypatch.setattr(surface, "children", counting)
     for n in (31, 62, 124):
-        program = load(NESTED_SOURCES["sessions"](n))
         visits = 0
+        program = load(NESTED_SOURCES["sessions"](n))
         ck = Checker(program)
         ck.check_types()
         assert not ck.diags["Main"]
