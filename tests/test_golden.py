@@ -16,6 +16,12 @@ equation form are pinned. It also holds `render_program` of the corpus and
 of each `NESTED_SOURCES` shape at depths up to the deepest the parser
 admits.
 
+golden_run.json holds the exit code, stdout and stderr of `run`: `--trace`,
+`--trace-json` and `--json --stats` on the runnable corpus programs at
+seeds 0-7; `--unsafe --trace` on every corpus file and on the stuck
+programs below at seeds 0-3, with the dump of every thread left; and the
+usage errors of `run`. Paths are written as `<file>`.
+
 The files change only with the output contract. After such a change,
 regenerate them from the root of the checkout with
 
@@ -26,6 +32,7 @@ import contextlib
 import io
 import json
 import pathlib
+import re
 import sys
 import tempfile
 from unittest import mock
@@ -34,12 +41,13 @@ from fairchk import types
 from fairchk.cli import main
 from fairchk.surface import load, parse, render_program
 
-from conftest import CORPUS, corpus_path
+from conftest import CORPUS, RUNNABLE, corpus_path
 from gen import NESTED_SOURCES, deepest_admitted, diverging_source, shared_ladder_source
 from test_surface import PARSE_ERRORS, RESOLVE_ERRORS
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_check.json"
 RENDER_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_render.json"
+RUN_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_run.json"
 
 # Rejected programs whose diagnostics sit past comments, blank lines, tabs,
 # carriage returns and on later lines of a definition.
@@ -197,6 +205,99 @@ def test_the_render_golden_file_holds_both_forms():
         assert any(len(t) > 64 and " where " not in t for t in texts), group
 
 
+# Programs that get stuck, each for another reason, so that the dump of
+# every kind of blocked thread is pinned: a picked output prints as its
+# one branch.
+STUCK = {
+    "two-closers": "Main() = new x: end! / end! in (close x | close x)\n",
+    "picked-output": (
+        "type S = !{a: end!, b: end!}\n"
+        "Main() = new x: S / ?{c: end?} in\n"
+        "  (x!{a: close x +[1] close x, b: close x} | x?{c: wait x. done})\n"),
+    "missing-handle": "Main() = wait y. done\n",
+    "unbound-payload": (
+        "Main() = new x: end! / end? in\n"
+        "  (x!(y). close x | x?(z: end!). wait x. done)\n"),
+    "unbound-argument": "P(a: end!) = close a\nMain() = P(b)\n",
+    "unbound-cast": "Main() = [y: end!] done\n",
+    "unbound-pick": "Main() = y!{a: done, b: done}\n",
+    "shared-handle": (
+        "Main() = new x: end! / end? in\n"
+        "  (new y: end! / end? in (close x | wait y. close x) | wait x. done)\n"),
+}
+
+# `run` calls that exit with a usage error, a missing file or a `Main` that
+# cannot run; "<prog>" is a file that holds PARAMS_MAIN.
+PARAMS_MAIN = "Main(x: end!) = close x\n"
+RUN_ERRORS = {
+    "bad seed": ["run", "<bsc>", "--seed", "x1"],
+    "negative max-steps": ["run", "<bsc>", "--max-steps", "-1"],
+    "missing file": ["run", "<missing>"],
+    "Main with parameters": ["run", "<prog>"],
+    "Main with parameters, unsafe": ["run", "<prog>", "--unsafe"],
+}
+
+
+def _runs(path: str, flag_sets: list[list[str]], seeds) -> dict:
+    return {f"{' '.join(flags)} --seed {seed}":
+            _run(["run", path, *flags, "--seed", str(seed)], path)
+            for flags in flag_sets for seed in seeds}
+
+
+def collect_runs() -> dict:
+    """What golden_run.json pins, computed by the code under test. Every
+    `--unsafe` run stops at 200 steps, so that a run that never ends is
+    pinned by its first steps and its dump."""
+    golden: dict = {"runnable": {}, "unsafe": {}, "stuck": {}, "errors": {}}
+    unsafe = [["--unsafe", "--trace", "--max-steps", "200"]]
+    for name in RUNNABLE:
+        golden["runnable"][name] = _runs(
+            corpus_path(name), [["--trace"], ["--trace-json"], ["--json", "--stats"]],
+            range(8))
+    for path in sorted(CORPUS.glob("*.ft")):
+        golden["unsafe"][path.name] = _runs(str(path), unsafe, range(4))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(pathlib.Path(tmp) / "prog.ft")
+        for name, text in STUCK.items():
+            pathlib.Path(path).write_bytes(text.encode("utf-8"))
+            golden["stuck"][name] = _runs(path, unsafe, range(4))
+        pathlib.Path(path).write_bytes(PARAMS_MAIN.encode("utf-8"))
+        missing = str(pathlib.Path(tmp) / "missing.ft")
+        for name, argv in RUN_ERRORS.items():
+            argv = [{"<bsc>": corpus_path("bsc"), "<prog>": path,
+                     "<missing>": missing}.get(a, a) for a in argv]
+            got = _run(argv, argv[1])
+            # argparse wraps its usage lines to the terminal's width
+            got["stderr"] = re.sub(r"^usage: .*?^(?=fairchk run: )", "<usage>\n",
+                                   got["stderr"], flags=re.S | re.M)
+            golden["errors"][name] = got
+    return golden
+
+
+def test_run_output_matches_the_golden_file():
+    want = json.loads(RUN_GOLDEN.read_text(encoding="utf-8"))
+    got = collect_runs()
+    assert set(got) == set(want)
+    for group in want:
+        assert set(got[group]) == set(want[group]), group
+        for name in want[group]:
+            assert got[group][name] == want[group][name], (group, name)
+
+
+def test_the_run_golden_file_holds_every_outcome():
+    want = json.loads(RUN_GOLDEN.read_text(encoding="utf-8"))
+    outs = [r.get("stdout", "") for group in ("runnable", "unsafe", "stuck")
+            for runs in want[group].values() for r in runs.values()]
+    for kind in ("terminated after", "step-limit after", "stuck after"):
+        assert any(kind in out for out in outs), kind
+    for rule in ("rb-choice", "sb-call", "rb-cast", "rb-par",
+                 "rb-pick", "rb-signal", "rb-tag", "rb-channel"):
+        assert any(f"\t{rule}\t" in out for out in outs), rule
+    dumps = [r["stderr"] for runs in want["stuck"].values() for r in runs.values()]
+    assert any("x!a. (close x +[1] close x)" in d for d in dumps)
+    assert all(e["code"] == 2 for e in want["errors"].values())
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
@@ -204,3 +305,5 @@ if __name__ == "__main__":
                       encoding="utf-8")
     RENDER_GOLDEN.write_text(json.dumps(collect_renders(), indent=1, sort_keys=True) + "\n",
                              encoding="utf-8")
+    RUN_GOLDEN.write_text(json.dumps(collect_runs(), indent=1, sort_keys=True) + "\n",
+                          encoding="utf-8")
