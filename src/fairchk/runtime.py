@@ -16,7 +16,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
-                      NewSession, ProcExpr, Program, TagComm, Wait, render)
+                      NewSession, Program, TagComm, Wait, render)
 
 _M64 = (1 << 64) - 1
 
@@ -50,10 +50,13 @@ _RULE_ORDER = sorted(RULES)
 Handle = tuple[int, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class Thread:
-    proc: ProcExpr
+    """A live thread: the occurrence it is at, its environment and, once
+    it has picked the branch of an output it sends, that branch's index."""
+    occ: int
     env: dict[str, Handle]
+    pick: int | None = None
 
 
 @dataclass
@@ -81,6 +84,37 @@ class RunOutcome:
     stats: dict = field(default_factory=dict)
 
 
+_END = "end"  # the rule of a `done`: its thread leaves the soup
+
+# What a thread at an occurrence of each kind of node can do: (the rule it
+# fires alone, None when it is a head that pairs, or _END; the channel it
+# acts on; the names it needs bound to do anything; its kind of head, a key
+# of _MEETS; the labels of its branches).
+_SHAPES = {
+    Done: lambda n: (_END, None, (), None, ()),
+    Call: lambda n: ("sb-call", None, tuple(n.args), None, ()),
+    Close: lambda n: (None, n.chan, (), "close", ()),
+    Wait: lambda n: (None, n.chan, (), "wait", ()),
+    # an output with several branches picks one before it is a head
+    TagComm: lambda n: (
+        ("rb-pick", n.chan, (n.chan,), "send", n.labels)
+        if n.pol == "!" and len(n.labels) > 1
+        else (None, n.chan, (), "send" if n.pol == "!" else "receive", n.labels)),
+    ChanOut: lambda n: (None, n.chan, (n.payload,), "out", ()),
+    ChanIn: lambda n: (None, n.chan, (), "in", ()),
+    Choice: lambda n: ("rb-choice", None, (), None, ()),
+    NewSession: lambda n: ("rb-par", None, (), None, ()),
+    Cast: lambda n: ("rb-cast", n.chan, (n.chan,), None, ()),
+}
+
+# (offering head, other head) -> the rule by which they meet; the offering
+# head is the closer or the sender, written first in the redex
+_MEETS = {("close", "wait"): "rb-signal", ("out", "in"): "rb-channel",
+          ("send", "receive"): "rb-tag"}
+
+_BRANCHES = ("branch 1", "branch 2")
+
+
 class Soup:
     """The live threads and an index of the redexes they enable.
 
@@ -89,11 +123,16 @@ class Soup:
     step depends on: first the single-thread redexes in thread order, then
     the synchronising pairs in session order. A step re-reads only the
     threads it touched, so its cost does not grow with the thread count.
+
+    A thread stands at an occurrence number of the program and moves along
+    `program.kids` and `program.start`. What it can do there is read off a
+    table with one entry per occurrence, built when the soup is.
     """
 
     def __init__(self, program: Program, rng: SplitMix64):
         self.program = program
         self.rng = rng
+        self.shapes = [_SHAPES[type(n)](n) for n in program.nodes]
         self.threads: dict[int, Thread] = {}
         self.next_thread = 0
         self.next_session = 0
@@ -107,6 +146,7 @@ class Soup:
         self.pairs: dict[int, tuple] = {}  # session -> (rule, offer, other)
         self.fired = dict.fromkeys(_RULE_ORDER, 0)
         self.peak_threads = 0
+        self.trace: list[TraceEntry] | None = None  # a list when one is kept
 
     def spawn_main(self, entry: str = "Main") -> None:
         d = self.program.procs.get(entry)
@@ -114,7 +154,7 @@ class Soup:
             raise ValueError(f"program has no {entry} definition")
         if d.params:
             raise ValueError(f"{entry} must take no parameters to be run")
-        self._spawn(Thread(d.body, {}))
+        self._spawn(Thread(self.program.start[entry], {}))
         self._refresh((0,))
 
     def _spawn(self, thread: Thread) -> None:
@@ -142,7 +182,7 @@ class Soup:
         sessions = set()
         for tid in tids:
             role = roles.pop(tid, None)
-            if isinstance(role, str):
+            if type(role) is str:
                 del singles[bisect_left(singles, tid)]
             elif role is not None:
                 holders = heads[role]
@@ -150,15 +190,17 @@ class Soup:
                 if not holders:
                     del heads[role]
                 sessions.add(role[0])
-            th = threads[tid]
-            if isinstance(th.proc, Done):
-                del threads[tid]
+            th = threads.get(tid)
+            if th is None:
                 continue
-            role = _role(th.proc, th.env)
+            role = self._role(th)
             if role is None:
                 continue
+            if role is _END:
+                del threads[tid]
+                continue
             roles[tid] = role
-            if isinstance(role, str):
+            if type(role) is str:
                 insort(singles, tid)
             else:
                 heads.setdefault(role, set()).add(tid)
@@ -168,18 +210,35 @@ class Soup:
         if len(threads) > self.peak_threads:
             self.peak_threads = len(threads)
 
+    def _role(self, th: Thread) -> str | Handle | None:
+        """The single-thread rule a live thread enables, _END at a `done`,
+        the handle its communication head waits on, or None when it is
+        blocked alone.
+
+        A name it needs but lacks just leaves the thread blocked; only
+        ill-typed programs executed with --unsafe can get there.
+        """
+        rule, chan, needs, _, _ = self.shapes[th.occ]
+        env = th.env
+        for name in needs:
+            if name not in env:
+                return None
+        if rule is None or th.pick is not None:
+            return env.get(chan)
+        return rule
+
     def _pair(self, sid: int) -> None:
         """Re-read the heads of one session: at most one pair redex."""
         redex = None
         side0, side1 = self.heads.get((sid, 0)), self.heads.get((sid, 1))
         if side0 and side1:
             i, j = max(side0), max(side1)
-            p, q = self.threads[i].proc, self.threads[j].proc
-            rule = _offers(p, q)
+            p, q = self.threads[i], self.threads[j]
+            rule = self._offers(p, q)
             if rule is not None:
                 redex = (rule, i, j)
             else:
-                rule = _offers(q, p)
+                rule = self._offers(q, p)
                 if rule is not None:
                     redex = (rule, j, i)
         if redex is not None:
@@ -190,137 +249,105 @@ class Soup:
             del self.pairs[sid]
             del self.sessions[bisect_left(self.sessions, sid)]
 
-    def step(self, step_no: int) -> TraceEntry | None:
-        """Fire one uniformly chosen redex; None when nothing is enabled."""
+    def _offers(self, a: Thread, b: Thread) -> str | None:
+        """The rule by which head a, the closer or sender, meets head b."""
+        shape = self.shapes[b.occ]
+        rule = _MEETS.get((self.shapes[a.occ][3], shape[3]))
+        if rule == "rb-tag" and self._label(a) not in shape[4]:
+            return None
+        return rule
+
+    def _label(self, sender: Thread) -> str:
+        """The label an output head sends: its one branch or the one it picked."""
+        return self.shapes[sender.occ][4][sender.pick or 0]
+
+    def step(self, step_no: int) -> str | None:
+        """Fire one uniformly chosen redex and return its rule; None when
+        nothing is enabled. A trace entry is kept only when `trace` is a list."""
         redex = self._draw()
         if redex is None:
             return None
-        entry = self._apply(redex, step_no)
-        # rb-par is the one rule that creates a thread, the newest one
-        self._refresh(redex[1:] if redex[0] != "rb-par"
-                      else (redex[1], self.next_thread - 1))
-        self.fired[redex[0]] += 1
-        return entry
-
-    def _apply(self, redex: tuple, step_no: int) -> TraceEntry:
         rule = redex[0]
+        sid, detail = self._apply(redex)
+        if self.trace is not None:
+            self.trace.append(TraceEntry(step_no, rule, f"s{sid}" if sid >= 0 else "-",
+                                         detail))
+        # rb-par is the one rule that creates a thread, the newest one
+        self._refresh(redex[1:] if rule != "rb-par"
+                      else (redex[1], self.next_thread - 1))
+        self.fired[rule] += 1
+        return rule
+
+    def _apply(self, redex: tuple) -> tuple[int, str]:
+        """Fire a redex; the session it acted on (-1 for none) and the
+        detail its trace entry shows."""
+        rule = redex[0]
+        nodes, kids = self.program.nodes, self.program.kids
+        th = self.threads[redex[1]]
+        v = th.occ
         if rule == "rb-choice":
-            th = self.threads[redex[1]]
-            assert isinstance(th.proc, Choice)
-            pick = 1 + self.rng.below(2)
-            th.proc = th.proc.left if pick == 1 else th.proc.right
-            return TraceEntry(step_no, rule, "-", f"branch {pick}")
+            pick = self.rng.below(2)
+            th.occ = kids[v][pick]
+            return -1, _BRANCHES[pick]
         if rule == "sb-call":
-            th = self.threads[redex[1]]
-            assert isinstance(th.proc, Call)
-            d = self.program.procs[th.proc.name]
-            env = {v: th.env[a] for (v, _), a in zip(d.params, th.proc.args)}
-            name = th.proc.name
-            th.proc, th.env = d.body, env
-            return TraceEntry(step_no, rule, "-", name)
+            n = nodes[v]
+            params = self.program.procs[n.name].params
+            th.env = {p: th.env[a] for (p, _), a in zip(params, n.args)}
+            th.occ = self.program.start[n.name]
+            return -1, n.name
         if rule == "rb-cast":
-            th = self.threads[redex[1]]
-            assert isinstance(th.proc, Cast)
-            chan = th.proc.chan
-            sid = th.env[chan][0]
-            th.proc = th.proc.cont
-            return TraceEntry(step_no, rule, f"s{sid}", chan)
+            chan = nodes[v].chan
+            th.occ = kids[v][0]
+            return th.env[chan][0], chan
         if rule == "rb-par":
-            th = self.threads[redex[1]]
-            assert isinstance(th.proc, NewSession)
-            p = th.proc
+            chan = nodes[v].chan
             sid = self.next_session
             self.next_session += 1
-            lenv = dict(th.env)
             renv = dict(th.env)
-            lenv[p.chan] = (sid, 0)
-            renv[p.chan] = (sid, 1)
-            th.proc, th.env = p.left, lenv
-            self._spawn(Thread(p.right, renv))
-            return TraceEntry(step_no, rule, f"s{sid}", p.chan)
+            th.env = dict(th.env)
+            th.env[chan] = (sid, 0)
+            renv[chan] = (sid, 1)
+            th.occ = kids[v][0]
+            self._spawn(Thread(kids[v][1], renv))
+            return sid, chan
         if rule == "rb-pick":
-            th = self.threads[redex[1]]
-            assert isinstance(th.proc, TagComm)
-            p = th.proc
-            label, cont = p.branches[self.rng.below(len(p.branches))]
-            th.proc = TagComm(p.chan, p.pol, [(label, cont)], p.at)
-            return TraceEntry(step_no, rule, f"s{th.env[p.chan][0]}", label)
+            th.pick = self.rng.below(len(kids[v]))
+            return th.env[nodes[v].chan][0], self._label(th)
+        other = self.threads[redex[2]]
+        sid = th.env[nodes[v].chan][0]
         if rule == "rb-signal":
-            closer, waiter = self.threads[redex[1]], self.threads[redex[2]]
-            assert isinstance(closer.proc, Close) and isinstance(waiter.proc, Wait)
-            sid = closer.env[closer.proc.chan][0]
-            closer.proc = Done(closer.proc.at)
-            waiter.proc = waiter.proc.cont
-            return TraceEntry(step_no, rule, f"s{sid}", "close/wait")
+            # the closer is done
+            del self.threads[redex[1]]
+            other.occ = kids[other.occ][0]
+            return sid, "close/wait"
         if rule == "rb-tag":
-            sender, receiver = self.threads[redex[1]], self.threads[redex[2]]
-            assert isinstance(sender.proc, TagComm) and isinstance(receiver.proc, TagComm)
-            label, s_cont = sender.proc.branches[0]
-            sid = sender.env[sender.proc.chan][0]
-            r_cont = dict(receiver.proc.branches)[label]
-            sender.proc = s_cont
-            receiver.proc = r_cont
-            return TraceEntry(step_no, rule, f"s{sid}", label)
+            label = self._label(th)
+            th.occ, th.pick = kids[v][th.pick or 0], None
+            w = other.occ
+            other.occ = kids[w][self.shapes[w][4].index(label)]
+            return sid, label
         if rule == "rb-channel":
-            sender, receiver = self.threads[redex[1]], self.threads[redex[2]]
-            assert isinstance(sender.proc, ChanOut) and isinstance(receiver.proc, ChanIn)
-            sid = sender.env[sender.proc.chan][0]
-            handle = sender.env[sender.proc.payload]
-            detail = f"{sender.proc.payload} -> {receiver.proc.var}"
-            renv = dict(receiver.env)
-            renv[receiver.proc.var] = handle
-            receiver.env = renv
-            senv = dict(sender.env)
-            del senv[sender.proc.payload]
-            sender.env = senv
-            sender.proc = sender.proc.cont
-            receiver.proc = receiver.proc.cont
-            return TraceEntry(step_no, rule, f"s{sid}", detail)
+            payload, var = nodes[v].payload, nodes[other.occ].var
+            other.env = dict(other.env)
+            other.env[var] = th.env[payload]
+            th.env = dict(th.env)
+            del th.env[payload]
+            th.occ, other.occ = kids[v][0], kids[other.occ][0]
+            return sid, f"{payload} -> {var}"
         raise AssertionError(f"unknown rule {rule}")
 
     def dump(self) -> list[str]:
         out = []
+        nodes, kids = self.program.nodes, self.program.kids
         for th in self.threads.values():
+            n = nodes[th.occ]
+            if th.pick is not None:
+                # a picked output prints as the one branch it will send
+                n = TagComm(n.chan, n.pol, [(self._label(th), nodes[kids[th.occ][th.pick]])],
+                            n.at)
             env = ", ".join(f"{v}=s{h[0]}.{h[1]}" for v, h in sorted(th.env.items()))
-            out.append(f"{render(th.proc)}  [{env}]")
+            out.append(f"{render(n)}  [{env}]")
         return out
-
-
-def _role(p: ProcExpr, env: dict[str, Handle]) -> str | Handle | None:
-    """The single-thread rule a live thread enables, or the handle its
-    communication head waits on, or None when it is blocked alone."""
-    if isinstance(p, Call):
-        return "sb-call" if all(map(env.__contains__, p.args)) else None
-    if isinstance(p, TagComm):
-        if p.pol == "!" and len(p.branches) > 1:
-            return "rb-pick" if p.chan in env else None
-        return env.get(p.chan)
-    if isinstance(p, (Close, Wait, ChanIn)):
-        # a missing handle just leaves the thread blocked; only ill-typed
-        # programs executed with --unsafe can get here
-        return env.get(p.chan)
-    if isinstance(p, NewSession):
-        return "rb-par"
-    if isinstance(p, Choice):
-        return "rb-choice"
-    if isinstance(p, Cast):
-        return "rb-cast" if p.chan in env else None
-    assert isinstance(p, ChanOut)
-    return env.get(p.chan) if p.payload in env else None
-
-
-def _offers(a: ProcExpr, b: ProcExpr) -> str | None:
-    """The rule by which head a, the closer or sender, meets head b."""
-    if isinstance(a, Close):
-        return "rb-signal" if isinstance(b, Wait) else None
-    if isinstance(a, ChanOut):
-        return "rb-channel" if isinstance(b, ChanIn) else None
-    if (isinstance(a, TagComm) and isinstance(b, TagComm) and a.pol == "!"
-            and b.pol == "?" and len(a.branches) == 1):
-        label = a.branches[0][0]
-        if any(label == l for l, _ in b.branches):
-            return "rb-tag"
-    return None
 
 
 def run(program: Program, seed: int = 0, max_steps: int = 100_000,
@@ -335,18 +362,16 @@ def drive(soup: Soup, max_steps: int, want_trace: bool) -> RunOutcome:
     """Step a soup whose entry thread is spawned until it empties, sticks,
     or hits the step limit."""
     trace: list[TraceEntry] = []
+    soup.trace = trace if want_trace else None
     steps = 0
     kind = "terminated"
     while soup.threads:
         if steps >= max_steps:
             kind = "step-limit"
             break
-        entry_line = soup.step(steps)
-        if entry_line is None:
+        if soup.step(steps) is None:
             kind = "stuck"
             break
-        if want_trace:
-            trace.append(entry_line)
         steps += 1
     return RunOutcome(kind, steps, trace, soup.dump(),
                       {"rules": soup.fired, "peakThreads": soup.peak_threads,

@@ -131,6 +131,10 @@ class TagComm:
     branches: list[tuple[str, "ProcExpr"]]
     at: int = field(compare=False, repr=False, default=-1)
 
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(label for label, _ in self.branches)
+
 
 @dataclass(slots=True)
 class ChanOut:

@@ -17,7 +17,7 @@ from fairchk.schema import RUN_STATS, TRACE_ENTRY
 from fairchk.surface import ChanIn, ChanOut, Close, TagComm, Wait, load
 from gen import random_runnable_source, swarm_source
 from json_schema import validate
-from oracles import OracleSoup
+from oracles import OracleSoup, TreeSoup, drive_tree
 
 
 # SplitMix64 reference outputs for seed 0, from the published algorithm.
@@ -163,20 +163,53 @@ def test_twenty_seeds_terminate(name):
         assert out.kind == "terminated", f"{name} seed {seed}: {out.kind}"
 
 
-# -- the redex index against a rebuild at every step ---------------------------
+# -- the interpreter against the tree interpreter and the rebuild oracle -------
 
-def _runs_agree(program, seed: int, max_steps: int) -> RunOutcome:
-    """Run `program` with the index and with the rebuild oracle; every
-    observable part of the two outcomes must be equal."""
-    got = run(program, seed=seed, max_steps=max_steps, want_trace=True)
-    soup = OracleSoup(program, SplitMix64(seed))
+def _runs_agree(program, seed: int, max_steps: int,
+                oracle=OracleSoup) -> tuple[RunOutcome, Soup]:
+    """Run `program` with the interpreter and with an oracle soup driven on
+    syntax trees; every observable part of the two outcomes must be equal.
+    The oracle is the tree interpreter with its redex index, or with a
+    rebuild of every redex at each step. Returns the outcome and the soup
+    as the run left it."""
+    soup = Soup(program, SplitMix64(seed))
     soup.spawn_main()
-    want = drive(soup, max_steps, want_trace=True)
+    got = drive(soup, max_steps, want_trace=True)
+    tree = oracle(program, SplitMix64(seed))
+    tree.spawn_main()
+    want = drive_tree(tree, max_steps, want_trace=True)
     assert (got.kind, got.steps) == (want.kind, want.steps)
     assert [e.line() for e in got.trace] == [e.line() for e in want.trace]
     assert got.dump == want.dump
     assert got.stats == want.stats
-    return got
+    # keeping no trace changes nothing else
+    bare = run(program, seed=seed, max_steps=max_steps)
+    assert (bare.kind, bare.steps, bare.trace, bare.dump, bare.stats) == (
+        got.kind, got.steps, [], got.dump, got.stats)
+    return got, soup
+
+
+def test_number_interpreter_matches_the_tree_interpreter():
+    for path in sorted(CORPUS.glob("*.ft")):
+        program = load(path.read_text(encoding="utf-8"))
+        if "Main" not in program.procs:
+            continue
+        for seed in range(8):
+            _runs_agree(program, seed, 400, TreeSoup)
+    for d in range(1, 7):
+        program = load(swarm_source(d))
+        for seed in range(2):
+            assert _runs_agree(program, seed, 100_000, TreeSoup)[0].kind == "terminated"
+    kinds: Counter = Counter()
+    for i in range(300):
+        program = load(random_runnable_source(random.Random(i)))
+        for seed in range(8):
+            out, soup = _runs_agree(program, 8 * i + seed, 300, TreeSoup)
+            kinds[out.kind] += 1
+            # a dump that prints a picked output as its one branch
+            kinds["picked"] += any(th.pick is not None for th in soup.threads.values())
+    assert min(kinds[k] for k in ("stuck", "step-limit", "terminated")) >= 100, kinds
+    assert kinds["picked"] >= 50, kinds
 
 
 def test_incremental_redexes_match_rebuild_oracle():
@@ -190,11 +223,11 @@ def test_incremental_redexes_match_rebuild_oracle():
     for d in range(1, 7):
         program = load(swarm_source(d))
         for seed in range(2):
-            assert _runs_agree(program, seed, 100_000).kind == "terminated"
+            assert _runs_agree(program, seed, 100_000)[0].kind == "terminated"
     kinds: Counter = Counter()
     fired: Counter = Counter()
     for i in range(1000):
-        out = _runs_agree(load(random_runnable_source(random.Random(i))), i, 300)
+        out, _ = _runs_agree(load(random_runnable_source(random.Random(i))), i, 300)
         kinds[out.kind] += 1
         fired.update(rule for rule, n in out.stats["rules"].items() if n)
     assert kinds["stuck"] >= 100 and kinds["step-limit"] >= 50 and kinds["terminated"] >= 25
@@ -212,7 +245,7 @@ def test_random_runs_share_miss_and_leave_payloads_unbound():
         def step(self, step_no):
             handles = []
             for th in self.threads.values():
-                p = th.proc
+                p = self.program.nodes[th.occ]
                 if isinstance(p, (Close, Wait, TagComm, ChanOut, ChanIn)):
                     if p.chan not in th.env:
                         self.seen.add("missing")
@@ -234,9 +267,11 @@ def test_random_runs_share_miss_and_leave_payloads_unbound():
 
 
 def test_step_work_independent_of_thread_count(monkeypatch):
-    # count the threads each step re-reads; the work, not the time
+    # count the threads each step re-reads, and the threads whose occurrence
+    # it looks up; the work, not the time
     per_step: list[int] = []
-    refresh, step = Soup._refresh, Soup.step
+    looked_up: list[int] = []
+    refresh, step, role = Soup._refresh, Soup.step, Soup._role
 
     def counting_refresh(soup, tids):
         tids = tuple(tids)
@@ -245,17 +280,25 @@ def test_step_work_independent_of_thread_count(monkeypatch):
 
     def counting_step(soup, step_no):
         per_step.append(0)
+        looked_up.append(0)
         return step(soup, step_no)
+
+    def counting_role(soup, th):
+        looked_up[-1] += 1
+        return role(soup, th)
 
     monkeypatch.setattr(Soup, "_refresh", counting_refresh)
     monkeypatch.setattr(Soup, "step", counting_step)
+    monkeypatch.setattr(Soup, "_role", counting_role)
     for d in (3, 8):
         per_step[:] = [0]  # spawning Main
+        looked_up[:] = [0]
         out = run(load(swarm_source(d)), seed=d)
         assert out.kind == "terminated"
         assert out.stats["peakThreads"] > 2 ** d
-        assert len(per_step) == 1 + out.steps
+        assert len(per_step) == len(looked_up) == 1 + out.steps
         assert per_step[0] == 1 and max(per_step) <= 3
+        assert looked_up[0] == 1 and max(looked_up) <= 3
 
 
 def test_run_stats_count_rules_threads_and_sessions():

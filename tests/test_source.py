@@ -88,6 +88,24 @@ def _unnamed_functions(trees: dict[str, ast.Module]) -> list[str]:
                   and named[node.name] == _names(node)[node.name])
 
 
+# The fields of a syntax node that hold processes.
+PROCESS_FIELDS = frozenset({"left", "right", "cont", "branches", "body"})
+
+
+def _process_field_reads(tree: ast.Module) -> list[str]:
+    """Every read of a process-valued field of a node, as `field (line n)`."""
+    reads = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+             and n.attr in PROCESS_FIELDS and isinstance(n.ctx, ast.Load)]
+    return [f"{n.attr} (line {n.lineno})"
+            for n in sorted(reads, key=lambda n: (n.lineno, n.col_offset))]
+
+
+def test_the_interpreter_reads_no_process_field():
+    # a thread moves along `Program.kids` and `Program.start`, never along
+    # the fields of a syntax node
+    assert _process_field_reads(_tree(SRC / "runtime.py")) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_recursion_outside_the_parser(path):
     # every walk over a tree or a graph runs on an explicit stack, so the
@@ -119,6 +137,13 @@ def test_the_checks_find_what_they_look_for():
         "        return self.h()\n")
     assert _self_calls(tree) == ["f", "A.g"]
     assert _unused_imports(tree) == ["ld (line 2)", "os (line 1)"]
+    walker = ast.parse(
+        "def step(th, d):\n"
+        "    th.proc = th.proc.cont\n"
+        "    label, _ = th.proc.branches[0]\n"
+        "    return d.body, th.proc.chan, th.proc.labels\n")
+    assert _process_field_reads(walker) == [
+        "cont (line 2)", "branches (line 3)", "body (line 4)"]
     dead = ast.parse(
         "__all__ = ['api']\n"
         "def api():\n"
