@@ -22,6 +22,13 @@ seeds 0-7; `--unsafe --trace` on every corpus file and on the stuck
 programs below at seeds 0-3, with the dump of every thread left; and the
 usage errors of `run`. Paths are written as `<file>`.
 
+golden_cli.json holds the exit code, stdout and stderr of the type
+questions: `subtype`, `subtype --json`, `compatible --json` and
+`rank --json` on every ordered pair of typedefs of each corpus file, `graph`
+on the pairs whose configuration graph has at most GRAPH_LIMIT nodes, and
+the errors of an unknown type name and of a missing file for each of the
+four. Paths are written as `<file>`.
+
 The files change only with the output contract. After such a change,
 regenerate them from the root of the checkout with
 
@@ -39,6 +46,7 @@ from unittest import mock
 
 from fairchk import types
 from fairchk.cli import main
+from fairchk.semantics import build_config_graph
 from fairchk.surface import load, parse, render_program
 
 from conftest import CORPUS, RUNNABLE, corpus_path
@@ -48,6 +56,7 @@ from test_surface import PARSE_ERRORS, RESOLVE_ERRORS
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_check.json"
 RENDER_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_render.json"
 RUN_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_run.json"
+CLI_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_cli.json"
 
 # Rejected programs whose diagnostics sit past comments, blank lines, tabs,
 # carriage returns and on later lines of a definition.
@@ -298,6 +307,63 @@ def test_the_run_golden_file_holds_every_outcome():
     assert all(e["code"] == 2 for e in want["errors"].values())
 
 
+# The questions asked of every pair of corpus typedefs, and the largest
+# configuration graph whose `graph` output is pinned.
+PAIR_QUESTIONS = [["subtype"], ["subtype", "--json"], ["compatible", "--json"],
+                  ["rank", "--json"]]
+GRAPH_LIMIT = 50
+
+
+def collect_cli() -> dict:
+    """What golden_cli.json pins, computed by the code under test."""
+    golden: dict = {"pairs": {}, "graph": {}, "errors": {}}
+    for path in sorted(CORPUS.glob("*.ft")):
+        file = str(path)
+        program = load(path.read_text(encoding="utf-8"))
+        names = sorted(program.typedefs)
+        for a in names:
+            for b in names:
+                key = f"{path.name} {a} {b}"
+                golden["pairs"][key] = {" ".join(q): _run([q[0], file, a, b, *q[1:]], file)
+                                        for q in PAIR_QUESTIONS}
+                g = build_config_graph(program.table, program.typedefs[a],
+                                       program.typedefs[b])
+                if len(g.nodes) <= GRAPH_LIMIT:
+                    golden["graph"][key] = _run(["graph", file, a, b], file)
+    with tempfile.TemporaryDirectory() as tmp:
+        missing = str(pathlib.Path(tmp) / "missing.ft")
+        for command in ("subtype", "compatible", "rank", "graph"):
+            golden["errors"][f"{command}, unknown type"] = _run(
+                [command, corpus_path("bsc"), "SB", "Nope"], corpus_path("bsc"))
+            golden["errors"][f"{command}, missing file"] = _run(
+                [command, missing, "A", "B"], missing)
+    return golden
+
+
+def test_type_questions_match_the_golden_file():
+    want = json.loads(CLI_GOLDEN.read_text(encoding="utf-8"))
+    got = collect_cli()
+    assert set(got) == set(want)
+    for group in want:
+        assert set(got[group]) == set(want[group]), group
+        for name in want[group]:
+            assert got[group][name] == want[group][name], (group, name)
+
+
+def test_the_cli_golden_file_holds_every_answer():
+    want = json.loads(CLI_GOLDEN.read_text(encoding="utf-8"))
+    pairs = want["pairs"].values()
+    verdicts = [e["subtype"]["stdout"] for e in pairs]
+    for kind in ("holds, weight ", "fails: not simulated at ", "fails: divergence at "):
+        assert any(v.startswith(kind) for v in verdicts), kind
+    assert {e["compatible --json"]["json"]["compatible"] for e in pairs} == {True, False}
+    assert any(e["rank --json"]["json"]["rank"] == "inf" for e in pairs)
+    assert want["graph"] and all(e["stdout"].startswith("digraph config {")
+                                 for e in want["graph"].values())
+    assert all(e["code"] == 2 and e["stderr"].startswith("error: ")
+               for e in want["errors"].values())
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
@@ -306,4 +372,6 @@ if __name__ == "__main__":
     RENDER_GOLDEN.write_text(json.dumps(collect_renders(), indent=1, sort_keys=True) + "\n",
                              encoding="utf-8")
     RUN_GOLDEN.write_text(json.dumps(collect_runs(), indent=1, sort_keys=True) + "\n",
+                          encoding="utf-8")
+    CLI_GOLDEN.write_text(json.dumps(collect_cli(), indent=1, sort_keys=True) + "\n",
                           encoding="utf-8")
