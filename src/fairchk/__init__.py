@@ -7,7 +7,7 @@ checks (actions, sessions, cast weight).
 """
 
 from .semantics import build_config_graph, compatible, session_rank
-from .subtyping import diverges, fair_subtype, subtype_weight, unfair_subtype
+from .subtyping import fair_subtype, unfair_subtype
 from .surface import Program, SourceError, load, parse, render_program, resolve
 from .typecheck import check_program
 from .runtime import RunOutcome, run
@@ -24,7 +24,6 @@ __all__ = [
     "build_config_graph",
     "check_program",
     "compatible",
-    "diverges",
     "dual",
     "equiv",
     "fair_subtype",
@@ -35,6 +34,5 @@ __all__ = [
     "resolve",
     "run",
     "session_rank",
-    "subtype_weight",
     "unfair_subtype",
 ]

@@ -3,11 +3,12 @@
 The termination-path graph of the checker and the premise graph of a
 subtyping witness are both solved component by component, sinks first.
 Every least set closed backwards along edges (bounded occurrences,
-configurations that can terminate, dead simulation pairs) is one call of
-`closure`. Every forward search (the nodes of a type, the pair carrier of
-a subtyping or equivalence question, a subtyping witness and its failure
-pair, the configuration graph, a layer of the session rank's search) is
-one call of `reach`.
+configurations that can terminate, the pairs above a level of the weight
+solver) is one call of `closure`. Every forward search (the nodes of a
+type, the pairs an equivalence question compares, a subtyping simulation
+with its witness or its failure pair, the configurations of a
+compatibility question or of `graph`, a layer of the session rank's
+search) is one call of `reach`.
 """
 
 from __future__ import annotations

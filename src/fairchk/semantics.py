@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import closure, reach, reverse
+from .graph import closure, reach
 from .types import INF, OUT, TypeTable, co, equiv
 
 Config = tuple[int, int]
@@ -54,26 +54,33 @@ class ConfigGraph:
         return self.tau[c] + [d for _, d in self.sync[c]]
 
 
+def moves(table: TypeTable, cfg: Config
+          ) -> tuple[list[Config], list[tuple[str | int, Config]], bool]:
+    """A configuration's picks, its labelled synchronizations, and whether
+    it is a success: both sides ended, with dual polarities. This is the
+    one transition function every question below searches."""
+    a, b = cfg
+    na, nb = table.node(a), table.node(b)
+    tau = [(a2, b) for a2 in _picks(table, a)] + [(a, b2) for b2 in _picks(table, b)]
+    sync = []
+    for (la, a2) in _visible(table, a):
+        for (lb, b2) in _visible(table, b):
+            if la[0] != lb[0] or la[1] != co(lb[1]):
+                continue
+            if (la[2] == lb[2] if la[0] == "tag" else equiv(table, la[2], lb[2])):
+                sync.append((la[2], (a2, b2)))
+    return tau, sync, na[0] == "end" and nb[0] == "end" and na[1] == co(nb[1])
+
+
 def build_config_graph(table: TypeTable, s: int, t: int) -> ConfigGraph:
     """The configurations reachable from (s, t), breadth first, with their
     picks, synchronizations and successes."""
     g = ConfigGraph((s, t), [], {}, {})
 
     def expand(cfg: Config) -> list[Config]:
-        a, b = cfg
-        na, nb = table.node(a), table.node(b)
-        if na[0] == "end" and nb[0] == "end" and na[1] == co(nb[1]):
+        g.tau[cfg], g.sync[cfg], done = moves(table, cfg)
+        if done:
             g.success.add(cfg)
-        g.tau[cfg] = [(a2, b) for a2 in _picks(table, a)] + [(a, b2) for b2 in _picks(table, b)]
-        g.sync[cfg] = []
-        for (la, a2) in _visible(table, a):
-            for (lb, b2) in _visible(table, b):
-                if la[0] != lb[0] or la[1] != co(lb[1]):
-                    continue
-                if la[0] == "tag" and la[2] == lb[2]:
-                    g.sync[cfg].append((la[2], (a2, b2)))
-                elif la[0] == "chan" and equiv(table, la[2], lb[2]):
-                    g.sync[cfg].append((la[2], (a2, b2)))
         return g.successors(cfg)
 
     g.nodes = list(reach([g.root], expand))
@@ -81,30 +88,53 @@ def build_config_graph(table: TypeTable, s: int, t: int) -> ConfigGraph:
 
 
 def compatible(table: TypeTable, s: int, t: int) -> bool:
-    """Every reachable configuration must still be able to terminate."""
-    g = build_config_graph(table, s, t)
-    can_end = closure(g.success, reverse({c: g.successors(c) for c in g.nodes}))
-    return len(can_end) == len(g.nodes)
+    """Every reachable configuration must still be able to terminate.
+
+    One forward search keeps the successes and the predecessors of each
+    configuration; the configurations that can terminate are one backward
+    closure from the successes.
+    """
+    pred: dict[Config, list[Config]] = {}
+    success: list[Config] = []
+
+    def expand(c: Config) -> list[Config]:
+        tau, sync, done = moves(table, c)
+        if done:
+            success.append(c)
+        succ = tau + [d for _, d in sync]
+        for d in succ:
+            pred.setdefault(d, []).append(c)
+        return succ
+
+    count = sum(1 for _ in reach([(s, t)], expand))
+    return len(closure(success, pred)) == count
 
 
 def session_rank(table: TypeTable, s: int, t: int) -> int | float:
     """One plus the synchronization length of the shortest terminating run.
 
-    Picks are free and synchronizations cost one, so the config graph is
-    searched in layers: layer d holds the configurations first reached
-    after d synchronizations, closed under picks.
+    Picks are free and synchronizations cost one, so the configurations
+    are searched in layers: layer d holds the configurations first reached
+    after d synchronizations, closed under picks. A configuration is
+    expanded once, when its layer meets it, and the search stops at the
+    first success.
     """
-    g = build_config_graph(table, s, t)
     seen: set[Config] = set()
-    roots = [g.root]
+    roots = [(s, t)]
     d = 0
     while roots:
-        layer = list(reach([c for c in roots if c not in seen],
-                           lambda c: [e for e in g.tau[c] if e not in seen]))
-        if not g.success.isdisjoint(layer):
-            return 1 + d
-        seen.update(layer)
-        roots = [e for c in layer for _, e in g.sync[c]]
+        picks: dict[Config, list[Config]] = {}
+        later: list[Config] = []
+        # `reach` asks for a configuration's picks only after the loop has
+        # stored them
+        for c in reach([c for c in roots if c not in seen], picks.pop):
+            tau, sync, done = moves(table, c)
+            if done:
+                return 1 + d
+            seen.add(c)
+            picks[c] = [e for e in tau if e not in seen]
+            later += [e for _, e in sync]
+        roots = later
         d += 1
     return INF
 

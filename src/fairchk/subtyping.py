@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graph import closure, cyclic, reach, reverse, tarjan
-from .types import INF, OUT, TypeTable, _matched, equiv, reachable_pairs
+from .types import INF, OUT, TypeTable, _matched, equiv
 
 Pair = tuple[int, int]
 
@@ -73,29 +73,28 @@ class Simulation:
 
 
 def simulate(table: TypeTable, s: int, t: int) -> Simulation:
-    """Greatest fixpoint of the simulation rules over reachable pairs.
+    """Greatest fixpoint of the simulation rules, by one forward search.
 
-    Each pair is judged once. The dead pairs are a backward closure: the
-    shape violations, and every pair with a dead premise.
+    A pair dies when it breaks a shape rule or one of its premises dies, so
+    the root dies exactly when a shape violation is reachable from it along
+    premise edges (Liu & Smolka, "Simple linear-time algorithms for minimal
+    fixed points", 1998). The search judges each pair once, as it meets it,
+    and the first violation breadth first from the root is the failure.
+    When there is none, every pair it met survives: they are the witness.
     """
-    judged = {p: _judge(table, *p) for p in reachable_pairs(table, s, t)}
-    premises = {p: prem for p, (_, prem) in judged.items() if prem is not None}
-    dead = closure([p for p in judged if p not in premises], reverse(premises))
-
-    root = (s, t)
-    if root not in dead:
-        # every premise of a surviving pair survives, so the witness is all
-        # of the pairs reachable from the root, breadth first
-        witness = list(reach([root], premises.__getitem__))
-        return Simulation(True, witness, None, {p: judged[p][0] for p in witness},
-                          {p: premises[p] for p in witness})
-    # The first shape violation breadth first from the root, along premise
-    # edges of shape-valid pairs, is the root cause of the removal cascade.
-    p = next(p for p in reach([root], premises.__getitem__) if p not in premises)
-    return Simulation(False, [], (p, judged[p][0]), {}, {})
+    equation: dict[Pair, str] = {}
+    premises: dict[Pair, list[Pair]] = {}
+    # `reach` asks for a pair's premises only after the loop has stored them
+    for p in reach([(s, t)], premises.__getitem__):
+        rule, prem = _judge(table, *p)
+        if prem is None:
+            return Simulation(False, [], (p, rule), {}, {})
+        equation[p], premises[p] = rule, prem
+    return Simulation(True, list(premises), None, equation, premises)
 
 
 def unfair_subtype(table: TypeTable, s: int, t: int) -> bool:
+    """The plain simulation alone, without the weight system."""
     return simulate(table, s, t).holds
 
 
@@ -173,13 +172,6 @@ def _settle_cycle(scc: list[Pair], prem: dict[Pair, list[Pair]],
         rk[p] = INF
 
 
-def subtype_weight(table: TypeTable, s: int, t: int) -> int | float:
-    sim = simulate(table, s, t)
-    if not sim.holds:
-        raise ValueError("subtype_weight requires the simulation to hold")
-    return solve_weights(sim)[(s, t)]
-
-
 @dataclass
 class SubtypeVerdict:
     holds: bool
@@ -222,9 +214,3 @@ def fair_subtype(table: TypeTable, s: int, t: int) -> SubtypeVerdict:
             return SubtypeVerdict(False, INF, ("diverges", p, "weight is infinite"),
                                   len(sim.witness))
     return SubtypeVerdict(True, rk[(s, t)], None, len(sim.witness))
-
-
-def diverges(table: TypeTable, s: int, t: int) -> bool:
-    """Simulation holds but the refinement can be postponed forever."""
-    sim = simulate(table, s, t)
-    return sim.holds and solve_weights(sim)[(s, t)] == INF

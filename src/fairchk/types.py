@@ -269,15 +269,6 @@ def is_bounded(table: TypeTable, i: int) -> bool:
     return nodes <= closure(ends, reverse({j: table.children(j) for j in nodes}))
 
 
-def reachable_pairs(table: TypeTable, a: int, b: int) -> set[tuple[int, int]]:
-    """Product closure under matched descent.
-
-    This is the carrier on which subtyping simulations are solved. The
-    weight system is solved on the simulation's witness, a part of it.
-    """
-    return set(reach([(a, b)], lambda p: _matched(table, *p)))
-
-
 def _matched(table: TypeTable, i: int, j: int) -> list[tuple[int, int]]:
     """Matched descent: tags nodes pair their children under shared labels,
     in label order, chan nodes their payloads and their continuations."""

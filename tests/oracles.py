@@ -19,7 +19,11 @@ instead of one,
 type rendering, duality and the typing walk by recursion instead of an
 explicit stack, type rendering also by the former pair of printers (an
 unfolding that joins each subtree's text into its parent's, and a separate
-equation printer) instead of one stack of pieces, syntax printing by
+equation printer) instead of one stack of pieces, the simulation also by
+judging the whole pair carrier and closing backwards from its shape
+violations instead of one forward search that stops at the first,
+compatibility and the session rank also on a stored configuration graph
+instead of the transition function searched directly, syntax printing by
 recursion instead of a stack of pieces, the interpreter's redexes by a
 rebuild of the whole list at every step instead of an index that re-reads
 only the threads a step touched, the interpreter itself by threads that
@@ -40,16 +44,16 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from fairchk import types
-from fairchk.graph import reach
+from fairchk.graph import closure, reach, reverse
 from fairchk.runtime import RULES, Handle, RunOutcome, SplitMix64, TraceEntry
 from fairchk.semantics import build_config_graph, compatible, session_rank
-from fairchk.subtyping import Simulation, fair_subtype, simulate
+from fairchk.subtyping import Simulation, _judge, fair_subtype, simulate, solve_weights
 from fairchk.surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
                              NewSession, ProcDef, ProcExpr, Program, SourceError,
                              SourceProgram, TagComm, TChan, TEnd, TName, TTags,
                              TypeExpr, Wait, children, render, source_error)
 from fairchk.typecheck import Checker, TermGraph, _Abort
-from fairchk.types import INF, OUT, TypeTable, co, equiv, reachable_pairs
+from fairchk.types import INF, OUT, TypeTable, _matched, co, equiv
 
 
 # -- tokens, one character at a time ------------------------------------------------
@@ -700,6 +704,32 @@ def session_rank_01bfs(table: TypeTable, s: int, t: int):
     return INF
 
 
+def compatible_graph(table: TypeTable, s: int, t: int) -> bool:
+    """The former `compatible`: the whole config graph stored, then one
+    backward closure over its reversed edges."""
+    g = build_config_graph(table, s, t)
+    can_end = closure(g.success, reverse({c: g.successors(c) for c in g.nodes}))
+    return len(can_end) == len(g.nodes)
+
+
+def session_rank_graph(table: TypeTable, s: int, t: int):
+    """The former `session_rank`: the layered search run on a stored config
+    graph, each layer finished before its successes are looked at."""
+    g = build_config_graph(table, s, t)
+    seen: set = set()
+    roots = [g.root]
+    d = 0
+    while roots:
+        layer = list(reach([c for c in roots if c not in seen],
+                           lambda c: [e for e in g.tau[c] if e not in seen]))
+        if not g.success.isdisjoint(layer):
+            return 1 + d
+        seen.update(layer)
+        roots = [e for c in layer for _, e in g.sync[c]]
+        d += 1
+    return INF
+
+
 # -- simulation by sweeps, weights by Kleene rounds ------------------------------
 
 def _violation(table: TypeTable, u: int, v: int):
@@ -792,6 +822,43 @@ def simulate_sweep(table: TypeTable, s: int, t: int) -> Simulation:
                 seen.add(q)
                 queue.append(q)
     raise AssertionError("root removed without a shape violation")
+
+
+def reachable_pairs(table: TypeTable, a: int, b: int) -> set[tuple[int, int]]:
+    """Product closure under matched descent: the carrier on which the
+    former `simulate` judged every pair."""
+    return set(reach([(a, b)], lambda p: _matched(table, *p)))
+
+
+def simulate_closure(table: TypeTable, s: int, t: int) -> Simulation:
+    """The former `simulate`: every carrier pair judged, then the dead pairs
+    as one backward closure from the shape violations over the reversed
+    premise edges, then a second search from the root."""
+    judged = {p: _judge(table, *p) for p in reachable_pairs(table, s, t)}
+    premises = {p: prem for p, (_, prem) in judged.items() if prem is not None}
+    dead = closure([p for p in judged if p not in premises], reverse(premises))
+
+    root = (s, t)
+    if root not in dead:
+        witness = list(reach([root], premises.__getitem__))
+        return Simulation(True, witness, None, {p: judged[p][0] for p in witness},
+                          {p: premises[p] for p in witness})
+    p = next(p for p in reach([root], premises.__getitem__) if p not in premises)
+    return Simulation(False, [], (p, judged[p][0]), {}, {})
+
+
+def subtype_weight(table: TypeTable, s: int, t: int) -> int | float:
+    """The weight of the root pair; the simulation must hold."""
+    sim = simulate(table, s, t)
+    if not sim.holds:
+        raise ValueError("subtype_weight requires the simulation to hold")
+    return solve_weights(sim)[(s, t)]
+
+
+def diverges(table: TypeTable, s: int, t: int) -> bool:
+    """Simulation holds but the refinement can be postponed forever."""
+    sim = simulate(table, s, t)
+    return sim.holds and solve_weights(sim)[(s, t)] == INF
 
 
 def solve_weights_kleene(table: TypeTable, witness: list) -> dict:

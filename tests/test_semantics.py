@@ -5,12 +5,13 @@ import random
 from fairchk import semantics
 from fairchk.semantics import build_config_graph, compatible, session_rank, to_dot
 from fairchk.subtyping import unfair_subtype
+from fairchk.surface import load
 from fairchk.types import INF, TypeTable, dual
 
 from conftest import load_corpus
 from gen import intern_spec, random_spec
-from oracles import (rank_compatibility_agreement, rank_oracle, session_rank_01bfs,
-                     type_transitions)
+from oracles import (compatible_graph, rank_compatibility_agreement, rank_oracle,
+                     session_rank_01bfs, type_transitions)
 
 
 def _ends(table):
@@ -81,26 +82,23 @@ def test_compatible_examples():
     assert not compatible(bsc.table, bsc.typedefs["SBi"], bsc.typedefs["SS"])
 
 
-class _ReadOnce(dict):
-    """A successor map that fails when one configuration is looked up twice."""
+def _expanding_once(monkeypatch) -> list:
+    """Patch `semantics.moves` to fail when one configuration is expanded
+    twice; the list it returns holds the configurations expanded so far."""
+    expanded = []
+    moves = semantics.moves
 
-    def __init__(self, items):
-        super().__init__(items)
-        self.read = set()
+    def once(table, cfg):
+        assert cfg not in expanded, f"{cfg} expanded twice"
+        expanded.append(cfg)
+        return moves(table, cfg)
 
-    def __getitem__(self, c):
-        assert c not in self.read, f"{c} expanded twice"
-        self.read.add(c)
-        return super().__getitem__(c)
+    monkeypatch.setattr(semantics, "moves", once)
+    return expanded
 
 
 def test_session_rank_expands_each_configuration_once(monkeypatch):
-    def build_once(table, s, t):
-        g = build_config_graph(table, s, t)
-        g.tau, g.sync = _ReadOnce(g.tau), _ReadOnce(g.sync)
-        return g
-
-    monkeypatch.setattr(semantics, "build_config_graph", build_once)
+    expanded = _expanding_once(monkeypatch)
     rnd = random.Random(33)
     infinite = 0
     for i in range(500):
@@ -108,9 +106,41 @@ def test_session_rank_expands_each_configuration_once(monkeypatch):
         a = intern_spec(table, random_spec(rnd, 8))
         b = dual(table, a) if i % 2 else intern_spec(table, random_spec(rnd, 8))
         got = session_rank(table, a, b)
+        expanded.clear()
         assert got == session_rank_01bfs(table, a, b)
+        expanded.clear()
         infinite += got == INF
     assert infinite > 50
+
+
+def test_compatible_expands_each_configuration_once(monkeypatch):
+    expanded = _expanding_once(monkeypatch)
+    rnd = random.Random(35)
+    seen = set()
+    for i in range(500):
+        table = TypeTable()
+        a = intern_spec(table, random_spec(rnd, 8))
+        b = dual(table, a) if i % 2 else intern_spec(table, random_spec(rnd, 8))
+        got = compatible(table, a, b)
+        expanded.clear()
+        assert got == compatible_graph(table, a, b)
+        expanded.clear()
+        seen.add(got)
+    assert seen == {True, False}
+
+
+def test_session_rank_stops_at_the_first_success(monkeypatch):
+    # a 200-state loop whose way out is one synchronization from the root
+    n = 200
+    source = "".join(f"type A{i} = ?{{more: A{(i + 1) % n}, stop: end?}}\n"
+                     for i in range(n)) + "Main() = done\n"
+    program = load(source)
+    table, a = program.table, program.typedefs["A0"]
+    b = dual(table, a)
+    size = len(build_config_graph(table, a, b).nodes)
+    expanded = _expanding_once(monkeypatch)
+    assert session_rank(table, a, b) == 2
+    assert len(expanded) < 10 < 3 * n <= size
 
 
 def test_session_rank_examples():

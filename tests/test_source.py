@@ -88,6 +88,28 @@ def _unnamed_functions(trees: dict[str, ast.Module]) -> list[str]:
                   and named[node.name] == _names(node)[node.name])
 
 
+def _exported_only(trees: dict[str, ast.Module]) -> list[str]:
+    """The functions that no module names outside their own body except in
+    `__all__`: only the package's users can call them."""
+    named = Counter()
+    exported = set()
+    for tree in trees.values():
+        named += _names(tree)
+        exported |= _exported(tree)
+    return sorted(f"{module}: {node.name}"
+                  for module, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name in exported and named[node.name] == _names(node)[node.name])
+
+
+# The functions the package exports that nothing in it calls: its library
+# entry points, each documented in the README. A function that only
+# `__all__` names and that is not on this list serves only the tests, and
+# belongs in `tests/`.
+ENTRY_POINTS = {"subtyping.py: unfair_subtype", "surface.py: render_program",
+                "types.py: dual", "types.py: is_bounded"}
+
+
 # The fields of a syntax node that hold processes.
 PROCESS_FIELDS = frozenset({"left", "right", "cont", "branches", "body"})
 
@@ -121,6 +143,10 @@ def test_every_imported_name_is_used(path):
 def test_every_function_is_named_somewhere_else():
     # a function nothing names is dead code
     assert _unnamed_functions({p.name: _tree(p) for p in MODULES}) == []
+
+
+def test_every_export_that_nothing_calls_is_an_entry_point():
+    assert set(_exported_only({p.name: _tree(p) for p in MODULES})) <= ENTRY_POINTS
 
 
 def test_the_checks_find_what_they_look_for():
@@ -162,4 +188,5 @@ def test_the_checks_find_what_they_look_for():
     user = ast.parse("from dead import Box\nBox().used()\n")
     assert _unnamed_functions({"dead.py": dead, "user.py": user}) == [
         "dead.py: loop (line 6)", "dead.py: stale (line 13)"]
+    assert _exported_only({"dead.py": dead, "user.py": user}) == ["dead.py: api"]
     assert len(MODULES) > 5

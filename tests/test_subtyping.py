@@ -6,19 +6,21 @@ import pytest
 
 from fairchk import schema
 from fairchk.graph import cyclic, tarjan
-from fairchk.subtyping import (_judge, diverges, fair_subtype, render_weight,
-                               simulate, solve_weights, subtype_weight,
-                               unfair_subtype)
+from fairchk.semantics import compatible, session_rank
+from fairchk.subtyping import (_judge, fair_subtype, render_weight, simulate,
+                               solve_weights, unfair_subtype)
 from fairchk.surface import load
-from fairchk.types import INF, TypeTable, _matched, reachable_pairs
+from fairchk.types import INF, TypeTable, _matched, dual
 
 from conftest import load_corpus
 from gen import (cascade_source, diverging_source, holding_loop_source,
                  holding_source, intern_spec, mutated_pair, random_spec,
                  supertype_of, unfold_root)
 from json_schema import validate
-from oracles import (_premises, judge_oracle, simulate_sweep, solve_weights_kleene,
-                     tarjan_rescan, weight_agrees_with_search)
+from oracles import (_premises, compatible_graph, diverges, judge_oracle, reachable_pairs,
+                     session_rank_graph, simulate_closure, simulate_sweep,
+                     solve_weights_kleene, subtype_weight, tarjan_rescan,
+                     weight_agrees_with_search)
 
 
 def test_unfair_examples(bsc):
@@ -249,6 +251,36 @@ def test_solvers_match_sweep_and_kleene_oracles():
             for scc in tarjan(got.witness, prem))
     assert seen["failure"] > 1000 and seen["positive"] > 200
     assert seen["infinite"] > 50 and seen["positive_cycle"] > 50
+
+
+def test_one_search_matches_the_carrier_and_stored_graph_oracles():
+    # the simulation against the judged carrier and its backward closure,
+    # compatibility and rank against the stored configuration graph
+    rnd = random.Random(49)
+    seen = {"holds": 0, "not-simulated": 0, "diverges": 0, "compatible": 0,
+            "incompatible": 0, "finite rank": 0, "infinite rank": 0}
+    for i in range(4500):
+        table = TypeTable()
+        if i % 3 == 0:
+            a = intern_spec(table, random_spec(rnd, 8))
+            b = intern_spec(table, random_spec(rnd, 8))
+        else:
+            sub, sup = mutated_pair(rnd, 8)
+            a, b = intern_spec(table, sub), intern_spec(table, sup)
+        got, want = simulate(table, a, b), simulate_closure(table, a, b)
+        assert (got.holds, got.witness, got.equation, got.premises, got.failure) == (
+            want.holds, want.witness, want.equation, want.premises, want.failure)
+        verdict = fair_subtype(table, a, b)
+        seen[verdict.failure[0] if verdict.failure else "holds"] += 1
+        for u, v in ((a, b), (a, dual(table, b))):
+            ok = compatible(table, u, v)
+            assert ok == compatible_graph(table, u, v)
+            rank = session_rank(table, u, v)
+            assert rank == session_rank_graph(table, u, v)
+            seen["compatible" if ok else "incompatible"] += 1
+            seen["infinite rank" if rank == INF else "finite rank"] += 1
+    assert seen["diverges"] >= 100, seen
+    assert min(n for kind, n in seen.items() if kind != "diverges") > 1000, seen
 
 
 def test_judge_matches_the_three_oracle_readings():

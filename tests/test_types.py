@@ -12,13 +12,13 @@ import pytest
 import fairchk
 from fairchk import load
 from fairchk import types
-from fairchk.types import (RENDER_LIMIT, TypeTable, co, dual, equiv, is_bounded,
-                           reachable_pairs)
+from fairchk.types import RENDER_LIMIT, TypeTable, co, dual, equiv, is_bounded
 
 from conftest import CORPUS_RANKS, load_corpus
 from gen import (cascade_source, diverging_source, holding_source, intern_spec,
                  random_spec, shared_ladder_source, unfold_root)
-from oracles import dual_recursive, equiv_oracle, render_composed, render_recursive
+from oracles import (dual_recursive, equiv_oracle, reachable_pairs, render_composed,
+                     render_recursive)
 
 
 def plus(table: TypeTable, a: int, b: int) -> Optional[int]:
