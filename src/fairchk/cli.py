@@ -16,6 +16,7 @@ import os
 import re
 import sys
 import time
+from collections.abc import Sequence
 
 from . import runtime, semantics, subtyping, typecheck
 from .surface import Program, SourceError, load
@@ -233,12 +234,17 @@ COMMANDS = [
 ]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of `main`. When argv starts with a subcommand's name, only
+    that subcommand is declared, since it is the only one a call can run;
+    the metavar keeps the top-level usage line naming all of them."""
     parser = argparse.ArgumentParser(
         prog="fairchk",
         description="Checker and interpreter for fair-termination session types.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, fn, pair in COMMANDS:
+    chosen = [c for c in COMMANDS if c[0] in argv[:1]]
+    metavar = "{" + ",".join(c[0] for c in COMMANDS) + "}" if chosen else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, fn, pair in chosen or COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("file")
@@ -264,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()

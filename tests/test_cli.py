@@ -5,7 +5,10 @@ stdout, and stderr. Exit code contract: 0 success/holds, 1 fails/rejected,
 2 usage or parse errors.
 """
 
+import argparse
+import contextlib
 import gc
+import io
 import json
 import os
 import pathlib
@@ -15,11 +18,11 @@ import sys
 import pytest
 
 from conftest import CORPUS, corpus_path
-from fairchk import cli, schema
-from fairchk.cli import _color_enabled, main
+from fairchk import cli
+from fairchk.cli import _color_enabled, build_parser, main
 from fairchk.surface import MAX_NESTING
 from gen import NESTED_SOURCES, deepest_admitted, diverging_source, shared_ladder_source
-from json_schema import validate
+from json_schema import CHECK, RANK, RUN, SUBTYPE, TRACE_ENTRY, validate
 
 
 def run_cli(capsys, *argv):
@@ -50,7 +53,7 @@ def test_check_json_shape_and_timings(capsys):
     code, out, err = run_cli(capsys, "check", "--json", corpus_path("bsc"))
     assert code == 0
     report = json.loads(out)
-    validate(report, schema.CHECK)
+    validate(report, CHECK)
     assert "timings" in report
     assert report["timings"]["checkMs"] >= 0
     timings = report["timings"]
@@ -63,7 +66,7 @@ def test_check_json_shape_and_timings(capsys):
     assert passes <= timings["checkMs"] + 0.01
     code, out, err = run_cli(capsys, "check", "--json", "--infer-branch",
                              corpus_path("infinite_sessions"))
-    validate(json.loads(out), schema.CHECK)
+    validate(json.loads(out), CHECK)
     assert json.loads(out)["timings"]["inferMs"] > 0
 
 
@@ -71,7 +74,7 @@ def test_check_json_shape_and_timings(capsys):
 def test_check_json_validates_for_every_corpus_file(capsys, name):
     code, out, err = run_cli(capsys, "check", "--json", corpus_path(name))
     report = json.loads(out)
-    validate(report, schema.CHECK)
+    validate(report, CHECK)
     assert code == (0 if report["verdict"] == "accepted" else 1)
 
 
@@ -218,6 +221,92 @@ def test_missing_subcommand_exits_two(capsys):
     assert exc.value.code == 2
 
 
+# ---------------------------------------------------------------- the parser
+#
+# `main` declares only the subcommand its argv names first. The parser with
+# all six, `build_parser()`, is the oracle for every call.
+
+
+def _declared(parser) -> dict:
+    """Subcommand name -> subparser, for the subcommands parser declares."""
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _options(parser) -> set[str]:
+    """The option strings of parser, help left out."""
+    return {s for a in parser._actions if not isinstance(a, argparse._HelpAction)
+            for s in a.option_strings}
+
+
+def _outcome(parse, argv) -> tuple:
+    """The namespace, or the exit code, then stdout and stderr of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _parser_shapes(name: str) -> list[list[str]]:
+    """Argvs for subcommand name: help, missing and extra positionals, flags
+    it lacks, bad values, and one call with every flag it has."""
+    declared = _declared(build_parser())
+    positionals = [a for a in declared[name]._actions if not a.option_strings]
+    whole = [name, *["f.ft", "A", "B"][:len(positionals)]]
+    foreign = set().union(*map(_options, declared.values())) - _options(declared[name])
+    every = [s for a in declared[name]._actions
+             if a.option_strings and not isinstance(a, argparse._HelpAction)
+             for s in ([a.option_strings[0]] if a.nargs == 0 else [a.option_strings[0], "7"])]
+    shapes = [[name, "-h"], [name, "--help"], [name, "--json", "-h"], [*whole, "-h"],
+              [name], whole[:-1], whole, [*whole, "extra"], [*whole, "--bogus"],
+              [*whole, "--seed", "x1"], [*whole, "--seed", "-3"], [*whole, "--max-steps", "-1"],
+              [*whole, *every], *([*whole, flag] for flag in sorted(foreign))]
+    return list(map(list, dict.fromkeys(map(tuple, shapes))))
+
+
+@pytest.mark.parametrize("columns", [40, 80, 200])
+@pytest.mark.parametrize("name", [name for name, *_ in cli.COMMANDS])
+def test_the_one_command_parser_matches_the_full_parser(name, columns, monkeypatch):
+    # argparse wraps help and usage to $COLUMNS; the top-level usage line of
+    # an "unrecognized arguments" error names every subcommand only through
+    # the metavar
+    monkeypatch.setenv("COLUMNS", str(columns))
+    for argv in _parser_shapes(name):
+        one = build_parser(argv)
+        assert list(_declared(one)) == [name]
+        got = _outcome(one.parse_args, argv)
+        assert got == _outcome(build_parser().parse_args, argv), argv
+
+
+@pytest.mark.parametrize("columns", [40, 80, 200])
+def test_top_level_calls_match_the_full_parser(columns, monkeypatch):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    for argv in [[], ["-h"], ["--help"], ["bogus"], ["Check"], ["bogus", "f.ft"], ["-h", "run"]]:
+        assert _outcome(main, argv) == _outcome(build_parser().parse_args, argv), argv
+
+
+def test_main_declares_only_the_command_it_runs(capsys, monkeypatch):
+    built = []
+
+    def watched(argv):
+        parser = build(argv)
+        built.append(list(_declared(parser)))
+        return parser
+
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", watched)
+    monkeypatch.setattr(sys, "argv", ["fairchk", "rank", corpus_path("rank_example"), "S4", "T4"])
+    assert main() == 0
+    assert main(["check", corpus_path("bsc")]) == 0
+    with pytest.raises(SystemExit):
+        main(["Check", corpus_path("bsc")])
+    assert built == [["rank"], ["check"], [name for name, *_ in cli.COMMANDS]]
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------- subtype
 
 
@@ -243,7 +332,7 @@ def test_subtype_json(capsys):
     code, out, err = run_cli(capsys, "subtype", "--json",
                              corpus_path("bsc"), "SB", "SB'")
     verdict = json.loads(out)
-    validate(verdict, schema.SUBTYPE)
+    validate(verdict, SUBTYPE)
     assert verdict["holds"] is True
     assert verdict["weight"] == 1
     assert verdict["simulationSize"] == 3
@@ -253,7 +342,7 @@ def test_subtype_json_failure_carries_pair(capsys):
     code, out, err = run_cli(capsys, "subtype", "--json",
                              corpus_path("bsc"), "SB", "SBi")
     verdict = json.loads(out)
-    validate(verdict, schema.SUBTYPE)
+    validate(verdict, SUBTYPE)
     assert verdict["holds"] is False
     assert verdict["failure"] == "diverges"
     assert len(verdict["offendingPair"]) == 2
@@ -265,7 +354,7 @@ def test_subtype_deep_divergence_renders_without_recursion(tmp_path, capsys):
     path.write_text(diverging_source(1600), encoding="utf-8")
     code, out, err = run_cli(capsys, "subtype", "--json", str(path), "U0", "V0")
     verdict = json.loads(out)
-    validate(verdict, schema.SUBTYPE)
+    validate(verdict, SUBTYPE)
     assert code == 1 and err == ""
     assert verdict["failure"] == "diverges" and verdict["simulationSize"] == 1600
     sub, sup = verdict["offendingPair"]
@@ -313,7 +402,7 @@ def test_rank_json(capsys):
     code, out, err = run_cli(capsys, "rank", "--json",
                              corpus_path("rank_example"), "S4", "T4")
     payload = json.loads(out)
-    validate(payload, schema.RANK)
+    validate(payload, RANK)
     assert payload == {"rank": 4}
 
 
@@ -335,7 +424,7 @@ def test_run_json_golden(capsys):
                              corpus_path("bsc"))
     assert code == 0
     payload = json.loads(out)
-    validate(payload, schema.RUN)
+    validate(payload, RUN)
     assert payload == {"outcome": "terminated", "steps": 11, "seed": 1}
 
 
@@ -360,7 +449,7 @@ def test_run_trace_json_lines(capsys):
                              "--json", corpus_path("bsc"))
     lines = out.strip().splitlines()
     for line in lines[:11]:
-        validate(json.loads(line), schema.TRACE_ENTRY)
+        validate(json.loads(line), TRACE_ENTRY)
     payload = json.loads("".join(lines[11:]))
     assert payload["steps"] == 11
 
@@ -412,7 +501,7 @@ def test_run_json_stats(capsys):
                              corpus_path("bsc"))
     assert code == 0
     payload = json.loads(out)
-    validate(payload, schema.RUN)
+    validate(payload, RUN)
     assert payload["stats"]["rules"]["rb-par"] == payload["stats"]["sessionsOpened"] == 2
     assert payload["stats"]["peakThreads"] == 3
     assert sum(payload["stats"]["rules"].values()) == payload["steps"] == 11
@@ -423,7 +512,7 @@ def test_run_json_stats(capsys):
 def test_run_json_stats_validates_for_every_runnable_file(capsys, name):
     code, out, err = run_cli(capsys, "run", "--unsafe", "--json", "--stats",
                              "--max-steps", "300", corpus_path(name))
-    validate(json.loads(out), schema.RUN)
+    validate(json.loads(out), RUN)
 
 
 def test_run_stats_human_line(capsys):

@@ -45,12 +45,13 @@ import tempfile
 from unittest import mock
 
 from fairchk import types
-from fairchk.cli import main
+from fairchk.cli import COMMANDS, build_parser, main
 from fairchk.semantics import build_config_graph
 from fairchk.surface import load, parse, render_program
 
 from conftest import CORPUS, RUNNABLE, corpus_path
 from gen import NESTED_SOURCES, deepest_admitted, diverging_source, shared_ladder_source
+from test_cli import _declared, _options
 from test_surface import PARSE_ERRORS, RESOLVE_ERRORS
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_check.json"
@@ -362,6 +363,38 @@ def test_the_cli_golden_file_holds_every_answer():
                                  for e in want["graph"].values())
     assert all(e["code"] == 2 and e["stderr"].startswith("error: ")
                for e in want["errors"].values())
+
+
+def _pinned_argvs(got, want):
+    """The argv of every entry of want, read off got, a collection of the
+    same file made with `_recorded` in place of `_run`."""
+    if "argv" in got:
+        yield got["argv"]
+        return
+    for key in got:
+        if key in want:
+            yield from _pinned_argvs(got[key], want[key])
+
+
+def _recorded(argv: list[str], path: str) -> dict:
+    return {"argv": argv, "stderr": ""}
+
+
+def test_the_golden_files_cover_every_subcommand_and_option():
+    argvs = []
+    with mock.patch.object(sys.modules[__name__], "_run", _recorded):
+        for collector, file in ((collect, GOLDEN), (collect_runs, RUN_GOLDEN),
+                                (collect_cli, CLI_GOLDEN)):
+            want = json.loads(file.read_text(encoding="utf-8"))
+            argvs += _pinned_argvs(collector(), want)
+    subparsers = _declared(build_parser())
+    assert list(subparsers) == [name for name, *_ in COMMANDS]
+    for name, subparser in subparsers.items():
+        used = {arg for argv in argvs if argv[0] == name for arg in argv}
+        assert name in used, name
+        # help is left out: its output is compared with the full parser's in
+        # test_cli.py, and no golden entry pins it
+        assert _options(subparser) <= used, (name, sorted(_options(subparser) - used))
 
 
 if __name__ == "__main__":

@@ -13,10 +13,9 @@ import pytest
 
 from conftest import CORPUS, RUNNABLE, load_corpus
 from fairchk.runtime import RULES, RunOutcome, Soup, SplitMix64, drive, run
-from fairchk.schema import RUN_STATS, TRACE_ENTRY
 from fairchk.surface import ChanIn, ChanOut, Close, TagComm, Wait, load
 from gen import random_runnable_source, swarm_source
-from json_schema import validate
+from json_schema import RUN_STATS, TRACE_ENTRY, validate
 from oracles import OracleSoup, TreeSoup, drive_tree
 
 

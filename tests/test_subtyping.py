@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from fairchk import schema
 from fairchk.graph import cyclic, tarjan
 from fairchk.semantics import compatible, session_rank
 from fairchk.subtyping import (_judge, fair_subtype, render_weight, simulate,
@@ -16,7 +15,7 @@ from conftest import load_corpus
 from gen import (cascade_source, diverging_source, holding_loop_source,
                  holding_source, intern_spec, mutated_pair, random_spec,
                  supertype_of, unfold_root)
-from json_schema import validate
+from json_schema import SUBTYPE, validate
 from oracles import (_premises, compatible_graph, diverges, judge_oracle, reachable_pairs,
                      session_rank_graph, simulate_closure, simulate_sweep,
                      solve_weights_kleene, subtype_weight, tarjan_rescan,
@@ -204,7 +203,7 @@ def test_verdict_json_matches_schema(bsc):
     table = bsc.table
     for pair in [("SB", "SB'"), ("SB", "SBi")]:
         v = fair_subtype(table, bsc.typedefs[pair[0]], bsc.typedefs[pair[1]])
-        validate(v.to_json(table), schema.SUBTYPE)
+        validate(v.to_json(table), SUBTYPE)
     good = fair_subtype(table, bsc.typedefs["SB"], bsc.typedefs["SB'"]).to_json(table)
     assert good == {"holds": True, "weight": 1, "simulationSize": 3}
 

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from fairchk import schema, surface, typecheck
+from fairchk import surface, typecheck
 from fairchk.cli import main
 from fairchk.surface import Cast, Choice, SourceError, children, load, resolve
 from fairchk.typecheck import Checker, check_program, free_channels
@@ -16,7 +16,7 @@ from conftest import ACCEPTED, CORPUS_RANKS, REJECTED, corpus_text, load_corpus
 from gen import (NESTED_SOURCES, RANK_DEFS, call_dag_source, deepest_admitted,
                  random_rank_program, random_runnable_source, random_source_program,
                  session_chain_source)
-from json_schema import validate
+from json_schema import CHECK, validate
 from oracles import (RecursiveTyping, action_bounded, cutoff_rank, free_channels_recursive,
                      infer_branches_by_cutoff, infer_branches_rebuild, min_rank, preorder,
                      typing_unfold_ok, unsafe_by_reachability)
@@ -452,7 +452,7 @@ def test_report_is_deterministic():
 
 def test_report_matches_schema():
     for name in sorted(CORPUS_RANKS):
-        validate(_report(name), schema.CHECK)
+        validate(_report(name), CHECK)
 
 
 def test_bounded_unfolding_agrees_on_accepted_corpus():
