@@ -2,9 +2,9 @@
 
 Exit codes: 0 when the query succeeds or the relation holds, 1 when a check
 fails or the relation does not hold, 2 on usage or parse errors. Output is
-human-readable by default; --json switches every subcommand to JSON on
-stdout. Diagnostics always go to stderr. Color is used only on a terminal
-and never when NO_COLOR is set.
+human-readable by default; --json switches every subcommand but graph,
+which prints DOT only, to JSON on stdout. Diagnostics always go to stderr.
+Color is used only on a terminal and never when NO_COLOR is set.
 """
 
 from __future__ import annotations
@@ -46,16 +46,8 @@ def _load_program(path: str) -> Program:
     if collecting:
         gc.disable()
     try:
-        return _read_program(path)
-    finally:
-        if collecting:
-            gc.enable()
-
-
-def _read_program(path: str) -> Program:
-    try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return load(fh.read())
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
@@ -63,11 +55,12 @@ def _read_program(path: str) -> Program:
         print(f"error: {path}: not UTF-8 text: {exc.reason} at byte {exc.start}",
               file=sys.stderr)
         raise SystemExit(2)
-    try:
-        return load(text)
     except SourceError as exc:
         print(f"{path}:{exc}", file=sys.stderr)
         raise SystemExit(2)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _named_type(program: Program, name: str) -> int:
@@ -80,10 +73,10 @@ def _named_type(program: Program, name: str) -> int:
 
 
 def _load_pair(args) -> tuple[Program, int, int]:
-    """The program of args.file and the ids of its types args.left and
-    args.right, for the subcommands that ask about a pair of types."""
+    """The program of args.file and the ids of its types args.first and
+    args.second, for the subcommands that ask about a pair of types."""
     program = _load_program(args.file)
-    return program, _named_type(program, args.left), _named_type(program, args.right)
+    return program, _named_type(program, args.first), _named_type(program, args.second)
 
 
 def _emit_json(obj) -> None:
@@ -248,7 +241,7 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("file")
-        for dest, shown in zip(("left", "right"), pair):
+        for dest, shown in zip(("first", "second"), pair):
             p.add_argument(dest, metavar=shown)
         if name == "run":
             p.add_argument("--seed", type=integer, default=0)

@@ -337,7 +337,10 @@ class _Parser:
 
     A node keeps the index of its first token. Lookahead reads at most one
     token past one already known not to be eof, and the list ends in two
-    eofs, so every index stays in bounds.
+    eofs, so every index stays in bounds. Each parse method takes `depth`,
+    the nesting level of what it parses: 1 at the top level, one more
+    inside each constructor, and one more for each atom of a choice chain
+    after the first.
     """
 
     def __init__(self, toks: list[str], src: str):
@@ -346,7 +349,6 @@ class _Parser:
         self.toks = toks
         self.src = src
         self.pos = 0
-        self.depth = 0
 
     def error(self, msg: str, at: int) -> SourceError:
         return source_error(self.src, msg, at)
@@ -381,52 +383,42 @@ class _Parser:
         except ValueError:  # more digits than int() converts
             raise self.error("number too long", at) from None
 
-    def descend(self) -> None:
-        """Enter one level of nesting; the caller restores the depth on return."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise self.error(f"nesting deeper than {MAX_NESTING} levels", self.pos)
-
     # -- types ----------------------------------------------------------
 
-    def parse_type(self) -> TypeExpr:
-        self.depth += 1  # `descend`, inlined on the hottest path
-        try:
-            toks, at = self.toks, self.pos
-            if self.depth > MAX_NESTING:
-                raise self.error(f"nesting deeper than {MAX_NESTING} levels", at)
-            t = toks[at]
-            if t == "!" or t == "?":
-                opener = toks[at + 1]
+    def parse_type(self, depth: int) -> TypeExpr:
+        toks, at = self.toks, self.pos
+        if depth > MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels", at)
+        t = toks[at]
+        if t == "!" or t == "?":
+            opener = toks[at + 1]
+            self.pos = at + 2
+            if opener == "{":
+                branches = self._branches(self.parse_type, depth + 1)
+                self.expect("}")
+                return TTags(t, branches, at)
+            if opener == "(":
+                payload = self.parse_type(depth + 1)
+                pos = self.pos
+                self.want(")", pos)
+                self.want(".", pos + 1)
+                self.pos = pos + 2
+                return TChan(t, payload, self.parse_type(depth + 1), at)
+            raise self.error("expected '{' or '(' after polarity", at + 1)
+        if t[:1] in _IDENT_START:
+            if t == "end":
+                pol = toks[at + 1]
                 self.pos = at + 2
-                if opener == "{":
-                    branches = self._branches(self.parse_type)
-                    self.expect("}")
-                    return TTags(t, branches, at)
-                if opener == "(":
-                    payload = self.parse_type()
-                    pos = self.pos
-                    self.want(")", pos)
-                    self.want(".", pos + 1)
-                    self.pos = pos + 2
-                    return TChan(t, payload, self.parse_type(), at)
-                raise self.error("expected '{' or '(' after polarity", at + 1)
-            if t[:1] in _IDENT_START:
-                if t == "end":
-                    pol = toks[at + 1]
-                    self.pos = at + 2
-                    if pol != "!" and pol != "?":
-                        raise self.error("expected '!' or '?' after 'end'", at + 1)
-                    return TEnd(pol, at)
-                self.pos = at + 1
-                if t in KEYWORDS:
-                    raise self.error(f"keyword {t!r} is not a type", at)
-                return TName(t, at)
-            raise self.error(f"expected a type, found {t or 'eof'!r}", at)
-        finally:
-            self.depth -= 1
+                if pol != "!" and pol != "?":
+                    raise self.error("expected '!' or '?' after 'end'", at + 1)
+                return TEnd(pol, at)
+            self.pos = at + 1
+            if t in KEYWORDS:
+                raise self.error(f"keyword {t!r} is not a type", at)
+            return TName(t, at)
+        raise self.error(f"expected a type, found {t or 'eof'!r}", at)
 
-    def _branches(self, item: Callable[[], Any]) -> list[tuple[str, Any]]:
+    def _branches(self, item: Callable[[int], Any], depth: int) -> list[tuple[str, Any]]:
         """`LABEL ":" item ("," LABEL ":" item)*`, with distinct labels.
 
         A repeated label is reported where it first repeats, once the whole
@@ -446,7 +438,7 @@ class _Parser:
             if label in seen and repeated < 0:
                 repeated = at
             seen.add(label)
-            branches.append((label, item()))
+            branches.append((label, item(depth)))
             if toks[self.pos] != ",":
                 break
             self.pos += 1
@@ -456,12 +448,11 @@ class _Parser:
 
     # -- processes --------------------------------------------------------
 
-    def parse_proc(self) -> ProcExpr:
-        outer = self.depth
+    def parse_proc(self, depth: int) -> ProcExpr:
         toks = self.toks
-        left = self.parse_atom()
+        left = self.parse_atom(depth)
         while toks[self.pos] == "+":
-            self.descend()
+            depth += 1  # the chain nests to the left
             at = self.pos
             k = 1
             if toks[at + 1] == "[":
@@ -472,103 +463,100 @@ class _Parser:
                 self.pos = at + 4
             else:
                 self.pos = at + 1
-            left = Choice(k, left, self.parse_atom(), at)
-        self.depth = outer
+            left = Choice(k, left, self.parse_atom(depth), at)
         return left
 
-    def parse_atom(self) -> ProcExpr:
-        self.descend()
-        try:
-            toks, at = self.toks, self.pos
-            t = toks[at]
-            if t == "(":
-                self.pos = at + 1
-                p = self.parse_proc()
-                self.expect(")")
-                return p
-            if t == "[":
-                chan = self.name(at + 1)
-                self.want(":", at + 2)
-                self.pos = at + 3
-                target = self.parse_type()
-                pos, weight = self.pos, None
-                if toks[pos] == "@":
-                    weight = self.nat(pos + 1)
+    def parse_atom(self, depth: int) -> ProcExpr:
+        toks, at = self.toks, self.pos
+        if depth > MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels", at)
+        t = toks[at]
+        if t == "(":
+            self.pos = at + 1
+            p = self.parse_proc(depth + 1)
+            self.expect(")")
+            return p
+        if t == "[":
+            chan = self.name(at + 1)
+            self.want(":", at + 2)
+            self.pos = at + 3
+            target = self.parse_type(depth + 1)
+            pos, weight = self.pos, None
+            if toks[pos] == "@":
+                weight = self.nat(pos + 1)
+                pos += 2
+            self.want("]", pos)
+            self.pos = pos + 1
+            return Cast(chan, target, weight, self.parse_atom(depth + 1), at)
+        if t == "done":
+            self.pos = at + 1
+            return Done(at)
+        if t == "close":
+            self.pos = at + 2
+            return Close(self.name(at + 1), at)
+        if t == "wait":
+            chan = self.name(at + 1)
+            self.want(".", at + 2)
+            self.pos = at + 3
+            return Wait(chan, self.parse_atom(depth + 1), at)
+        if t == "new":
+            chan = self.name(at + 1)
+            self.want(":", at + 2)
+            self.pos = at + 3
+            lty = self.parse_type(depth + 1)
+            self.expect("/")
+            rty = self.parse_type(depth + 1)
+            pos = self.pos
+            if toks[pos] != "in":
+                raise self.error("expected 'in'", pos)
+            self.want("(", pos + 1)
+            self.pos = pos + 2
+            left = self.parse_proc(depth + 1)
+            self.expect("|")
+            right = self.parse_proc(depth + 1)
+            self.expect(")")
+            return NewSession(chan, lty, rty, left, right, at)
+        name = self.name(at)
+        nxt = toks[at + 1]
+        if nxt == "(":
+            args = []
+            pos = at + 2
+            if toks[pos] != ")":
+                args.append(self.name(pos))
+                pos += 1
+                while toks[pos] == ",":
+                    args.append(self.name(pos + 1))
                     pos += 2
-                self.want("]", pos)
-                self.pos = pos + 1
-                return Cast(chan, target, weight, self.parse_atom(), at)
-            if t == "done":
-                self.pos = at + 1
-                return Done(at)
-            if t == "close":
-                self.pos = at + 2
-                return Close(self.name(at + 1), at)
-            if t == "wait":
-                chan = self.name(at + 1)
-                self.want(".", at + 2)
+            self.want(")", pos)
+            self.pos = pos + 1
+            return Call(name, args, at)
+        if nxt == "!" or nxt == "?":
+            after = toks[at + 2]
+            if after == "{":
                 self.pos = at + 3
-                return Wait(chan, self.parse_atom(), at)
-            if t == "new":
-                chan = self.name(at + 1)
-                self.want(":", at + 2)
-                self.pos = at + 3
-                lty = self.parse_type()
-                self.expect("/")
-                rty = self.parse_type()
+                branches = self._branches(self.parse_proc, depth + 1)
+                self.expect("}")
+                return TagComm(name, nxt, branches, at)
+            if after == "(":
+                var = self.name(at + 3)
+                if nxt == "!":
+                    self.want(")", at + 4)
+                    self.want(".", at + 5)
+                    self.pos = at + 6
+                    return ChanOut(name, var, self.parse_atom(depth + 1), at)
+                self.want(":", at + 4)
+                self.pos = at + 5
+                ann = self.parse_type(depth + 1)
                 pos = self.pos
-                if toks[pos] != "in":
-                    raise self.error("expected 'in'", pos)
-                self.want("(", pos + 1)
-                self.pos = pos + 2
-                left = self.parse_proc()
-                self.expect("|")
-                right = self.parse_proc()
-                self.expect(")")
-                return NewSession(chan, lty, rty, left, right, at)
-            name = self.name(at)
-            nxt = toks[at + 1]
-            if nxt == "(":
-                args = []
-                pos = at + 2
-                if toks[pos] != ")":
-                    args.append(self.name(pos))
-                    pos += 1
-                    while toks[pos] == ",":
-                        args.append(self.name(pos + 1))
-                        pos += 2
                 self.want(")", pos)
-                self.pos = pos + 1
-                return Call(name, args, at)
-            if nxt == "!" or nxt == "?":
-                after = toks[at + 2]
-                if after == "{":
-                    self.pos = at + 3
-                    branches = self._branches(self.parse_proc)
-                    self.expect("}")
-                    return TagComm(name, nxt, branches, at)
-                if after == "(":
-                    var = self.name(at + 3)
-                    if nxt == "!":
-                        self.want(")", at + 4)
-                        self.want(".", at + 5)
-                        self.pos = at + 6
-                        return ChanOut(name, var, self.parse_atom(), at)
-                    self.want(":", at + 4)
-                    self.pos = at + 5
-                    ann = self.parse_type()
-                    pos = self.pos
-                    self.want(")", pos)
-                    self.want(".", pos + 1)
-                    self.pos = pos + 2
-                    return ChanIn(name, var, ann, self.parse_atom(), at)
-                label = self.name(at + 2)
-                self.want(".", at + 3)
-                self.pos = at + 4
-                return TagComm(name, nxt, [(label, self.parse_atom())], at)
-            raise self.error(f"expected a process, found {nxt or 'eof'!r}", at + 1)
-        finally:
-            self.depth -= 1
+                self.want(".", pos + 1)
+                self.pos = pos + 2
+                return ChanIn(name, var, ann, self.parse_atom(depth + 1), at)
+            label = self.name(at + 2)
+            self.want(".", at + 3)
+            self.pos = at + 4
+            return TagComm(name, nxt, [(label, self.parse_atom(depth + 1))], at)
+        raise self.error(f"expected a process, found {nxt or 'eof'!r}", at + 1)
 
     # -- top level --------------------------------------------------------
 
@@ -582,7 +570,7 @@ class _Parser:
                 name = self.name(at + 1)
                 self.want("=", at + 2)
                 self.pos = at + 3
-                typedefs.append((name, self.parse_type(), at))
+                typedefs.append((name, self.parse_type(1), at))
                 continue
             name = self.name(at)
             self.want("(", at + 1)
@@ -601,7 +589,7 @@ class _Parser:
                 pos += 2
             self.want("=", pos + 1)
             self.pos = pos + 2
-            procdefs.append(ProcDef(name, params, rank_ann, self.parse_proc(), at))
+            procdefs.append(ProcDef(name, params, rank_ann, self.parse_proc(1), at))
         return SourceProgram(typedefs, procdefs, self.src)
 
     def _param(self) -> tuple[str, TypeExpr]:
@@ -609,7 +597,7 @@ class _Parser:
         var = self.name(at)
         self.want(":", at + 1)
         self.pos = at + 2
-        return var, self.parse_type()
+        return var, self.parse_type(1)
 
 
 def parse(text: str) -> SourceProgram:
@@ -721,43 +709,32 @@ def resolve(sp: SourceProgram) -> Program:
             raise source_error(src, f"duplicate type definition {name!r}", at)
         by_name[name] = body
 
-    # A typedef whose body is a bare name is an alias. Follow alias chains
-    # now so cycles that never cross a constructor are caught up front. A
-    # chain is followed by a loop, and every alias on it remembers where it
-    # ends, so each alias is resolved once however long the chains are.
-    ends: dict[str, str] = {}
-
-    def chase(name: str) -> str:
-        path: dict[str, None] = {}  # insertion-ordered, constant-time lookup
-        while name not in ends and isinstance(by_name[name], TName):
-            body = by_name[name]
-            if body.name not in by_name:
-                raise source_error(src, f"undefined type name {body.name!r}", body.at)
-            path[name] = None
-            if body.name in path:
-                raise source_error(src, f"non-contractive type definition {name!r}",
-                                   body.at)
-            name = body.name
-        end = ends.get(name, name)
-        for alias in path:
-            ends[alias] = end
-        return end
-
+    # A typedef whose body is a bare name is an alias; every other typedef
+    # has its id in `ids` from the start.
     table = TypeTable()
-    slots: dict[str, int] = {}
-    for name, body, _ in sp.typedefs:
-        if not isinstance(body, TName):
-            slots[name] = table.placeholder(hint=name)
+    ids = {name: table.placeholder(hint=name)
+           for name, body, _ in sp.typedefs if not isinstance(body, TName)}
 
-    # type name -> the id it stands for; an alias is added at its first use
-    ids = dict(slots)
+    def type_id(name: str, at: int) -> int:
+        """The id of type name `name`, used at token `at`.
 
-    def name_id(t: TName) -> int:
-        """The id of a name not yet in `ids`: an alias, or an undefined name."""
-        if t.name not in by_name:
-            raise source_error(src, f"undefined type name {t.name!r}", t.at)
-        ids[t.name] = slots[chase(t.name)]
-        return ids[t.name]
+        An alias chain is followed by a loop, so a cycle that never crosses
+        a constructor is caught here, and every alias on the path gets the
+        id the chain ends at: each alias is followed once however long the
+        chains are.
+        """
+        path: set[str] = set()
+        while (tid := ids.get(name)) is None:
+            if name not in by_name:
+                raise source_error(src, f"undefined type name {name!r}", at)
+            if name in path:
+                raise source_error(src, f"non-contractive type definition {alias!r}", at)
+            path.add(name)
+            alias, body = name, by_name[name]
+            name, at = body.name, body.at
+        for alias in path:
+            ids[alias] = tid
+        return tid
 
     def intern(root: TypeExpr, slot: Optional[int] = None) -> int:
         """The id of root; a constructor goes into `slot` when one is given.
@@ -769,8 +746,7 @@ def resolve(sp: SourceProgram) -> Program:
         are done takes their ids off the end of `done`.
         """
         if isinstance(root, TName):
-            tid = ids.get(root.name)
-            return name_id(root) if tid is None else tid
+            return type_id(root.name, root.at)
         done: list[int] = []
         stack = [(root, _subtypes(root))]
         while stack:
@@ -778,7 +754,7 @@ def resolve(sp: SourceProgram) -> Program:
             for c in rest:  # resumes after the child last descended into
                 if isinstance(c, TName):
                     tid = ids.get(c.name)
-                    done.append(name_id(c) if tid is None else tid)
+                    done.append(type_id(c.name, c.at) if tid is None else tid)
                 elif isinstance(c, TEnd):
                     done.append(table.add(("end", c.pol)))
                 else:
@@ -808,10 +784,10 @@ def resolve(sp: SourceProgram) -> Program:
         # the name tied to a stable id even when an identical anonymous
         # shape exists
         if not isinstance(body, TName):
-            typedefs[name] = intern(body, slots[name])
-    for name, body, _ in sp.typedefs:
+            typedefs[name] = intern(body, ids[name])
+    for name, body, at in sp.typedefs:
         if isinstance(body, TName):
-            typedefs[name] = slots[chase(name)]
+            typedefs[name] = type_id(name, at)
     table.type_names = typedefs
 
     procs: dict[str, ProcDef] = {}

@@ -183,13 +183,13 @@ class Checker:
                     fail(dn, "E-TYPE-MISMATCH", p,
                          f"{p.chan}{p.pol} does not match its type {render(t)}")
                 branches = dict(node[2])
-                plabels = {l for l, _ in p.branches}
+                plabels = set(p.labels)
                 if set(branches) != plabels:
                     fail(dn, "E-TYPE-MISMATCH", p,
                          f"labels on {p.chan} are {sorted(plabels)}, "
                          f"type has {sorted(branches)}")
                 stack.extend((k, {**ctx, p.chan: branches[l]})
-                             for (l, _), k in zip(reversed(p.branches), reversed(ks)))
+                             for l, k in zip(reversed(p.labels), reversed(ks)))
             elif isinstance(p, ChanOut):
                 t = self._lookup(dn, p, ctx, p.chan)
                 node = table.node(t)

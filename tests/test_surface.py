@@ -407,10 +407,16 @@ def test_nesting_counts_open_constructs_only():
     assert len(parse(defs + f"Q(x: end!) = x?{{{labels}}}\n").procdefs) == n + 1
     deep = "Main() = " + "wait x. " * (MAX_NESTING - 1) + "done"
     assert parse(deep).procdefs
-    with pytest.raises(SourceError) as err:
-        parse(deep.replace("done", "wait x. done"))
-    assert err.value.msg == f"nesting deeper than {MAX_NESTING} levels"
-    assert (err.value.line, err.value.col) == (1, 10 + 8 * MAX_NESTING)
+    # one level too deep: a prefix chain; a choice chain, which fails at its
+    # last atom, never at a `+`; and a chain of channel types, which fails
+    # at its innermost payload
+    for deeper, col in ((deep.replace("done", "wait x. done"), 10 + 8 * MAX_NESTING),
+                        ("Main() = " + " + ".join(["done"] * (MAX_NESTING + 1)), 1760),
+                        ("type T = " + "!(end!)." * MAX_NESTING + "end!", 2004)):
+        with pytest.raises(SourceError) as err:
+            parse(deeper)
+        assert err.value.msg == f"nesting deeper than {MAX_NESTING} levels"
+        assert (err.value.line, err.value.col) == (1, col)
 
 
 @pytest.mark.parametrize("bad", RESOLVE_ERRORS)
