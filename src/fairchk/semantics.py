@@ -14,29 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import closure, reach
-from .types import INF, OUT, TypeTable, co, equiv
+from .types import INF, OUT, TypeTable, equiv
 
 Config = tuple[int, int]
 
 
 def _picks(table: TypeTable, i: int) -> list[int]:
-    """Silent pick successors, with the singleton self-loop contracted."""
+    """Silent pick successors: the one-branch output of each branch of i,
+    in label order. A one-branch output has none: its self-loop is
+    contracted."""
     n = table.node(i)
     if n[0] == "tags" and n[1] == OUT and len(n[2]) > 1:
-        return [table.singleton(i, label) for label in sorted(l for l, _ in n[2])]
-    return []
-
-
-def _visible(table: TypeTable, i: int) -> list[tuple[tuple, int]]:
-    n = table.node(i)
-    if n[0] == "chan":
-        return [(("chan", n[1], n[2]), n[3])]
-    if n[0] == "tags":
-        if n[1] == OUT and len(n[2]) == 1:
-            label, child = n[2][0]
-            return [(("tag", OUT, label), child)]
-        if n[1] == "?":
-            return [(("tag", "?", label), child) for label, child in n[2]]
+        return [table.add(("tags", OUT, (branch,))) for branch in sorted(n[2])]
     return []
 
 
@@ -56,20 +45,26 @@ class ConfigGraph:
 
 def moves(table: TypeTable, cfg: Config
           ) -> tuple[list[Config], list[tuple[str | int, Config]], bool]:
-    """A configuration's picks, its labelled synchronizations, and whether
-    it is a success: both sides ended, with dual polarities. This is the
-    one transition function every question below searches."""
+    """A configuration's picks, its synchronization if it has one, and
+    whether it is a success: both sides ended, with dual polarities. This
+    is the one transition function every question below searches. Labels
+    are unique within a node, so two nodes synchronize in at most one way."""
     a, b = cfg
     na, nb = table.node(a), table.node(b)
     tau = [(a2, b) for a2 in _picks(table, a)] + [(a, b2) for b2 in _picks(table, b)]
     sync = []
-    for (la, a2) in _visible(table, a):
-        for (lb, b2) in _visible(table, b):
-            if la[0] != lb[0] or la[1] != co(lb[1]):
-                continue
-            if (la[2] == lb[2] if la[0] == "tag" else equiv(table, la[2], lb[2])):
-                sync.append((la[2], (a2, b2)))
-    return tau, sync, na[0] == "end" and nb[0] == "end" and na[1] == co(nb[1])
+    if na[0] == nb[0] != "end" and na[1] != nb[1]:
+        if na[0] == "chan":
+            if equiv(table, na[2], nb[2]):
+                sync.append((na[2], (na[3], nb[3])))
+        else:
+            sender, receiver = (na, nb) if na[1] == OUT else (nb, na)
+            if len(sender[2]) == 1:
+                [(label, c)] = sender[2]
+                d = dict(receiver[2]).get(label)
+                if d is not None:
+                    sync.append((label, (c, d) if sender is na else (d, c)))
+    return tau, sync, na[0] == nb[0] == "end" and na[1] != nb[1]
 
 
 def build_config_graph(table: TypeTable, s: int, t: int) -> ConfigGraph:

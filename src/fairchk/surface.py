@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Callable, Iterator, NamedTuple, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .types import TypeTable
 
@@ -52,11 +52,6 @@ class SourceError(Exception):
         self.msg = msg
         self.line = line
         self.col = col
-
-
-class Span(NamedTuple):
-    line: int
-    col: int
 
 
 # A syntax node keeps `at`, the index in lex's token list of its first
@@ -255,7 +250,7 @@ class Program:
                 into += [mine] * (len(stack) - len(into))
             self.owner += [name] * (len(nodes) - first)
 
-    def span(self, at: int) -> Span:
+    def span(self, at: int) -> tuple[int, int]:
         """The line and column of token `at` of the source; the position
         table is built at the first call."""
         if self._positions is None:
@@ -321,8 +316,8 @@ def token_positions(src: str) -> list[tuple[int, int]]:
     return where
 
 
-def _span(positions: list[tuple[int, int]], at: int) -> Span:
-    return Span(*positions[at]) if at >= 0 else Span(0, 0)
+def _span(positions: list[tuple[int, int]], at: int) -> tuple[int, int]:
+    return positions[at] if at >= 0 else (0, 0)
 
 
 def source_error(src: str, msg: str, at: int) -> SourceError:

@@ -21,31 +21,14 @@ program's diagnostics.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
 from typing import NoReturn
 
 from .graph import closure, cyclic, reverse, tarjan
 from .semantics import compatible
 from .subtyping import fair_subtype, render_weight
 from .surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
-                      NewSession, ProcExpr, Program, Span, TagComm, Wait)
+                      NewSession, ProcExpr, Program, TagComm, Wait)
 from .types import INF, TypeTable, equiv
-
-
-@dataclass
-class Diagnostic:
-    code: str
-    span: Span
-    message: str
-    details: dict = dc_field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "code": self.code,
-            "span": {"line": self.span.line, "col": self.span.col},
-            "message": self.message,
-            "details": self.details,
-        }
 
 
 class _Abort(Exception):
@@ -84,7 +67,8 @@ class Checker:
         self.program = program
         self.table: TypeTable = program.table
         self.infer_branch = infer_branch
-        self.diags: dict[str, list[Diagnostic]] = {n: [] for n in program.procs}
+        # each definition's diagnostics, as `check --json` prints them
+        self.diags: dict[str, list[dict]] = {n: [] for n in program.procs}
         self.nodes, self.kids = program.nodes, program.kids
         self.owner, self.start = program.owner, program.start
         self.cast_weight: dict[int, int] = {}
@@ -103,11 +87,11 @@ class Checker:
             self.pair_memo[key] = fn(self.table, s, t)
         return self.pair_memo[key]
 
-    def diag(self, defname: str, code: str, at: int, message: str, **details) -> Diagnostic:
+    def diag(self, defname: str, code: str, at: int, message: str, **details) -> None:
         """Report a diagnostic at token `at` of the source."""
-        d = Diagnostic(code, self.program.span(at), message, details)
-        self.diags[defname].append(d)
-        return d
+        line, col = self.program.span(at)
+        self.diags[defname].append({"code": code, "span": {"line": line, "col": col},
+                                    "message": message, "details": details})
 
     # -- pass 1: typing walk ----------------------------------------------
 
@@ -368,7 +352,7 @@ class Checker:
                 "name": name,
                 "rank": render_weight(self.ranks[name]),
                 "status": "rejected" if ds else "accepted",
-                "diagnostics": [d.to_json() for d in ds],
+                "diagnostics": ds,
             })
         verdict = "accepted" if all(not self.diags[n] for n in self.program.procs) else "rejected"
         return {"verdict": verdict, "definitions": definitions}

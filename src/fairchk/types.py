@@ -93,13 +93,6 @@ class TypeTable:
     def reachable(self, i: int) -> set[int]:
         return set(reach([i], self.children))
 
-    def singleton(self, i: int, label: str) -> int:
-        """The output node !{label: S} obtained by picking one branch of i."""
-        n = self.node(i)
-        assert n[0] == "tags" and n[1] == OUT
-        child = dict(n[2])[label]
-        return self.add(("tags", OUT, ((label, child),)))
-
     # Rendering is for diagnostics. Cycles are cut by emitting the name
     # hint (or a generated one) at the second visit. Shared children would
     # make the unfolding exponential, so past RENDER_LIMIT characters it
@@ -117,8 +110,7 @@ class TypeTable:
         """
         text = self._print(i, RENDER_LIMIT)
         if text is None:
-            shared = self._shared(i)
-            text = self._print(i, cut=shared | {i}) if shared else self._print(i)
+            text = self._print(i, cut=self._shared(i) | {i})
         return text
 
     def _shared(self, i: int) -> set[int]:
@@ -129,8 +121,10 @@ class TypeTable:
 
     def _print(self, i: int, limit: float = INF, cut: frozenset | set = frozenset()
                ) -> Optional[str]:
-        """The tree at i, with a node on the current path printed by name;
-        None as soon as the text passes `limit` characters.
+        """The tree at i, with a node on the current path printed by name.
+        When the text passes `limit` characters it is None if i reaches a
+        shared node, and otherwise goes on without a limit: an unfolding
+        that shares nothing prints each node once.
 
         With a `cut` that holds i, this is the equation form: a node in
         `cut` is printed by name too, and its equation follows the text of
@@ -187,7 +181,9 @@ class TypeTable:
                         piece = got[0]
                 size += len(piece)
                 if size > limit:
-                    return None
+                    if self._shared(i):
+                        return None
+                    limit = INF
                 out.append(piece)
         return "".join(out)
 

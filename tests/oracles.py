@@ -263,8 +263,8 @@ def type_transitions(table: TypeTable, i: int) -> list[tuple[tuple, int]]:
         return [(("chan", n[1], n[2]), n[3])]
     out: list[tuple[tuple, int]] = []
     if n[1] == OUT:
-        for label, _ in n[2]:
-            out.append((TAU, table.singleton(i, label)))
+        for branch in n[2]:
+            out.append((TAU, table.add(("tags", OUT, (branch,)))))
         if len(n[2]) == 1:
             label, child = n[2][0]
             out.append((("tag", OUT, label), child))

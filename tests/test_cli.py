@@ -22,7 +22,7 @@ from fairchk import cli
 from fairchk.cli import _color_enabled, build_parser, main
 from fairchk.surface import MAX_NESTING
 from gen import NESTED_SOURCES, deepest_admitted, diverging_source, shared_ladder_source
-from json_schema import CHECK, RANK, RUN, SUBTYPE, TRACE_ENTRY, validate
+from json_schema import CHECK, COMPATIBLE, RANK, RUN, SUBTYPE, TRACE_ENTRY, validate
 
 
 def run_cli(capsys, *argv):
@@ -380,9 +380,12 @@ def test_compatible_no(capsys):
 
 
 def test_compatible_json(capsys):
-    code, out, err = run_cli(capsys, "compatible", "--json",
-                             corpus_path("slot"), "R", "S")
-    assert json.loads(out) == {"compatible": True}
+    for other, answer in (("S", True), ("T", False)):
+        code, out, err = run_cli(capsys, "compatible", "--json",
+                                 corpus_path("slot"), "R", other)
+        assert code == (0 if answer else 1)
+        validate(json.loads(out), COMPATIBLE)
+        assert json.loads(out) == {"compatible": answer}
 
 
 def test_rank_finite(capsys):

@@ -1,17 +1,18 @@
 """Configuration graphs, compatibility, and session rank."""
 
 import random
+from collections import Counter
 
 from fairchk import semantics
-from fairchk.semantics import build_config_graph, compatible, session_rank, to_dot
+from fairchk.semantics import build_config_graph, compatible, moves, session_rank, to_dot
 from fairchk.subtyping import unfair_subtype
 from fairchk.surface import load
-from fairchk.types import INF, TypeTable, dual
+from fairchk.types import INF, TypeTable, co, dual, equiv
 
-from conftest import load_corpus
+from conftest import CORPUS_RANKS, load_corpus
 from gen import intern_spec, random_spec
 from oracles import (compatible_graph, rank_compatibility_agreement, rank_oracle,
-                     session_rank_01bfs, type_transitions)
+                     session_rank_01bfs, TAU, type_transitions)
 
 
 def _ends(table):
@@ -55,6 +56,61 @@ def test_transitions_of_chan():
     e, d = _ends(table)
     t = table.add(("chan", "!", e, d))
     assert type_transitions(table, t) == [(("chan", "!", e), d)]
+
+
+def _moves_by_transitions(table, cfg):
+    """`moves` of a configuration, built from the raw transitions of its
+    two sides: a side's picks, unless it is a one-branch output, whose one
+    pick is a self-loop; and every pair of complementary visible actions."""
+    a, b = cfg
+    ta, tb = type_transitions(table, a), type_transitions(table, b)
+    picks_a = [x for act, x in ta if act == TAU]
+    picks_b = [x for act, x in tb if act == TAU]
+    tau = {(x, b) for x in picks_a if len(picks_a) > 1}
+    tau |= {(a, x) for x in picks_b if len(picks_b) > 1}
+    sync = [(la[2], (a2, b2))
+            for la, a2 in ta if la != TAU for lb, b2 in tb if lb != TAU
+            if la[0] == lb[0] and la[1] == co(lb[1])
+            and (la[2] == lb[2] if la[0] == "tag" else equiv(table, la[2], lb[2]))]
+    na, nb = table.node(a), table.node(b)
+    return tau, sync, na[0] == "end" and nb[0] == "end" and na[1] == co(nb[1])
+
+
+def test_moves_match_the_raw_transitions_of_both_sides():
+    pairs = []
+    rnd = random.Random(41)
+    for i in range(1200):
+        table = TypeTable()
+        spec = random_spec(rnd, 8)
+        a = intern_spec(table, spec)
+        # against its dual, the payloads are the same ids; against the dual
+        # of a second copy, equal trees under other ids
+        b = (intern_spec(table, random_spec(rnd, 8)), dual(table, a),
+             dual(table, intern_spec(table, spec)))[i % 3]
+        pairs.append((table, a, b))
+    for name in sorted(CORPUS_RANKS):
+        program = load_corpus(name)
+        ids = list(program.typedefs.values())
+        pairs += [(program.table, s, t) for s in ids for t in ids]
+    seen = Counter()
+    for table, s, t in pairs:
+        todo, reached = [(s, t)], {(s, t)}
+        while todo:
+            cfg = todo.pop()
+            tau, sync, done = moves(table, cfg)
+            want_tau, want_sync, want_done = _moves_by_transitions(table, cfg)
+            assert set(tau) == want_tau, cfg
+            assert sync == want_sync and len(sync) <= 1, cfg
+            assert done == want_done, cfg
+            seen.update(["configs"] + ["pick"] * bool(tau) + ["success"] * done)
+            seen.update(type(label).__name__ for label, _ in sync)
+            for nxt in [*want_tau, *(d for _, d in want_sync)]:
+                if nxt not in reached:
+                    reached.add(nxt)
+                    todo.append(nxt)
+    # tag synchronizations are labelled by a str, channel ones by an int
+    assert seen["configs"] > 4000 and seen["int"] > 50, seen
+    assert all(seen[k] > 500 for k in ("pick", "success", "str")), seen
 
 
 def test_end_pair_graph():

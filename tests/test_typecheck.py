@@ -357,8 +357,7 @@ def test_typing_walk_is_linear_in_session_nesting(monkeypatch):
 
 def _typing(checker):
     checker.check_types()
-    return ({name: [d.to_json() for d in ds] for name, ds in checker.diags.items()},
-            checker.cast_weight)
+    return checker.diags, checker.cast_weight
 
 
 # every prefix that changes the context, on both sides of a choice or in

@@ -497,6 +497,24 @@ def test_render_skips_the_budget_without_sharing_below_the_root(monkeypatch):
     assert program.table.render(u0) == render_recursive(program.table, u0)
 
 
+def test_render_unfolds_an_unshared_type_once_past_the_budget(monkeypatch):
+    # U0 of the 300-ladder prints 4502 characters and shares no node, so
+    # the budgeted unfolding goes on past the limit instead of starting over
+    program = load(diverging_source(300))
+    table, u0 = program.table, program.typedefs["U0"]
+    shapes = []
+    shape = TypeTable._shape
+
+    def counted(self, j):
+        shapes.append(j)
+        return shape(self, j)
+
+    monkeypatch.setattr(TypeTable, "_shape", counted)
+    text = table.render(u0)
+    assert len(text) == 4502 > RENDER_LIMIT and not table._shared(u0)
+    assert len(shapes) == len(set(shapes)) == len(table.reachable(u0)) == 301
+
+
 def test_equation_names_are_unique_and_avoid_other_type_names(monkeypatch):
     monkeypatch.setattr(types, "RENDER_LIMIT", 0)
     table = TypeTable()
