@@ -6,7 +6,7 @@ linear typing, explicit fair-subtyping casts, and three boundedness
 checks (actions, sessions, cast weight).
 """
 
-from .semantics import build_config_graph, compatible, session_rank
+from .semantics import compatible, session_rank
 from .subtyping import fair_subtype, unfair_subtype
 from .surface import Program, SourceError, load, parse, render_program, resolve
 from .typecheck import check_program
@@ -21,7 +21,6 @@ __all__ = [
     "RunOutcome",
     "SourceError",
     "TypeTable",
-    "build_config_graph",
     "check_program",
     "compatible",
     "dual",

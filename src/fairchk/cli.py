@@ -154,8 +154,7 @@ def cmd_rank(args) -> int:
 
 def cmd_graph(args) -> int:
     program, s, t = _load_pair(args)
-    g = semantics.build_config_graph(program.table, s, t)
-    print(semantics.to_dot(program.table, g))
+    print(semantics.to_dot(program.table, s, t))
     return 0
 
 

@@ -6,12 +6,12 @@ left or right side may internally commit to one branch of an output choice
 actions: matching tag labels, matching signals, or channel payloads equal
 up to unfolding. Compatibility asks that every reachable configuration can
 still reach a terminated pair; the session rank measures how many
-synchronizations the shortest terminating schedule needs.
+synchronizations the shortest terminating schedule needs. Both, and the
+DOT printer behind `graph`, are one forward search each over `moves`; no
+question stores the configuration graph.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .graph import closure, reach
 from .types import INF, OUT, TypeTable, equiv
@@ -27,20 +27,6 @@ def _picks(table: TypeTable, i: int) -> list[int]:
     if n[0] == "tags" and n[1] == OUT and len(n[2]) > 1:
         return [table.add(("tags", OUT, (branch,))) for branch in sorted(n[2])]
     return []
-
-
-@dataclass
-class ConfigGraph:
-    root: Config
-    nodes: list[Config]
-    tau: dict[Config, list[Config]]
-    # a sync is labelled by its tag, or by the carried type's id for a
-    # channel payload
-    sync: dict[Config, list[tuple[str | int, Config]]]
-    success: set[Config] = field(default_factory=set)
-
-    def successors(self, c: Config) -> list[Config]:
-        return self.tau[c] + [d for _, d in self.sync[c]]
 
 
 def moves(table: TypeTable, cfg: Config
@@ -65,21 +51,6 @@ def moves(table: TypeTable, cfg: Config
                 if d is not None:
                     sync.append((label, (c, d) if sender is na else (d, c)))
     return tau, sync, na[0] == nb[0] == "end" and na[1] != nb[1]
-
-
-def build_config_graph(table: TypeTable, s: int, t: int) -> ConfigGraph:
-    """The configurations reachable from (s, t), breadth first, with their
-    picks, synchronizations and successes."""
-    g = ConfigGraph((s, t), [], {}, {})
-
-    def expand(cfg: Config) -> list[Config]:
-        g.tau[cfg], g.sync[cfg], done = moves(table, cfg)
-        if done:
-            g.success.add(cfg)
-        return g.successors(cfg)
-
-    g.nodes = list(reach([g.root], expand))
-    return g
 
 
 def compatible(table: TypeTable, s: int, t: int) -> bool:
@@ -134,24 +105,38 @@ def session_rank(table: TypeTable, s: int, t: int) -> int | float:
     return INF
 
 
-def to_dot(table: TypeTable, g: ConfigGraph) -> str:
-    """GraphViz rendering; success configurations are double-circled."""
-    ids = {c: f"n{i}" for i, c in enumerate(g.nodes)}
+def to_dot(table: TypeTable, s: int, t: int) -> str:
+    """GraphViz rendering of the configurations reachable from (s, t);
+    success configurations are double-circled.
 
-    def esc(s: str) -> str:
-        return s.replace("\\", "\\\\").replace('"', '\\"')
+    One forward search numbers each configuration as it meets it and
+    writes its node line then; the edges wait until every target has a
+    number, and follow in the same order.
+    """
+    ids: dict[Config, str] = {}
+    edges: list[tuple] = []
+    succ: dict[Config, list[Config]] = {}
+
+    def esc(text: str) -> str:
+        return text.replace("\\", "\\\\").replace('"', '\\"')
 
     lines = ["digraph config {", "  rankdir=LR;"]
-    for c in g.nodes:
+    # `reach` asks for a configuration's successors only after the loop
+    # has stored them
+    for c in reach([(s, t)], succ.pop):
+        ids[c] = n = f"n{len(ids)}"
+        tau, sync, done = moves(table, c)
         label = esc(f"{table.render(c[0])} # {table.render(c[1])}")
-        shape = "doublecircle" if c in g.success else "ellipse"
-        lines.append(f'  {ids[c]} [label="{label}", shape={shape}];')
-    for c in g.nodes:
-        for d in g.tau[c]:
-            lines.append(f'  {ids[c]} -> {ids[d]} [label="pick", style=dashed];')
-        for label, d in g.sync[c]:
+        shape = "doublecircle" if done else "ellipse"
+        lines.append(f'  {n} [label="{label}", shape={shape}];')
+        edges.append((n, tau, sync))
+        succ[c] = tau + [d for _, d in sync]
+    for n, tau, sync in edges:
+        for d in tau:
+            lines.append(f'  {n} -> {ids[d]} [label="pick", style=dashed];')
+        for label, d in sync:
             if isinstance(label, int):
                 label = f"({table.render(label)})"
-            lines.append(f'  {ids[c]} -> {ids[d]} [label="{esc(label)}"];')
+            lines.append(f'  {n} -> {ids[d]} [label="{esc(label)}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -71,6 +71,10 @@ class Checker:
         self.diags: dict[str, list[dict]] = {n: [] for n in program.procs}
         self.nodes, self.kids = program.nodes, program.kids
         self.owner, self.start = program.owner, program.start
+        # each choice's marker by occurrence number, as written; branch
+        # inference flips these, never the program's own nodes
+        self.marker: dict[int, int] = {v: n.k for v, n in enumerate(self.nodes)
+                                       if type(n) is Choice}
         self.cast_weight: dict[int, int] = {}
         # built at the program's first session: most programs have none
         self.free: list[set[str]] = []
@@ -307,7 +311,8 @@ class Checker:
     # -- branch inference ------------------------------------------------------
 
     def infer_branches(self) -> None:
-        """Flip choice markers where the other branch checks out better.
+        """Flip choice markers in `self.marker` where the other branch
+        checks out better; the program keeps the markers as written.
 
         Choices are taken in definition order, then in preorder, and each
         is scored with the markers already decided for earlier ones: better
@@ -319,17 +324,15 @@ class Checker:
         """
         self.graph = TermGraph(self)
         rank, bounded = self.graph.ranks(), self.graph.bounded()
-        for v, c in enumerate(self.nodes):
-            if type(c) is not Choice:
-                continue
+        for v, k in self.marker.items():
             b = self.start[self.owner[v]]
-            c.k = 3 - c.k
+            self.marker[v] = 3 - k
             g = TermGraph(self)
             flip_rank, flip_bounded = g.ranks(), g.bounded()
             if (b not in flip_bounded, flip_rank[b]) < (b not in bounded, rank[b]):
                 self.graph, rank, bounded = g, flip_rank, flip_bounded
             else:
-                c.k = 3 - c.k
+                self.marker[v] = k
 
     # -- driver -----------------------------------------------------------------
 
@@ -371,9 +374,9 @@ class TermGraph:
 
     def __init__(self, checker: Checker):
         self.node = node = checker.nodes
-        start, kids = checker.start, checker.kids
+        start, kids, marker = checker.start, checker.kids, checker.marker
         self.succ = succ = [[start[n.name]] if type(n) is Call
-                            else [kids[v][n.k - 1]] if type(n) is Choice
+                            else [kids[v][marker[v] - 1]] if type(n) is Choice
                             else kids[v] for v, n in enumerate(node)]
         self.sccs = tarjan(range(len(node)), succ)
         self.weight = weight = checker.cast_weight

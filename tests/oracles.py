@@ -22,9 +22,10 @@ unfolding that joins each subtree's text into its parent's, and a separate
 equation printer) instead of one stack of pieces, the simulation also by
 judging the whole pair carrier and closing backwards from its shape
 violations instead of one forward search that stops at the first,
-compatibility and the session rank also on a stored configuration graph
-instead of the transition function searched directly, syntax printing by
-recursion instead of a stack of pieces, the interpreter's redexes by a
+compatibility, the session rank and the DOT text also on a stored
+configuration graph instead of the transition function searched directly,
+syntax printing by recursion instead of a stack of pieces, the
+interpreter's redexes by a
 rebuild of the whole list at every step instead of an index that re-reads
 only the threads a step touched, the interpreter itself by threads that
 hold syntax nodes instead of occurrence numbers read through a table per
@@ -40,13 +41,13 @@ import re
 import string
 from bisect import bisect_left, insort
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 from fairchk import types
 from fairchk.graph import closure, reach, reverse
 from fairchk.runtime import RULES, Handle, RunOutcome, SplitMix64, TraceEntry
-from fairchk.semantics import build_config_graph, compatible, session_rank
+from fairchk.semantics import Config, compatible, moves, session_rank
 from fairchk.subtyping import Simulation, _judge, fair_subtype, simulate, solve_weights
 from fairchk.surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
                              NewSession, ProcDef, ProcExpr, Program, SourceError,
@@ -293,6 +294,12 @@ def cast_weight(ck: Checker, p: ProcExpr) -> int:
     return next((w for v, w in ck.cast_weight.items() if ck.nodes[v] is p), 0)
 
 
+def marker(ck: Checker, p: Choice) -> int:
+    """The marker the checker holds for choice p, which it keeps by
+    occurrence number."""
+    return next(k for v, k in ck.marker.items() if ck.nodes[v] is p)
+
+
 def min_rank(ck: Checker, p: ProcExpr, visited: frozenset[str],
              memo: dict | None = None) -> int:
     """The cutoff rank equations; calls unfold at most once per name."""
@@ -310,7 +317,7 @@ def min_rank(ck: Checker, p: ProcExpr, visited: frozenset[str],
     elif isinstance(p, TagComm):
         r = max(min_rank(ck, b, visited, memo) for _, b in p.branches)
     elif isinstance(p, Choice):
-        r = min_rank(ck, p.left if p.k == 1 else p.right, visited, memo)
+        r = min_rank(ck, p.left if marker(ck, p) == 1 else p.right, visited, memo)
     elif isinstance(p, NewSession):
         r = 1 + min_rank(ck, p.left, visited, memo) + min_rank(ck, p.right, visited, memo)
     elif isinstance(p, Call):
@@ -339,7 +346,7 @@ def action_bounded(ck: Checker, p: ProcExpr, visiting: frozenset[str],
     elif isinstance(p, TagComm):
         r = any(action_bounded(ck, b, visiting, memo) for _, b in p.branches)
     elif isinstance(p, Choice):
-        r = action_bounded(ck, p.left if p.k == 1 else p.right, visiting, memo)
+        r = action_bounded(ck, p.left if marker(ck, p) == 1 else p.right, visiting, memo)
     elif isinstance(p, NewSession):
         r = (action_bounded(ck, p.left, visiting, memo)
              and action_bounded(ck, p.right, visiting, memo))
@@ -361,7 +368,7 @@ def term_successors(ck: Checker, p: ProcExpr) -> list[ProcExpr]:
     if isinstance(p, Call):
         return [ck.program.procs[p.name].body]
     if isinstance(p, Choice):
-        return [p.left if p.k == 1 else p.right]
+        return [p.left if marker(ck, p) == 1 else p.right]
     if isinstance(p, NewSession):
         return [p.left, p.right]
     if isinstance(p, TagComm):
@@ -677,6 +684,62 @@ def rank_oracle(table: TypeTable, s: int, t: int):
         if not changed:
             break
     return INF if value[root] == INF else 1 + value[root]
+
+
+# -- the configuration graph, stored -------------------------------------------
+
+@dataclass
+class ConfigGraph:
+    root: Config
+    nodes: list[Config]
+    tau: dict[Config, list[Config]]
+    # a sync is labelled by its tag, or by the carried type's id for a
+    # channel payload
+    sync: dict[Config, list[tuple[str | int, Config]]]
+    success: set[Config] = field(default_factory=set)
+
+    def successors(self, c: Config) -> list[Config]:
+        return self.tau[c] + [d for _, d in self.sync[c]]
+
+
+def build_config_graph(table: TypeTable, s: int, t: int) -> ConfigGraph:
+    """The former `semantics.build_config_graph`: the configurations
+    reachable from (s, t), breadth first, with their picks,
+    synchronizations and successes."""
+    g = ConfigGraph((s, t), [], {}, {})
+
+    def expand(cfg: Config) -> list[Config]:
+        g.tau[cfg], g.sync[cfg], done = moves(table, cfg)
+        if done:
+            g.success.add(cfg)
+        return g.successors(cfg)
+
+    g.nodes = list(reach([g.root], expand))
+    return g
+
+
+def to_dot_stored(table: TypeTable, g: ConfigGraph) -> str:
+    """The former `semantics.to_dot`: GraphViz text printed from a stored
+    configuration graph, all node lines first, then all edge lines."""
+    ids = {c: f"n{i}" for i, c in enumerate(g.nodes)}
+
+    def esc(s: str) -> str:
+        return s.replace("\\", "\\\\").replace('"', '\\"')
+
+    lines = ["digraph config {", "  rankdir=LR;"]
+    for c in g.nodes:
+        label = esc(f"{table.render(c[0])} # {table.render(c[1])}")
+        shape = "doublecircle" if c in g.success else "ellipse"
+        lines.append(f'  {ids[c]} [label="{label}", shape={shape}];')
+    for c in g.nodes:
+        for d in g.tau[c]:
+            lines.append(f'  {ids[c]} -> {ids[d]} [label="pick", style=dashed];')
+        for label, d in g.sync[c]:
+            if isinstance(label, int):
+                label = f"({table.render(label)})"
+            lines.append(f'  {ids[c]} -> {ids[d]} [label="{esc(label)}"];')
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def session_rank_01bfs(table: TypeTable, s: int, t: int):
@@ -1212,32 +1275,30 @@ def unsafe_by_reachability(ck: Checker) -> set[int]:
 
 def infer_branches_by_cutoff(ck: Checker) -> None:
     """`Checker.infer_branches` scored with the cutoff walks."""
-    for name, d in ck.program.procs.items():
-        for c in [n for n in preorder(d.body) if isinstance(n, Choice)]:
-            written = c.k
-            scores = {}
-            for k in (1, 2):
-                c.k = k
-                rank = cutoff_rank(ck, name, unsafe_by_reachability(ck))
-                bounded = action_bounded(ck, d.body, frozenset())
-                scores[k] = (not bounded, rank == INF, rank, k != written)
-            c.k = min((1, 2), key=lambda k: scores[k])
+    for v, written in ck.marker.items():
+        name = ck.owner[v]
+        body = ck.program.procs[name].body
+        scores = {}
+        for k in (1, 2):
+            ck.marker[v] = k
+            rank = cutoff_rank(ck, name, unsafe_by_reachability(ck))
+            bounded = action_bounded(ck, body, frozenset())
+            scores[k] = (not bounded, rank == INF, rank, k != written)
+        ck.marker[v] = min((1, 2), key=lambda k: scores[k])
 
 
 def infer_branches_rebuild(ck: Checker) -> None:
     """`Checker.infer_branches` with a fresh graph for both markers of
     every choice."""
-    for name, d in ck.program.procs.items():
-        body = ck.start[name]
-        for c in [n for n in preorder(d.body) if isinstance(n, Choice)]:
-            written = c.k
-            scores = {}
-            for k in (1, 2):
-                c.k = k
-                g = TermGraph(ck)
-                rank = g.ranks()[body]
-                scores[k] = (body not in g.bounded(), rank == INF, rank, k != written)
-            c.k = min((1, 2), key=lambda k: scores[k])
+    for v, written in ck.marker.items():
+        body = ck.start[ck.owner[v]]
+        scores = {}
+        for k in (1, 2):
+            ck.marker[v] = k
+            g = TermGraph(ck)
+            rank = g.ranks()[body]
+            scores[k] = (body not in g.bounded(), rank == INF, rank, k != written)
+        ck.marker[v] = min((1, 2), key=lambda k: scores[k])
 
 
 # -- the typing walk by recursion ---------------------------------------------------

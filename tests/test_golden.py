@@ -46,11 +46,11 @@ from unittest import mock
 
 from fairchk import types
 from fairchk.cli import COMMANDS, build_parser, main
-from fairchk.semantics import build_config_graph
 from fairchk.surface import load, parse, render_program
 
 from conftest import CORPUS, RUNNABLE, corpus_path
 from gen import NESTED_SOURCES, deepest_admitted, diverging_source, shared_ladder_source
+from oracles import build_config_graph
 from test_cli import _declared, _options
 from test_surface import PARSE_ERRORS, RESOLVE_ERRORS
 

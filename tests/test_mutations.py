@@ -56,8 +56,7 @@ def _library(text: str, seed: int) -> None:
     except SourceError:
         return
     check_program(program)
-    # a fresh copy: inference rewrites the choice markers it flips
-    check_program(load(text), infer_branch=True)
+    check_program(program, infer_branch=True)
     try:
         run(program, seed=seed, max_steps=MAX_STEPS)
     except ValueError:

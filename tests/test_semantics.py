@@ -4,15 +4,15 @@ import random
 from collections import Counter
 
 from fairchk import semantics
-from fairchk.semantics import build_config_graph, compatible, moves, session_rank, to_dot
+from fairchk.semantics import compatible, moves, session_rank, to_dot
 from fairchk.subtyping import unfair_subtype
 from fairchk.surface import load
 from fairchk.types import INF, TypeTable, co, dual, equiv
 
-from conftest import CORPUS_RANKS, load_corpus
+from conftest import CORPUS, CORPUS_RANKS, load_corpus
 from gen import intern_spec, random_spec
-from oracles import (compatible_graph, rank_compatibility_agreement, rank_oracle,
-                     session_rank_01bfs, TAU, type_transitions)
+from oracles import (build_config_graph, compatible_graph, rank_compatibility_agreement,
+                     rank_oracle, session_rank_01bfs, TAU, to_dot_stored, type_transitions)
 
 
 def _ends(table):
@@ -278,7 +278,7 @@ def test_graph_node_count_is_bounded():
 def test_dot_output_shape():
     table = TypeTable()
     e, d = _ends(table)
-    dot = to_dot(table, build_config_graph(table, e, d))
+    dot = to_dot(table, e, d)
     assert dot.startswith("digraph config {")
     assert "doublecircle" in dot
     assert dot.rstrip().endswith("}")
@@ -286,8 +286,7 @@ def test_dot_output_shape():
 
 def test_dot_marks_picks_dashed():
     bsc = load_corpus("bsc.ft")
-    g = build_config_graph(bsc.table, bsc.typedefs["SB"], bsc.typedefs["SS"])
-    dot = to_dot(bsc.table, g)
+    dot = to_dot(bsc.table, bsc.typedefs["SB"], bsc.typedefs["SS"])
     assert 'label="pick", style=dashed' in dot
     assert 'label="add"' in dot or 'label="pay"' in dot
 
@@ -297,7 +296,7 @@ def test_dot_labels_a_channel_payload_with_its_type():
     e, d = _ends(table)
     s = table.add(("chan", "!", e, e))
     t = table.add(("chan", "?", e, d))
-    dot = to_dot(table, build_config_graph(table, s, t))
+    dot = to_dot(table, s, t)
     assert '  n0 -> n1 [label="(end!)"];' in dot.splitlines()
 
 
@@ -306,5 +305,28 @@ def test_picks_follow_label_order_not_source_order():
     e, d = _ends(table)
     s = table.add(("tags", "!", (("b", e), ("a", e))))
     t = table.add(("tags", "?", (("a", d), ("b", d))))
-    dot = to_dot(table, build_config_graph(table, s, t))
+    dot = to_dot(table, s, t)
     assert dot.index('"!{a: end!} #') < dot.index('"!{b: end!} #')
+
+
+def test_dot_matches_the_stored_graph_printer():
+    # one search that prints as it goes against the whole graph stored,
+    # then printed: on random pairs, half of them a type and its dual, and
+    # on every ordered pair of corpus typedefs
+    rnd = random.Random(35)
+    cases = []
+    for i in range(2000):
+        table = TypeTable()
+        a = intern_spec(table, random_spec(rnd, 8))
+        b = dual(table, a) if i % 2 else intern_spec(table, random_spec(rnd, 8))
+        cases.append((table, a, b))
+    for path in sorted(CORPUS.glob("*.ft")):
+        program = load(path.read_text(encoding="utf-8"))
+        ids = [program.typedefs[n] for n in sorted(program.typedefs)]
+        cases += [(program.table, a, b) for a in ids for b in ids]
+    seen = Counter()
+    for table, a, b in cases:
+        dot = to_dot(table, a, b)
+        assert dot == to_dot_stored(table, build_config_graph(table, a, b)), (a, b)
+        seen.update(k for k in ("doublecircle", "style=dashed", '[label="(') if k in dot)
+    assert len(cases) >= 2192 and all(seen[k] > 50 for k in seen) and len(seen) == 3, seen

@@ -174,7 +174,7 @@ def test_min_rank_choice_follows_marker():
     ck = Checker(program)
     body = program.procs["Main"].body
     assert min_rank(ck, body, frozenset()) == 1
-    body.k = 1
+    ck.marker[0] = 1
     assert min_rank(ck, body, frozenset()) == 0
 
 
@@ -225,7 +225,7 @@ def test_term_graph_matches_cutoff_oracles():
 
 
 def _markers(ck):
-    return [n.k for n in ck.nodes if isinstance(n, Choice)]
+    return list(ck.marker.values())
 
 
 def test_infer_branches_matches_cutoff_oracle():
@@ -248,13 +248,14 @@ def test_check_program_runs_on_rank_programs():
     # those of the rebuild oracle on the same draw after its typing walk
     flipped = 0
     for seed in range(1000):
-        program, written = (random_rank_program(random.Random(seed)) for _ in range(2))
-        check_program(program, infer_branch=True)
+        ck, written = (Checker(random_rank_program(random.Random(seed)), infer_branch=True)
+                       for _ in range(2))
+        ck.run()
         rebuilt = Checker(random_rank_program(random.Random(seed)))
         rebuilt.check_types()
         infer_branches_rebuild(rebuilt)
-        assert _markers(program) == _markers(rebuilt), seed
-        flipped += _markers(program) != _markers(written)
+        assert _markers(ck) == _markers(rebuilt), seed
+        flipped += _markers(ck) != _markers(written)
     assert flipped > 0
 
 
@@ -305,10 +306,9 @@ def test_infer_branch_builds_one_graph_per_choice(chain, monkeypatch, capsys, tm
     assert main(["check", "--json", str(path)]) == (0 if chain == "kept" else 1)
     assert builds == {False: 1}
     capsys.readouterr()
-    check_program(program, infer_branch=True)
-    inferred = [n.k for d in program.procs.values() for n in preorder(d.body)
-                if isinstance(n, Choice)]
-    assert inferred == (written if chain == "kept" else [3 - k for k in written])
+    ck = Checker(program, infer_branch=True)
+    ck.run()
+    assert _markers(ck) == (written if chain == "kept" else [3 - k for k in written])
 
 
 def test_free_channel_table_matches_recursive_oracle():
@@ -471,11 +471,22 @@ def test_infer_branch_repairs_a_flipped_marker():
     text = ("E(x: end!) = E(x) +[1] close x\n"
             "Main() = new x: end! / end? in (E(x) | wait x. done)")
     assert check_program(load(text))["verdict"] == "rejected"
+    ck = Checker(load(text), infer_branch=True)
+    assert ck.run()["verdict"] == "accepted"
+    assert ck.marker == {ck.start["E"]: 2}
+
+
+def test_infer_branch_leaves_the_program_as_loaded():
+    # inference flips the checker's markers, not the program's: the
+    # program keeps its written marker, and a later plain check of it
+    # equals the check of a fresh load
+    text = ("E(x: end!) = E(x) +[1] close x\n"
+            "Main() = new x: end! / end? in (E(x) | wait x. done)")
     program = load(text)
-    report = check_program(program, infer_branch=True)
-    assert report["verdict"] == "accepted"
-    choice = program.procs["E"].body
-    assert isinstance(choice, Choice) and choice.k == 2
+    assert check_program(program, infer_branch=True)["verdict"] == "accepted"
+    assert program.procs["E"].body.k == 1
+    assert check_program(program) == check_program(load(text))
+    assert check_program(program)["verdict"] == "rejected"
 
 
 def test_infer_branch_keeps_good_markers():
@@ -501,10 +512,10 @@ def test_infer_branch_sees_the_flips_committed_before(outer_rank, markers, rank)
     # the inner choice, its two scores tie, and it keeps its written marker.
     # At rank 3 the outer marker stays, and the inner one flips to `done`.
     # Choices judged independently would give [2, 2] in the first case.
-    program = load(f"Main() = ({_sessions(2)} +[1] done) +[1] {_sessions(outer_rank)}")
-    report = check_program(program, infer_branch=True)
-    assert [n.k for n in preorder(program.procs["Main"].body)
-            if isinstance(n, Choice)] == markers
+    ck = Checker(load(f"Main() = ({_sessions(2)} +[1] done) +[1] {_sessions(outer_rank)}"),
+                 infer_branch=True)
+    report = ck.run()
+    assert _markers(ck) == markers
     assert report["definitions"][0]["rank"] == rank
 
 
