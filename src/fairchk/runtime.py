@@ -52,8 +52,9 @@ Handle = tuple[int, int]
 
 @dataclass(slots=True)
 class Thread:
-    """A live thread: the occurrence it is at, its environment and, once
-    it has picked the branch of an output it sends, that branch's index."""
+    """A live thread: the occurrence it is at, its environment (a dict no
+    other thread holds, so a step writes it in place) and, once it has
+    picked the branch of an output it sends, that branch's index."""
     occ: int
     env: dict[str, Handle]
     pick: int | None = None
@@ -303,12 +304,9 @@ class Soup:
             chan = nodes[v].chan
             sid = self.next_session
             self.next_session += 1
-            renv = dict(th.env)
-            th.env = dict(th.env)
+            self._spawn(Thread(kids[v][1], {**th.env, chan: (sid, 1)}))
             th.env[chan] = (sid, 0)
-            renv[chan] = (sid, 1)
             th.occ = kids[v][0]
-            self._spawn(Thread(kids[v][1], renv))
             return sid, chan
         if rule == "rb-pick":
             th.pick = self.rng.below(len(kids[v]))
@@ -328,10 +326,7 @@ class Soup:
             return sid, label
         if rule == "rb-channel":
             payload, var = nodes[v].payload, nodes[other.occ].var
-            other.env = dict(other.env)
-            other.env[var] = th.env[payload]
-            th.env = dict(th.env)
-            del th.env[payload]
+            other.env[var] = th.env.pop(payload)
             th.occ, other.occ = kids[v][0], kids[other.occ][0]
             return sid, f"{payload} -> {var}"
         raise AssertionError(f"unknown rule {rule}")

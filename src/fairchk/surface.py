@@ -265,18 +265,18 @@ class Program:
 # a letter or `_` starts an identifier, a digit a numeral.
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
+# A token's text, and a comment. Every class is spelled out in ASCII: `\w`,
+# `\d` and `\s` would also match other scripts' characters.
+_WORD = r"[A-Za-z_][A-Za-z0-9_']*|[0-9]+|[(){}\[\]:,./=!?+|@]"
+_COMMENT = re.compile(r"--[^\n]*")
 # One findall over the whole text; the search skips blanks (space, tab, CR,
 # LF). The group holds a token. A comment, and any other character, match
 # outside it and come back as "". No token contains "-", so a "--" outside
-# a token starts a comment. Every class is spelled out in ASCII: `\w`, `\d`
-# and `\s` would also match other scripts' characters.
-_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_']*|[0-9]+|[(){}\[\]:,./=!?+|@])"
-                    r"|--[^\n]*|[^ \t\r\n]")
-_COMMENT = re.compile(r"--[^\n]*")
+# a token starts a comment.
+_TOKEN = re.compile(rf"({_WORD})|{_COMMENT.pattern}|[^ \t\r\n]")
 # The position table's pass: a line break (group 1), a comment (group 2), a
 # token, or a stray character (group 3).
-_POSITION = re.compile(r"(\n)|(--[^\n]*)|[A-Za-z_][A-Za-z0-9_']*|[0-9]+"
-                       r"|[(){}\[\]:,./=!?+|@]|([^ \t\r])")
+_POSITION = re.compile(rf"(\n)|({_COMMENT.pattern})|{_WORD}|([^ \t\r])")
 
 
 def lex(src: str) -> list[str]:

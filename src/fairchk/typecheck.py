@@ -21,6 +21,7 @@ program's diagnostics.
 from __future__ import annotations
 
 import time
+from functools import cached_property
 from typing import NoReturn
 
 from .graph import closure, cyclic, reverse, tarjan
@@ -76,7 +77,6 @@ class Checker:
         self.marker: dict[int, int] = {v: n.k for v, n in enumerate(self.nodes)
                                        if type(n) is Choice}
         self.cast_weight: dict[int, int] = {}
-        # built at the program's first session: most programs have none
         self.free: list[set[str]] = []
         self.graph: TermGraph | None = None
         self.ranks: dict[str, int | float] = {}
@@ -100,6 +100,7 @@ class Checker:
     # -- pass 1: typing walk ----------------------------------------------
 
     def check_types(self) -> None:
+        self.free = free_channels(self.nodes, self.kids)
         for name, d in self.program.procs.items():
             ctx = {v: t for (v, _), t in zip(d.params, d.param_tids or [])}
             try:
@@ -217,8 +218,6 @@ class Checker:
                     fail(dn, "E-INCOMPATIBLE", p,
                          f"endpoint types of {p.chan} cannot terminate together",
                          left=render(p.ltid), right=render(p.rtid))
-                if not self.free:
-                    self.free = free_channels(nodes, kids)
                 fvl, fvr = self.free[ks[0]], self.free[ks[1]]
                 lctx, rctx = {p.chan: p.ltid}, {p.chan: p.rtid}
                 for c, t in ctx.items():
@@ -276,7 +275,7 @@ class Checker:
     def compute_ranks(self) -> None:
         """Least ranks over the termination-path graph; ∞ exactly when the
         body's termination paths cross an unsafe loop."""
-        rank = self.graph.ranks()
+        rank = self.graph.ranks
         for name, d in self.program.procs.items():
             self.ranks[name] = rank[self.start[name]]
             if self.ranks[name] == INF:
@@ -294,7 +293,7 @@ class Checker:
         # every sub-occurrence must be bounded on its own; report only the
         # outermost failures, in preorder, to keep the noise down; when
         # every occurrence is bounded there is nothing to look for
-        bounded = self.graph.bounded()
+        bounded = self.graph.bounded
         if len(bounded) == len(self.nodes):
             return
         for name, b in self.start.items():
@@ -320,17 +319,16 @@ class Checker:
         smaller rank; a tie keeps the written marker. The written marker
         scores on the current graph, so each choice builds one graph, with
         its marker flipped, and that graph becomes the current one when the
-        flip is kept. The last current graph is the one `check_safe` reads.
+        flip is kept. The last current graph, solved here once, is the one
+        the later passes read.
         """
         self.graph = TermGraph(self)
-        rank, bounded = self.graph.ranks(), self.graph.bounded()
         for v, k in self.marker.items():
             b = self.start[self.owner[v]]
             self.marker[v] = 3 - k
-            g = TermGraph(self)
-            flip_rank, flip_bounded = g.ranks(), g.bounded()
-            if (b not in flip_bounded, flip_rank[b]) < (b not in bounded, rank[b]):
-                self.graph, rank, bounded = g, flip_rank, flip_bounded
+            g, cur = TermGraph(self), self.graph
+            if (b not in g.bounded, g.ranks[b]) < (b not in cur.bounded, cur.ranks[b]):
+                self.graph = g
             else:
                 self.marker[v] = k
 
@@ -369,7 +367,7 @@ class TermGraph:
     strongly connected components come from one run of `tarjan`, which
     emits every component after all the components it reaches. Ranks and
     action bounds are least fixpoints over this graph, each solved in time
-    linear in its size and returned by occurrence number.
+    linear in its size when first read and kept, by occurrence number.
     """
 
     def __init__(self, checker: Checker):
@@ -385,6 +383,7 @@ class TermGraph:
         self.unsafe = {v for scc in self.sccs if cyclic(scc, succ) for v in scc
                        if type(node[v]) is NewSession or weight.get(v, 0) > 0}
 
+    @cached_property
     def ranks(self) -> list[int | float]:
         """Least solution of the rank equations at every occurrence.
 
@@ -410,13 +409,13 @@ class TermGraph:
             elif self.unsafe.intersection(scc):
                 r = INF
             else:
-                members = set(scc)
-                r = max((rank[w] for v in scc for w in succ[v] if w not in members),
-                        default=0)
+                # members still read 0, and no rank leaving the scc is below 0
+                r = max(rank[w] for v in scc for w in succ[v])
             for v in scc:
                 rank[v] = r
         return rank
 
+    @cached_property
     def bounded(self) -> set[int]:
         """Action-bounded occurrences, as a least fixpoint: done and close
         are bounded, a session needs both sides, every other node needs one

@@ -1296,8 +1296,8 @@ def infer_branches_rebuild(ck: Checker) -> None:
         for k in (1, 2):
             ck.marker[v] = k
             g = TermGraph(ck)
-            rank = g.ranks()[body]
-            scores[k] = (body not in g.bounded(), rank == INF, rank, k != written)
+            rank = g.ranks[body]
+            scores[k] = (body not in g.bounded, rank == INF, rank, k != written)
         ck.marker[v] = min((1, 2), key=lambda k: scores[k])
 
 

@@ -233,6 +233,31 @@ def test_incremental_redexes_match_rebuild_oracle():
     assert min(fired[rule] for rule in RULES) >= 20, fired
 
 
+def test_threads_own_their_environments():
+    # a step writes environments in place, so after every step no two
+    # live threads may hold the same dict
+    class Owned(Soup):
+        def step(self, step_no):
+            rule = super().step(step_no)
+            envs = {id(th.env) for th in self.threads.values()}
+            assert len(envs) == len(self.threads), (rule, step_no)
+            return rule
+
+    runs = [(path.read_text(encoding="utf-8"), seed, 400)
+            for path in sorted(CORPUS.glob("*.ft")) for seed in range(8)]
+    runs += [(swarm_source(d), seed, 100_000) for d in range(1, 7) for seed in range(2)]
+    runs += [(random_runnable_source(random.Random(i)), i, 300) for i in range(1000)]
+    fired: Counter = Counter()
+    for source, seed, max_steps in runs:
+        program = load(source)
+        if "Main" not in program.procs:
+            continue
+        soup = Owned(program, SplitMix64(seed))
+        soup.spawn_main()
+        fired.update(drive(soup, max_steps, want_trace=False).stats["rules"])
+    assert min(fired["rb-par"], fired["rb-channel"], fired["sb-call"]) >= 100, fired
+
+
 def test_random_runs_share_miss_and_leave_payloads_unbound():
     # what the differential test above must cover: several threads with
     # their head on one handle, heads on missing handles, unbound payloads

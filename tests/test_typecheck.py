@@ -3,6 +3,7 @@
 import json
 import random
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -214,7 +215,7 @@ def test_term_graph_matches_cutoff_oracles():
         ck.compute_ranks()
         for name in RANK_DEFS:
             assert ck.ranks[name] == cutoff_rank(ck, name, unsafe), name
-        bounded = ck.graph.bounded()
+        bounded = ck.graph.bounded
         for v, n in enumerate(ck.nodes):
             assert (v in bounded) == action_bounded(ck, n, frozenset())
         seen["inf"] += INF in ck.ranks.values()
@@ -309,6 +310,36 @@ def test_infer_branch_builds_one_graph_per_choice(chain, monkeypatch, capsys, tm
     ck = Checker(program, infer_branch=True)
     ck.run()
     assert _markers(ck) == (written if chain == "kept" else [3 - k for k in written])
+
+
+def test_infer_branch_solves_each_graph_once(monkeypatch):
+    # every graph inference builds is solved once, for its ranks and its
+    # bounds, and the rank and bound passes read the final graph's solution
+    counts = Counter()
+    graph = typecheck.TermGraph
+    init = graph.__init__
+
+    def counting_init(g, checker):
+        counts["builds"] += 1
+        init(g, checker)
+
+    monkeypatch.setattr(graph, "__init__", counting_init)
+    for name in ("ranks", "bounded"):
+        attr = graph.__dict__[name]
+        solve = getattr(attr, "func", attr)  # a property kept once read, or a method
+
+        def counting(g, solve=solve, name=name):
+            counts[name] += 1
+            return solve(g)
+
+        if hasattr(attr, "func"):
+            counting = cached_property(counting)
+            counting.__set_name__(graph, name)
+        monkeypatch.setattr(graph, name, counting)
+    for name in sorted(CORPUS_RANKS):
+        check_program(load_corpus(name), infer_branch=True)
+    assert counts["ranks"] == counts["bounded"] == counts["builds"], counts
+    assert counts["builds"] > len(CORPUS_RANKS), counts  # some choice was scored
 
 
 def test_free_channel_table_matches_recursive_oracle():
