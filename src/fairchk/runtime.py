@@ -25,16 +25,13 @@ class SplitMix64:
     def __init__(self, seed: int):
         self.state = seed & _M64
 
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _M64
-        z = self.state
+    def below(self, n: int) -> int:
+        """Advance the state and reduce the next output into [0, n) by a
+        multiply-shift; below(1 << 64) is the output itself."""
+        self.state = z = (self.state + 0x9E3779B97F4A7C15) & _M64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-        return z ^ (z >> 31)
-
-    def below(self, n: int) -> int:
-        """Uniform-enough draw in [0, n) via the multiply-shift reduction."""
-        return (self.next_u64() * n) >> 64
+        return ((z ^ (z >> 31)) * n) >> 64
 
 
 # Every reduction rule the scheduler can fire, as named in traces.
@@ -45,16 +42,17 @@ RULES = frozenset({
 
 _RULE_ORDER = sorted(RULES)
 
-# An endpoint handle is (session number, side); the two sides of one
-# session carry the same number and opposite side bits.
-Handle = tuple[int, int]
+# An endpoint handle is one int, 2 * session number + side: the two sides
+# of a session are h and h ^ 1, and its number is h >> 1.
+Handle = int
 
 
 @dataclass(slots=True)
 class Thread:
-    """A live thread: the occurrence it is at, its environment (a dict no
-    other thread holds, so a step writes it in place) and, once it has
-    picked the branch of an output it sends, that branch's index."""
+    """A live thread: the occurrence it is at, its environment (a dict from
+    name to handle that no other thread holds, so a step writes it in place)
+    and, once it has picked the branch of an output it sends, that branch's
+    index."""
     occ: int
     env: dict[str, Handle]
     pick: int | None = None
@@ -104,7 +102,7 @@ _SHAPES = {
     ChanOut: lambda n: (None, n.chan, (n.payload,), "out", ()),
     ChanIn: lambda n: (None, n.chan, (), "in", ()),
     Choice: lambda n: ("rb-choice", None, (), None, ()),
-    NewSession: lambda n: ("rb-par", None, (), None, ()),
+    NewSession: lambda n: ("rb-par", n.chan, (), None, ()),
     Cast: lambda n: ("rb-cast", n.chan, (n.chan,), None, ()),
 }
 
@@ -123,17 +121,25 @@ class Soup:
     lists the enabled redexes in one fixed order, which the draw at each
     step depends on: first the single-thread redexes in thread order, then
     the synchronising pairs in session order. A step re-reads only the
-    threads it touched, so its cost does not grow with the thread count.
+    threads it touched, so its work does not grow with the thread count;
+    its time still does (ROADMAP item 4).
 
     A thread stands at an occurrence number of the program and moves along
     `program.kids` and `program.start`. What it can do there is read off a
-    table with one entry per occurrence, built when the soup is.
+    table with one entry per occurrence, built when the soup is, and so is
+    what a call there binds and where it goes.
     """
 
     def __init__(self, program: Program, rng: SplitMix64):
         self.program = program
         self.rng = rng
-        self.shapes = [_SHAPES[type(n)](n) for n in program.nodes]
+        nodes, procs, start = program.nodes, program.procs, program.start
+        self.shapes = [_SHAPES[type(n)](n) for n in nodes]
+        # occurrence -> (parameter names, argument names, callee start,
+        # callee name) at a call, None elsewhere
+        self.calls = [(tuple(p for p, _ in procs[n.name].params), tuple(n.args),
+                       start[n.name], n.name) if type(n) is Call else None
+                      for n in nodes]
         self.threads: dict[int, Thread] = {}
         self.next_thread = 0
         self.next_session = 0
@@ -155,181 +161,170 @@ class Soup:
             raise ValueError(f"program has no {entry} definition")
         if d.params:
             raise ValueError(f"{entry} must take no parameters to be run")
-        self._spawn(Thread(self.program.start[entry], {}))
+        self.threads[0] = Thread(self.program.start[entry], {})
+        self.next_thread = 1
         self._refresh((0,))
-
-    def _spawn(self, thread: Thread) -> None:
-        self.threads[self.next_thread] = thread
-        self.next_thread += 1
-
-    # -- the redex index ------------------------------------------------------
-
-    def _draw(self) -> tuple | None:
-        """The redex the generator picks, or None when nothing is enabled."""
-        n = len(self.singles)
-        total = n + len(self.sessions)
-        if not total:
-            return None
-        k = self.rng.below(total)
-        if k < n:
-            tid = self.singles[k]
-            return (self.role[tid], tid)
-        return self.pairs[self.sessions[k - n]]
-
-    def _refresh(self, tids) -> None:
-        """Re-read the threads a step touched or created, then the pairs of
-        every session whose heads they left or joined."""
-        roles, singles, heads, threads = self.role, self.singles, self.heads, self.threads
-        sessions = set()
-        for tid in tids:
-            role = roles.pop(tid, None)
-            if type(role) is str:
-                del singles[bisect_left(singles, tid)]
-            elif role is not None:
-                holders = heads[role]
-                holders.discard(tid)
-                if not holders:
-                    del heads[role]
-                sessions.add(role[0])
-            th = threads.get(tid)
-            if th is None:
-                continue
-            role = self._role(th)
-            if role is None:
-                continue
-            if role is _END:
-                del threads[tid]
-                continue
-            roles[tid] = role
-            if type(role) is str:
-                insort(singles, tid)
-            else:
-                heads.setdefault(role, set()).add(tid)
-                sessions.add(role[0])
-        for sid in sessions:
-            self._pair(sid)
-        if len(threads) > self.peak_threads:
-            self.peak_threads = len(threads)
-
-    def _role(self, th: Thread) -> str | Handle | None:
-        """The single-thread rule a live thread enables, _END at a `done`,
-        the handle its communication head waits on, or None when it is
-        blocked alone.
-
-        A name it needs but lacks just leaves the thread blocked; only
-        ill-typed programs executed with --unsafe can get there.
-        """
-        rule, chan, needs, _, _ = self.shapes[th.occ]
-        env = th.env
-        for name in needs:
-            if name not in env:
-                return None
-        if rule is None or th.pick is not None:
-            return env.get(chan)
-        return rule
-
-    def _pair(self, sid: int) -> None:
-        """Re-read the heads of one session: at most one pair redex."""
-        redex = None
-        side0, side1 = self.heads.get((sid, 0)), self.heads.get((sid, 1))
-        if side0 and side1:
-            i, j = max(side0), max(side1)
-            p, q = self.threads[i], self.threads[j]
-            rule = self._offers(p, q)
-            if rule is not None:
-                redex = (rule, i, j)
-            else:
-                rule = self._offers(q, p)
-                if rule is not None:
-                    redex = (rule, j, i)
-        if redex is not None:
-            if sid not in self.pairs:
-                insort(self.sessions, sid)
-            self.pairs[sid] = redex
-        elif sid in self.pairs:
-            del self.pairs[sid]
-            del self.sessions[bisect_left(self.sessions, sid)]
-
-    def _offers(self, a: Thread, b: Thread) -> str | None:
-        """The rule by which head a, the closer or sender, meets head b."""
-        shape = self.shapes[b.occ]
-        rule = _MEETS.get((self.shapes[a.occ][3], shape[3]))
-        if rule == "rb-tag" and self._label(a) not in shape[4]:
-            return None
-        return rule
-
-    def _label(self, sender: Thread) -> str:
-        """The label an output head sends: its one branch or the one it picked."""
-        return self.shapes[sender.occ][4][sender.pick or 0]
 
     def step(self, step_no: int) -> str | None:
         """Fire one uniformly chosen redex and return its rule; None when
         nothing is enabled. A trace entry is kept only when `trace` is a list."""
-        redex = self._draw()
-        if redex is None:
+        singles = self.singles
+        n = len(singles)
+        k = n + len(self.sessions)
+        if not k:
             return None
-        rule = redex[0]
-        sid, detail = self._apply(redex)
+        k = self.rng.below(k)
+        threads, shapes, kids = self.threads, self.shapes, self.program.kids
+        h = -1  # the handle of the session the rule acts on, -1 for none
+        if k < n:
+            tid = singles[k]
+            rule = self.role[tid]
+            th = threads[tid]
+            v = th.occ
+            touched = (tid,)
+            if rule == "sb-call":
+                params, args, th.occ, detail = self.calls[v]
+                env = th.env
+                th.env = {p: env[a] for p, a in zip(params, args)}
+            elif rule == "rb-par":
+                chan = detail = shapes[v][1]
+                sid = self.next_session
+                self.next_session = sid + 1
+                h = 2 * sid
+                new = self.next_thread
+                self.next_thread = new + 1
+                # the forked thread is the one a step creates, the newest
+                threads[new] = Thread(kids[v][1], {**th.env, chan: h + 1})
+                th.env[chan] = h
+                th.occ = kids[v][0]
+                touched = (tid, new)
+            elif rule == "rb-pick":
+                pick = th.pick = self.rng.below(len(kids[v]))
+                _, chan, _, _, labels = shapes[v]
+                h = th.env[chan]
+                detail = labels[pick]
+            elif rule == "rb-choice":
+                pick = self.rng.below(2)
+                th.occ = kids[v][pick]
+                detail = _BRANCHES[pick]
+            else:  # rb-cast
+                chan = detail = shapes[v][1]
+                th.occ = kids[v][0]
+                h = th.env[chan]
+        else:
+            rule, i, j = self.pairs[self.sessions[k - n]]
+            th, other = threads[i], threads[j]
+            v, w = th.occ, other.occ
+            _, chan, needs, _, labels = shapes[v]
+            h = th.env[chan]
+            touched = (i, j)
+            if rule == "rb-tag":
+                pick = th.pick or 0
+                detail = labels[pick]
+                th.occ, th.pick = kids[v][pick], None
+                other.occ = kids[w][shapes[w][4].index(detail)]
+            elif rule == "rb-signal":
+                # the closer is done
+                del threads[i]
+                other.occ = kids[w][0]
+                detail = "close/wait"
+            else:  # rb-channel
+                payload, var = needs[0], self.program.nodes[w].var
+                other.env[var] = th.env.pop(payload)
+                th.occ, other.occ = kids[v][0], kids[w][0]
+                detail = f"{payload} -> {var}" if self.trace is not None else None
         if self.trace is not None:
-            self.trace.append(TraceEntry(step_no, rule, f"s{sid}" if sid >= 0 else "-",
+            self.trace.append(TraceEntry(step_no, rule, f"s{h >> 1}" if h >= 0 else "-",
                                          detail))
-        # rb-par is the one rule that creates a thread, the newest one
-        self._refresh(redex[1:] if rule != "rb-par"
-                      else (redex[1], self.next_thread - 1))
+        self._refresh(touched)
         self.fired[rule] += 1
         return rule
 
-    def _apply(self, redex: tuple) -> tuple[int, str]:
-        """Fire a redex; the session it acted on (-1 for none) and the
-        detail its trace entry shows."""
-        rule = redex[0]
-        nodes, kids = self.program.nodes, self.program.kids
-        th = self.threads[redex[1]]
-        v = th.occ
-        if rule == "rb-choice":
-            pick = self.rng.below(2)
-            th.occ = kids[v][pick]
-            return -1, _BRANCHES[pick]
-        if rule == "sb-call":
-            n = nodes[v]
-            params = self.program.procs[n.name].params
-            th.env = {p: th.env[a] for (p, _), a in zip(params, n.args)}
-            th.occ = self.program.start[n.name]
-            return -1, n.name
-        if rule == "rb-cast":
-            chan = nodes[v].chan
-            th.occ = kids[v][0]
-            return th.env[chan][0], chan
-        if rule == "rb-par":
-            chan = nodes[v].chan
-            sid = self.next_session
-            self.next_session += 1
-            self._spawn(Thread(kids[v][1], {**th.env, chan: (sid, 1)}))
-            th.env[chan] = (sid, 0)
-            th.occ = kids[v][0]
-            return sid, chan
-        if rule == "rb-pick":
-            th.pick = self.rng.below(len(kids[v]))
-            return th.env[nodes[v].chan][0], self._label(th)
-        other = self.threads[redex[2]]
-        sid = th.env[nodes[v].chan][0]
-        if rule == "rb-signal":
-            # the closer is done
-            del self.threads[redex[1]]
-            other.occ = kids[other.occ][0]
-            return sid, "close/wait"
-        if rule == "rb-tag":
-            label = self._label(th)
-            th.occ, th.pick = kids[v][th.pick or 0], None
-            w = other.occ
-            other.occ = kids[w][self.shapes[w][4].index(label)]
-            return sid, label
-        if rule == "rb-channel":
-            payload, var = nodes[v].payload, nodes[other.occ].var
-            other.env[var] = th.env.pop(payload)
-            th.occ, other.occ = kids[v][0], kids[other.occ][0]
-            return sid, f"{payload} -> {var}"
-        raise AssertionError(f"unknown rule {rule}")
+    def _refresh(self, tids) -> None:
+        """Re-read the threads a step touched or created, and re-index each
+        one only where its role changed; then re-pair every session whose
+        heads they were or are on.
+
+        A thread's role is the single-thread rule it enables, _END at a
+        `done` (it leaves the soup), the handle its head waits on, or None
+        when it is blocked alone. A name it needs but lacks just leaves it
+        blocked; only ill-typed programs executed with --unsafe get there.
+        """
+        roles, singles, heads, threads, shapes = (
+            self.role, self.singles, self.heads, self.threads, self.shapes)
+        touched = []  # the sessions to re-pair
+        for tid in tids:
+            new = None
+            th = threads.get(tid)
+            if th is not None:
+                rule, chan, needs, _, _ = shapes[th.occ]
+                env = th.env
+                for name in needs:
+                    if name not in env:
+                        break
+                else:
+                    new = rule if rule is not None and th.pick is None else env.get(chan)
+                if new is _END:
+                    del threads[tid]
+                    new = None
+            old = roles.get(tid)
+            if type(old) is str:
+                if type(new) is str:
+                    roles[tid] = new
+                    continue
+                del singles[bisect_left(singles, tid)]
+            elif old is not None:
+                if new == old:
+                    # a head that stays on its handle: only its session changes
+                    if old >> 1 not in touched:
+                        touched.append(old >> 1)
+                    continue
+                holders = heads[old]
+                holders.discard(tid)
+                if not holders:
+                    del heads[old]
+                if old >> 1 not in touched:
+                    touched.append(old >> 1)
+            if new is None:
+                if old is not None:
+                    del roles[tid]
+                continue
+            roles[tid] = new
+            if type(new) is str:
+                insort(singles, tid)
+                continue
+            holders = heads.get(new)
+            if holders is None:
+                heads[new] = {tid}
+            else:
+                holders.add(tid)
+            if new >> 1 not in touched:
+                touched.append(new >> 1)
+        # re-pair: the newest head on each side, the closer or sender first
+        pairs = self.pairs
+        for sid in touched:
+            redex = None
+            side0, side1 = heads.get(2 * sid), heads.get(2 * sid + 1)
+            if side0 and side1:
+                i, j = max(side0), max(side1)
+                p, q = threads[i], threads[j]
+                sp, sq = shapes[p.occ], shapes[q.occ]
+                rule = _MEETS.get((sp[3], sq[3]))
+                if rule is None:
+                    rule = _MEETS.get((sq[3], sp[3]))
+                    i, j, p, sp, sq = j, i, q, sq, sp
+                # a tag meets a receiver only on a label it offers
+                if rule is not None and (rule != "rb-tag" or sp[4][p.pick or 0] in sq[4]):
+                    redex = (rule, i, j)
+            if redex is not None:
+                if sid not in pairs:
+                    insort(self.sessions, sid)
+                pairs[sid] = redex
+            elif sid in pairs:
+                del pairs[sid]
+                del self.sessions[bisect_left(self.sessions, sid)]
+        if len(threads) > self.peak_threads:
+            self.peak_threads = len(threads)
 
     def dump(self) -> list[str]:
         out = []
@@ -338,9 +333,9 @@ class Soup:
             n = nodes[th.occ]
             if th.pick is not None:
                 # a picked output prints as the one branch it will send
-                n = TagComm(n.chan, n.pol, [(self._label(th), nodes[kids[th.occ][th.pick]])],
-                            n.at)
-            env = ", ".join(f"{v}=s{h[0]}.{h[1]}" for v, h in sorted(th.env.items()))
+                n = TagComm(n.chan, n.pol, [(self.shapes[th.occ][4][th.pick],
+                                             nodes[kids[th.occ][th.pick]])], n.at)
+            env = ", ".join(f"{v}=s{h >> 1}.{h & 1}" for v, h in sorted(th.env.items()))
             out.append(f"{render(n)}  [{env}]")
         return out
 

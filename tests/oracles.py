@@ -46,7 +46,7 @@ from operator import itemgetter
 
 from fairchk import types
 from fairchk.graph import closure, reach, reverse
-from fairchk.runtime import RULES, Handle, RunOutcome, SplitMix64, TraceEntry
+from fairchk.runtime import RULES, RunOutcome, SplitMix64, TraceEntry
 from fairchk.semantics import Config, compatible, moves, session_rank
 from fairchk.subtyping import Simulation, _judge, fair_subtype, simulate, solve_weights
 from fairchk.surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
@@ -1482,10 +1482,15 @@ class RecursiveTyping(Checker):
 
 # -- the interpreter on syntax trees ------------------------------------------------
 
+# The tree interpreter keeps an endpoint handle as (session number, side),
+# so the differential tests compare it with the int handles of the runtime.
+TreeHandle = tuple[int, int]
+
+
 @dataclass
 class TreeThread:
     proc: ProcExpr
-    env: dict[str, Handle]
+    env: dict[str, TreeHandle]
 
 
 class TreeSoup:
@@ -1506,11 +1511,11 @@ class TreeSoup:
         self.next_thread = 0
         self.next_session = 0
         # thread -> its single-thread rule, or the handle its head is on
-        self.role: dict[int, str | Handle] = {}
+        self.role: dict[int, str | TreeHandle] = {}
         self.singles: list[int] = []  # threads with a single-thread rule, ascending
         # handle -> threads whose head is on it; the newest one is the head
         # that pairs, as several can hold one handle under --unsafe
-        self.heads: dict[Handle, set[int]] = {}
+        self.heads: dict[TreeHandle, set[int]] = {}
         self.sessions: list[int] = []  # sessions with a pair redex, ascending
         self.pairs: dict[int, tuple] = {}  # session -> (rule, offer, other)
         self.fired = dict.fromkeys(sorted(RULES), 0)
@@ -1694,7 +1699,7 @@ class TreeSoup:
         return out
 
 
-def _tree_role(p: ProcExpr, env: dict[str, Handle]) -> str | Handle | None:
+def _tree_role(p: ProcExpr, env: dict[str, TreeHandle]) -> str | TreeHandle | None:
     """The single-thread rule a live thread enables, or the handle its
     communication head waits on, or None when it is blocked alone."""
     if isinstance(p, Call):
@@ -1760,7 +1765,7 @@ def redexes_rebuild(threads: dict) -> list[tuple]:
     single-thread ones in thread order, then the pairs by session. Where
     several threads have their head on one handle, the last one pairs."""
     single: list[tuple] = []
-    heads: dict[Handle, tuple[int, ProcExpr]] = {}
+    heads: dict[TreeHandle, tuple[int, ProcExpr]] = {}
     for i, th in threads.items():
         p = th.proc
         if isinstance(p, Choice):

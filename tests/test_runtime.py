@@ -24,14 +24,15 @@ SEED0_VECTOR = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
 def test_splitmix64_reference_vector():
+    # the multiply-shift reduction into [0, 2**64) is the output itself
     gen = SplitMix64(0)
-    assert [gen.next_u64() for _ in range(3)] == SEED0_VECTOR
+    assert [gen.below(1 << 64) for _ in range(3)] == SEED0_VECTOR
 
 
 def test_splitmix64_is_deterministic():
     a = SplitMix64(987654321)
     b = SplitMix64(987654321)
-    assert [a.next_u64() for _ in range(50)] == [b.next_u64() for _ in range(50)]
+    assert [a.below(1 << 64) for _ in range(50)] == [b.below(1 << 64) for _ in range(50)]
 
 
 def test_splitmix64_below_stays_in_range():
@@ -233,6 +234,25 @@ def test_incremental_redexes_match_rebuild_oracle():
     assert min(fired[rule] for rule in RULES) >= 20, fired
 
 
+def _drive_every_run(soup_class) -> Counter:
+    """Drive the corpus at 8 seeds, `swarm_source(d)` for d = 1..6 at 2
+    seeds and the 1000 `random_runnable_source` draws of the differential
+    test on soups of `soup_class`; return how often each rule fired."""
+    runs = [(path.read_text(encoding="utf-8"), seed, 400)
+            for path in sorted(CORPUS.glob("*.ft")) for seed in range(8)]
+    runs += [(swarm_source(d), seed, 100_000) for d in range(1, 7) for seed in range(2)]
+    runs += [(random_runnable_source(random.Random(i)), i, 300) for i in range(1000)]
+    fired: Counter = Counter()
+    for source, seed, max_steps in runs:
+        program = load(source)
+        if "Main" not in program.procs:
+            continue
+        soup = soup_class(program, SplitMix64(seed))
+        soup.spawn_main()
+        fired.update(drive(soup, max_steps, want_trace=False).stats["rules"])
+    return fired
+
+
 def test_threads_own_their_environments():
     # a step writes environments in place, so after every step no two
     # live threads may hold the same dict
@@ -243,19 +263,36 @@ def test_threads_own_their_environments():
             assert len(envs) == len(self.threads), (rule, step_no)
             return rule
 
-    runs = [(path.read_text(encoding="utf-8"), seed, 400)
-            for path in sorted(CORPUS.glob("*.ft")) for seed in range(8)]
-    runs += [(swarm_source(d), seed, 100_000) for d in range(1, 7) for seed in range(2)]
-    runs += [(random_runnable_source(random.Random(i)), i, 300) for i in range(1000)]
-    fired: Counter = Counter()
-    for source, seed, max_steps in runs:
-        program = load(source)
-        if "Main" not in program.procs:
-            continue
-        soup = Owned(program, SplitMix64(seed))
-        soup.spawn_main()
-        fired.update(drive(soup, max_steps, want_trace=False).stats["rules"])
+    fired = _drive_every_run(Owned)
     assert min(fired["rb-par"], fired["rb-channel"], fired["sb-call"]) >= 100, fired
+
+
+def test_index_matches_a_rebuild_after_every_step():
+    # a step re-indexes a thread only where its role changed; after every
+    # step the index must equal what a fresh soup builds by re-reading
+    # every live thread
+    seen: Counter = Counter()
+
+    class Checked(Soup):
+        def step(self, step_no):
+            before = {tid: (self.role.get(tid), th.occ) for tid, th in self.threads.items()}
+            rule = super().step(step_no)
+            fresh = Soup(self.program, SplitMix64(0))
+            fresh.threads = dict(self.threads)
+            fresh._refresh(tuple(self.threads))
+            for name in ("role", "singles", "heads", "sessions", "pairs"):
+                assert getattr(self, name) == getattr(fresh, name), (name, rule, step_no)
+            for tid, (role, occ) in before.items():
+                now = self.role.get(tid)
+                if type(role) is int and now == role and self.threads[tid].occ != occ:
+                    seen["head stays on its handle"] += 1
+                elif type(role) is str and type(now) is str and now != role:
+                    seen["single to another single"] += 1
+            return rule
+
+    _drive_every_run(Checked)
+    assert min(seen[k] for k in ("head stays on its handle",
+                                 "single to another single")) >= 100, seen
 
 
 def test_random_runs_share_miss_and_leave_payloads_unbound():
@@ -290,39 +327,41 @@ def test_random_runs_share_miss_and_leave_payloads_unbound():
     assert min(programs[k] for k in ("shared", "missing", "unbound payload")) >= 50, programs
 
 
-def test_step_work_independent_of_thread_count(monkeypatch):
-    # count the threads each step re-reads, and the threads whose occurrence
-    # it looks up; the work, not the time
+def test_step_work_independent_of_thread_count():
+    # count the threads each step re-reads, and the reads of the
+    # per-occurrence table; the work, not the time
     per_step: list[int] = []
-    looked_up: list[int] = []
-    refresh, step, role = Soup._refresh, Soup.step, Soup._role
+    reads: list[int] = []
 
-    def counting_refresh(soup, tids):
-        tids = tuple(tids)
-        per_step[-1] += len(tids)
-        return refresh(soup, tids)
+    class Counting(list):
+        def __getitem__(self, v):
+            reads[-1] += 1
+            return super().__getitem__(v)
 
-    def counting_step(soup, step_no):
-        per_step.append(0)
-        looked_up.append(0)
-        return step(soup, step_no)
+    class Counted(Soup):
+        def step(self, step_no):
+            per_step.append(0)
+            reads.append(0)
+            return super().step(step_no)
 
-    def counting_role(soup, th):
-        looked_up[-1] += 1
-        return role(soup, th)
+        def _refresh(self, tids):
+            per_step[-1] += len(tids)
+            return super()._refresh(tids)
 
-    monkeypatch.setattr(Soup, "_refresh", counting_refresh)
-    monkeypatch.setattr(Soup, "step", counting_step)
-    monkeypatch.setattr(Soup, "_role", counting_role)
     for d in (3, 8):
         per_step[:] = [0]  # spawning Main
-        looked_up[:] = [0]
-        out = run(load(swarm_source(d)), seed=d)
+        reads[:] = [0]
+        soup = Counted(load(swarm_source(d)), SplitMix64(d))
+        soup.shapes = Counting(soup.shapes)
+        soup.spawn_main()
+        out = drive(soup, 100_000, want_trace=False)
         assert out.kind == "terminated"
         assert out.stats["peakThreads"] > 2 ** d
-        assert len(per_step) == len(looked_up) == 1 + out.steps
+        assert len(per_step) == len(reads) == 1 + out.steps
         assert per_step[0] == 1 and max(per_step) <= 3
-        assert looked_up[0] == 1 and max(looked_up) <= 3
+        # the most is an rb-tag: the sender's and the receiver's entry to
+        # fire it, the two threads re-read, and the session's two heads
+        assert reads[0] == 1 and max(reads) <= 6
 
 
 def test_run_stats_count_rules_threads_and_sessions():
