@@ -47,17 +47,6 @@ _RULE_ORDER = sorted(RULES)
 Handle = int
 
 
-@dataclass(slots=True)
-class Thread:
-    """A live thread: the occurrence it is at, its environment (a dict from
-    name to handle that no other thread holds, so a step writes it in place)
-    and, once it has picked the branch of an output it sends, that branch's
-    index."""
-    occ: int
-    env: dict[str, Handle]
-    pick: int | None = None
-
-
 @dataclass
 class TraceEntry:
     step: int
@@ -88,20 +77,21 @@ _END = "end"  # the rule of a `done`: its thread leaves the soup
 # What a thread at an occurrence of each kind of node can do: (the rule it
 # fires alone, None when it is a head that pairs, or _END; the channel it
 # acts on; the names it needs bound to do anything; its kind of head, a key
-# of _MEETS; the labels of its branches).
+# of _MEETS; the labels of its branches). A choice and an output with
+# several branches move to the kid of the label they draw; in the soup an
+# output's kids are the one-branch outputs it becomes once picked.
 _SHAPES = {
     Done: lambda n: (_END, None, (), None, ()),
     Call: lambda n: ("sb-call", None, tuple(n.args), None, ()),
     Close: lambda n: (None, n.chan, (), "close", ()),
     Wait: lambda n: (None, n.chan, (), "wait", ()),
-    # an output with several branches picks one before it is a head
     TagComm: lambda n: (
         ("rb-pick", n.chan, (n.chan,), "send", n.labels)
         if n.pol == "!" and len(n.labels) > 1
         else (None, n.chan, (), "send" if n.pol == "!" else "receive", n.labels)),
     ChanOut: lambda n: (None, n.chan, (n.payload,), "out", ()),
     ChanIn: lambda n: (None, n.chan, (), "in", ()),
-    Choice: lambda n: ("rb-choice", None, (), None, ()),
+    Choice: lambda n: ("rb-choice", None, (), None, ("branch 1", "branch 2")),
     NewSession: lambda n: ("rb-par", n.chan, (), None, ()),
     Cast: lambda n: ("rb-cast", n.chan, (n.chan,), None, ()),
 }
@@ -111,36 +101,52 @@ _SHAPES = {
 _MEETS = {("close", "wait"): "rb-signal", ("out", "in"): "rb-channel",
           ("send", "receive"): "rb-tag"}
 
-_BRANCHES = ("branch 1", "branch 2")
-
 
 class Soup:
     """The live threads and an index of the redexes they enable.
 
-    Threads are keyed by creation number, in creation order. The index
-    lists the enabled redexes in one fixed order, which the draw at each
-    step depends on: first the single-thread redexes in thread order, then
-    the synchronising pairs in session order. A step re-reads only the
-    threads it touched, so its work does not grow with the thread count;
-    its time still does (ROADMAP item 4).
+    A thread is an occurrence number and an environment (a dict from name
+    to handle that no other thread holds, so a step writes it in place):
+    `threads` and `env` map each live thread's creation number to them, in
+    creation order. The index lists the enabled redexes in one fixed order,
+    which the draw at each step depends on: first the single-thread
+    redexes in thread order, then the synchronising pairs in session order.
+    A step re-reads only the threads it touched, so its work does not grow
+    with the thread count; its time still does (ROADMAP item 4).
 
-    A thread stands at an occurrence number of the program and moves along
-    `program.kids` and `program.start`. What it can do there is read off a
-    table with one entry per occurrence, built when the soup is, and so is
+    A thread moves along the soup's own copy of the occurrence table, which
+    leaves the program as loaded and adds, for each output with several
+    branches, one picked occurrence per branch (its kids in the soup), then
+    one `done`, where a closer moves after rb-signal. What a thread can do
+    at an occurrence is read off a table with one entry each, and so is
     what a call there binds and where it goes.
     """
 
     def __init__(self, program: Program, rng: SplitMix64):
         self.program = program
         self.rng = rng
-        nodes, procs, start = program.nodes, program.procs, program.start
-        self.shapes = [_SHAPES[type(n)](n) for n in nodes]
+        procs, start = program.procs, program.start
+        nodes, kids = self.nodes, self.kids = list(program.nodes), list(program.kids)
+        shapes = self.shapes = [_SHAPES[type(n)](n) for n in nodes]
         # occurrence -> (parameter names, argument names, callee start,
         # callee name) at a call, None elsewhere
         self.calls = [(tuple(p for p, _ in procs[n.name].params), tuple(n.args),
                        start[n.name], n.name) if type(n) is Call else None
                       for n in nodes]
-        self.threads: dict[int, Thread] = {}
+        for v, (rule, chan, _, _, labels) in enumerate(shapes[:len(nodes)]):
+            if rule == "rb-pick":
+                branches = kids[v]
+                kids[v] = list(range(len(nodes), len(nodes) + len(labels)))
+                for label, k in zip(labels, branches):
+                    nodes.append(TagComm(chan, "!", [(label, nodes[k])]))
+                    kids.append([k])
+                    shapes.append((None, chan, (), "send", (label,)))
+        self.done = len(nodes)
+        nodes.append(Done())
+        kids.append([])
+        shapes.append((_END, None, (), None, ()))
+        self.threads: dict[int, int] = {}  # live thread -> its occurrence
+        self.env: dict[int, dict[str, Handle]] = {}  # live thread -> its environment
         self.next_thread = 0
         self.next_session = 0
         # thread -> its single-thread rule, or the handle its head is on
@@ -161,7 +167,8 @@ class Soup:
             raise ValueError(f"program has no {entry} definition")
         if d.params:
             raise ValueError(f"{entry} must take no parameters to be run")
-        self.threads[0] = Thread(self.program.start[entry], {})
+        self.threads[0] = self.program.start[entry]
+        self.env[0] = {}
         self.next_thread = 1
         self._refresh((0,))
 
@@ -174,18 +181,17 @@ class Soup:
         if not k:
             return None
         k = self.rng.below(k)
-        threads, shapes, kids = self.threads, self.shapes, self.program.kids
+        threads, env, shapes, kids = self.threads, self.env, self.shapes, self.kids
         h = -1  # the handle of the session the rule acts on, -1 for none
         if k < n:
             tid = singles[k]
             rule = self.role[tid]
-            th = threads[tid]
-            v = th.occ
+            v = threads[tid]
             touched = (tid,)
             if rule == "sb-call":
-                params, args, th.occ, detail = self.calls[v]
-                env = th.env
-                th.env = {p: env[a] for p, a in zip(params, args)}
+                params, args, threads[tid], detail = self.calls[v]
+                e = env[tid]
+                env[tid] = {p: e[a] for p, a in zip(params, args)}
             elif rule == "rb-par":
                 chan = detail = shapes[v][1]
                 sid = self.next_session
@@ -194,44 +200,38 @@ class Soup:
                 new = self.next_thread
                 self.next_thread = new + 1
                 # the forked thread is the one a step creates, the newest
-                threads[new] = Thread(kids[v][1], {**th.env, chan: h + 1})
-                th.env[chan] = h
-                th.occ = kids[v][0]
+                e = env[tid]
+                threads[new], env[new] = kids[v][1], {**e, chan: h + 1}
+                threads[tid], e[chan] = kids[v][0], h
                 touched = (tid, new)
-            elif rule == "rb-pick":
-                pick = th.pick = self.rng.below(len(kids[v]))
-                _, chan, _, _, labels = shapes[v]
-                h = th.env[chan]
-                detail = labels[pick]
-            elif rule == "rb-choice":
-                pick = self.rng.below(2)
-                th.occ = kids[v][pick]
-                detail = _BRANCHES[pick]
-            else:  # rb-cast
+            elif rule == "rb-cast":
                 chan = detail = shapes[v][1]
-                th.occ = kids[v][0]
-                h = th.env[chan]
+                threads[tid] = kids[v][0]
+                h = env[tid][chan]
+            else:  # rb-pick or rb-choice: move to the branch drawn
+                _, chan, _, _, labels = shapes[v]
+                pick = self.rng.below(len(labels))
+                threads[tid] = kids[v][pick]
+                detail = labels[pick]
+                if chan is not None:
+                    h = env[tid][chan]
         else:
             rule, i, j = self.pairs[self.sessions[k - n]]
-            th, other = threads[i], threads[j]
-            v, w = th.occ, other.occ
+            v, w = threads[i], threads[j]
             _, chan, needs, _, labels = shapes[v]
-            h = th.env[chan]
+            h = env[i][chan]
             touched = (i, j)
             if rule == "rb-tag":
-                pick = th.pick or 0
-                detail = labels[pick]
-                th.occ, th.pick = kids[v][pick], None
-                other.occ = kids[w][shapes[w][4].index(detail)]
+                detail = labels[0]
+                threads[i] = kids[v][0]
+                threads[j] = kids[w][shapes[w][4].index(detail)]
             elif rule == "rb-signal":
-                # the closer is done
-                del threads[i]
-                other.occ = kids[w][0]
+                threads[i], threads[j] = self.done, kids[w][0]
                 detail = "close/wait"
             else:  # rb-channel
-                payload, var = needs[0], self.program.nodes[w].var
-                other.env[var] = th.env.pop(payload)
-                th.occ, other.occ = kids[v][0], kids[w][0]
+                payload, var = needs[0], self.nodes[w].var
+                env[j][var] = env[i].pop(payload)
+                threads[i], threads[j] = kids[v][0], kids[w][0]
                 detail = f"{payload} -> {var}" if self.trace is not None else None
         if self.trace is not None:
             self.trace.append(TraceEntry(step_no, rule, f"s{h >> 1}" if h >= 0 else "-",
@@ -250,23 +250,21 @@ class Soup:
         when it is blocked alone. A name it needs but lacks just leaves it
         blocked; only ill-typed programs executed with --unsafe get there.
         """
-        roles, singles, heads, threads, shapes = (
-            self.role, self.singles, self.heads, self.threads, self.shapes)
+        roles, singles, heads, threads, env, shapes = (
+            self.role, self.singles, self.heads, self.threads, self.env, self.shapes)
         touched = []  # the sessions to re-pair
         for tid in tids:
             new = None
-            th = threads.get(tid)
-            if th is not None:
-                rule, chan, needs, _, _ = shapes[th.occ]
-                env = th.env
-                for name in needs:
-                    if name not in env:
-                        break
-                else:
-                    new = rule if rule is not None and th.pick is None else env.get(chan)
-                if new is _END:
-                    del threads[tid]
-                    new = None
+            rule, chan, needs, _, _ = shapes[threads[tid]]
+            e = env[tid]
+            for name in needs:
+                if name not in e:
+                    break
+            else:
+                new = rule if rule is not None else e.get(chan)
+            if new is _END:
+                del threads[tid], env[tid]
+                new = None
             old = roles.get(tid)
             if type(old) is str:
                 if type(new) is str:
@@ -307,14 +305,13 @@ class Soup:
             side0, side1 = heads.get(2 * sid), heads.get(2 * sid + 1)
             if side0 and side1:
                 i, j = max(side0), max(side1)
-                p, q = threads[i], threads[j]
-                sp, sq = shapes[p.occ], shapes[q.occ]
+                sp, sq = shapes[threads[i]], shapes[threads[j]]
                 rule = _MEETS.get((sp[3], sq[3]))
                 if rule is None:
                     rule = _MEETS.get((sq[3], sp[3]))
-                    i, j, p, sp, sq = j, i, q, sq, sp
+                    i, j, sp, sq = j, i, sq, sp
                 # a tag meets a receiver only on a label it offers
-                if rule is not None and (rule != "rb-tag" or sp[4][p.pick or 0] in sq[4]):
+                if rule is not None and (rule != "rb-tag" or sp[4][0] in sq[4]):
                     redex = (rule, i, j)
             if redex is not None:
                 if sid not in pairs:
@@ -328,15 +325,10 @@ class Soup:
 
     def dump(self) -> list[str]:
         out = []
-        nodes, kids = self.program.nodes, self.program.kids
-        for th in self.threads.values():
-            n = nodes[th.occ]
-            if th.pick is not None:
-                # a picked output prints as the one branch it will send
-                n = TagComm(n.chan, n.pol, [(self.shapes[th.occ][4][th.pick],
-                                             nodes[kids[th.occ][th.pick]])], n.at)
-            env = ", ".join(f"{v}=s{h >> 1}.{h & 1}" for v, h in sorted(th.env.items()))
-            out.append(f"{render(n)}  [{env}]")
+        nodes, env = self.nodes, self.env
+        for tid, occ in self.threads.items():
+            names = ", ".join(f"{v}=s{h >> 1}.{h & 1}" for v, h in sorted(env[tid].items()))
+            out.append(f"{render(nodes[occ])}  [{names}]")
         return out
 
 

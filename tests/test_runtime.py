@@ -13,7 +13,8 @@ import pytest
 
 from conftest import CORPUS, RUNNABLE, load_corpus
 from fairchk.runtime import RULES, RunOutcome, Soup, SplitMix64, drive, run
-from fairchk.surface import ChanIn, ChanOut, Close, TagComm, Wait, load
+from fairchk.surface import ChanIn, ChanOut, Close, Done, TagComm, Wait, load
+from fairchk.typecheck import check_program
 from gen import random_runnable_source, swarm_source
 from json_schema import RUN_STATS, TRACE_ENTRY, validate
 from oracles import OracleSoup, TreeSoup, drive_tree
@@ -206,8 +207,9 @@ def test_number_interpreter_matches_the_tree_interpreter():
         for seed in range(8):
             out, soup = _runs_agree(program, 8 * i + seed, 300, TreeSoup)
             kinds[out.kind] += 1
-            # a dump that prints a picked output as its one branch
-            kinds["picked"] += any(th.pick is not None for th in soup.threads.values())
+            # a dump that prints a picked output as its one branch, an
+            # occurrence the soup adds past the program's
+            kinds["picked"] += any(occ >= len(program.nodes) for occ in soup.threads.values())
     assert min(kinds[k] for k in ("stuck", "step-limit", "terminated")) >= 100, kinds
     assert kinds["picked"] >= 50, kinds
 
@@ -232,6 +234,40 @@ def test_incremental_redexes_match_rebuild_oracle():
         fired.update(rule for rule, n in out.stats["rules"].items() if n)
     assert kinds["stuck"] >= 100 and kinds["step-limit"] >= 50 and kinds["terminated"] >= 25
     assert min(fired[rule] for rule in RULES) >= 20, fired
+
+
+def test_a_run_leaves_the_program_as_loaded():
+    # the soup extends its own copy of the occurrence table: the checker
+    # shares the program, so a run must leave it as it was loaded
+    sources = [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.ft"))]
+    sources += [swarm_source(d) for d in range(1, 7)]
+    sources += [random_runnable_source(random.Random(i)) for i in range(300)]
+    picking = 0
+    for i, source in enumerate(sources):
+        program = load(source)
+        nodes, kids = list(program.nodes), [list(k) for k in program.kids]
+        start, report = dict(program.start), check_program(program)
+        if "Main" in program.procs:
+            run(program, seed=i, max_steps=300)
+        assert program.nodes == nodes and program.kids == kids and program.start == start
+        assert check_program(program) == report
+        # the extension: an output with several branches moves to itself
+        # once picked, one one-branch output per label, in order, each with
+        # that branch's continuation as its only kid; then one done
+        soup = Soup(program, SplitMix64(i))
+        for v, n in enumerate(nodes):
+            if type(n) is TagComm and n.pol == "!" and len(n.labels) > 1:
+                picking += 1
+                picked = soup.kids[v]
+                assert [soup.nodes[p].labels for p in picked] == [(a,) for a in n.labels]
+                assert all(soup.nodes[p].pol == "!" and soup.nodes[p].chan == n.chan
+                           for p in picked)
+                assert [soup.kids[p] for p in picked] == [[k] for k in kids[v]]
+            else:
+                assert soup.kids[v] == kids[v]
+        assert soup.done == len(soup.nodes) - 1 and type(soup.nodes[-1]) is Done
+        assert soup.kids[-1] == []
+    assert picking >= 100
 
 
 def _drive_every_run(soup_class) -> Counter:
@@ -259,7 +295,7 @@ def test_threads_own_their_environments():
     class Owned(Soup):
         def step(self, step_no):
             rule = super().step(step_no)
-            envs = {id(th.env) for th in self.threads.values()}
+            envs = {id(env) for env in self.env.values()}
             assert len(envs) == len(self.threads), (rule, step_no)
             return rule
 
@@ -275,16 +311,16 @@ def test_index_matches_a_rebuild_after_every_step():
 
     class Checked(Soup):
         def step(self, step_no):
-            before = {tid: (self.role.get(tid), th.occ) for tid, th in self.threads.items()}
+            before = {tid: (self.role.get(tid), occ) for tid, occ in self.threads.items()}
             rule = super().step(step_no)
             fresh = Soup(self.program, SplitMix64(0))
-            fresh.threads = dict(self.threads)
+            fresh.threads, fresh.env = dict(self.threads), dict(self.env)
             fresh._refresh(tuple(self.threads))
             for name in ("role", "singles", "heads", "sessions", "pairs"):
                 assert getattr(self, name) == getattr(fresh, name), (name, rule, step_no)
             for tid, (role, occ) in before.items():
                 now = self.role.get(tid)
-                if type(role) is int and now == role and self.threads[tid].occ != occ:
+                if type(role) is int and now == role and self.threads[tid] != occ:
                     seen["head stays on its handle"] += 1
                 elif type(role) is str and type(now) is str and now != role:
                     seen["single to another single"] += 1
@@ -305,15 +341,15 @@ def test_random_runs_share_miss_and_leave_payloads_unbound():
 
         def step(self, step_no):
             handles = []
-            for th in self.threads.values():
-                p = self.program.nodes[th.occ]
+            for tid, occ in self.threads.items():
+                p, env = self.nodes[occ], self.env[tid]
                 if isinstance(p, (Close, Wait, TagComm, ChanOut, ChanIn)):
-                    if p.chan not in th.env:
+                    if p.chan not in env:
                         self.seen.add("missing")
-                    elif isinstance(p, ChanOut) and p.payload not in th.env:
+                    elif isinstance(p, ChanOut) and p.payload not in env:
                         self.seen.add("unbound payload")
                     else:
-                        handles.append(th.env[p.chan])
+                        handles.append(env[p.chan])
             if len(set(handles)) < len(handles):
                 self.seen.add("shared")
             return super().step(step_no)
