@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-import time
 from collections.abc import Sequence
 
 from . import runtime, semantics, subtyping, typecheck
@@ -90,18 +89,10 @@ def _print_diagnostics(path: str, definition: dict) -> None:
               f"{diag['code']}: {diag['message']}", file=sys.stderr)
 
 
-def _ms_since(started: float) -> float:
-    return round((time.perf_counter() - started) * 1000.0, 3)
-
-
 def cmd_check(args) -> int:
-    started = time.perf_counter()
-    program = _load_program(args.file)
-    load_ms = _ms_since(started)
+    program, load_ms = typecheck.timed(_load_program, args.file)
     checker = typecheck.Checker(program, infer_branch=args.infer_branch)
-    started = time.perf_counter()
-    report = checker.run()
-    check_ms = _ms_since(started)
+    report, check_ms = typecheck.timed(checker.run)
     if args.json:
         report["timings"] = {"loadMs": load_ms, "checkMs": check_ms, **checker.timings}
         _emit_json(report)

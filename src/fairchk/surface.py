@@ -146,7 +146,6 @@ class ChanIn:
     ann: TypeExpr
     cont: "ProcExpr"
     at: int = field(compare=False, repr=False, default=-1)
-    tid: Optional[int] = field(compare=False, default=None)
 
 
 @dataclass(slots=True)
@@ -165,8 +164,6 @@ class NewSession:
     left: "ProcExpr"
     right: "ProcExpr"
     at: int = field(compare=False, repr=False, default=-1)
-    ltid: Optional[int] = field(compare=False, default=None)
-    rtid: Optional[int] = field(compare=False, default=None)
 
 
 @dataclass(slots=True)
@@ -176,7 +173,6 @@ class Cast:
     weight_ann: Optional[int]
     cont: "ProcExpr"
     at: int = field(compare=False, repr=False, default=-1)
-    tid: Optional[int] = field(compare=False, default=None)
 
 
 ProcExpr = Done | Call | Close | Wait | TagComm | ChanOut | ChanIn | Choice | NewSession | Cast
@@ -204,7 +200,6 @@ class ProcDef:
     rank_ann: Optional[int]
     body: ProcExpr
     at: int = field(compare=False, repr=False, default=-1)
-    param_tids: Optional[list[int]] = field(compare=False, default=None)
 
 
 @dataclass
@@ -223,6 +218,11 @@ class Program:
     each in preorder: `nodes[v]` is occurrence v, `kids[v]` the numbers of
     its children in source order, `start[name]` the number of a body and
     `owner[v]` the definition that holds v.
+
+    `resolve` leaves the tree as parsed and keeps the interned annotations
+    here: `tids[v]` holds the ids of occurrence v's in source order (an
+    input's annotation, a cast's target, a session's two endpoint types, or
+    none), and `param_tids[name]` those of a definition's parameters.
     """
     table: TypeTable
     typedefs: dict[str, int]
@@ -232,12 +232,14 @@ class Program:
     kids: list[list[int]] = field(init=False, repr=False, compare=False)
     start: dict[str, int] = field(init=False, repr=False, compare=False)
     owner: list[str] = field(init=False, repr=False, compare=False)
+    tids: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    param_tids: dict[str, list[int]] = field(init=False, repr=False, compare=False)
     _positions: Optional[list[tuple[int, int]]] = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nodes, kids = self.nodes, self.kids = [], []
-        self.start, self.owner = {}, []
+        self.start, self.owner, self.param_tids = {}, [], {}
         for name, d in self.procs.items():
             self.start[name] = first = len(nodes)
             stack, into = [d.body], [[]]  # into[i]: the list stack[i] joins
@@ -249,6 +251,7 @@ class Program:
                 stack += children(n)[::-1]
                 into += [mine] * (len(stack) - len(into))
             self.owner += [name] * (len(nodes) - first)
+        self.tids = [()] * len(nodes)
 
     def span(self, at: int) -> tuple[int, int]:
         """The line and column of token `at` of the source; the position
@@ -792,26 +795,26 @@ def resolve(sp: SourceProgram) -> Program:
         procs[d.name] = d
 
     program = Program(table, typedefs, procs, src)
+    nodes, tids = program.nodes, program.tids
     # definition by definition, parameters before body: the first error
     # found is the first in source order
-    bounds = [*program.start.values(), len(program.nodes)]
+    bounds = [*program.start.values(), len(nodes)]
     for d, first, end in zip(procs.values(), bounds, bounds[1:]):
         seen_params = set()
         for v, _ in d.params:
             if v in seen_params:
                 raise source_error(src, f"duplicate parameter {v!r} in {d.name}", d.at)
             seen_params.add(v)
-        d.param_tids = [intern(t) for _, t in d.params]
-        for p in program.nodes[first:end]:
+        program.param_tids[d.name] = [intern(t) for _, t in d.params]
+        for v, p in enumerate(nodes[first:end], first):
             if isinstance(p, Call) and p.name not in procs:
                 raise source_error(src, f"undefined process name {p.name!r}", p.at)
             if isinstance(p, ChanIn):
-                p.tid = intern(p.ann)
+                tids[v] = (intern(p.ann),)
             elif isinstance(p, Cast):
-                p.tid = intern(p.target)
+                tids[v] = (intern(p.target),)
             elif isinstance(p, NewSession):
-                p.ltid = intern(p.lty)
-                p.rtid = intern(p.rty)
+                tids[v] = (intern(p.lty), intern(p.rty))
     return program
 
 

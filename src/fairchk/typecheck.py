@@ -32,6 +32,13 @@ from .surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
 from .types import INF, TypeTable, equiv
 
 
+def timed(fn, *args):
+    """`fn(*args)` and the milliseconds it took, to the microsecond."""
+    started = time.perf_counter()
+    out = fn(*args)
+    return out, round((time.perf_counter() - started) * 1000.0, 3)
+
+
 class _Abort(Exception):
     """Stops the typing walk of one definition after a hard failure."""
 
@@ -102,7 +109,7 @@ class Checker:
     def check_types(self) -> None:
         self.free = free_channels(self.nodes, self.kids)
         for name, d in self.program.procs.items():
-            ctx = {v: t for (v, _), t in zip(d.params, d.param_tids or [])}
+            ctx = {v: t for (v, _), t in zip(d.params, self.program.param_tids[name])}
             try:
                 self._tc(name, self.start[name], ctx)
             except _Abort:
@@ -132,7 +139,7 @@ class Checker:
         A context is never changed once made, so siblings may share one.
         """
         table, fail, render = self.table, self._fail, self.table.render
-        nodes, kids = self.nodes, self.kids
+        nodes, kids, tids = self.nodes, self.kids, self.program.tids
         stack = [(body, ctx)]
         while stack:
             v, ctx = stack.pop()
@@ -152,13 +159,13 @@ class Checker:
                          f"wait needs {p.chan}: end?, found {render(t)}")
                 stack.append((ks[0], {c: u for c, u in ctx.items() if c != p.chan}))
             elif isinstance(p, Call):
-                target = self.program.procs[p.name]
+                params = self.program.param_tids[p.name]
                 if len(p.args) != len(set(p.args)):
                     fail(dn, "E-CONTEXT-LEAK", p, f"call to {p.name} passes a channel twice")
-                if len(p.args) != len(target.params):
+                if len(p.args) != len(params):
                     fail(dn, "E-TYPE-MISMATCH", p,
-                         f"{p.name} expects {len(target.params)} arguments, got {len(p.args)}")
-                for arg, want in zip(p.args, target.param_tids or []):
+                         f"{p.name} expects {len(params)} arguments, got {len(p.args)}")
+                for arg, want in zip(p.args, params):
                     got = self._lookup(dn, p, ctx, arg)
                     if not equiv(table, got, want):
                         fail(dn, "E-TYPE-MISMATCH", p,
@@ -200,26 +207,26 @@ class Checker:
                 if node[0] != "chan" or node[1] != "?":
                     fail(dn, "E-TYPE-MISMATCH", p,
                          f"{p.chan} cannot receive a channel at type {render(t)}")
-                assert p.tid is not None
-                if not equiv(table, p.tid, node[2]):
+                (ann,) = tids[v]
+                if not equiv(table, ann, node[2]):
                     fail(dn, "E-TYPE-MISMATCH", p,
-                         f"annotation {render(p.tid)} differs from "
+                         f"annotation {render(ann)} differs from "
                          f"payload type {render(node[2])}")
                 if p.var in ctx or p.var == p.chan:
                     fail(dn, "E-CONTEXT-LEAK", p, f"{p.var!r} rebinds a live channel")
-                stack.append((ks[0], {**ctx, p.chan: node[3], p.var: p.tid}))
+                stack.append((ks[0], {**ctx, p.chan: node[3], p.var: ann}))
             elif isinstance(p, Choice):
                 stack += [(ks[1], ctx), (ks[0], ctx)]
             elif isinstance(p, NewSession):
                 if p.chan in ctx:
                     fail(dn, "E-CONTEXT-LEAK", p, f"{p.chan!r} rebinds a live channel")
-                assert p.ltid is not None and p.rtid is not None
-                if not self._per_pair(compatible, p.ltid, p.rtid):
+                lt, rt = tids[v]
+                if not self._per_pair(compatible, lt, rt):
                     fail(dn, "E-INCOMPATIBLE", p,
                          f"endpoint types of {p.chan} cannot terminate together",
-                         left=render(p.ltid), right=render(p.rtid))
+                         left=render(lt), right=render(rt))
                 fvl, fvr = self.free[ks[0]], self.free[ks[1]]
-                lctx, rctx = {p.chan: p.ltid}, {p.chan: p.rtid}
+                lctx, rctx = {p.chan: lt}, {p.chan: rt}
                 for c, t in ctx.items():
                     if c in fvl and c in fvr:
                         fail(dn, "E-CONTEXT-LEAK", p, f"channel {c!r} is used by both components")
@@ -233,8 +240,8 @@ class Checker:
                 stack += [(ks[1], rctx), (ks[0], lctx)]
             elif isinstance(p, Cast):
                 t = self._lookup(dn, p, ctx, p.chan)
-                assert p.tid is not None
-                verdict = self._per_pair(fair_subtype, t, p.tid)
+                (target,) = tids[v]
+                verdict = self._per_pair(fair_subtype, t, target)
                 if verdict.holds:
                     w = int(verdict.weight)
                     if p.weight_ann is not None and w > p.weight_ann:
@@ -246,10 +253,10 @@ class Checker:
                               f"cast target is not a fair supertype of {render(t)}",
                               kind=kind, detail=detail,
                               offendingPair=[render(a), render(b)],
-                              source=render(t), target=render(p.tid))
+                              source=render(t), target=render(target))
                     w = 0
                 self.cast_weight[v] = w
-                stack.append((ks[0], {**ctx, p.chan: p.tid}))
+                stack.append((ks[0], {**ctx, p.chan: target}))
             else:
                 raise TypeError(f"not a process node: {p!r}")
 
@@ -334,18 +341,14 @@ class Checker:
 
     # -- driver -----------------------------------------------------------------
 
-    def _timed(self, key: str, fn) -> None:
-        started = time.perf_counter()
-        fn()
-        self.timings[key] = round((time.perf_counter() - started) * 1000.0, 3)
-
     def run(self) -> dict:
-        self._timed("typingMs", self.check_types)
+        timings = self.timings
+        timings["typingMs"] = timed(self.check_types)[1]
         if self.infer_branch:
-            self._timed("inferMs", self.infer_branches)
-        self._timed("safetyMs", self.check_safe)
-        self._timed("ranksMs", self.compute_ranks)
-        self._timed("boundsMs", self.check_action_bounds)
+            timings["inferMs"] = timed(self.infer_branches)[1]
+        timings["safetyMs"] = timed(self.check_safe)[1]
+        timings["ranksMs"] = timed(self.compute_ranks)[1]
+        timings["boundsMs"] = timed(self.check_action_bounds)[1]
         definitions = []
         for name in self.program.procs:
             ds = self.diags[name]

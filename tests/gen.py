@@ -11,7 +11,7 @@ from fairchk.subtyping import fair_subtype, simulate
 from fairchk.surface import (MAX_NESTING, Call, Cast, ChanIn, ChanOut, Choice, Close,
                              Done, NewSession, ProcDef, Program, SourceError,
                              SourceProgram, TagComm, TChan, TEnd, TName, TTags,
-                             Wait, parse, render_program)
+                             Wait, load, parse, render_program)
 from fairchk.types import TypeTable
 
 LABELS = ["a", "b", "c", "d"]
@@ -257,16 +257,12 @@ RANK_DEFS = ["A0", "A1", "A2"]
 
 
 def random_rank_program(rnd: random.Random) -> Program:
-    """A resolved-enough Program for minRank and action-bounds tests.
+    """A loaded Program for minRank and action-bounds tests.
 
     Channel names are placeholders, so the typing walk rejects most
-    bodies; only the tree structure and call graph matter. Every session
-    and cast carries its ids from the program's own table, so the whole
-    pipeline runs on a draw.
+    bodies; only the tree structure and call graph matter. The draw is
+    rendered and loaded, so the whole pipeline runs on it.
     """
-    table = TypeTable()
-    end_out, end_in = table.add(("end", "!")), table.add(("end", "?"))
-
     def body(depth: int):
         roll = rnd.random()
         if depth == 0 or roll < 0.3:
@@ -286,12 +282,11 @@ def random_rank_program(rnd: random.Random) -> Program:
         if kind == 2:
             return Choice(rnd.randint(1, 2), body(d), body(d))
         if kind == 3:
-            return NewSession("y", TEnd("!"), TEnd("?"), body(d), body(d),
-                              ltid=end_out, rtid=end_in)
-        return Cast("x", TEnd("!"), None, body(d), tid=end_out)
+            return NewSession("y", TEnd("!"), TEnd("?"), body(d), body(d))
+        return Cast("x", TEnd("!"), None, body(d))
 
-    procs = {n: ProcDef(n, [], None, body(3)) for n in RANK_DEFS}
-    return Program(table, {}, procs)
+    return load(render_program(SourceProgram([], [ProcDef(n, [], None, body(3))
+                                                  for n in RANK_DEFS])))
 
 
 # -- scaling families with ranks known by construction ------------------------

@@ -225,25 +225,27 @@ def resolve_recursive(sp: SourceProgram) -> Program:
             raise source_error(src, f"duplicate process definition {d.name!r}", d.at)
         procs[d.name] = d
 
+    program = Program(table, typedefs, procs, src)
+    # occurrences are counted here, in preorder across the definitions
+    number = 0
     for d in procs.values():
         seen_params = set()
         for v, _ in d.params:
             if v in seen_params:
                 raise source_error(src, f"duplicate parameter {v!r} in {d.name}", d.at)
             seen_params.add(v)
-        d.param_tids = [intern(t) for _, t in d.params]
+        program.param_tids[d.name] = [intern(t) for _, t in d.params]
         for p in preorder(d.body):
             if isinstance(p, Call) and p.name not in procs:
                 raise source_error(src, f"undefined process name {p.name!r}", p.at)
             if isinstance(p, ChanIn):
-                p.tid = intern(p.ann)
+                program.tids[number] = (intern(p.ann),)
             elif isinstance(p, Cast):
-                p.tid = intern(p.target)
+                program.tids[number] = (intern(p.target),)
             elif isinstance(p, NewSession):
-                p.ltid = intern(p.lty)
-                p.rtid = intern(p.rty)
-
-    return Program(table, typedefs, procs, src)
+                program.tids[number] = (intern(p.lty), intern(p.rty))
+            number += 1
+    return program
 
 
 # -- raw transitions of one endpoint type ------------------------------------------
@@ -1168,9 +1170,11 @@ def typing_unfold_ok(program: Program, name: str, depth: int) -> bool:
     Reaching the depth limit counts as success; that is exactly the
     coinductive reading the checker's assumption set implements.
     """
-    table = program.table
+    table, tids = program.table, program.tids
+    # annotations are kept by occurrence number
+    number = {id(n): v for v, n in enumerate(program.nodes)}
     d = program.procs[name]
-    ctx0 = {v: t for (v, _), t in zip(d.params, d.param_tids or [])}
+    ctx0 = {v: t for (v, _), t in zip(d.params, program.param_tids[name])}
 
     def chk(p, ctx, fuel) -> bool:
         if isinstance(p, Done):
@@ -1191,7 +1195,7 @@ def typing_unfold_ok(program: Program, name: str, depth: int) -> bool:
                 return False
             if len(p.args) != len(target.params):
                 return False
-            for arg, want in zip(p.args, target.param_tids or []):
+            for arg, want in zip(p.args, program.param_tids[p.name]):
                 if not equiv(table, ctx[arg], want):
                     return False
             if fuel == 0:
@@ -1229,18 +1233,18 @@ def typing_unfold_ok(program: Program, name: str, depth: int) -> bool:
             node = table.node(t)
             if node[0] != "chan" or node[1] != "?":
                 return False
-            if p.tid is None or not equiv(table, p.tid, node[2]):
+            (ann,) = tids[number[id(p)]]
+            if not equiv(table, ann, node[2]):
                 return False
-            return chk(p.cont, {**ctx, p.chan: node[3], p.var: p.tid}, fuel)
+            return chk(p.cont, {**ctx, p.chan: node[3], p.var: ann}, fuel)
         if isinstance(p, Choice):
             return chk(p.left, dict(ctx), fuel) and chk(p.right, dict(ctx), fuel)
         if isinstance(p, NewSession):
-            if p.chan in ctx or p.ltid is None or p.rtid is None:
-                return False
-            if not compatible(table, p.ltid, p.rtid):
+            lt, rt = tids[number[id(p)]]
+            if p.chan in ctx or not compatible(table, lt, rt):
                 return False
             fvl, fvr = free_channels_recursive(p.left), free_channels_recursive(p.right)
-            lctx, rctx = {p.chan: p.ltid}, {p.chan: p.rtid}
+            lctx, rctx = {p.chan: lt}, {p.chan: rt}
             for v, t in ctx.items():
                 if v in fvl and v in fvr:
                     return False
@@ -1253,11 +1257,10 @@ def typing_unfold_ok(program: Program, name: str, depth: int) -> bool:
             return chk(p.left, lctx, fuel) and chk(p.right, rctx, fuel)
         if isinstance(p, Cast):
             t = ctx.get(p.chan)
-            if t is None or p.tid is None:
+            (target,) = tids[number[id(p)]]
+            if t is None or not fair_subtype(table, t, target).holds:
                 return False
-            if not fair_subtype(table, t, p.tid).holds:
-                return False
-            return chk(p.cont, {**ctx, p.chan: p.tid}, fuel)
+            return chk(p.cont, {**ctx, p.chan: target}, fuel)
         raise TypeError(f"not a process node: {p!r}")
 
     return chk(d.body, ctx0, depth)
@@ -1310,7 +1313,8 @@ class RecursiveTyping(Checker):
 
     def __init__(self, program: Program):
         super().__init__(program)
-        # the checker keeps cast weights by occurrence number
+        # the checker keeps cast weights, and the program its annotations,
+        # by occurrence number
         self.number = {id(n): v for v, n in enumerate(self.nodes)}
 
     def _tc(self, dn: str, body: int, ctx: dict[str, int]) -> None:
@@ -1349,7 +1353,7 @@ class RecursiveTyping(Checker):
                 self.diag(dn, "E-TYPE-MISMATCH", p.at,
                           f"{p.name} expects {len(target.params)} arguments, got {len(p.args)}")
                 raise _Abort
-            for arg, want in zip(p.args, target.param_tids or []):
+            for arg, want in zip(p.args, self.program.param_tids[p.name]):
                 got = self._lookup(dn, p, ctx, arg)
                 if not equiv(table, got, want):
                     self.diag(dn, "E-TYPE-MISMATCH", p.at,
@@ -1407,10 +1411,10 @@ class RecursiveTyping(Checker):
                 self.diag(dn, "E-TYPE-MISMATCH", p.at,
                           f"{p.chan} cannot receive a channel at type {self.table.render(t)}")
                 raise _Abort
-            assert p.tid is not None
-            if not equiv(table, p.tid, node[2]):
+            (ann,) = self.program.tids[self.number[id(p)]]
+            if not equiv(table, ann, node[2]):
                 self.diag(dn, "E-TYPE-MISMATCH", p.at,
-                          f"annotation {self.table.render(p.tid)} differs from "
+                          f"annotation {self.table.render(ann)} differs from "
                           f"payload type {self.table.render(node[2])}")
                 raise _Abort
             if p.var in ctx or p.var == p.chan:
@@ -1419,7 +1423,7 @@ class RecursiveTyping(Checker):
                 raise _Abort
             rest = dict(ctx)
             rest[p.chan] = node[3]
-            rest[p.var] = p.tid
+            rest[p.var] = ann
             self._walk(dn, p.cont, rest)
             return
         if isinstance(p, Choice):
@@ -1431,14 +1435,14 @@ class RecursiveTyping(Checker):
                 self.diag(dn, "E-CONTEXT-LEAK", p.at,
                           f"{p.chan!r} rebinds a live channel")
                 raise _Abort
-            assert p.ltid is not None and p.rtid is not None
-            if not self._per_pair(compatible, p.ltid, p.rtid):
+            lt, rt = self.program.tids[self.number[id(p)]]
+            if not self._per_pair(compatible, lt, rt):
                 self.diag(dn, "E-INCOMPATIBLE", p.at,
                           f"endpoint types of {p.chan} cannot terminate together",
-                          left=self.table.render(p.ltid), right=self.table.render(p.rtid))
+                          left=self.table.render(lt), right=self.table.render(rt))
                 raise _Abort
             fvl, fvr = free_channels_recursive(p.left), free_channels_recursive(p.right)
-            lctx, rctx = {p.chan: p.ltid}, {p.chan: p.rtid}
+            lctx, rctx = {p.chan: lt}, {p.chan: rt}
             for v, t in ctx.items():
                 if v in fvl and v in fvr:
                     self.diag(dn, "E-CONTEXT-LEAK", p.at,
@@ -1457,8 +1461,8 @@ class RecursiveTyping(Checker):
             return
         if isinstance(p, Cast):
             t = self._lookup(dn, p, ctx, p.chan)
-            assert p.tid is not None
-            verdict = self._per_pair(fair_subtype, t, p.tid)
+            (target,) = self.program.tids[self.number[id(p)]]
+            verdict = self._per_pair(fair_subtype, t, target)
             if verdict.holds:
                 w = int(verdict.weight)
                 if p.weight_ann is not None and w > p.weight_ann:
@@ -1470,11 +1474,11 @@ class RecursiveTyping(Checker):
                           f"cast target is not a fair supertype of {self.table.render(t)}",
                           kind=kind, detail=detail,
                           offendingPair=[self.table.render(u), self.table.render(v)],
-                          source=self.table.render(t), target=self.table.render(p.tid))
+                          source=self.table.render(t), target=self.table.render(target))
                 w = 0
             self.cast_weight[self.number[id(p)]] = w
             ctx = dict(ctx)
-            ctx[p.chan] = p.tid
+            ctx[p.chan] = target
             self._walk(dn, p.cont, ctx)
             return
         raise TypeError(f"not a process node: {p!r}")

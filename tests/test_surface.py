@@ -1,5 +1,6 @@
 """Lexing, parsing, rendering, and name resolution."""
 
+import dataclasses
 import gc
 import random
 import time
@@ -440,7 +441,7 @@ def test_long_alias_chain_resolves_to_same_id():
     # chains are followed by a loop, so their length costs no stack
     program = load(_alias_chain(1500, "end!"))
     assert {program.typedefs[f"A{i}"] for i in range(1501)} == {program.typedefs["A1500"]}
-    assert program.table.node(program.procs["Main"].param_tids[0]) == ("end", "!")
+    assert program.table.node(program.param_tids["Main"][0]) == ("end", "!")
 
 
 def test_long_alias_cycle_is_rejected():
@@ -512,10 +513,41 @@ def test_recursive_typedef_is_cyclic():
 
 def test_resolution_interns_annotations():
     program = load("Main() = new x: !{a: end!} / ?{a: end?} in (x!a. close x | x?a. wait x. done)")
-    body = program.procs["Main"].body
-    assert body.ltid is not None and body.rtid is not None
+    lt, rt = program.tids[program.start["Main"]]
     want = program.table.add(("tags", "!", (("a", program.table.add(("end", "!"))),)))
-    assert equiv(program.table, body.ltid, want)
+    assert equiv(program.table, lt, want)
+    want = program.table.add(("tags", "?", (("a", program.table.add(("end", "?"))),)))
+    assert equiv(program.table, rt, want)
+
+
+def _fields(obj):
+    """Every field of every dataclass under obj, read with `dataclasses.fields`
+    (the `compare=False` ones too), each dataclass with its identity."""
+    if dataclasses.is_dataclass(obj):
+        return (type(obj), id(obj),
+                tuple((f.name, _fields(getattr(obj, f.name))) for f in dataclasses.fields(obj)))
+    if isinstance(obj, (list, tuple)):
+        return (type(obj), tuple(map(_fields, obj)))
+    return obj
+
+
+def test_resolve_leaves_its_input_as_parsed():
+    # every syntax node, ProcDef and the SourceProgram keep every field,
+    # whether resolution succeeds or fails part way
+    rnd = random.Random(25)
+    draws = [random_source_program(rnd) for _ in range(500)]
+    inputs = [parse(corpus_text(name)) for name in sorted(CORPUS_RANKS)]
+    inputs += draws + [parse(render_program(sp)) for sp in draws]
+    resolved = 0
+    for sp in inputs:
+        before = _fields(sp)
+        try:
+            resolve(sp)
+            resolved += 1
+        except SourceError:
+            pass
+        assert _fields(sp) == before, render_program(sp)
+    assert resolved > len(inputs) // 2
 
 
 # name resolution against the recursive oracle, and the acyclic load
@@ -549,12 +581,8 @@ def _resolution(resolver, text):
     except SourceError as err:
         return str(err)
     table = program.table
-    annotations = [(d.name, d.param_tids,
-                    [(p.tid,) if isinstance(p, (ChanIn, Cast)) else (p.ltid, p.rtid)
-                     for p in preorder(d.body) if isinstance(p, (ChanIn, Cast, NewSession))])
-                   for d in program.procs.values()]
     return (table.nodes, list(table.name_hint.items()), list(table.type_names.items()),
-            list(program.typedefs.items()), annotations)
+            list(program.typedefs.items()), list(program.param_tids.items()), program.tids)
 
 
 def test_resolve_matches_recursive_oracle():

@@ -139,10 +139,15 @@ def test_typing_unit_errors():
      "E-TYPE-MISMATCH", 34, "payload y has type end?, carrier expects end!"),
     ("Main(x: ?(end!).end?, y: end!) = x?(y: end!). wait x. close y",
      "E-CONTEXT-LEAK", 34, "'y' rebinds a live channel"),
+    ("Main(x: ?(end!).end?) = x?(y: end?). wait x. close y",
+     "E-TYPE-MISMATCH", 25, "annotation end? differs from payload type end!"),
+    ("Main(x: end?) = P(x)\nP(x: end!) = close x",
+     "E-TYPE-MISMATCH", 17, "argument x has type end?, P expects end!"),
 ])
 def test_delegation_typing_errors(text, code, col, message):
-    # sending a channel over itself, a payload of the wrong type, and
-    # receiving into a name that is still live
+    # sending a channel over itself, a payload of the wrong type, receiving
+    # into a name that is still live, an input annotation that is not the
+    # payload type, and an argument that is not the parameter's type
     report = check_program(load(text))
     assert report["verdict"] == "rejected"
     assert report["definitions"][0]["diagnostics"] == [
