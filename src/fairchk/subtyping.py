@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import closure, cyclic, reach, reverse, tarjan
-from .types import INF, OUT, TypeTable, _matched, equiv
+from .graph import INF, least, reach, tarjan
+from .types import OUT, TypeTable, _matched, equiv
 
 Pair = tuple[int, int]
 
@@ -98,78 +98,17 @@ def unfair_subtype(table: TypeTable, s: int, t: int) -> bool:
     return simulate(table, s, t).holds
 
 
-def _equation(rule: str, prem: list[int | float]) -> int | float:
-    if rule == "end":
-        return 0
-    if rule in ("max", "chan"):
-        return max(prem)
-    if rule == "strict":
-        return 1 + min(prem)
-    return min(1 + min(prem), max(prem))
-
-
 def solve_weights(sim: Simulation) -> dict[Pair, int | float]:
     """Least solution of the weight system on the simulation's witness.
 
     Finite components of the least solution stay within K = number of
-    pairs, so anything above K is clamped to ∞. The premise graph is
-    solved one strongly connected component at a time, sinks first: a
-    pair off every cycle evaluates its equation once, and a cycle is
-    settled level by level in `_settle_cycle`.
+    pairs, so anything above K is clamped to ∞. It is one call of `least`
+    on the premise graph: each pair's rule is its equation's name, no pair
+    carries a constant, and the cutoff is K.
     """
-    prem, rule = sim.premises, sim.equation
-    cutoff = len(sim.witness)
-    rk: dict[Pair, int | float] = {}
-    for scc in tarjan(sim.witness, prem):
-        if cyclic(scc, prem):
-            _settle_cycle(scc, prem, rule, rk, cutoff)
-        else:
-            p = scc[0]
-            w = _equation(rule[p], [rk[q] for q in prem[p]])
-            rk[p] = INF if w > cutoff else w
+    prem = sim.premises
+    rk = least(tarjan(sim.witness, prem), prem, sim.equation, {}, len(sim.witness))
     return {p: rk[p] for p in sim.witness}
-
-
-def _settle_cycle(scc: list[Pair], prem: dict[Pair, list[Pair]],
-                  rule: dict[Pair, str], rk: dict[Pair, int | float],
-                  cutoff: int) -> None:
-    """Least weights of one cyclic component, given every pair it reaches.
-
-    At level v, the pairs of weight at most v are the largest set X whose
-    equations all come out at most v when X sits at v and the settled
-    pairs at their values. Whether an equation stays at most v depends
-    only on which premises are at most v and which at most v - 1, so X is
-    the complement of a backward closure: a pair exceeds v when its own
-    settled premises force it to, or when it needs every premise at most v
-    and one of them exceeds v. Between two values w, w + 1 of settled
-    premises nothing changes, so the levels jump from one such value to
-    the next; when none is left, or the level passes the cutoff, the pairs
-    still open are ∞. Each level is linear in the component.
-    """
-    users = reverse({p: prem[p] for p in scc})
-    open_ = scc
-    v = 0
-    while open_ and v <= cutoff:
-        forced: list[Pair] = []
-        needs_all: dict[Pair, int] = {}
-        for p in open_:
-            known = [rk[q] for q in prem[p] if q in rk]
-            r = rule[p]
-            if r in ("strict", "equal") and any(w < v for w in known):
-                continue  # one settled premise pays for the +1
-            if r == "strict" or any(w > v for w in known):
-                forced.append(p)
-            else:
-                needs_all[p] = 1
-        over = closure(forced, users, needs_all)
-        for p in open_:
-            if p not in over:
-                rk[p] = v
-        open_ = [p for p in open_ if p in over]
-        v = min((x for p in open_ for q in prem[p] if q in rk
-                 for x in (rk[q], rk[q] + 1) if x > v), default=INF)
-    for p in open_:
-        rk[p] = INF
 
 
 @dataclass

@@ -24,7 +24,7 @@ import time
 from functools import cached_property
 from typing import NoReturn
 
-from .graph import closure, cyclic, reverse, tarjan
+from .graph import closure, cyclic, least, reverse, tarjan
 from .semantics import compatible
 from .subtyping import fair_subtype, render_weight
 from .surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
@@ -371,6 +371,8 @@ class TermGraph:
     emits every component after all the components it reaches. Ranks and
     action bounds are least fixpoints over this graph, each solved in time
     linear in its size when first read and kept, by occurrence number.
+    The rank equations are data for `least`: a session adds 1 to the sum
+    of its two sides, a cast adds its weight, any other node takes the max.
     """
 
     def __init__(self, checker: Checker):
@@ -380,43 +382,18 @@ class TermGraph:
                             else [kids[v][marker[v] - 1]] if type(n) is Choice
                             else kids[v] for v, n in enumerate(node)]
         self.sccs = tarjan(range(len(node)), succ)
-        self.weight = weight = checker.cast_weight
-        # sessions and positive-weight casts on a cycle: no finite rank
-        # exists past them
+        self.rule = ["sum" if type(n) is NewSession else "max" for n in node]
+        self.plus = plus = {v: 1 for v, n in enumerate(node) if type(n) is NewSession}
+        plus.update(checker.cast_weight)
+        # no finite rank exists past a session or a positive-weight cast on a cycle
         self.unsafe = {v for scc in self.sccs if cyclic(scc, succ) for v in scc
-                       if type(node[v]) is NewSession or weight.get(v, 0) > 0}
+                       if plus.get(v, 0) > 0}
 
     @cached_property
-    def ranks(self) -> list[int | float]:
-        """Least solution of the rank equations at every occurrence.
-
-        Off cycles each node applies its own equation. A cycle holding an
-        unsafe node diverges; any other cycle only passes values along
-        under max, so its members share the largest value leaving it.
-        """
-        node, succ = self.node, self.succ
-        rank: list[int | float] = [0] * len(succ)
-        for scc in self.sccs:
-            if not cyclic(scc, succ):
-                v = scc[0]
-                n, ws = node[v], succ[v]
-                kind = type(n)
-                if kind is NewSession:
-                    r = 1 + rank[ws[0]] + rank[ws[1]]
-                elif kind is Cast:
-                    r = self.weight.get(v, 0) + rank[ws[0]]
-                else:
-                    # done and close have no successors; a tag choice
-                    # takes its worst branch; every other node copies
-                    r = max([rank[w] for w in ws], default=0)
-            elif self.unsafe.intersection(scc):
-                r = INF
-            else:
-                # members still read 0, and no rank leaving the scc is below 0
-                r = max(rank[w] for v in scc for w in succ[v])
-            for v in scc:
-                rank[v] = r
-        return rank
+    def ranks(self) -> dict[int, int | float]:
+        """Least ranks at every occurrence: a cycle holding an unsafe node
+        diverges, any other passes on the largest rank that leaves it."""
+        return least(self.sccs, self.succ, self.rule, self.plus)
 
     @cached_property
     def bounded(self) -> set[int]:

@@ -16,12 +16,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from .graph import closure, reach, reverse
+from .graph import INF, closure, reach, reverse
 
 OUT = "!"
 IN = "?"
-
-INF = float("inf")
 
 # Longest unfolding `TypeTable.render` prints. A type that shares a child
 # between two branches unfolds to a text exponential in its size, so past

@@ -334,6 +334,21 @@ def session_chain_source(k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def rank_cycle_source(n: int) -> str:
+    """C_i(x) = x?{a: C_{i+1 mod n}(x), b: wait x. D_i()}, where D_i opens
+    i sessions one after the other.
+
+    The calls C_i form one cycle with n exits of n distinct ranks: D_i has
+    rank i, and every C_i has rank n - 1, the largest that leaves it.
+    """
+    lines = ["type T = ?{a: T, b: end?}", "D0() = done"]
+    for i in range(1, n):
+        lines.append(f"D{i}() = new x: end! / end? in (close x | wait x. D{i - 1}())")
+    for i in range(n):
+        lines.append(f"C{i}(x: T) = x?{{a: C{(i + 1) % n}(x), b: wait x. D{i}()}}")
+    return "\n".join(lines) + "\n"
+
+
 def swarm_source(d: int) -> str:
     """D_j(z) forks two copies of D_{j+1}; D_d(z) plays one slot game.
 

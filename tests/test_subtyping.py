@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from fairchk import graph
 from fairchk.graph import cyclic, tarjan
 from fairchk.semantics import compatible, session_rank
 from fairchk.subtyping import (_judge, fair_subtype, render_weight, simulate,
@@ -322,11 +323,17 @@ def test_judge_matches_the_three_oracle_readings():
     assert min(seen["strict"], seen["equal"], seen["chan"]) > 100
 
 
-def test_weight_of_a_zero_cost_input_loop_is_zero():
-    # the least fixpoint enters the loop with 0, the largest value entering it
-    program, rk, _ = _weights("type T = ?{a: T}\nMain() = done", "T", "T")
-    t = program.typedefs["T"]
-    assert rk == {(t, t): 0}
+def test_weight_of_a_zero_cost_input_loop_is_zero(monkeypatch):
+    # the least fixpoint enters the loop with 0, the largest value entering
+    # it, in one pass: a cycle of input pairs skips the level method
+    entered = []
+    settle = graph._settle_cycle
+    monkeypatch.setattr(graph, "_settle_cycle", lambda *args: entered.append(1) or settle(*args))
+    for text, pairs in (("type T = ?{a: T}", 1), ("type T = ?{a: T, b: end?}", 2)):
+        program, rk, _ = _weights(text + "\nMain() = done", "T", "T")
+        t = program.typedefs["T"]
+        assert rk[(t, t)] == 0 and set(rk.values()) == {0} and len(rk) == pairs, text
+    assert entered == []
 
 
 def test_holding_loop_settles_one_weight_per_level():

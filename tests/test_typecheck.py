@@ -7,7 +7,7 @@ from functools import cached_property
 
 import pytest
 
-from fairchk import surface, typecheck
+from fairchk import graph, surface, typecheck
 from fairchk.cli import main
 from fairchk.surface import Cast, Choice, SourceError, children, load, resolve
 from fairchk.typecheck import Checker, check_program, free_channels
@@ -16,7 +16,7 @@ from fairchk.types import INF
 from conftest import ACCEPTED, CORPUS_RANKS, REJECTED, corpus_text, load_corpus
 from gen import (NESTED_SOURCES, RANK_DEFS, call_dag_source, deepest_admitted,
                  random_rank_program, random_runnable_source, random_source_program,
-                 session_chain_source)
+                 rank_cycle_source, session_chain_source)
 from json_schema import CHECK, validate
 from oracles import (RecursiveTyping, action_bounded, cutoff_rank, free_channels_recursive,
                      infer_branches_by_cutoff, infer_branches_rebuild, min_rank, preorder,
@@ -464,6 +464,45 @@ def test_session_chain_ranks_at_scale():
     want = {f"D{i}": 2 * (k - i) for i in range(k + 1)}
     want.update({"M": 0, "P": 0, "Main": 2 * k + 1})
     assert {d["name"]: d["rank"] for d in report["definitions"]} == want
+
+
+def test_rank_cycles_take_one_pass(monkeypatch):
+    # the level method settles one level per distinct value leaving a
+    # cycle, n levels of n nodes on this chain; a rank solve never enters
+    # it, so the chain is one pass
+    entered = Counter()
+    solving = []
+    settle, solve = graph._settle_cycle, typecheck.least
+
+    def counted_settle(*args):
+        entered["ranks" if solving else "weights"] += 1
+        settle(*args)
+
+    def counted_solve(*args):
+        solving.append(True)
+        try:
+            return solve(*args)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(graph, "_settle_cycle", counted_settle)
+    monkeypatch.setattr(typecheck, "least", counted_solve)
+    n = 2000
+    report = check_program(load(rank_cycle_source(n)))
+    assert report["verdict"] == "accepted"
+    want = {f"C{i}": n - 1 for i in range(n)}
+    want.update({f"D{i}": i for i in range(n)})
+    assert {d["name"]: d["rank"] for d in report["definitions"]} == want
+    for name in sorted(CORPUS_RANKS):
+        check_program(load_corpus(name), infer_branch=True)
+    rnd = random.Random(63)
+    for _ in range(1000):
+        ck = _weighted_rank_program(rnd)
+        ck.infer_branches()
+        ck.check_safe()
+        ck.compute_ranks()
+    # the casts' weight cycles through output pairs still enter it
+    assert entered["ranks"] == 0 and entered["weights"] > 0, entered
 
 
 def test_unfolding_invariance_on_accepted_corpus():
