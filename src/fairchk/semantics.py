@@ -19,14 +19,11 @@ from .types import INF, OUT, TypeTable, equiv
 Config = tuple[int, int]
 
 
-def _picks(table: TypeTable, i: int) -> list[int]:
-    """Silent pick successors: the one-branch output of each branch of i,
-    in label order. A one-branch output has none: its self-loop is
-    contracted."""
-    n = table.node(i)
-    if n[0] == "tags" and n[1] == OUT and len(n[2]) > 1:
-        return [table.add(("tags", OUT, (branch,))) for branch in sorted(n[2])]
-    return []
+def _picks(table: TypeTable, branches: tuple) -> list[int]:
+    """Silent pick successors of an output with several branches: the
+    one-branch output of each branch, in label order. A one-branch output
+    has none: its self-loop is contracted."""
+    return [table.add(("tags", OUT, (branch,))) for branch in sorted(branches)]
 
 
 def moves(table: TypeTable, cfg: Config
@@ -34,23 +31,33 @@ def moves(table: TypeTable, cfg: Config
     """A configuration's picks, its synchronization if it has one, and
     whether it is a success: both sides ended, with dual polarities. This
     is the one transition function every question below searches. Labels
-    are unique within a node, so two nodes synchronize in at most one way."""
+    are unique within a node, so two nodes synchronize in at most one way,
+    and each side's node is read once."""
     a, b = cfg
     na, nb = table.node(a), table.node(b)
-    tau = [(a2, b) for a2 in _picks(table, a)] + [(a, b2) for b2 in _picks(table, b)]
+    tau = []
+    if na[1] == OUT and na[0] == "tags" and len(na[2]) > 1:
+        tau = [(a2, b) for a2 in _picks(table, na[2])]
+    if nb[1] == OUT and nb[0] == "tags" and len(nb[2]) > 1:
+        tau += [(a, b2) for b2 in _picks(table, nb[2])]
     sync = []
-    if na[0] == nb[0] != "end" and na[1] != nb[1]:
-        if na[0] == "chan":
-            if equiv(table, na[2], nb[2]):
-                sync.append((na[2], (na[3], nb[3])))
-        else:
-            sender, receiver = (na, nb) if na[1] == OUT else (nb, na)
-            if len(sender[2]) == 1:
-                [(label, c)] = sender[2]
-                d = dict(receiver[2]).get(label)
-                if d is not None:
+    kind = na[0]
+    if kind != nb[0] or na[1] == nb[1]:
+        return tau, sync, False
+    if kind == "end":
+        return tau, sync, True
+    if kind == "chan":
+        if equiv(table, na[2], nb[2]):
+            sync.append((na[2], (na[3], nb[3])))
+    else:
+        sender, receiver = (na, nb) if na[1] == OUT else (nb, na)
+        if len(sender[2]) == 1:
+            [(label, c)] = sender[2]
+            for key, d in receiver[2]:
+                if key == label:
                     sync.append((label, (c, d) if sender is na else (d, c)))
-    return tau, sync, na[0] == nb[0] == "end" and na[1] != nb[1]
+                    break
+    return tau, sync, False
 
 
 def compatible(table: TypeTable, s: int, t: int) -> bool:

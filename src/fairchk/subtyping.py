@@ -35,7 +35,8 @@ def _judge(table: TypeTable, u: int, v: int) -> tuple[str, Optional[list[Pair]]]
     A pair that breaks a shape rule gives the reason and None. Any other
     pair gives the name of its weight equation ("end", "chan", "max",
     "strict" or "equal") and its premises, the matched descent of its two
-    nodes without a channel's payload pair.
+    nodes without a channel's payload pair: a tags pair takes them from
+    each side's branch dict, built once, in label order.
     """
     nu, nv = table.node(u), table.node(v)
     if nu[0] != nv[0]:
@@ -48,16 +49,17 @@ def _judge(table: TypeTable, u: int, v: int) -> tuple[str, Optional[list[Pair]]]
         if not equiv(table, nu[2], nv[2]):
             return "channel payload types differ", None
         return "chan", _matched(table, u, v)[1:]
-    lu, lv = dict(nu[2]).keys(), dict(nv[2]).keys()
+    bu, bv = dict(nu[2]), dict(nv[2])
+    lu, lv = bu.keys(), bv.keys()
     if nu[1] != OUT:
         if not lu <= lv:
             return "supertype misses an input branch of the subtype", None
-        rule = "max"
+        rule, shared = "max", lu
     elif not lv <= lu:
         return "supertype outputs a label the subtype lacks", None
     else:
-        rule = "strict" if lv < lu else "equal"
-    return rule, _matched(table, u, v)
+        rule, shared = "strict" if lv < lu else "equal", lv
+    return rule, [(bu[l], bv[l]) for l in sorted(shared)]
 
 
 @dataclass

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Optional
 
 from .types import TypeTable
 
@@ -384,6 +383,13 @@ class _Parser:
     # -- types ----------------------------------------------------------
 
     def parse_type(self, depth: int) -> TypeExpr:
+        """A type expression at nesting level `depth`.
+
+        A `{…}` branch list is read here, not by `_branches`: a branch whose
+        type is a bare name becomes its TName without a call, as long as
+        the name's level is within MAX_NESTING (at the bound the call below
+        raises); any other branch type is one call a level down.
+        """
         toks, at = self.toks, self.pos
         if depth > MAX_NESTING:
             raise self.error(f"nesting deeper than {MAX_NESTING} levels", at)
@@ -392,8 +398,36 @@ class _Parser:
             opener = toks[at + 1]
             self.pos = at + 2
             if opener == "{":
-                branches = self._branches(self.parse_type, depth + 1)
-                self.expect("}")
+                depth += 1
+                leaf = depth <= MAX_NESTING
+                branches = []
+                seen = set()
+                repeated = -1
+                pos = at + 2
+                while True:
+                    label = toks[pos]
+                    if label[:1] not in _IDENT_START or label in KEYWORDS:
+                        self.name(pos)  # raises
+                    if toks[pos + 1] != ":":
+                        raise self.expected(":", pos + 1)
+                    if label in seen and repeated < 0:
+                        repeated = pos
+                    seen.add(label)
+                    name = toks[pos + 2]
+                    if leaf and name[:1] in _IDENT_START and name not in KEYWORDS and name != "end":
+                        branches.append((label, TName(name, pos + 2)))
+                        pos += 3
+                    else:
+                        self.pos = pos + 2
+                        branches.append((label, self.parse_type(depth)))
+                        pos = self.pos
+                    if toks[pos] != ",":
+                        break
+                    pos += 1
+                if repeated >= 0:
+                    raise self.error(f"duplicate label {toks[repeated]!r}", repeated)
+                self.want("}", pos)
+                self.pos = pos + 1
                 return TTags(t, branches, at)
             if opener == "(":
                 payload = self.parse_type(depth + 1)
@@ -416,11 +450,12 @@ class _Parser:
             return TName(t, at)
         raise self.error(f"expected a type, found {t or 'eof'!r}", at)
 
-    def _branches(self, item: Callable[[int], Any], depth: int) -> list[tuple[str, Any]]:
-        """`LABEL ":" item ("," LABEL ":" item)*`, with distinct labels.
+    def _branches(self, depth: int) -> list[tuple[str, ProcExpr]]:
+        """`LABEL ":" proc ("," LABEL ":" proc)*`, with distinct labels.
 
         A repeated label is reported where it first repeats, once the whole
         list has parsed, so a syntax error later in the list comes first.
+        `parse_type` reads a type's branch list by the same rules.
         """
         toks = self.toks
         branches = []
@@ -436,7 +471,7 @@ class _Parser:
             if label in seen and repeated < 0:
                 repeated = at
             seen.add(label)
-            branches.append((label, item(depth)))
+            branches.append((label, self.parse_proc(depth)))
             if toks[self.pos] != ",":
                 break
             self.pos += 1
@@ -532,7 +567,7 @@ class _Parser:
             after = toks[at + 2]
             if after == "{":
                 self.pos = at + 3
-                branches = self._branches(self.parse_proc, depth + 1)
+                branches = self._branches(depth + 1)
                 self.expect("}")
                 return TagComm(name, nxt, branches, at)
             if after == "(":
@@ -565,8 +600,11 @@ class _Parser:
         while toks[self.pos]:  # "" is eof
             at = self.pos
             if toks[at] == "type":
-                name = self.name(at + 1)
-                self.want("=", at + 2)
+                name = toks[at + 1]
+                if name[:1] not in _IDENT_START or name in KEYWORDS:
+                    self.name(at + 1)  # raises
+                if toks[at + 2] != "=":
+                    raise self.expected("=", at + 2)
                 self.pos = at + 3
                 typedefs.append((name, self.parse_type(1), at))
                 continue
@@ -685,19 +723,6 @@ def render_program(sp: SourceProgram) -> str:
 
 # Resolution -----------------------------------------------------------------
 
-# the label and the subtree of a (label, subtree) branch
-_label, _subtree = itemgetter(0), itemgetter(1)
-
-
-def _subtypes(t: TypeExpr) -> Iterator[TypeExpr]:
-    """The direct sub-expressions of a type expression, in source order."""
-    if isinstance(t, TTags):
-        return map(_subtree, t.branches)
-    if isinstance(t, TChan):
-        return iter((t.payload, t.cont))
-    return iter(())
-
-
 def resolve(sp: SourceProgram) -> Program:
     """Check names, reject non-contractive typedefs, intern all annotations."""
     src = sp.source
@@ -737,44 +762,48 @@ def resolve(sp: SourceProgram) -> Program:
     def intern(root: TypeExpr, slot: Optional[int] = None) -> int:
         """The id of root; a constructor goes into `slot` when one is given.
 
-        A post-order walk on an explicit stack of (node, iterator over its
-        children): children are interned left to right before their parent,
-        so the ids and the first error are those of a left-to-right
-        recursion. A leaf is interned where it is met; a node whose children
-        are done takes their ids off the end of `done`.
+        A post-order walk on an explicit stack of frames, one per
+        constructor still open: the node, its label in its parent, its
+        (label, id) pairs so far, and an iterator over its (label, child)
+        pairs, where a channel's payload and continuation carry no label.
+        Children are interned left to right before their parent, so the ids
+        and the first error are those of a left-to-right recursion. A name
+        or `end` leaf is interned where it is met and never gets a frame; a
+        constructor whose iterator is spent builds its table tuple straight
+        from its pairs and hands its id to the frame below.
         """
-        if isinstance(root, TName):
+        kind = type(root)
+        if kind is TName:
             return type_id(root.name, root.at)
-        done: list[int] = []
-        stack = [(root, _subtypes(root))]
-        while stack:
-            t, rest = stack[-1]
-            for c in rest:  # resumes after the child last descended into
-                if isinstance(c, TName):
-                    tid = ids.get(c.name)
-                    done.append(type_id(c.name, c.at) if tid is None else tid)
-                elif isinstance(c, TEnd):
-                    done.append(table.add(("end", c.pol)))
+        if kind is TEnd:
+            node: tuple = ("end", root.pol)
+        else:
+            frames = [(root, None, [], iter(root.branches) if kind is TTags
+                       else iter(((None, root.payload), (None, root.cont))))]
+            while True:
+                t, label, pairs, rest = frames[-1]
+                for key, c in rest:  # resumes after the child last descended into
+                    kind = type(c)
+                    if kind is TName:
+                        tid = ids.get(c.name)
+                        pairs.append((key, type_id(c.name, c.at) if tid is None else tid))
+                    elif kind is TEnd:
+                        pairs.append((key, table.add(("end", c.pol))))
+                    else:
+                        frames.append((c, key, [], iter(c.branches) if kind is TTags
+                                       else iter(((None, c.payload), (None, c.cont)))))
+                        break
                 else:
-                    stack.append((c, _subtypes(c)))
-                    break
-            else:
-                stack.pop()
-                if isinstance(t, TTags):
-                    cut = len(done) - len(t.branches)
-                    node: tuple = ("tags", t.pol, tuple(zip(map(_label, t.branches), done[cut:])))
-                    del done[cut:]
-                elif isinstance(t, TChan):
-                    cont = done.pop()
-                    node = ("chan", t.pol, done.pop(), cont)
-                else:
-                    node = ("end", t.pol)
-                if slot is not None and not stack:  # the root is finished last
-                    table.fill(slot, node)
-                    done.append(slot)
-                else:
-                    done.append(table.add(node))
-        return done[0]
+                    frames.pop()
+                    node = (("tags", t.pol, tuple(pairs)) if type(t) is TTags
+                            else ("chan", t.pol, pairs[0][1], pairs[1][1]))
+                    if not frames:  # the root is finished last
+                        break
+                    frames[-1][2].append((label, table.add(node)))
+        if slot is None:
+            return table.add(node)
+        table.fill(slot, node)
+        return slot
 
     typedefs: dict[str, int] = {}
     for name, body, _ in sp.typedefs:

@@ -303,6 +303,16 @@ def test_long_lines_lex_in_linear_time(text, lexer, where, msg):
     assert str(err.value) == f"{where}: {msg}"
 
 
+@pytest.mark.parametrize("text", ["a" + " " * 10**6, "a" + " \t\r\n" * 250_000],
+                         ids=["spaces", "mixed-blanks"])
+def test_trailing_blanks_lex_in_linear_time(text):
+    # a token pattern that skips the blanks before a token inside its own
+    # match retries the whole trailing run from each of its characters
+    started = time.perf_counter()
+    assert lex(text) == ["a", ""]
+    assert time.perf_counter() - started < 2.0
+
+
 # The `line:col: message` texts of these and of RESOLVE_ERRORS are pinned
 # in golden_check.json.
 PARSE_ERRORS = [
@@ -382,6 +392,24 @@ def test_expected_punctuation_errors(source, message):
     assert str(err.value) == message
 
 
+# A type's branch list and a typedef's header are read by `parse_type` and
+# `parse_program` themselves, not through `_branches` and `name`.
+@pytest.mark.parametrize("source, message", [
+    ("type T = !{a: done}", "1:15: keyword 'done' is not a type"),
+    ("type T = !{a end!}", "1:14: expected ':', found 'end'"),
+    ("type T = !{done: end!}", "1:12: keyword 'done' cannot be used as a name"),
+    ("type T = !{a: X b: end!}", "1:17: expected '}', found 'b'"),
+    ("type T = !{}", "1:12: expected 'ident', found '}'"),
+    ("type T = ?{a: X,}", "1:17: expected 'ident', found '}'"),
+    ("type T end!", "1:8: expected '=', found 'end'"),
+    ("type in = end!", "1:6: keyword 'in' cannot be used as a name"),
+])
+def test_type_list_and_typedef_header_errors(source, message):
+    with pytest.raises(SourceError) as err:
+        parse(source)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff11"])
 def test_numbers_are_ascii_digits_only(digit):
     # str.isdigit() holds for each, but the grammar's NAT is ASCII
@@ -418,6 +446,19 @@ def test_nesting_counts_open_constructs_only():
             parse(deeper)
         assert err.value.msg == f"nesting deeper than {MAX_NESTING} levels"
         assert (err.value.line, err.value.col) == (1, col)
+
+
+@pytest.mark.parametrize("leaf", ["X", "end!", "done"])
+def test_nesting_bound_holds_at_a_branch_leaf(leaf):
+    # a bare name in a branch list skips the call one level down, but not
+    # at the bound: there the leaf is one level too deep, whatever it is
+    def nested(n: int, leaf: str) -> str:
+        return "type T = " + "!{a: " * n + leaf + "}" * n + "\ntype X = end!\n"
+
+    with pytest.raises(SourceError) as err:
+        parse(nested(MAX_NESTING, leaf))
+    assert str(err.value) == f"1:1260: nesting deeper than {MAX_NESTING} levels"
+    assert len(parse(nested(MAX_NESTING - 1, "X")).typedefs) == 2
 
 
 @pytest.mark.parametrize("bad", RESOLVE_ERRORS)
