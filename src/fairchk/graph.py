@@ -10,51 +10,60 @@ type, the pairs an equivalence question compares, a subtyping simulation
 with its witness or its failure pair, the configurations of a
 compatibility question or of `graph`, a layer of the session rank's
 search) is one call of `reach`.
+
+`tarjan`, `least` and `closure` take dense node numbers 0..n-1 and keep
+their state per node in lists indexed by number: each caller numbers the
+nodes it searched (the checker's occurrences already are numbers, a
+witness is numbered in witness order, configurations and type nodes in
+the order `reach` met them). `reach` alone takes any hashable node,
+because it is the search that finds them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Hashable, Iterable, Iterator
 from typing import Optional, TypeVar
 
 N = TypeVar("N", bound=Hashable)
-Succ = Mapping[N, list[N]] | list[list[N]]
 
 INF = float("inf")
 
 
-def tarjan(nodes: Iterable[N], succ: Succ) -> list[list[N]]:
+def tarjan(succ: list[list[int]]) -> list[list[int]]:
     """Iterative strongly-connected components, deterministic order.
 
+    The nodes are 0..n-1 with n = len(succ), tried as roots in that order.
     Every component comes out after all the components it reaches, so a
     caller that walks the list in order meets the successors first. Each
     work frame holds its node's successor iterator and resumes it where it
     stopped (Tarjan, "Depth-first search and linear graph algorithms",
-    1972), so every edge is looked at once.
+    1972), so every edge is looked at once. A node whose component has come
+    out reads index n, above every low link, so it needs no stack flag.
     """
-    index: dict[N, int] = {}
-    low: dict[N, int] = {}
-    on_stack: set[N] = set()
-    stack: list[N] = []
-    sccs: list[list[N]] = []
-    for root in nodes:
-        if root in index:
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    count = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = low[root] = count
+        count += 1
         stack.append(root)
-        on_stack.add(root)
         work = [(root, iter(succ[root]))]
         while work:
             v, ws = work[-1]
             for w in ws:
-                if w not in index:
-                    index[w] = low[w] = len(index)
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
                     stack.append(w)
-                    on_stack.add(w)
                     work.append((w, iter(succ[w])))
                     break
-                if w in on_stack and index[w] < low[v]:
+                if index[w] < low[v]:
                     low[v] = index[w]
             else:
                 work.pop()
@@ -66,7 +75,7 @@ def tarjan(nodes: Iterable[N], succ: Succ) -> list[list[N]]:
                     comp = []
                     while True:
                         w = stack.pop()
-                        on_stack.discard(w)
+                        index[w] = n
                         comp.append(w)
                         if w == v:
                             break
@@ -74,48 +83,47 @@ def tarjan(nodes: Iterable[N], succ: Succ) -> list[list[N]]:
     return sccs
 
 
-def cyclic(scc: list[N], succ: Succ) -> bool:
+def cyclic(scc: list[int], succ: list[list[int]]) -> bool:
     """The component holds a cycle: two members or more, or a self-loop."""
     return len(scc) > 1 or scc[0] in succ[scc[0]]
 
 
-def reverse(succ: Mapping[N, Iterable[N]]) -> dict[N, list[N]]:
-    """The predecessor lists of a successor map, one entry per edge."""
-    pred: dict[N, list[N]] = {}
-    for v, ws in succ.items():
+def reverse(succ: list[list[int]]) -> list[list[int]]:
+    """The predecessor lists of successor lists, one entry per edge."""
+    pred: list[list[int]] = [[] for _ in succ]
+    for v, ws in enumerate(succ):
         for w in ws:
-            pred.setdefault(w, []).append(v)
+            pred[w].append(v)
     return pred
 
 
-def closure(seeds: Iterable[N], pred: Mapping[N, Iterable[N]],
-            need: Optional[Mapping[N, int]] = None) -> set[N]:
-    """The least set that holds the seeds and every node v with at least
-    need[v] of its successors in it.
+def closure(seeds: Iterable[int], pred: list[list[int]],
+            need: Optional[list[int]] = None) -> list[bool]:
+    """Which nodes lie in the least set that holds the seeds and every
+    node v with at least need[v] of its successors in it.
 
-    `pred[w]` lists the nodes that have w as a successor, once per edge,
-    and a missing key means none. Without `need` every node needs one
-    successor; with it, a node absent from `need` joins only as a seed.
-    Each node counts the successors it still lacks and joins when the
-    count reaches zero, so every edge is followed once (Liu & Smolka,
-    "Simple linear-time algorithms for minimal fixed points", 1998).
+    The nodes are 0..n-1 with n = len(pred), and `pred[w]` lists the nodes
+    that have w as a successor, once per edge. Without `need` every node
+    needs one successor; a node whose need is 0 joins only as a seed. Each
+    node counts the successors it still lacks and joins when the count
+    reaches zero, so every edge is followed once (Liu & Smolka, "Simple
+    linear-time algorithms for minimal fixed points", 1998).
     """
-    out = set(seeds)
-    lacking = None if need is None else dict(need)
-    todo = list(out)
-    while todo:
-        for v in pred.get(todo.pop(), ()):
-            if v in out:
-                continue
-            if lacking is not None:
-                if v not in lacking:
-                    continue
-                lacking[v] -= 1
-                if lacking[v] > 0:
-                    continue
-            out.add(v)
+    inside = [False] * len(pred)
+    lacking = [1] * len(pred) if need is None else list(need)
+    todo = []
+    for v in seeds:
+        if not inside[v]:
+            inside[v] = True
             todo.append(v)
-    return out
+    while todo:
+        for v in pred[todo.pop()]:
+            if not inside[v]:
+                lacking[v] -= 1
+                if lacking[v] == 0:
+                    inside[v] = True
+                    todo.append(v)
+    return inside
 
 
 def reach(roots: Iterable[N], succ: Callable[[N], Iterable[N]]) -> Iterator[N]:
@@ -136,48 +144,82 @@ def reach(roots: Iterable[N], succ: Callable[[N], Iterable[N]]) -> Iterator[N]:
                 queue.append(w)
 
 
-def least(sccs: list[list[N]], succ: Succ, rule: Mapping[N, str] | list[str],
-          plus: Mapping[N, int], cutoff: float = INF) -> dict[N, int | float]:
+def numbered(root: N, succ: Callable[[N], Iterable[N]]
+             ) -> tuple[dict[N, int], list[list[int]]]:
+    """Every node reachable from the root, numbered 0, 1, … in the order
+    `reach` meets them, and their predecessor lists by number, one entry
+    per edge: the input `closure` takes. `succ(v)` is called once per node.
+    """
+    num = {root: 0}
+    pred: list[list[int]] = [[]]
+
+    def expand(v: N) -> Iterable[N]:
+        k = num[v]
+        ws = succ(v)
+        for w in ws:
+            j = num.get(w)
+            if j is None:
+                j = num[w] = len(pred)
+                pred.append([])
+            pred[j].append(k)
+        return ws
+
+    for _ in reach([root], expand):
+        pass
+    return num, pred
+
+
+def least(sccs: list[list[int]], succ: list[list[int]], rule: list[str],
+          plus: list[int], cutoff: float = INF) -> list[int | float]:
     """Least solution of one equation per node, over `tarjan`'s `sccs`.
 
-    A node's value is `plus.get(v, 0)` added to its successors' values
-    combined by `rule[v]`: "sum" adds them, "strict" is 1 + the least,
-    "equal" is the smaller of 1 + the least and the largest, and any other
-    rule takes the largest, or 0 when there are none. A node off every
-    cycle evaluates once, and a value above `cutoff` is ∞. A cycle with no
+    Node v's value is `plus[v]` added to its successors' values combined
+    by `rule[v]`: "sum" adds them, "strict" is 1 + the least, "equal" is
+    the smaller of 1 + the least and the largest, and any other rule takes
+    the largest, or 0 when there are none. A node off every cycle
+    evaluates once, and a value above `cutoff` is ∞. A cycle with no
     "strict" or "equal" member takes one pass: ∞ when a member has a
     positive constant, else every member gets the largest value that
     leaves it (so a "sum" member on a cycle needs a constant). Any other
-    cycle goes to `_settle_cycle`, which reads no constants.
+    cycle goes to `_settle_cycle`, which reads no constants. The values
+    come back by node number; a node in no component has None.
     """
-    val: dict[N, int | float] = {}
+    val: list = [None] * len(succ)
     for scc in sccs:
-        if not cyclic(scc, succ):
-            v = scc[0]
-            xs = [val[w] for w in succ[v]]
+        v = scc[0]
+        ws = succ[v]
+        if len(scc) == 1 and v not in ws:
             r = rule[v]
-            if r == "sum":
-                x = sum(xs)
+            if len(ws) == 1:  # every rule but "strict" passes one value on
+                x = val[ws[0]]
+                if r == "strict":
+                    x += 1
+            elif r == "sum":
+                x = sum([val[w] for w in ws])
             elif r == "strict":
-                x = 1 + min(xs)
+                x = 1 + min([val[w] for w in ws])
             elif r == "equal":
+                xs = [val[w] for w in ws]
                 x = min(1 + min(xs), max(xs))
+            elif ws:
+                x = max([val[w] for w in ws])
             else:
-                x = max(xs, default=0)
-            x += plus.get(v, 0)
+                x = 0
+            x += plus[v]
             val[v] = INF if x > cutoff else x
         elif any(rule[v] == "strict" or rule[v] == "equal" for v in scc):
             _settle_cycle(scc, succ, rule, val, cutoff)
         else:
             # members still read 0, and no value leaving the cycle is below 0
-            x = (INF if any(plus.get(v, 0) > 0 for v in scc)
-                 else max(val.get(w, 0) for v in scc for w in succ[v]))
-            val.update(dict.fromkeys(scc, x))
+            x = (INF if any(plus[v] > 0 for v in scc)
+                 else max(val[w] or 0 for v in scc for w in succ[v]))
+            for v in scc:
+                val[v] = x
     return val
 
 
-def _settle_cycle(scc: list[N], succ: Succ, rule: Mapping[N, str] | list[str],
-                  val: dict[N, int | float], cutoff: float) -> None:
+def _settle_cycle(scc: list[int], succ: list[list[int]], rule: list[str],
+                  val: list, cutoff: float) -> None:
     """Least values of one cyclic component, given every node it reaches.
 
     At level v, the nodes of value at most v are the largest set X whose
@@ -189,29 +231,33 @@ def _settle_cycle(scc: list[N], succ: Succ, rule: Mapping[N, str] | list[str],
     most v and one of them exceeds v. Between two values w, w + 1 of
     settled successors nothing changes, so the levels jump from one such
     value to the next; when none is left, or the level passes the cutoff,
-    the nodes still open are ∞. Each level is linear in the component.
+    the nodes still open are ∞. Each level is linear in the component:
+    its members are numbered 0..m-1 in `scc` order for the closure, and a
+    node not yet settled reads None in `val`.
     """
-    users = reverse({p: succ[p] for p in scc})
-    open_ = scc
+    local = {p: k for k, p in enumerate(scc)}
+    users = reverse([[local[q] for q in succ[p] if q in local] for p in scc])
+    open_ = list(range(len(scc)))
     v = 0
     while open_ and v <= cutoff:
-        forced: list[N] = []
-        needs_all: dict[N, int] = {}
-        for p in open_:
-            known = [val[q] for q in succ[p] if q in val]
+        forced: list[int] = []
+        need = [0] * len(scc)
+        for k in open_:
+            p = scc[k]
+            known = [val[q] for q in succ[p] if val[q] is not None]
             r = rule[p]
             if r in ("strict", "equal") and any(w < v for w in known):
                 continue  # one settled successor pays for the +1
             if r == "strict" or any(w > v for w in known):
-                forced.append(p)
+                forced.append(k)
             else:
-                needs_all[p] = 1
-        over = closure(forced, users, needs_all)
-        for p in open_:
-            if p not in over:
-                val[p] = v
-        open_ = [p for p in open_ if p in over]
-        v = min((x for p in open_ for q in succ[p] if q in val
+                need[k] = 1
+        over = closure(forced, users, need)
+        for k in open_:
+            if not over[k]:
+                val[scc[k]] = v
+        open_ = [k for k in open_ if over[k]]
+        v = min((x for k in open_ for q in succ[scc[k]] if val[q] is not None
                  for x in (val[q], val[q] + 1) if x > v), default=INF)
-    for p in open_:
-        val[p] = INF
+    for k in open_:
+        val[scc[k]] = INF

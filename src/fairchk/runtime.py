@@ -112,7 +112,7 @@ class Soup:
     which the draw at each step depends on: first the single-thread
     redexes in thread order, then the synchronising pairs in session order.
     A step re-reads only the threads it touched, so its work does not grow
-    with the thread count; its time still does (ROADMAP item 4).
+    with the thread count; its time still does (ROADMAP item 7).
 
     A thread moves along the soup's own copy of the occurrence table, which
     leaves the program as loaded and adds, for each output with several

@@ -13,7 +13,7 @@ question stores the configuration graph.
 
 from __future__ import annotations
 
-from .graph import closure, reach
+from .graph import closure, numbered, reach
 from .types import INF, OUT, TypeTable, equiv
 
 Config = tuple[int, int]
@@ -63,24 +63,20 @@ def moves(table: TypeTable, cfg: Config
 def compatible(table: TypeTable, s: int, t: int) -> bool:
     """Every reachable configuration must still be able to terminate.
 
-    One forward search keeps the successes and the predecessors of each
-    configuration; the configurations that can terminate are one backward
-    closure from the successes.
+    One forward search numbers the configurations and keeps the successes
+    and the predecessors of each; the configurations that can terminate
+    are one backward closure from the successes.
     """
-    pred: dict[Config, list[Config]] = {}
     success: list[Config] = []
 
     def expand(c: Config) -> list[Config]:
         tau, sync, done = moves(table, c)
         if done:
             success.append(c)
-        succ = tau + [d for _, d in sync]
-        for d in succ:
-            pred.setdefault(d, []).append(c)
-        return succ
+        return tau + [d for _, d in sync]
 
-    count = sum(1 for _ in reach([(s, t)], expand))
-    return len(closure(success, pred)) == count
+    num, pred = numbered((s, t), expand)
+    return all(closure([num[c] for c in success], pred))
 
 
 def session_rank(table: TypeTable, s: int, t: int) -> int | float:

@@ -105,12 +105,16 @@ def solve_weights(sim: Simulation) -> dict[Pair, int | float]:
 
     Finite components of the least solution stay within K = number of
     pairs, so anything above K is clamped to ∞. It is one call of `least`
-    on the premise graph: each pair's rule is its equation's name, no pair
-    carries a constant, and the cutoff is K.
+    on the premise graph, its pairs numbered in witness order: each pair's
+    rule is its equation's name, no pair carries a constant, and the
+    cutoff is K.
     """
-    prem = sim.premises
-    rk = least(tarjan(sim.witness, prem), prem, sim.equation, {}, len(sim.witness))
-    return {p: rk[p] for p in sim.witness}
+    witness = sim.witness
+    num = {p: k for k, p in enumerate(witness)}
+    succ = [[num[q] for q in sim.premises[p]] for p in witness]
+    rule = [sim.equation[p] for p in witness]
+    k = len(witness)
+    return dict(zip(witness, least(tarjan(succ), succ, rule, [0] * k, k)))
 
 
 @dataclass

@@ -126,6 +126,9 @@ class Checker:
         return ctx[var]
 
     def _leak(self, dn: str, p: ProcExpr, ctx: dict[str, int], keep: set[str]) -> None:
+        # every caller's `keep` lies inside `ctx`, so no more names means none left over
+        if len(ctx) <= len(keep):
+            return
         extra = sorted(set(ctx) - keep)
         if extra:
             shown = ", ".join(f"{v}: {self.table.render(ctx[v])}" for v in extra)
@@ -179,13 +182,13 @@ class Checker:
                     fail(dn, "E-TYPE-MISMATCH", p,
                          f"{p.chan}{p.pol} does not match its type {render(t)}")
                 branches = dict(node[2])
-                plabels = set(p.labels)
-                if set(branches) != plabels:
+                labels = p.labels
+                if branches.keys() != set(labels):
                     fail(dn, "E-TYPE-MISMATCH", p,
-                         f"labels on {p.chan} are {sorted(plabels)}, "
+                         f"labels on {p.chan} are {sorted(set(labels))}, "
                          f"type has {sorted(branches)}")
                 stack.extend((k, {**ctx, p.chan: branches[l]})
-                             for l, k in zip(reversed(p.labels), reversed(ks)))
+                             for l, k in zip(reversed(labels), reversed(ks)))
             elif isinstance(p, ChanOut):
                 t = self._lookup(dn, p, ctx, p.chan)
                 node = table.node(t)
@@ -301,13 +304,13 @@ class Checker:
         # outermost failures, in preorder, to keep the noise down; when
         # every occurrence is bounded there is nothing to look for
         bounded = self.graph.bounded
-        if len(bounded) == len(self.nodes):
+        if all(bounded):
             return
         for name, b in self.start.items():
             stack = [b]
             while stack:
                 v = stack.pop()
-                if v not in bounded:
+                if not bounded[v]:
                     self.diag(name, "E-UNBOUNDED-ACTION", self.nodes[v].at,
                               "no branch of this process reaches done or close "
                               "without unfolding a definition twice")
@@ -334,7 +337,7 @@ class Checker:
             b = self.start[self.owner[v]]
             self.marker[v] = 3 - k
             g, cur = TermGraph(self), self.graph
-            if (b not in g.bounded, g.ranks[b]) < (b not in cur.bounded, cur.ranks[b]):
+            if (not g.bounded[b], g.ranks[b]) < (not cur.bounded[b], cur.ranks[b]):
                 self.graph = g
             else:
                 self.marker[v] = k
@@ -371,38 +374,43 @@ class TermGraph:
     emits every component after all the components it reaches. Ranks and
     action bounds are least fixpoints over this graph, each solved in time
     linear in its size when first read and kept, by occurrence number.
-    The rank equations are data for `least`: a session adds 1 to the sum
-    of its two sides, a cast adds its weight, any other node takes the max.
+    The rank equations are data for `least`, lists by occurrence number
+    built with `succ` in one pass: a session adds 1 to the sum of its two
+    sides, a cast adds its weight, any other node takes the max.
     """
 
     def __init__(self, checker: Checker):
         self.node = node = checker.nodes
         start, kids, marker = checker.start, checker.kids, checker.marker
-        self.succ = succ = [[start[n.name]] if type(n) is Call
-                            else [kids[v][marker[v] - 1]] if type(n) is Choice
-                            else kids[v] for v, n in enumerate(node)]
-        self.sccs = tarjan(range(len(node)), succ)
-        self.rule = ["sum" if type(n) is NewSession else "max" for n in node]
-        self.plus = plus = {v: 1 for v, n in enumerate(node) if type(n) is NewSession}
-        plus.update(checker.cast_weight)
+        weight = checker.cast_weight
+        self.succ = succ = []
+        self.rule = rule = []
+        self.plus = plus = []
+        for v, n in enumerate(node):
+            t = type(n)
+            succ.append([start[n.name]] if t is Call else [kids[v][marker[v] - 1]]
+                        if t is Choice else kids[v])
+            rule.append("sum" if t is NewSession else "max")
+            plus.append(1 if t is NewSession else weight.get(v, 0))
+        self.sccs = tarjan(succ)
         # no finite rank exists past a session or a positive-weight cast on a cycle
         self.unsafe = {v for scc in self.sccs if cyclic(scc, succ) for v in scc
-                       if plus.get(v, 0) > 0}
+                       if plus[v] > 0}
 
     @cached_property
-    def ranks(self) -> dict[int, int | float]:
+    def ranks(self) -> list[int | float]:
         """Least ranks at every occurrence: a cycle holding an unsafe node
         diverges, any other passes on the largest rank that leaves it."""
         return least(self.sccs, self.succ, self.rule, self.plus)
 
     @cached_property
-    def bounded(self) -> set[int]:
-        """Action-bounded occurrences, as a least fixpoint: done and close
-        are bounded, a session needs both sides, every other node needs one
-        successor."""
+    def bounded(self) -> list[bool]:
+        """Which occurrences are action bounded, as a least fixpoint: done
+        and close are bounded, a session needs both sides, every other node
+        needs one successor."""
         seeds = [v for v, n in enumerate(self.node) if type(n) is Done or type(n) is Close]
-        need = {v: 2 if type(n) is NewSession else 1 for v, n in enumerate(self.node)}
-        return closure(seeds, reverse(dict(enumerate(self.succ))), need)
+        need = [2 if type(n) is NewSession else 1 for n in self.node]
+        return closure(seeds, reverse(self.succ), need)
 
 
 def check_program(program: Program, infer_branch: bool = False) -> dict:

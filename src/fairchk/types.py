@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from .graph import INF, closure, reach, reverse
+from .graph import INF, closure, numbered, reach
 
 OUT = "!"
 IN = "?"
@@ -258,9 +258,8 @@ def equiv(table: TypeTable, a: int, b: int) -> bool:
 
 def is_bounded(table: TypeTable, i: int) -> bool:
     """True when every subtree can still reach a terminated endpoint."""
-    nodes = table.reachable(i)
-    ends = [j for j in nodes if table.kind(j) == "end"]
-    return nodes <= closure(ends, reverse({j: table.children(j) for j in nodes}))
+    num, pred = numbered(i, table.children)
+    return all(closure([k for j, k in num.items() if table.kind(j) == "end"], pred))
 
 
 def _matched(table: TypeTable, i: int, j: int) -> list[tuple[int, int]]:

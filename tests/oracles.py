@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from fairchk import types
-from fairchk.graph import closure, reach, reverse
+from fairchk.graph import reach
 from fairchk.runtime import RULES, RunOutcome, SplitMix64, TraceEntry
 from fairchk.semantics import Config, compatible, moves, session_rank
 from fairchk.subtyping import Simulation, _judge, fair_subtype, simulate, solve_weights
@@ -770,10 +770,10 @@ def session_rank_01bfs(table: TypeTable, s: int, t: int):
 
 
 def compatible_graph(table: TypeTable, s: int, t: int) -> bool:
-    """The former `compatible`: the whole config graph stored, then one
-    backward closure over its reversed edges."""
+    """The former `compatible`: the whole config graph stored, then the
+    configurations that can terminate by Kleene rounds."""
     g = build_config_graph(table, s, t)
-    can_end = closure(g.success, reverse({c: g.successors(c) for c in g.nodes}))
+    can_end = closure_kleene({c: g.successors(c) for c in g.nodes}, g.success, None)
     return len(can_end) == len(g.nodes)
 
 
@@ -897,11 +897,11 @@ def reachable_pairs(table: TypeTable, a: int, b: int) -> set[tuple[int, int]]:
 
 def simulate_closure(table: TypeTable, s: int, t: int) -> Simulation:
     """The former `simulate`: every carrier pair judged, then the dead pairs
-    as one backward closure from the shape violations over the reversed
-    premise edges, then a second search from the root."""
+    by Kleene rounds from the shape violations along premise edges, then a
+    second search from the root."""
     judged = {p: _judge(table, *p) for p in reachable_pairs(table, s, t)}
     premises = {p: prem for p, (_, prem) in judged.items() if prem is not None}
-    dead = closure([p for p in judged if p not in premises], reverse(premises))
+    dead = closure_kleene(premises, [p for p in judged if p not in premises], None)
 
     root = (s, t)
     if root not in dead:
@@ -1300,7 +1300,7 @@ def infer_branches_rebuild(ck: Checker) -> None:
             ck.marker[v] = k
             g = TermGraph(ck)
             rank = g.ranks[body]
-            scores[k] = (body not in g.bounded, rank == INF, rank, k != written)
+            scores[k] = (not g.bounded[body], rank == INF, rank, k != written)
         ck.marker[v] = min((1, 2), key=lambda k: scores[k])
 
 

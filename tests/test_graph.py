@@ -1,9 +1,9 @@
 """Shared graph algorithms: the backward-closure worklist, the forward
-search and the strongly connected components."""
+search, its numbering and the strongly connected components."""
 
 import random
 
-from fairchk.graph import closure, cyclic, reach, reverse, tarjan
+from fairchk.graph import closure, cyclic, numbered, reach, reverse, tarjan
 
 from oracles import closure_kleene, reach_kleene, tarjan_rescan
 
@@ -19,8 +19,11 @@ def test_closure_matches_kleene_oracle():
         need = None
         if rnd.random() < 0.7:
             need = {v: rnd.randint(1, 3) for v in range(n) if rnd.random() < 0.8}
-        got = closure(seeds, reverse(succ), need)
-        assert got == closure_kleene(succ, seeds, need)
+        # a node absent from the oracle's need needs 0: it joins only as a seed
+        inside = closure(seeds, reverse([succ[v] for v in range(n)]),
+                         None if need is None else [need.get(v, 0) for v in range(n)])
+        got = {v for v in range(n) if inside[v]}
+        assert len(inside) == n and got == closure_kleene(succ, seeds, need)
         seen["grown"] += len(got) > len(set(seeds))
         seen["unweighted"] += need is None and len(got) > len(set(seeds))
         if need is not None:
@@ -67,6 +70,28 @@ def test_reach_matches_kleene_oracle():
     assert all(k > 100 for k in seen.values()), seen
 
 
+def test_numbered_follows_reach_and_lists_every_edge():
+    rnd = random.Random(67)
+    seen = {"parallel": 0, "unreached": 0}
+    for _ in range(3000):
+        n = rnd.randint(1, 12)
+        succ = {v: [rnd.randrange(n) for _ in range(rnd.randint(0, 3))] for v in range(n)}
+        root = rnd.randrange(n)
+        num, pred = numbered(root, succ.__getitem__)
+        order = list(reach([root], succ.__getitem__))
+        assert list(num) == order and list(num.values()) == list(range(len(order)))
+        assert set(order) == reach_kleene(succ, [root]) and len(pred) == len(order)
+        # one predecessor entry per edge, in the order the sources are numbered
+        want = [[] for _ in order]
+        for v in order:
+            for w in succ[v]:
+                want[num[w]].append(num[v])
+        assert pred == want
+        seen["parallel"] += any(len(set(succ[v])) < len(succ[v]) for v in order)
+        seen["unreached"] += len(order) < n
+    assert all(k > 500 for k in seen.values()), seen
+
+
 def test_tarjan_matches_rescan_oracle():
     rnd = random.Random(66)
     seen = {"self-loop": 0, "parallel": 0, "unreached": 0, "cycle": 0, "pairs": 0}
@@ -77,12 +102,15 @@ def test_tarjan_matches_rescan_oracle():
         names = [(v, rnd.randrange(3)) for v in range(n)] if i % 3 == 0 else list(range(n))
         succ = {v: [names[rnd.randrange(n)] for _ in range(rnd.randint(0, 3))] for v in names}
         nodes = rnd.sample(names, n)
-        got = tarjan(nodes, succ)
+        # number the nodes in root order, and map the components back
+        num = {v: k for k, v in enumerate(nodes)}
+        got = [[nodes[k] for k in scc]
+               for scc in tarjan([[num[w] for w in succ[v]] for v in nodes])]
         assert got == tarjan_rescan(nodes, succ)
         assert sorted(v for scc in got for v in scc) == sorted(names)
         if i % 3 != 0:
-            # an occurrence graph: successor lists indexed by node number
-            assert tarjan(nodes, [succ[v] for v in range(n)]) == got
+            # an occurrence graph: its nodes are already numbers
+            assert tarjan([succ[v] for v in range(n)]) == tarjan_rescan(list(range(n)), succ)
         seen["self-loop"] += any(v in succ[v] for v in names)
         seen["parallel"] += any(len(set(ws)) < len(ws) for ws in succ.values())
         seen["unreached"] += any(all(v not in ws for ws in succ.values()) for v in names)
