@@ -7,16 +7,18 @@ Every least set closed backwards along edges (bounded occurrences,
 configurations that can terminate, the pairs above a level of the weight
 solver) is one call of `closure`. Every forward search (the nodes of a
 type, the pairs an equivalence question compares, a subtyping simulation
-with its witness or its failure pair, the configurations of a
-compatibility question or of `graph`, a layer of the session rank's
-search) is one call of `reach`.
+with its witness or its failure pair, the configurations of `graph`, a
+layer of the session rank's search) is one call of `reach`, or of
+`numbered` when the closure that follows needs the nodes numbered and
+their predecessors (the nodes of a type in a boundedness question, the
+configurations of a compatibility question).
 
 `tarjan`, `least` and `closure` take dense node numbers 0..n-1 and keep
 their state per node in lists indexed by number: each caller numbers the
 nodes it searched (the checker's occurrences already are numbers, a
 witness is numbered in witness order, configurations and type nodes in
-the order `reach` met them). `reach` alone takes any hashable node,
-because it is the search that finds them.
+the order their search met them). `reach` and `numbered` alone take any
+hashable node, because they are the searches that find them.
 """
 
 from __future__ import annotations
@@ -146,26 +148,22 @@ def reach(roots: Iterable[N], succ: Callable[[N], Iterable[N]]) -> Iterator[N]:
 
 def numbered(root: N, succ: Callable[[N], Iterable[N]]
              ) -> tuple[dict[N, int], list[list[int]]]:
-    """Every node reachable from the root, numbered 0, 1, … in the order
-    `reach` meets them, and their predecessor lists by number, one entry
-    per edge: the input `closure` takes. `succ(v)` is called once per node.
+    """Every node reachable from the root, numbered 0, 1, … breadth first,
+    in the order `reach` would meet them, and their predecessor lists by
+    number, one entry per edge: the input `closure` takes. `succ(v)` is
+    called once per node, and each edge is looked up once, in `num`.
     """
     num = {root: 0}
+    order = [root]
     pred: list[list[int]] = [[]]
-
-    def expand(v: N) -> Iterable[N]:
-        k = num[v]
-        ws = succ(v)
-        for w in ws:
+    for k, v in enumerate(order):  # `order` grows while it is read
+        for w in succ(v):
             j = num.get(w)
             if j is None:
-                j = num[w] = len(pred)
+                j = num[w] = len(order)
+                order.append(w)
                 pred.append([])
             pred[j].append(k)
-        return ws
-
-    for _ in reach([root], expand):
-        pass
     return num, pred
 
 

@@ -9,6 +9,11 @@ still reach a terminated pair; the session rank measures how many
 synchronizations the shortest terminating schedule needs. Both, and the
 DOT printer behind `graph`, are one forward search each over `moves`; no
 question stores the configuration graph.
+
+A configuration's side is a table id, or a pick the table does not hold:
+the one-branch output node itself, a tuple that the question keeps and
+the table never sees. A pick equal to a node the table holds is that
+node's id, so equal sides are one side either way.
 """
 
 from __future__ import annotations
@@ -16,14 +21,16 @@ from __future__ import annotations
 from .graph import closure, numbered, reach
 from .types import INF, OUT, TypeTable, equiv
 
-Config = tuple[int, int]
+Side = int | tuple
+Config = tuple[Side, Side]
 
 
-def _picks(table: TypeTable, branches: tuple) -> list[int]:
+def _picks(table: TypeTable, branches: tuple) -> list[Side]:
     """Silent pick successors of an output with several branches: the
-    one-branch output of each branch, in label order. A one-branch output
+    one-branch output of each branch, in label order, as its id when the
+    table holds it and as the node itself when not. A one-branch output
     has none: its self-loop is contracted."""
-    return [table.add(("tags", OUT, (branch,))) for branch in sorted(branches)]
+    return [table.lookup(("tags", OUT, (branch,))) for branch in sorted(branches)]
 
 
 def moves(table: TypeTable, cfg: Config
@@ -34,7 +41,8 @@ def moves(table: TypeTable, cfg: Config
     are unique within a node, so two nodes synchronize in at most one way,
     and each side's node is read once."""
     a, b = cfg
-    na, nb = table.node(a), table.node(b)
+    na = a if type(a) is tuple else table.node(a)
+    nb = b if type(b) is tuple else table.node(b)
     tau = []
     if na[1] == OUT and na[0] == "tags" and len(na[2]) > 1:
         tau = [(a2, b) for a2 in _picks(table, na[2])]
@@ -114,8 +122,10 @@ def to_dot(table: TypeTable, s: int, t: int) -> str:
 
     One forward search numbers each configuration as it meets it and
     writes its node line then; the edges wait until every target has a
-    number, and follow in the same order.
+    number, and follow in the same order. A pick side is rendered from a
+    copy of the table, which takes it as a node the first time it prints.
     """
+    view = table.copy()
     ids: dict[Config, str] = {}
     edges: list[tuple] = []
     succ: dict[Config, list[Config]] = {}
@@ -129,7 +139,8 @@ def to_dot(table: TypeTable, s: int, t: int) -> str:
     for c in reach([(s, t)], succ.pop):
         ids[c] = n = f"n{len(ids)}"
         tau, sync, done = moves(table, c)
-        label = esc(f"{table.render(c[0])} # {table.render(c[1])}")
+        a, b = (side if type(side) is int else view.add(side) for side in c)
+        label = esc(f"{view.render(a)} # {view.render(b)}")
         shape = "doublecircle" if done else "ellipse"
         lines.append(f'  {n} [label="{label}", shape={shape}];')
         edges.append((n, tau, sync))
@@ -139,7 +150,7 @@ def to_dot(table: TypeTable, s: int, t: int) -> str:
             lines.append(f'  {n} -> {ids[d]} [label="pick", style=dashed];')
         for label, d in sync:
             if isinstance(label, int):
-                label = f"({table.render(label)})"
+                label = f"({view.render(label)})"
             lines.append(f'  {n} -> {ids[d]} [label="{esc(label)}"];')
     lines.append("}")
     return "\n".join(lines)

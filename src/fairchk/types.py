@@ -37,9 +37,10 @@ class TypeTable:
 
     Construction happens in two ways: `add` hash-conses a complete node,
     while `placeholder`/`fill` support cyclic definitions (allocate first,
-    fill once the children exist). After resolution the table is treated as
-    immutable except for `add`, which later phases use to materialize
-    singleton output nodes; hash-consing keeps that bounded.
+    fill once the children exist). After resolution only `dual` adds
+    nodes: every question reads the table as loaded, and one that needs a
+    node the table does not hold keeps the node itself (`lookup`), and
+    renders it from a `copy`.
     """
 
     def __init__(self) -> None:
@@ -70,6 +71,18 @@ class TypeTable:
         i = len(self.nodes) - 1
         self._cons[node] = i
         return i
+
+    def lookup(self, node: tuple) -> int | tuple:
+        """The id `add` gave node, or node itself when it gave none; adds
+        nothing."""
+        return self._cons.get(node, node)
+
+    def copy(self) -> TypeTable:
+        """A table of the same nodes and names that grows apart from this one."""
+        other = TypeTable()
+        other.nodes, other._cons = list(self.nodes), dict(self._cons)
+        other.name_hint, other.type_names = dict(self.name_hint), dict(self.type_names)
+        return other
 
     def node(self, i: int) -> tuple:
         n = self.nodes[i]

@@ -523,6 +523,19 @@ def holding_loop_source(n: int) -> str:
     return "\n".join(lines) + "\nMain() = done\n"
 
 
+def dual_chain_source(n: int) -> str:
+    """L_i = !{a: L_{i+1}, r: L0} with L_n = end!, and its dual C_i.
+
+    From every configuration the a-steps lead to the end pair, so L0 and
+    C0 are compatible with session rank n + 1. Each side picks before it
+    sends, and past a few dozen states a configuration's label passes
+    `RENDER_LIMIT` and prints in the equation form.
+    """
+    lines = (_ladder("L", n, lambda i: f"!{{a: {f'L{i + 1}' if i + 1 < n else 'end!'}, r: L0}}")
+             + _ladder("C", n, lambda i: f"?{{a: {f'C{i + 1}' if i + 1 < n else 'end?'}, r: C0}}"))
+    return "\n".join(lines) + "\nMain() = done\n"
+
+
 def shared_ladder_source(n: int) -> str:
     """A_i = !{a: A_{i+1}, b: A_{i+1}, c: end!}, indices mod n, and a process
     that leaves its channel of type A0 unused.

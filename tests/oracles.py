@@ -253,13 +253,15 @@ def resolve_recursive(sp: SourceProgram) -> Program:
 TAU = ("tau",)
 
 
-def type_transitions(table: TypeTable, i: int) -> list[tuple[tuple, int]]:
-    """Raw transitions of one endpoint type.
+def type_transitions(table: TypeTable, i) -> list[tuple[tuple, int]]:
+    """Raw transitions of one endpoint type: a table id, or a singleton
+    output node the table does not hold.
 
     Output choices first commit silently to a singleton and only then expose
-    the tag action, so a multi-branch output has no visible transitions.
+    the tag action, so a multi-branch output has no visible transitions. A
+    singleton the table holds is its id, and any other is the node itself.
     """
-    n = table.node(i)
+    n = i if type(i) is tuple else table.node(i)
     if n[0] == "end":
         return []
     if n[0] == "chan":
@@ -267,7 +269,7 @@ def type_transitions(table: TypeTable, i: int) -> list[tuple[tuple, int]]:
     out: list[tuple[tuple, int]] = []
     if n[1] == OUT:
         for branch in n[2]:
-            out.append((TAU, table.add(("tags", OUT, (branch,)))))
+            out.append((TAU, table.lookup(("tags", OUT, (branch,)))))
         if len(n[2]) == 1:
             label, child = n[2][0]
             out.append((("tag", OUT, label), child))
@@ -722,15 +724,18 @@ def build_config_graph(table: TypeTable, s: int, t: int) -> ConfigGraph:
 
 def to_dot_stored(table: TypeTable, g: ConfigGraph) -> str:
     """The former `semantics.to_dot`: GraphViz text printed from a stored
-    configuration graph, all node lines first, then all edge lines."""
+    configuration graph, all node lines first, then all edge lines. A pick
+    side the table does not hold is added to a copy of it, in node order."""
     ids = {c: f"n{i}" for i, c in enumerate(g.nodes)}
+    view = table.copy()
 
     def esc(s: str) -> str:
         return s.replace("\\", "\\\\").replace('"', '\\"')
 
     lines = ["digraph config {", "  rankdir=LR;"]
     for c in g.nodes:
-        label = esc(f"{table.render(c[0])} # {table.render(c[1])}")
+        a, b = [view.add(x) if type(x) is tuple else x for x in c]
+        label = esc(f"{view.render(a)} # {view.render(b)}")
         shape = "doublecircle" if c in g.success else "ellipse"
         lines.append(f'  {ids[c]} [label="{label}", shape={shape}];')
     for c in g.nodes:
@@ -738,7 +743,7 @@ def to_dot_stored(table: TypeTable, g: ConfigGraph) -> str:
             lines.append(f'  {ids[c]} -> {ids[d]} [label="pick", style=dashed];')
         for label, d in g.sync[c]:
             if isinstance(label, int):
-                label = f"({table.render(label)})"
+                label = f"({view.render(label)})"
             lines.append(f'  {ids[c]} -> {ids[d]} [label="{esc(label)}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -14,11 +14,12 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from conftest import CORPUS, corpus_path
-from fairchk import cli
+from fairchk import cli, load
 from fairchk.cli import _color_enabled, build_parser, main
 from fairchk.surface import MAX_NESTING
 from gen import NESTED_SOURCES, deepest_admitted, diverging_source, shared_ladder_source
@@ -213,6 +214,38 @@ def test_collector_state_is_restored(enabled, tmp_path, capsys, monkeypatch):
         _set_collector(was)
     capsys.readouterr()
     assert during == [False] * 3
+
+
+def test_no_subcommand_adds_to_the_loaded_type_table(monkeypatch):
+    # `check`, with and without branch inference, on every corpus file,
+    # and the four pair questions on every ordered pair of its typedefs:
+    # each leaves the table's nodes and its hash-cons map as `load` built them
+    loaded = []
+
+    def load_and_keep(text):
+        program = load(text)
+        loaded.append((program.table, list(program.table.nodes), dict(program.table._cons)))
+        return program
+
+    monkeypatch.setattr(cli, "load", load_and_keep)
+    runs = Counter()
+    for path in sorted(CORPUS.glob("*.ft")):
+        file = str(path)
+        names = sorted(load(path.read_text(encoding="utf-8")).typedefs)
+        argvs = [["check", file], ["check", file, "--infer-branch"]]
+        argvs += [[command, file, a, b] for a in names for b in names
+                  for command in ("subtype", "compatible", "rank", "graph")]
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    main(argv)
+                except SystemExit:
+                    pass
+            table, nodes, cons = loaded.pop()
+            assert table.nodes == nodes and table._cons == cons, argv
+            runs[argv[0]] += 1
+    assert runs["check"] == 20 and runs["graph"] >= 192, runs
 
 
 def test_missing_subcommand_exits_two(capsys):

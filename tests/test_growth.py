@@ -7,10 +7,10 @@ so unlike wall clock they repeat exactly on any host.
 
 import pytest
 
-from fairchk import graph, load, typecheck
+from fairchk import graph, load, semantics, typecheck
 from fairchk.typecheck import Checker, TermGraph
 
-from gen import call_dag_source, session_chain_source
+from gen import call_dag_source, dual_chain_source, session_chain_source
 
 
 class _Reads(list):
@@ -54,3 +54,27 @@ def test_term_graph_work_is_linear(family, sizes, monkeypatch):
     reads = [_term_graph_reads(family(n), monkeypatch) for n in sizes]
     ratios = [b / a for a, b in zip(reads, reads[1:])]
     assert all(r <= 2.2 for r in ratios), (reads, ratios)
+
+
+def _moves_calls(n: int, monkeypatch) -> int:
+    """The configurations `compatible` and `session_rank` expand on the
+    dual chain of n states a side: one `moves` call each."""
+    program = load(dual_chain_source(n))
+    table, s, t = program.table, program.typedefs["L0"], program.typedefs["C0"]
+    count = [0]
+    moves = semantics.moves
+
+    def counted(table, cfg):
+        count[0] += 1
+        return moves(table, cfg)
+
+    monkeypatch.setattr(semantics, "moves", counted)
+    assert semantics.compatible(table, s, t)
+    assert semantics.session_rank(table, s, t) == n + 1
+    return count[0]
+
+
+def test_dual_pair_work_is_linear(monkeypatch):
+    calls = [_moves_calls(n, monkeypatch) for n in (100, 200, 400)]
+    ratios = [b / a for a, b in zip(calls, calls[1:])]
+    assert all(r <= 2.2 for r in ratios), (calls, ratios)

@@ -5,7 +5,7 @@ from collections import Counter
 
 from fairchk import semantics
 from fairchk.semantics import compatible, moves, session_rank, to_dot
-from fairchk.subtyping import unfair_subtype
+from fairchk.subtyping import fair_subtype, unfair_subtype
 from fairchk.surface import load
 from fairchk.types import INF, TypeTable, co, dual, equiv
 
@@ -72,7 +72,7 @@ def _moves_by_transitions(table, cfg):
             for la, a2 in ta if la != TAU for lb, b2 in tb if lb != TAU
             if la[0] == lb[0] and la[1] == co(lb[1])
             and (la[2] == lb[2] if la[0] == "tag" else equiv(table, la[2], lb[2]))]
-    na, nb = table.node(a), table.node(b)
+    na, nb = [x if type(x) is tuple else table.node(x) for x in cfg]
     return tau, sync, na[0] == "end" and nb[0] == "end" and na[1] == co(nb[1])
 
 
@@ -111,6 +111,50 @@ def test_moves_match_the_raw_transitions_of_both_sides():
     # tag synchronizations are labelled by a str, channel ones by an int
     assert seen["configs"] > 4000 and seen["int"] > 50, seen
     assert all(seen[k] > 500 for k in ("pick", "success", "str")), seen
+
+
+def test_a_pick_is_the_held_node_and_equal_picks_are_one_side():
+    # X's pick of b is the one-branch output the table already holds, as W's
+    # child; the pick of a, which X and Y share, is a node the table does
+    # not hold, and it is one side and one configuration for both
+    program = load("type S = ?{p: X, q: Y}\n"
+                   "type X = !{a: end!, b: end!}\n"
+                   "type Y = !{a: end!, c: end!}\n"
+                   "type W = ?{w: !{b: end!}}\n"
+                   "type T = !{p: D, q: D}\n"
+                   "type D = ?{a: end?, b: end?, c: end?}\n")
+    table, t = program.table, program.typedefs
+    size = len(table.nodes)
+    held = table.node(t["W"])[2][0][1]
+    (xa, _), (xb, _) = moves(table, (t["X"], t["D"]))[0]
+    (ya, _), (yc, _) = moves(table, (t["Y"], t["D"]))[0]
+    assert xb == held
+    assert xa == ya == ("tags", "!", (("a", table.lookup(("end", "!"))),))
+    assert type(yc) is tuple and yc != xa
+    dot = to_dot(table, t["S"], t["T"])
+    nodes = [line for line in dot.splitlines() if "shape=" in line]
+    assert len(nodes) == 9 and sum('"!{a: end!} # ' in line for line in nodes) == 1
+    assert compatible(table, t["S"], t["T"]) and session_rank(table, t["S"], t["T"]) == 3
+    assert len(table.nodes) == size
+
+
+def test_no_type_question_adds_to_the_table():
+    # subtyping, compatibility, rank and the DOT printer on random pairs,
+    # half of them a type and its dual: each leaves the table's nodes and
+    # its hash-cons map as they were built
+    rnd = random.Random(36)
+    picked = 0
+    for i in range(600):
+        table = TypeTable()
+        a = intern_spec(table, random_spec(rnd, 8))
+        b = dual(table, a) if i % 2 else intern_spec(table, random_spec(rnd, 8))
+        nodes, cons = list(table.nodes), dict(table._cons)
+        fair_subtype(table, a, b)
+        compatible(table, a, b)
+        session_rank(table, a, b)
+        picked += "style=dashed" in to_dot(table, a, b)
+        assert table.nodes == nodes and table._cons == cons, i
+    assert picked > 100, picked
 
 
 def test_end_pair_graph():

@@ -70,6 +70,16 @@ def test_add_hash_conses():
     assert _end(table, "!") != _end(table, "?")
 
 
+def test_lookup_adds_nothing_and_a_copy_grows_apart():
+    table = TypeTable()
+    e = _end(table, "!")
+    key = ("tags", "!", (("a", e),))
+    assert table.lookup(("end", "!")) == e and table.lookup(key) is key
+    view = table.copy()
+    assert view.add(key) == view.lookup(key) == 1 and view.add(("end", "!")) == e
+    assert table.nodes == [("end", "!")] and table.lookup(key) is key
+
+
 def test_fill_rejects_double_fill():
     table = TypeTable()
     i = table.placeholder()
