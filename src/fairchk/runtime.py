@@ -252,7 +252,7 @@ class Soup:
         """
         roles, singles, heads, threads, env, shapes = (
             self.role, self.singles, self.heads, self.threads, self.env, self.shapes)
-        touched = []  # the sessions to re-pair
+        touched = {}  # the sessions to re-pair, in the order first touched
         for tid in tids:
             new = None
             rule, chan, needs, _, _ = shapes[threads[tid]]
@@ -272,17 +272,13 @@ class Soup:
                     continue
                 del singles[bisect_left(singles, tid)]
             elif old is not None:
+                touched[old >> 1] = None
                 if new == old:
-                    # a head that stays on its handle: only its session changes
-                    if old >> 1 not in touched:
-                        touched.append(old >> 1)
-                    continue
+                    continue  # a head that stays on its handle: only its session changes
                 holders = heads[old]
                 holders.discard(tid)
                 if not holders:
                     del heads[old]
-                if old >> 1 not in touched:
-                    touched.append(old >> 1)
             if new is None:
                 if old is not None:
                     del roles[tid]
@@ -296,8 +292,7 @@ class Soup:
                 heads[new] = {tid}
             else:
                 holders.add(tid)
-            if new >> 1 not in touched:
-                touched.append(new >> 1)
+            touched[new >> 1] = None
         # re-pair: the newest head on each side, the closer or sender first
         pairs = self.pairs
         for sid in touched:

@@ -44,15 +44,17 @@ class _Abort(Exception):
 
 
 def free_channels(nodes: list[ProcExpr], kids: list[list[int]]) -> list[set[str]]:
-    """The free channels of every numbered occurrence, by number.
-
-    A child is numbered after its parent, so one pass from the last number
-    back builds each node's set from its children's sets once.
-    """
-    free: list[set[str]] = [set() for _ in nodes]
+    """The free channels of the numbered occurrences, by number, in one pass
+    from the last number back, which meets each child before its parent. A
+    node with one child takes over that child's set and extends it in place
+    (`out |= out` returns at once); any other node unions its children's
+    sets into a new one. So the sets the typing walk reads are exact: those
+    of body roots and of the children of nodes with several children."""
+    free: list = [None] * len(nodes)
     for v in reversed(range(len(nodes))):
-        p, out = nodes[v], free[v]
-        for c in kids[v]:
+        p, ks = nodes[v], kids[v]
+        free[v] = out = free[ks[0]] if len(ks) == 1 else set()
+        for c in ks:
             out |= free[c]
         if isinstance(p, Call):
             out.update(p.args)
@@ -126,20 +128,20 @@ class Checker:
         return ctx[var]
 
     def _leak(self, dn: str, p: ProcExpr, ctx: dict[str, int], keep: set[str]) -> None:
-        # every caller's `keep` lies inside `ctx`, so no more names means none left over
+        # every caller's `keep` lies inside `ctx`, so more names means some left over
         if len(ctx) <= len(keep):
             return
         extra = sorted(set(ctx) - keep)
-        if extra:
-            shown = ", ".join(f"{v}: {self.table.render(ctx[v])}" for v in extra)
-            self._fail(dn, "E-CONTEXT-LEAK", p, f"unconsumed channels: {shown}")
+        shown = ", ".join(f"{v}: {self.table.render(ctx[v])}" for v in extra)
+        self._fail(dn, "E-CONTEXT-LEAK", p, f"unconsumed channels: {shown}")
 
     def _tc(self, dn: str, body: int, ctx: dict[str, int]) -> None:
         """Check the body numbered `body` against its parameters' context.
 
         One loop over a stack of (number, context) pairs; children are
         pushed in reverse, so they are checked, and report, in source order.
-        A context is never changed once made, so siblings may share one.
+        Each entry owns its context, `ctx` first, and writes it in place; a
+        node with several children copies it for each child after the first.
         """
         table, fail, render = self.table, self._fail, self.table.render
         nodes, kids, tids = self.nodes, self.kids, self.program.tids
@@ -160,7 +162,7 @@ class Checker:
                 if table.node(t) != ("end", "?"):
                     fail(dn, "E-TYPE-MISMATCH", p,
                          f"wait needs {p.chan}: end?, found {render(t)}")
-                stack.append((ks[0], {c: u for c, u in ctx.items() if c != p.chan}))
+                del ctx[p.chan]
             elif isinstance(p, Call):
                 params = self.program.param_tids[p.name]
                 if len(p.args) != len(set(p.args)):
@@ -187,8 +189,9 @@ class Checker:
                     fail(dn, "E-TYPE-MISMATCH", p,
                          f"labels on {p.chan} are {sorted(set(labels))}, "
                          f"type has {sorted(branches)}")
-                stack.extend((k, {**ctx, p.chan: branches[l]})
-                             for l, k in zip(reversed(labels), reversed(ks)))
+                for l, k in zip(labels[:0:-1], ks[:0:-1]):
+                    stack.append((k, {**ctx, p.chan: branches[l]}))
+                ctx[p.chan] = branches[labels[0]]
             elif isinstance(p, ChanOut):
                 t = self._lookup(dn, p, ctx, p.chan)
                 node = table.node(t)
@@ -202,8 +205,8 @@ class Checker:
                     fail(dn, "E-TYPE-MISMATCH", p,
                          f"payload {p.payload} has type {render(got)}, "
                          f"carrier expects {render(node[2])}")
-                rest = {c: u for c, u in ctx.items() if c != p.payload}
-                stack.append((ks[0], {**rest, p.chan: node[3]}))
+                del ctx[p.payload]
+                ctx[p.chan] = node[3]
             elif isinstance(p, ChanIn):
                 t = self._lookup(dn, p, ctx, p.chan)
                 node = table.node(t)
@@ -217,9 +220,9 @@ class Checker:
                          f"payload type {render(node[2])}")
                 if p.var in ctx or p.var == p.chan:
                     fail(dn, "E-CONTEXT-LEAK", p, f"{p.var!r} rebinds a live channel")
-                stack.append((ks[0], {**ctx, p.chan: node[3], p.var: ann}))
+                ctx[p.chan], ctx[p.var] = node[3], ann
             elif isinstance(p, Choice):
-                stack += [(ks[1], ctx), (ks[0], ctx)]
+                stack.append((ks[1], dict(ctx)))
             elif isinstance(p, NewSession):
                 if p.chan in ctx:
                     fail(dn, "E-CONTEXT-LEAK", p, f"{p.chan!r} rebinds a live channel")
@@ -240,7 +243,8 @@ class Checker:
                     else:
                         fail(dn, "E-CONTEXT-LEAK", p,
                              f"channel {c!r} is used by neither component")
-                stack += [(ks[1], rctx), (ks[0], lctx)]
+                stack.append((ks[1], rctx))
+                ctx = lctx
             elif isinstance(p, Cast):
                 t = self._lookup(dn, p, ctx, p.chan)
                 (target,) = tids[v]
@@ -259,9 +263,11 @@ class Checker:
                               source=render(t), target=render(target))
                     w = 0
                 self.cast_weight[v] = w
-                stack.append((ks[0], {**ctx, p.chan: target}))
+                ctx[p.chan] = target
             else:
                 raise TypeError(f"not a process node: {p!r}")
+            if ks:
+                stack.append((ks[0], ctx))
 
     # -- termination-path graph and loop safety -----------------------------
 

@@ -11,8 +11,9 @@ weight equation read by three functions instead of one, typing by
 unfolding definitions instead of the coinductive assumption set, ranks
 and action bounds by walks that unfold each definition at most once
 instead of fixpoints over the termination-path graph, free channels by
-recursion instead of one pass per program, least closures and
-reachability by Kleene rounds instead of worklists, strongly connected
+recursion and by a set for every occurrence instead of one pass per
+program that keeps exact sets only where the typing walk reads, least
+closures and reachability by Kleene rounds instead of worklists, strongly connected
 components by rescanning a node's successors from an index instead of
 resuming an iterator, branch inference by two graph builds per choice
 instead of one,
@@ -1165,6 +1166,29 @@ def free_channels_recursive(p: ProcExpr) -> set[str]:
     if isinstance(p, Cast):
         return {p.chan} | free_channels_recursive(p.cont)
     raise TypeError(f"not a process node: {p!r}")
+
+
+def free_channels_per_occurrence(nodes: list[ProcExpr], kids: list[list[int]]) -> list[set[str]]:
+    """The free channels of every numbered occurrence, each in a set of its
+    own, built from its children's sets in one pass from the last number
+    back; the library keeps exact sets only where the typing walk reads."""
+    free: list[set[str]] = [set() for _ in nodes]
+    for v in reversed(range(len(nodes))):
+        p, out = nodes[v], free[v]
+        for c in kids[v]:
+            out |= free[c]
+        if isinstance(p, Call):
+            out.update(p.args)
+        elif isinstance(p, ChanOut):
+            out.update((p.chan, p.payload))
+        elif isinstance(p, ChanIn):
+            out.discard(p.var)
+            out.add(p.chan)
+        elif isinstance(p, NewSession):
+            out.discard(p.chan)
+        elif not isinstance(p, (Done, Choice)):
+            out.add(p.chan)
+    return free
 
 
 # -- typing by bounded unfolding -------------------------------------------------

@@ -8,6 +8,8 @@ so unlike wall clock they repeat exactly on any host.
 import pytest
 
 from fairchk import graph, load, semantics, typecheck
+from fairchk.surface import (Close, Done, NewSession, ProcDef, SourceProgram, TEnd, Wait,
+                             resolve)
 from fairchk.typecheck import Checker, TermGraph
 
 from gen import call_dag_source, dual_chain_source, session_chain_source
@@ -78,3 +80,91 @@ def test_dual_pair_work_is_linear(monkeypatch):
     calls = [_moves_calls(n, monkeypatch) for n in (100, 200, 400)]
     ratios = [b / a for a, b in zip(calls, calls[1:])]
     assert all(r <= 2.2 for r in ratios), (calls, ratios)
+
+
+def _wait_chain(k: int):
+    """D(x0: end?, …, x{k-1}: end?) = wait x0. … wait x{k-1}. done"""
+    body = Done()
+    for i in reversed(range(k)):
+        body = Wait(f"x{i}", body)
+    return body
+
+
+def _nested_sessions(k: int):
+    """D(x0: end?, …, x{k-1}: end?) = new y0: end! / end? in
+    (wait x0. close y0 | wait y0. new y1: … in (…| wait y{k-1}. done)):
+    session i splits x_i off the k - i parameters still live."""
+    body = Done()
+    for i in reversed(range(k)):
+        body = NewSession(f"y{i}", TEnd("!"), TEnd("?"), Wait(f"x{i}", Close(f"y{i}")),
+                          Wait(f"y{i}", body))
+    return body
+
+
+class _Writes(dict):
+    """A context that counts the writes made on it into `counter[0]`."""
+
+    def __init__(self, items, counter: list[int]):
+        super().__init__(items)
+        self.counter = counter
+
+    def __setitem__(self, key, value):
+        self.counter[0] += 1
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key):
+        self.counter[0] += 1
+        super().__delitem__(key)
+
+
+class _CountedWrites(Checker):
+    """A checker whose typing walk starts from a `_Writes` context that
+    counts into `writes`."""
+
+    def _tc(self, dn, body, ctx):
+        super()._tc(dn, body, _Writes(ctx, self.writes))
+
+
+def _typing_work(family, k: int) -> tuple[int, int, int]:
+    """The typing walk of `family(k)`, built as a syntax tree so that no
+    nesting bound applies, as three counts: the writes made on the context
+    handed to `_tc`; the entries of the distinct free-channel sets, less
+    the split scan; and the split scan, the live channels every session
+    splits, read off its sides' sets. A session's own set holds its live
+    context, so the sets repeat the scan, which is not bounded here."""
+    params = [(f"x{i}", TEnd("?")) for i in range(k)]
+    program = resolve(SourceProgram([], [ProcDef("D", params, None, family(k))]))
+    ck = _CountedWrites(program)
+    ck.writes = [0]
+    ck.check_types()
+    assert ck.diags == {"D": []}
+    scan = sum(len(ck.free[ks[0]]) + len(ck.free[ks[1]]) - 2
+               for ks, n in zip(ck.kids, ck.nodes) if type(n) is NewSession)
+    entries = sum(len(s) for s in {id(s): s for s in ck.free}.values())
+    return ck.writes[0], entries - scan, scan
+
+
+def _linear(counts) -> bool:
+    """Each count is at most 2.2 times the one at half the size."""
+    return all(b <= 2.2 * a for a, b in zip(counts, counts[1:]))
+
+
+SIZES = (1000, 2000, 4000)
+
+
+def test_typing_walk_writes_a_wait_chain_in_place():
+    # each wait deletes its channel from the one context the walk owns, and
+    # the whole chain takes over one free-channel set
+    writes, sets, scans = zip(*(_typing_work(_wait_chain, k) for k in SIZES))
+    assert writes == SIZES
+    assert _linear(sets), sets
+    assert scans == (0, 0, 0)
+
+
+def test_typing_walk_on_nested_sessions():
+    # the root session hands both sides contexts of their own, so no write
+    # reaches the passed context; the sets beyond the scan grow linearly,
+    # while the split scans every live parameter at every session, k(k+1)/2
+    # entries, which the message reports
+    writes, sets, scans = zip(*(_typing_work(_nested_sessions, k) for k in SIZES))
+    assert _linear(writes) and _linear(sets), (writes, sets, scans)

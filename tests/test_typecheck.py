@@ -18,9 +18,9 @@ from gen import (NESTED_SOURCES, RANK_DEFS, call_dag_source, deepest_admitted,
                  random_rank_program, random_runnable_source, random_source_program,
                  rank_cycle_source, session_chain_source)
 from json_schema import CHECK, validate
-from oracles import (RecursiveTyping, action_bounded, cutoff_rank, free_channels_recursive,
-                     infer_branches_by_cutoff, infer_branches_rebuild, min_rank, preorder,
-                     typing_unfold_ok, unsafe_by_reachability)
+from oracles import (RecursiveTyping, action_bounded, cutoff_rank, free_channels_per_occurrence,
+                     free_channels_recursive, infer_branches_by_cutoff, infer_branches_rebuild,
+                     min_rank, preorder, typing_unfold_ok, unsafe_by_reachability)
 
 
 def _report(name):
@@ -348,22 +348,33 @@ def test_infer_branch_solves_each_graph_once(monkeypatch):
 
 
 def test_free_channel_table_matches_recursive_oracle():
+    # the sets the typing walk may read are exact: every body root and
+    # every child of a node with several children, so both sides of every
+    # session; an only child's entry is its parent's set, extended in place
     rnd = random.Random(63)
     bodies = [d.body for name in sorted(CORPUS_RANKS)
               for d in load_corpus(name).procs.values()]
     for _ in range(1000):
         bodies.extend(d.body for d in random_rank_program(rnd).procs.values())
         bodies.extend(d.body for d in random_source_program(rnd).procdefs)
-    sizes = set()
+    sizes, sides = set(), 0
     for body in bodies:
         order = preorder(body)
         number = {id(n): v for v, n in enumerate(order)}
-        table = free_channels(order, [[number[id(c)] for c in children(n)] for n in order])
+        kids = [[number[id(c)] for c in children(n)] for n in order]
+        table = free_channels(order, kids)
+        each = free_channels_per_occurrence(order, kids)
         assert len(table) == len(order)
-        for v, n in enumerate(order):
-            assert table[v] == free_channels_recursive(n)
+        exact = [0] + [c for ks in kids if len(ks) > 1 for c in ks]
+        for v in exact:
+            assert table[v] == each[v] == free_channels_recursive(order[v])
             sizes.add(len(table[v]))
+        for v, ks in enumerate(kids):
+            if len(ks) == 1:
+                assert table[ks[0]] is table[v]
+        sides += sum(2 for n in order if isinstance(n, surface.NewSession))
     assert sizes == {0, 1, 2, 3, 4}
+    assert sides > 1000
 
 
 def test_typing_walk_is_linear_in_session_nesting(monkeypatch):
@@ -388,7 +399,10 @@ def test_typing_walk_is_linear_in_session_nesting(monkeypatch):
         nodes = len(ck.nodes)
         assert nodes == 3 * n + 1
         assert visits == nodes
-        assert sum(len(s) for s in ck.free) == 2 * n
+        sides = [c for v, ks in enumerate(ck.kids) if type(ck.nodes[v]) is surface.NewSession
+                 for c in ks]
+        assert len(sides) == 2 * n
+        assert sum(len(ck.free[c]) for c in sides) == 2 * n
 
 
 def _typing(checker):
