@@ -25,9 +25,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Hashable, Iterable, Iterator
-from typing import Optional, TypeVar
-
-N = TypeVar("N", bound=Hashable)
 
 INF = float("inf")
 
@@ -100,7 +97,7 @@ def reverse(succ: list[list[int]]) -> list[list[int]]:
 
 
 def closure(seeds: Iterable[int], pred: list[list[int]],
-            need: Optional[list[int]] = None) -> list[bool]:
+            need: list[int] | None = None) -> list[bool]:
     """Which nodes lie in the least set that holds the seeds and every
     node v with at least need[v] of its successors in it.
 
@@ -128,7 +125,8 @@ def closure(seeds: Iterable[int], pred: list[list[int]],
     return inside
 
 
-def reach(roots: Iterable[N], succ: Callable[[N], Iterable[N]]) -> Iterator[N]:
+def reach(roots: Iterable[Hashable], succ: Callable[[Hashable], Iterable[Hashable]]
+          ) -> Iterator[Hashable]:
     """Every node reachable from the roots, each once, breadth first.
 
     The roots come first, in order, and every other node in the order it
@@ -146,8 +144,8 @@ def reach(roots: Iterable[N], succ: Callable[[N], Iterable[N]]) -> Iterator[N]:
                 queue.append(w)
 
 
-def numbered(root: N, succ: Callable[[N], Iterable[N]]
-             ) -> tuple[dict[N, int], list[list[int]]]:
+def numbered(root: Hashable, succ: Callable[[Hashable], Iterable[Hashable]]
+             ) -> tuple[dict[Hashable, int], list[list[int]]]:
     """Every node reachable from the root, numbered 0, 1, … breadth first,
     in the order `reach` would meet them, and their predecessor lists by
     number, one entry per edge: the input `closure` takes. `succ(v)` is

@@ -13,10 +13,9 @@ reproducible across platforms and Python versions.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
 
 from .surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
-                      NewSession, Program, TagComm, Wait, render)
+                      NewSession, Program, Record, TagComm, Wait, render)
 
 _M64 = (1 << 64) - 1
 
@@ -47,12 +46,11 @@ _RULE_ORDER = sorted(RULES)
 Handle = int
 
 
-@dataclass
-class TraceEntry:
-    step: int
-    rule: str
-    session: str
-    detail: str
+class TraceEntry(Record):
+    __slots__ = ("step", "rule", "session", "detail")
+
+    def __init__(self, step: int, rule: str, session: str, detail: str):
+        self.step, self.rule, self.session, self.detail = step, rule, session, detail
 
     def line(self) -> str:
         return f"{self.step}\t{self.rule}\t{self.session}\t{self.detail}"
@@ -62,14 +60,17 @@ class TraceEntry:
                 "session": self.session, "detail": self.detail}
 
 
-@dataclass
-class RunOutcome:
-    kind: str  # "terminated" | "step-limit" | "stuck"
-    steps: int
-    trace: list[TraceEntry] = field(default_factory=list)
-    dump: list[str] = field(default_factory=list)
-    # fired count of every rule, peak live threads, sessions opened
-    stats: dict = field(default_factory=dict)
+class RunOutcome(Record):
+    __slots__ = ("kind", "steps", "trace", "dump", "stats")
+
+    def __init__(self, kind: str, steps: int, trace: list[TraceEntry] | None = None,
+                 dump: list[str] | None = None, stats: dict | None = None):
+        self.kind = kind  # "terminated" | "step-limit" | "stuck"
+        self.steps = steps
+        self.trace = [] if trace is None else trace
+        self.dump = [] if dump is None else dump
+        # fired count of every rule, peak live threads, sessions opened
+        self.stats = {} if stats is None else stats
 
 
 _END = "end"  # the rule of a `done`: its thread leaves the soup

@@ -20,16 +20,14 @@ and fair subtyping fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .graph import INF, least, reach, tarjan
+from .surface import Record
 from .types import OUT, TypeTable, _matched, equiv
 
 Pair = tuple[int, int]
 
 
-def _judge(table: TypeTable, u: int, v: int) -> tuple[str, Optional[list[Pair]]]:
+def _judge(table: TypeTable, u: int, v: int) -> tuple[str, list[Pair] | None]:
     """How a pair fares under the simulation rules, read once.
 
     A pair that breaks a shape rule gives the reason and None. Any other
@@ -62,16 +60,18 @@ def _judge(table: TypeTable, u: int, v: int) -> tuple[str, Optional[list[Pair]]]
     return rule, [(bu[l], bv[l]) for l in sorted(shared)]
 
 
-@dataclass
-class Simulation:
-    holds: bool
-    # pairs of the witness derivation, root first, deterministic order
-    witness: list[Pair]
-    # shape-violating pair that undermines the root, with its reason
-    failure: Optional[tuple[Pair, str]]
-    # weight equation and premise pairs of each witness pair
-    equation: dict[Pair, str]
-    premises: dict[Pair, list[Pair]]
+class Simulation(Record):
+    __slots__ = ("holds", "witness", "failure", "equation", "premises")
+
+    def __init__(self, holds: bool, witness: list[Pair], failure: tuple[Pair, str] | None,
+                 equation: dict[Pair, str], premises: dict[Pair, list[Pair]]):
+        self.holds = holds
+        # pairs of the witness derivation, root first, deterministic order
+        self.witness = witness
+        # shape-violating pair that undermines the root, with its reason
+        self.failure = failure
+        # weight equation and premise pairs of each witness pair
+        self.equation, self.premises = equation, premises
 
 
 def simulate(table: TypeTable, s: int, t: int) -> Simulation:
@@ -117,12 +117,13 @@ def solve_weights(sim: Simulation) -> dict[Pair, int | float]:
     return dict(zip(witness, least(tarjan(succ), succ, rule, [0] * k, k)))
 
 
-@dataclass
-class SubtypeVerdict:
-    holds: bool
-    weight: int | float
-    failure: Optional[tuple[str, Pair, str]]  # (kind, pair, detail)
-    simulation_size: int
+class SubtypeVerdict(Record):
+    __slots__ = ("holds", "weight", "failure", "simulation_size")
+
+    def __init__(self, holds: bool, weight: int | float,
+                 failure: tuple[str, Pair, str] | None, simulation_size: int):
+        self.holds, self.weight, self.simulation_size = holds, weight, simulation_size
+        self.failure = failure  # (kind, pair, detail)
 
     def to_json(self, table: TypeTable) -> dict:
         out: dict = {

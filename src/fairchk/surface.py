@@ -29,8 +29,6 @@ header asserts an upper bound on the definition's rank.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Any, Optional
 
 from .types import TypeTable
 
@@ -53,6 +51,25 @@ class SourceError(Exception):
         self.col = col
 
 
+class Record:
+    """A record with a slot per field. Two records are equal when they are
+    of one class and the fields named in `_eq` are equal: every slot but
+    `at`, unless the class sets `_eq` itself. A record has no hash."""
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "_eq" not in cls.__dict__:
+            cls._eq = tuple(f for f in cls.__slots__ if f != "at")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, f) for f in self._eq] == [getattr(other, f) for f in self._eq]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._eq)})"
+
+
 # A syntax node keeps `at`, the index in lex's token list of its first
 # token, and no line or column: those are looked up in the source's
 # position table (`token_positions`) only when one is printed. A node that
@@ -61,31 +78,32 @@ class SourceError(Exception):
 
 # Type expressions -----------------------------------------------------------
 
-@dataclass(slots=True)
-class TEnd:
-    pol: str
-    at: int = field(compare=False, repr=False, default=-1)
+class TEnd(Record):
+    __slots__ = ("pol", "at")
+
+    def __init__(self, pol: str, at: int = -1):
+        self.pol, self.at = pol, at
 
 
-@dataclass(slots=True)
-class TTags:
-    pol: str
-    branches: list[tuple[str, "TypeExpr"]]
-    at: int = field(compare=False, repr=False, default=-1)
+class TTags(Record):
+    __slots__ = ("pol", "branches", "at")
+
+    def __init__(self, pol: str, branches: list[tuple[str, TypeExpr]], at: int = -1):
+        self.pol, self.branches, self.at = pol, branches, at
 
 
-@dataclass(slots=True)
-class TChan:
-    pol: str
-    payload: "TypeExpr"
-    cont: "TypeExpr"
-    at: int = field(compare=False, repr=False, default=-1)
+class TChan(Record):
+    __slots__ = ("pol", "payload", "cont", "at")
+
+    def __init__(self, pol: str, payload: TypeExpr, cont: TypeExpr, at: int = -1):
+        self.pol, self.payload, self.cont, self.at = pol, payload, cont, at
 
 
-@dataclass(slots=True)
-class TName:
-    name: str
-    at: int = field(compare=False, repr=False, default=-1)
+class TName(Record):
+    __slots__ = ("name", "at")
+
+    def __init__(self, name: str, at: int = -1):
+        self.name, self.at = name, at
 
 
 TypeExpr = TEnd | TTags | TChan | TName
@@ -93,85 +111,83 @@ TypeExpr = TEnd | TTags | TChan | TName
 
 # Process expressions --------------------------------------------------------
 
-@dataclass(slots=True)
-class Done:
-    at: int = field(compare=False, repr=False, default=-1)
+class Done(Record):
+    __slots__ = ("at",)
+
+    def __init__(self, at: int = -1):
+        self.at = at
 
 
-@dataclass(slots=True)
-class Call:
-    name: str
-    args: list[str]
-    at: int = field(compare=False, repr=False, default=-1)
+class Call(Record):
+    __slots__ = ("name", "args", "at")
+
+    def __init__(self, name: str, args: list[str], at: int = -1):
+        self.name, self.args, self.at = name, args, at
 
 
-@dataclass(slots=True)
-class Close:
-    chan: str
-    at: int = field(compare=False, repr=False, default=-1)
+class Close(Record):
+    __slots__ = ("chan", "at")
+
+    def __init__(self, chan: str, at: int = -1):
+        self.chan, self.at = chan, at
 
 
-@dataclass(slots=True)
-class Wait:
-    chan: str
-    cont: "ProcExpr"
-    at: int = field(compare=False, repr=False, default=-1)
+class Wait(Record):
+    __slots__ = ("chan", "cont", "at")
+
+    def __init__(self, chan: str, cont: ProcExpr, at: int = -1):
+        self.chan, self.cont, self.at = chan, cont, at
 
 
-@dataclass(slots=True)
-class TagComm:
-    chan: str
-    pol: str
-    branches: list[tuple[str, "ProcExpr"]]
-    at: int = field(compare=False, repr=False, default=-1)
+class TagComm(Record):
+    __slots__ = ("chan", "pol", "branches", "at")
+
+    def __init__(self, chan: str, pol: str, branches: list[tuple[str, ProcExpr]],
+                 at: int = -1):
+        self.chan, self.pol, self.branches, self.at = chan, pol, branches, at
 
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.branches)
 
 
-@dataclass(slots=True)
-class ChanOut:
-    chan: str
-    payload: str
-    cont: "ProcExpr"
-    at: int = field(compare=False, repr=False, default=-1)
+class ChanOut(Record):
+    __slots__ = ("chan", "payload", "cont", "at")
+
+    def __init__(self, chan: str, payload: str, cont: ProcExpr, at: int = -1):
+        self.chan, self.payload, self.cont, self.at = chan, payload, cont, at
 
 
-@dataclass(slots=True)
-class ChanIn:
-    chan: str
-    var: str
-    ann: TypeExpr
-    cont: "ProcExpr"
-    at: int = field(compare=False, repr=False, default=-1)
+class ChanIn(Record):
+    __slots__ = ("chan", "var", "ann", "cont", "at")
+
+    def __init__(self, chan: str, var: str, ann: TypeExpr, cont: ProcExpr, at: int = -1):
+        self.chan, self.var, self.ann, self.cont, self.at = chan, var, ann, cont, at
 
 
-@dataclass(slots=True)
-class Choice:
-    k: int
-    left: "ProcExpr"
-    right: "ProcExpr"
-    at: int = field(compare=False, repr=False, default=-1)
+class Choice(Record):
+    __slots__ = ("k", "left", "right", "at")
+
+    def __init__(self, k: int, left: ProcExpr, right: ProcExpr, at: int = -1):
+        self.k, self.left, self.right, self.at = k, left, right, at
 
 
-@dataclass(slots=True)
-class NewSession:
-    chan: str
-    lty: TypeExpr
-    rty: TypeExpr
-    left: "ProcExpr"
-    right: "ProcExpr"
-    at: int = field(compare=False, repr=False, default=-1)
+class NewSession(Record):
+    __slots__ = ("chan", "lty", "rty", "left", "right", "at")
+
+    def __init__(self, chan: str, lty: TypeExpr, rty: TypeExpr, left: ProcExpr,
+                 right: ProcExpr, at: int = -1):
+        self.chan, self.lty, self.rty, self.left, self.right, self.at = (
+            chan, lty, rty, left, right, at)
 
 
-@dataclass(slots=True)
-class Cast:
-    chan: str
-    target: TypeExpr
-    weight_ann: Optional[int]
-    cont: "ProcExpr"
-    at: int = field(compare=False, repr=False, default=-1)
+class Cast(Record):
+    __slots__ = ("chan", "target", "weight_ann", "cont", "at")
+
+    def __init__(self, chan: str, target: TypeExpr, weight_ann: int | None,
+                 cont: ProcExpr, at: int = -1):
+        self.chan, self.target, self.weight_ann, self.cont, self.at = (
+            chan, target, weight_ann, cont, at)
 
 
 ProcExpr = Done | Call | Close | Wait | TagComm | ChanOut | ChanIn | Choice | NewSession | Cast
@@ -192,25 +208,26 @@ def children(p: ProcExpr) -> tuple[ProcExpr, ...]:
     return (p.cont,)
 
 
-@dataclass
-class ProcDef:
-    name: str
-    params: list[tuple[str, TypeExpr]]
-    rank_ann: Optional[int]
-    body: ProcExpr
-    at: int = field(compare=False, repr=False, default=-1)
+class ProcDef(Record):
+    __slots__ = ("name", "params", "rank_ann", "body", "at")
+
+    def __init__(self, name: str, params: list[tuple[str, TypeExpr]], rank_ann: int | None,
+                 body: ProcExpr, at: int = -1):
+        self.name, self.params, self.rank_ann, self.body, self.at = (
+            name, params, rank_ann, body, at)
 
 
-@dataclass
-class SourceProgram:
-    # (name, body, at): `at` is the index of the `type` token
-    typedefs: list[tuple[str, TypeExpr, int]]
-    procdefs: list[ProcDef]
-    source: str = ""  # the text the token indices point into
+class SourceProgram(Record):
+    __slots__ = ("typedefs", "procdefs", "source")
+
+    def __init__(self, typedefs: list[tuple[str, TypeExpr, int]], procdefs: list[ProcDef],
+                 source: str = ""):
+        # (name, body, at): `at` is the index of the `type` token
+        self.typedefs, self.procdefs = typedefs, procdefs
+        self.source = source  # the text the token indices point into
 
 
-@dataclass
-class Program:
+class Program(Record):
     """A resolved program: every annotation interned into one TypeTable.
 
     Building one numbers every occurrence once, definitions in order and
@@ -222,24 +239,19 @@ class Program:
     here: `tids[v]` holds the ids of occurrence v's in source order (an
     input's annotation, a cast's target, a session's two endpoint types, or
     none), and `param_tids[name]` those of a definition's parameters.
+    Two programs are equal when their table, typedefs, procs and source are.
     """
-    table: TypeTable
-    typedefs: dict[str, int]
-    procs: dict[str, ProcDef]
-    source: str = ""
-    nodes: list[ProcExpr] = field(init=False, repr=False, compare=False)
-    kids: list[list[int]] = field(init=False, repr=False, compare=False)
-    start: dict[str, int] = field(init=False, repr=False, compare=False)
-    owner: list[str] = field(init=False, repr=False, compare=False)
-    tids: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    param_tids: dict[str, list[int]] = field(init=False, repr=False, compare=False)
-    _positions: Optional[list[tuple[int, int]]] = field(
-        default=None, init=False, repr=False, compare=False)
+    __slots__ = ("table", "typedefs", "procs", "source", "nodes", "kids", "start", "owner",
+                 "tids", "param_tids", "_positions")
+    _eq = ("table", "typedefs", "procs", "source")
 
-    def __post_init__(self) -> None:
+    def __init__(self, table: TypeTable, typedefs: dict[str, int], procs: dict[str, ProcDef],
+                 source: str = ""):
+        self.table, self.typedefs, self.procs, self.source = table, typedefs, procs, source
+        self._positions: list[tuple[int, int]] | None = None
         nodes, kids = self.nodes, self.kids = [], []
         self.start, self.owner, self.param_tids = {}, [], {}
-        for name, d in self.procs.items():
+        for name, d in procs.items():
             self.start[name] = first = len(nodes)
             stack, into = [d.body], [[]]  # into[i]: the list stack[i] joins
             while stack:
@@ -649,7 +661,7 @@ def _operand(p: ProcExpr) -> tuple:
     return ("(", p, ")") if isinstance(p, Choice) else (p,)
 
 
-def _branches_text(branches: list[tuple[str, Any]]) -> list:
+def _branches_text(branches: list[tuple[str, object]]) -> list:
     return [x for k, (l, b) in enumerate(branches) for x in (f", {l}: " if k else f"{l}: ", b)]
 
 
@@ -759,7 +771,7 @@ def resolve(sp: SourceProgram) -> Program:
             ids[alias] = tid
         return tid
 
-    def intern(root: TypeExpr, slot: Optional[int] = None) -> int:
+    def intern(root: TypeExpr, slot: int | None = None) -> int:
         """The id of root; a constructor goes into `slot` when one is given.
 
         A post-order walk on an explicit stack of frames, one per

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import time
 from functools import cached_property
-from typing import NoReturn
 
 from .graph import closure, cyclic, least, reverse, tarjan
 from .semantics import compatible
@@ -117,7 +116,7 @@ class Checker:
             except _Abort:
                 pass
 
-    def _fail(self, dn: str, code: str, p: ProcExpr, message: str, **details) -> NoReturn:
+    def _fail(self, dn: str, code: str, p: ProcExpr, message: str, **details):
         """Report a hard failure at p and end the walk of its definition."""
         self.diag(dn, code, p.at, message, **details)
         raise _Abort

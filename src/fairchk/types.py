@@ -14,7 +14,6 @@ converse is not guaranteed, so semantic comparisons go through `equiv`.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional
 
 from .graph import INF, closure, numbered, reach
 
@@ -44,7 +43,7 @@ class TypeTable:
     """
 
     def __init__(self) -> None:
-        self.nodes: list[Optional[tuple]] = []
+        self.nodes: list[tuple | None] = []
         self.name_hint: dict[int, str] = {}
         # type name -> id, every typedef of the program (aliases too); the
         # equation form of `render` gives these names to no other node
@@ -131,7 +130,7 @@ class TypeTable:
         return {c for c, k in edges.items() if k > 1 and c != i and self.kind(c) != "end"}
 
     def _print(self, i: int, limit: float = INF, cut: frozenset | set = frozenset()
-               ) -> Optional[str]:
+               ) -> str | None:
         """The tree at i, with a node on the current path printed by name.
         When the text passes `limit` characters it is None if i reaches a
         shared node, and otherwise goes on without a limit: an unfolding

@@ -577,6 +577,17 @@ def test_a_closed_stdout_exits_two_without_a_traceback(tmp_path):
     assert err == b""
 
 
+def test_import_loads_neither_dataclasses_nor_typing():
+    # without `site`, which may import typing itself
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import fairchk.cli; "
+         "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))", str(src)],
+        capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
 # ---------------------------------------------------------------- color
 
 

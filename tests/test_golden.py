@@ -29,16 +29,25 @@ on the pairs whose configuration graph has at most GRAPH_LIMIT nodes, and
 the errors of an unknown type name and of a missing file for each of the
 four. Paths are written as `<file>`.
 
-The files change only with the output contract. After such a change,
-regenerate them from the root of the checkout with
+golden_digest.json holds a sha256 per chunk of DIGEST_CHUNK in-process
+`main` calls on generated programs (see `digest_calls`): of each call's
+argv, exit code, stdout with the `timings` block cut out, and stderr.
+A mismatch names the first chunk that differs; `digest_chunk(i)` returns
+that chunk's calls and outputs to compare by hand.
+
+The files change only with the output contract, and golden_digest.json
+also with a change to a generator's draws. After such a change, say why in
+CHANGES.md and regenerate them from the root of the checkout with
 
     PYTHONPATH=src:tests python tests/test_golden.py --write
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
+import random
 import re
 import sys
 import tempfile
@@ -49,6 +58,7 @@ from fairchk.cli import COMMANDS, build_parser, main
 from fairchk.surface import load, parse, render_program
 
 from conftest import CORPUS, RUNNABLE, corpus_path
+import gen
 from gen import NESTED_SOURCES, deepest_admitted, diverging_source, shared_ladder_source
 from oracles import build_config_graph
 from test_cli import _declared, _options
@@ -58,6 +68,7 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_check.json"
 RENDER_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_render.json"
 RUN_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_run.json"
 CLI_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_cli.json"
+DIGEST_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_digest.json"
 
 # Rejected programs whose diagnostics sit past comments, blank lines, tabs,
 # carriage returns and on later lines of a definition.
@@ -100,20 +111,26 @@ REJECTED = {
 }
 
 
-def _run(argv: list[str], path: str) -> dict:
+def _call(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of one in-process `main` call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    got: dict = {"code": code, "stderr": err.getvalue().replace(path, "<file>")}
-    if "--json" in argv and out.getvalue():
-        report = json.loads(out.getvalue())
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run(argv: list[str], path: str) -> dict:
+    code, out, err = _call(argv)
+    got: dict = {"code": code, "stderr": err.replace(path, "<file>")}
+    if "--json" in argv and out:
+        report = json.loads(out)
         report.pop("timings", None)
         got["json"] = report
     else:
-        got["stdout"] = out.getvalue().replace(path, "<file>")
+        got["stdout"] = out.replace(path, "<file>")
     return got
 
 
@@ -397,6 +414,123 @@ def test_the_golden_files_cover_every_subcommand_and_option():
         assert _options(subparser) <= used, (name, sorted(_options(subparser) - used))
 
 
+# -- the output digest ----------------------------------------------------------
+
+DIGEST_CHUNK = 100
+
+# Draw counts, chosen to keep the digest test well under 15 s (about 8 s on
+# a shared 2-vCPU host): rendered
+# random_source_program draws, random_runnable_source draws with the run
+# seeds of each, and mutated_pair and random_spec pairs.
+SOURCE_DRAWS, RUNNABLE_DRAWS, RUN_SEEDS, PAIR_DRAWS = 600, 400, (0, 1), 400
+
+# The generated counterparts of the check_scaling and types_scaling inputs:
+# (source, sizes, questions), the questions naming the types they ask about.
+SCALING = [
+    (gen.call_dag_source, range(12, 18), [["check", "--json"]]),
+    (gen.session_chain_source, (20, 40, 60), [["check", "--json"]]),
+    (gen.cascade_source, (100, 400, 800), [["subtype", "--json", "A0", "B0"]]),
+    (gen.diverging_source, (200, 800), [["subtype", "--json", "U0", "V0"]]),
+    (gen.holding_source, (100, 400), [["subtype", "--json", "W0", "Z0"]]),
+    (gen.dual_chain_source, (200, 800), [["compatible", "--json", "L0", "C0"],
+                                         ["rank", "--json", "L0", "C0"]]),
+    (gen.shared_ladder_source, (12, 16), [["check", "--json"]]),
+]
+
+
+def _spec_source(specs: dict) -> str:
+    """Typedefs for index specs: node i of the spec under X is type X{i}."""
+    lines = []
+    for name, spec in specs.items():
+        for i, node in enumerate(spec):
+            if node[0] == "end":
+                body = f"end{node[1]}"
+            elif node[0] == "tags":
+                body = node[1] + "{" + ", ".join(f"{l}: {name}{j}" for l, j in node[2]) + "}"
+            else:
+                body = f"{node[1]}({name}{node[2]}). {name}{node[3]}"
+            lines.append(f"type {name}{i} = {body}")
+    return "\n".join(lines) + "\n"
+
+
+def digest_calls():
+    """(source, argv tail after the file) of every call the digest covers,
+    in order; the sources are drawn from fixed seeds."""
+    rnd = random.Random(3201)
+    for _ in range(SOURCE_DRAWS):
+        source = render_program(gen.random_source_program(rnd))
+        yield source, ["check"]
+        yield source, ["check", "--json", "--infer-branch"]
+    rnd = random.Random(3202)
+    for _ in range(RUNNABLE_DRAWS):
+        source = gen.random_runnable_source(rnd)
+        yield source, ["check"]
+        yield source, ["check", "--json", "--infer-branch"]
+        for seed in RUN_SEEDS:
+            tail = ["--unsafe", "--max-steps", "300", "--seed", str(seed)]
+            yield source, ["run", "--json", "--stats", *tail]
+            yield source, ["run", "--trace-json", *tail]
+    rnd = random.Random(3203)
+    for i in range(PAIR_DRAWS):
+        sub, sup = (gen.mutated_pair(rnd) if i % 2 else
+                    (gen.random_spec(rnd, 4), gen.random_spec(rnd, 4)))
+        source = _spec_source({"S": sub, "U": sup})
+        for q in PAIR_QUESTIONS[1:]:
+            yield source, [*q, "S0", "U0"]
+        yield source, ["graph", "S0", "U0"]
+    for family, sizes, questions in SCALING:
+        for n in sizes:
+            for q in questions:
+                yield family(n), q
+
+
+def _digest_record(path: str, source: str, tail: list[str]) -> list:
+    """[argv, exit code, stdout without `timings`, stderr] of one call,
+    with the file's path written as `<file>`."""
+    pathlib.Path(path).write_text(source, encoding="utf-8")
+    code, out, err = _call([tail[0], path, *tail[1:]])
+    out = re.sub(r'^  "timings": \{\n.*?^  \},?\n', "", out, flags=re.M | re.S)
+    return [[tail[0], "<file>", *tail[1:]], code,
+            out.replace(path, "<file>"), err.replace(path, "<file>")]
+
+
+def _digest_chunks():
+    """Each chunk's records, in order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(pathlib.Path(tmp) / "prog.ft")
+        chunk = []
+        for source, tail in digest_calls():
+            chunk.append(_digest_record(path, source, tail))
+            if len(chunk) == DIGEST_CHUNK:
+                yield chunk
+                chunk = []
+        if chunk:
+            yield chunk
+
+
+def collect_digest() -> list:
+    """What golden_digest.json pins: the call count and sha256 of each chunk."""
+    return [{"calls": len(chunk),
+             "sha256": hashlib.sha256(json.dumps(chunk).encode("utf-8")).hexdigest()}
+            for chunk in _digest_chunks()]
+
+
+def digest_chunk(i: int) -> list:
+    """The records of chunk i, to print when its digest differs."""
+    for k, chunk in enumerate(_digest_chunks()):
+        if k == i:
+            return chunk
+    raise IndexError(i)
+
+
+def test_generated_outputs_match_the_golden_digest():
+    want = json.loads(DIGEST_GOLDEN.read_text(encoding="utf-8"))
+    got = collect_digest()
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"chunk {i} differs; see digest_chunk({i})"
+    assert len(got) == len(want)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
@@ -408,3 +542,5 @@ if __name__ == "__main__":
                           encoding="utf-8")
     CLI_GOLDEN.write_text(json.dumps(collect_cli(), indent=1, sort_keys=True) + "\n",
                           encoding="utf-8")
+    DIGEST_GOLDEN.write_text(json.dumps(collect_digest(), indent=1) + "\n",
+                             encoding="utf-8")

@@ -118,6 +118,12 @@ def test_same_seed_same_trace():
     b = run(load_corpus("bsc"), seed=9, want_trace=True)
     assert a.kind == b.kind and a.steps == b.steps
     assert [e.line() for e in a.trace] == [e.line() for e in b.trace]
+    # outcomes and trace entries compare by their fields, and have no hash
+    assert a == b and a.trace[0] == b.trace[0]
+    c = run(load_corpus("bsc"), seed=1, want_trace=True)
+    assert [e.line() for e in c.trace] != [e.line() for e in a.trace] and c != a
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_dump_is_empty_after_termination():

@@ -82,6 +82,12 @@ def test_fair_verdicts(bsc, slot):
     assert not slot_bad.holds and slot_bad.failure[0] == "diverges"
     assert unfair_subtype(slot.table, slot.typedefs["S"], slot.typedefs["T"])
 
+    # verdicts and simulations compare by their fields
+    assert fair_subtype(bsc.table, bsc.typedefs["SB"], bsc.typedefs["SBi"]) == bad
+    assert bad != good
+    sim = simulate(bsc.table, bsc.typedefs["SB"], bsc.typedefs["SB'"])
+    assert sim == simulate(bsc.table, bsc.typedefs["SB"], bsc.typedefs["SB'"])
+
 
 def test_diverges_examples(bsc):
     assert diverges(bsc.table, bsc.typedefs["SB"], bsc.typedefs["SBi"])

@@ -1,6 +1,5 @@
 """Lexing, parsing, rendering, and name resolution."""
 
-import dataclasses
 import gc
 import random
 import time
@@ -10,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairchk.surface import (MAX_NESTING, Cast, ChanIn, ChanOut, Choice, Close,
-                             Done, NewSession, ProcDef, Program, SourceError, SourceProgram,
-                             TagComm, TChan, TEnd, TName, TTags, Wait, children, lex, load,
-                             parse, render, render_program, resolve, token_positions)
+                             Done, NewSession, ProcDef, Program, Record, SourceError,
+                             SourceProgram, TagComm, TChan, TEnd, TName, TTags, Wait, children,
+                             lex, load, parse, render, render_program, resolve,
+                             token_positions)
 from fairchk.types import TypeTable, equiv
 
 import gen
@@ -34,6 +34,16 @@ def test_minimal_program():
     assert len(sp.typedefs) == 1 and len(sp.procdefs) == 1
     assert sp.typedefs[0][0] == "E" and sp.typedefs[0][1] == TEnd("!")
     assert sp.procdefs[0].name == "Main" and sp.procdefs[0].body == Done()
+
+
+def test_nodes_compare_by_class_and_fields_but_at():
+    body = parse("Main() = wait x. close x").procdefs[0].body
+    twin = Wait("x", Close("x"))
+    assert (body.at, body.cont.at, twin.at) == (4, 7, -1) and body == twin
+    assert Close("x") != TName("x") and Close("x") != Close("y")
+    assert repr(twin) == "Wait(chan='x', cont=Close(chan='x'))"
+    with pytest.raises(TypeError):
+        hash(body)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_RANKS))
@@ -107,7 +117,7 @@ def test_render_prints_trees_a_hundred_thousand_levels_deep(shape):
         sp, head = SourceProgram([("T", tree, -1)], []), "type T = "
     else:
         sp, head = SourceProgram([], [ProcDef("Main", [], None, tree)]), "Main() = "
-    # strings compared, not trees: a dataclass __eq__ recurses
+    # strings compared, not trees: a record's __eq__ recurses
     assert render_program(sp) == head + opening * DEPTH + middle + closing * DEPTH + "\n"
 
 
@@ -562,11 +572,13 @@ def test_resolution_interns_annotations():
 
 
 def _fields(obj):
-    """Every field of every dataclass under obj, read with `dataclasses.fields`
-    (the `compare=False` ones too), each dataclass with its identity."""
-    if dataclasses.is_dataclass(obj):
-        return (type(obj), id(obj),
-                tuple((f.name, _fields(getattr(obj, f.name))) for f in dataclasses.fields(obj)))
+    """Every field of every record under obj, each record with its identity:
+    the slots of its class and its bases (`at` too, which equality leaves
+    out) and, for a record kept without slots, its `vars()`."""
+    if isinstance(obj, Record):
+        names = [f for c in type(obj).__mro__ for f in getattr(c, "__slots__", ())]
+        names += getattr(obj, "__dict__", ())
+        return (type(obj), id(obj), tuple((f, _fields(getattr(obj, f))) for f in names))
     if isinstance(obj, (list, tuple)):
         return (type(obj), tuple(map(_fields, obj)))
     return obj
