@@ -283,26 +283,43 @@ _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
 # `\d` and `\s` would also match other scripts' characters.
 _WORD = r"[A-Za-z_][A-Za-z0-9_']*|[0-9]+|[(){}\[\]:,./=!?+|@]"
 _COMMENT = re.compile(r"--[^\n]*")
-# One findall over the whole text; the search skips blanks (space, tab, CR,
-# LF). The group holds a token. A comment, and any other character, match
-# outside it and come back as "". No token contains "-", so a "--" outside
-# a token starts a comment.
-_TOKEN = re.compile(rf"({_WORD})|{_COMMENT.pattern}|[^ \t\r\n]")
 # The position table's pass: a line break (group 1), a comment (group 2), a
 # token, or a stray character (group 3).
 _POSITION = re.compile(rf"(\n)|({_COMMENT.pattern})|{_WORD}|([^ \t\r])")
 
+# lex cuts tokens with str methods, in C, and runs a pattern only where the
+# text holds a character that pattern looks for. No token contains "-", so
+# every "--" starts a comment. Once the comments are gone, a character is
+# stray when it is outside the alphabet below (a lone "-" among them), or
+# when it is an apostrophe that starts a run of identifier characters or
+# follows the numeral that starts one: only a letter or "_" starts an
+# identifier, and a numeral ends at its last digit.
+_PUNCT = "(){}[]:,./=!?+|@"
+_DIGITS = "0123456789"
+# deletes every character a token or a blank is made of
+_ALPHABET = str.maketrans("", "", "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                          + _DIGITS + "_'" + _PUNCT + " \t\r\n")
+_LOOSE_APOSTROPHE = re.compile(r"(?<![A-Za-z0-9_'])[0-9]*'")
+# a numeral with an identifier glued to it, as in 12ab: two tokens
+_GLUED_NUMERAL = re.compile(r"(?<![A-Za-z0-9_'])([0-9]+)(?=[A-Za-z_])")
+
 
 def lex(src: str) -> list[str]:
     """The tokens of src, then "" for eof; SourceError at a stray character."""
-    toks = _TOKEN.findall(src)
-    blanks = toks.count("")
-    if blanks:
-        # more blanks than comments: a stray character, which the position
-        # table's pass reports where it first occurs
-        if blanks != len(_COMMENT.findall(src)):
-            token_positions(src)
-        toks = list(filter(None, toks))
+    text = _COMMENT.sub("", src) if "--" in src else src
+    if text.translate(_ALPHABET) or ("'" in text and _LOOSE_APOSTROPHE.search(text)):
+        # the position table's pass reports where the first one occurs
+        token_positions(src)
+    # Every character left is a token's or one of the four blanks, which are
+    # all that str.split() splits on among them: blanking around each
+    # punctuation mark and after each glued numeral cuts the text exactly
+    # at the token boundaries.
+    if any(d in text for d in _DIGITS):
+        text = _GLUED_NUMERAL.sub(r"\1 ", text)
+    for c in _PUNCT:
+        if c in text:
+            text = text.replace(c, f" {c} ")
+    toks = text.split()
     toks.append("")
     return toks
 

@@ -31,8 +31,9 @@ rebuild of the whole list at every step instead of an index that re-reads
 only the threads a step touched, the interpreter itself by threads that
 hold syntax nodes instead of occurrence numbers read through a table per
 occurrence, tokens by a
-loop over single characters and by a regular expression per line instead
-of one pass over the whole text with positions looked up later, and
+loop over single characters, by a regular expression per line and by one
+regular expression match per token instead of cutting the whole text with
+string methods and looking positions up later, and
 the interning of type annotations by recursion, with a fresh alias chase
 per name, instead of a post-order stack and a memo per name, and the order
 of a program's occurrence numbers by recursion instead of a numbering stack.
@@ -53,7 +54,8 @@ from fairchk.subtyping import Simulation, _judge, fair_subtype, simulate, solve_
 from fairchk.surface import (Call, Cast, ChanIn, ChanOut, Choice, Close, Done,
                              NewSession, ProcDef, ProcExpr, Program, SourceError,
                              SourceProgram, TagComm, TChan, TEnd, TName, TTags,
-                             TypeExpr, Wait, children, render, source_error)
+                             TypeExpr, Wait, _COMMENT, _WORD, children, render,
+                             source_error, token_positions)
 from fairchk.typecheck import Checker, TermGraph, _Abort
 from fairchk.types import INF, OUT, TypeTable, _matched, co, equiv
 
@@ -133,6 +135,29 @@ def lex_lines(src: str) -> list[tuple[str, str, int, int]]:
     # eof follows the last line, or sits where its comment starts: a comment
     # takes no columns.
     toks.append(("eof", "", len(lines), end + 1))
+    return toks
+
+
+# -- tokens, one findall over the whole text ----------------------------------------
+
+# The search skips blanks (space, tab, CR, LF). The group holds a token. A
+# comment, and any other character, match outside it and come back as "".
+# No token contains "-", so a "--" outside a token starts a comment.
+_TOKEN = re.compile(rf"({_WORD})|{_COMMENT.pattern}|[^ \t\r\n]")
+
+
+def lex_findall(src: str) -> list[str]:
+    """The tokens of src, then "" for eof, by one `findall`; SourceError at a
+    stray character, from the position table."""
+    toks = _TOKEN.findall(src)
+    blanks = toks.count("")
+    if blanks:
+        # more blanks than comments: a stray character, which the position
+        # table's pass reports where it first occurs
+        if blanks != len(_COMMENT.findall(src)):
+            token_positions(src)
+        toks = list(filter(None, toks))
+    toks.append("")
     return toks
 
 

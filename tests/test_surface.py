@@ -18,7 +18,7 @@ from fairchk.types import TypeTable, equiv
 import gen
 from conftest import CORPUS_RANKS, corpus_text
 from gen import random_source_program
-from oracles import (lex_charwise, lex_lines, preorder, render_syntax_recursive,
+from oracles import (lex_charwise, lex_findall, lex_lines, preorder, render_syntax_recursive,
                      resolve_recursive)
 from test_mutations import _byte_mutants, _mutants
 
@@ -200,11 +200,14 @@ def test_spans_point_into_the_source():
 
 def _lexed(text):
     """lex's tokens and the position table's (line, col) for each, eof
-    included, or the error text."""
+    included, or lex's error text. The table is built only from text that
+    lex accepts: the table refuses a stray character too, and would
+    otherwise hide one that lex let through."""
     try:
-        return lex(text), token_positions(text)
+        toks = lex(text)
     except SourceError as err:
         return str(err)
+    return toks, token_positions(text)
 
 
 def _lexed_by(oracle, text):
@@ -218,14 +221,20 @@ def _lexed_by(oracle, text):
 
 def _assert_lexes_as_oracles(text):
     # the same token texts, hence the same len, and the same positions or
-    # the same error as both oracles
+    # the same error as the two tuple lexers; and the same token texts or
+    # the same error as the findall lexer, which shares the position table
     got = _lexed(text)
     assert got == _lexed_by(lex_charwise, text), text
     assert got == _lexed_by(lex_lines, text), text
+    try:
+        assert got[0] == lex_findall(text), text
+    except SourceError as err:
+        assert got == str(err), text
 
 
 def _lexer_inputs():
-    """The corpus, every generated family, and seeded random programs."""
+    """The corpus, every generated family, the generated counterparts of
+    the benchmark's inputs at its sizes, and seeded random programs."""
     yield from (corpus_text(name) for name in sorted(CORPUS_RANKS))
     for n in (1, 5, 17):
         yield gen.call_dag_source(n)
@@ -235,6 +244,12 @@ def _lexer_inputs():
         yield gen.holding_source(n)
         yield gen.holding_loop_source(n)
         yield gen.shared_ladder_source(n)
+    for n in (400, 800):
+        yield gen.cascade_source(n)
+        yield gen.diverging_source(n)
+        yield gen.holding_source(n)
+    yield gen.dual_chain_source(800)
+    yield gen.session_chain_source(60)
     yield from (gen.swarm_source(d) for d in (1, 4))
     for source in gen.NESTED_SOURCES.values():
         yield source(gen.deepest_admitted(source))
@@ -275,10 +290,14 @@ def test_lexer_matches_charwise_oracle_on_corpus_prefixes():
             _assert_lexes_as_oracles(text[:i])
 
 
-# Every kind of token and blank, a lone dash and a leading apostrophe, and
-# then, one third as often, characters the lexer must refuse: form feed, a
-# non-ASCII letter, digits of other scripts and NUL.
-_LEXER_ALPHABET = "aZ_q09(){}[]:,./=!?+|@--''\t\r \n\n" * 3 + "\x0c\u00e9\u00b2\u0663\x00"
+# Every kind of token and blank, a lone dash, a leading apostrophe and runs
+# that glue a numeral to what follows it, and then, one third as often,
+# characters the lexer must refuse: a non-ASCII letter, digits of other
+# scripts, NUL, and the characters str.split() takes for blanks but the
+# lexer does not (form feed, vertical tab, the ASCII separators, NEL,
+# no-break, line and ideographic space).
+_LEXER_ALPHABET = ([*"aZ_q09(){}[]:,./=!?+|@--''\t\r \n\n", "12ab", "3'", "0_"] * 3
+                   + [*"\u00e9\u00b2\u0663\x00\x0c\x0b\x1c\x1f\x85\xa0\u2028\u3000"])
 
 
 def test_lexer_matches_charwise_oracle_on_random_text():
@@ -302,8 +321,10 @@ def test_eof_after_a_comment(end, where):
 @pytest.mark.parametrize("text, lexer, where, msg", [
     ("a" * 10**6 + "-", lex, "1:1000001", "unexpected character '-'"),
     ("a b " * 250_000 + "'", lex, "1:1000001", 'unexpected character "\'"'),
+    ("1" * 10**6 + "'", lex, "1:1000001", 'unexpected character "\'"'),
     ("P() = -- " + "a" * 10**6, parse, "1:7", "expected 'ident', found 'eof'"),
-], ids=["dash-after-long-name", "apostrophe-after-many-blanks", "long-comment"])
+], ids=["dash-after-long-name", "apostrophe-after-many-blanks", "apostrophe-after-long-numeral",
+        "long-comment"])
 def test_long_lines_lex_in_linear_time(text, lexer, where, msg):
     # a pattern that backtracks over these lines would take ages, not milliseconds
     started = time.perf_counter()
@@ -320,6 +341,18 @@ def test_trailing_blanks_lex_in_linear_time(text):
     # match retries the whole trailing run from each of its characters
     started = time.perf_counter()
     assert lex(text) == ["a", ""]
+    assert time.perf_counter() - started < 2.0
+
+
+@pytest.mark.parametrize("text, toks", [
+    ("1" * 10**6 + "x", ["1" * 10**6, "x", ""]),
+    ("1" * 10**6 + "a'", ["1" * 10**6, "a'", ""]),
+], ids=["name-after-long-numeral", "primed-name-after-long-numeral"])
+def test_glued_numerals_lex_in_linear_time(text, toks):
+    # the patterns that find a numeral glued to a name, and an apostrophe
+    # after a numeral, scan the whole run of digits from its first one
+    started = time.perf_counter()
+    assert lex(text) == toks
     assert time.perf_counter() - started < 2.0
 
 
