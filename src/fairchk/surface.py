@@ -299,9 +299,11 @@ _DIGITS = "0123456789"
 # deletes every character a token or a blank is made of
 _ALPHABET = str.maketrans("", "", "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
                           + _DIGITS + "_'" + _PUNCT + " \t\r\n")
-_LOOSE_APOSTROPHE = re.compile(r"(?<![A-Za-z0-9_'])[0-9]*'")
+# The two patterns below open with a character class, so `re` skips to a
+# digit or an apostrophe; a lookbehind then checks that it starts a run.
+_LOOSE_APOSTROPHE = re.compile(r"[0-9'](?<![A-Za-z0-9_'][0-9'])(?:(?<=')|[0-9]*')")
 # a numeral with an identifier glued to it, as in 12ab: two tokens
-_GLUED_NUMERAL = re.compile(r"(?<![A-Za-z0-9_'])([0-9]+)(?=[A-Za-z_])")
+_GLUED_NUMERAL = re.compile(r"[0-9](?<![A-Za-z0-9_'][0-9])[0-9]*(?=[A-Za-z_])")
 
 
 def lex(src: str) -> list[str]:
@@ -315,7 +317,7 @@ def lex(src: str) -> list[str]:
     # punctuation mark and after each glued numeral cuts the text exactly
     # at the token boundaries.
     if any(d in text for d in _DIGITS):
-        text = _GLUED_NUMERAL.sub(r"\1 ", text)
+        text = _GLUED_NUMERAL.sub(r"\g<0> ", text)
     for c in _PUNCT:
         if c in text:
             text = text.replace(c, f" {c} ")
@@ -415,9 +417,12 @@ class _Parser:
         """A type expression at nesting level `depth`.
 
         A `{…}` branch list is read here, not by `_branches`: a branch whose
-        type is a bare name becomes its TName without a call, as long as
-        the name's level is within MAX_NESTING (at the bound the call below
-        raises); any other branch type is one call a level down.
+        type is a bare name, `end!` or `end?` becomes its TName or TEnd
+        without a call, as long as its level is within MAX_NESTING (at the
+        bound the call below raises); any other branch type, a malformed
+        `end` too, is one call a level down. Repeated labels are looked for
+        once the list has parsed, before its `}`: the first label that
+        repeats is reported, two tokens before its branch's type.
         """
         toks, at = self.toks, self.pos
         if depth > MAX_NESTING:
@@ -430,8 +435,6 @@ class _Parser:
                 depth += 1
                 leaf = depth <= MAX_NESTING
                 branches = []
-                seen = set()
-                repeated = -1
                 pos = at + 2
                 while True:
                     label = toks[pos]
@@ -439,13 +442,13 @@ class _Parser:
                         self.name(pos)  # raises
                     if toks[pos + 1] != ":":
                         raise self.expected(":", pos + 1)
-                    if label in seen and repeated < 0:
-                        repeated = pos
-                    seen.add(label)
                     name = toks[pos + 2]
                     if leaf and name[:1] in _IDENT_START and name not in KEYWORDS and name != "end":
                         branches.append((label, TName(name, pos + 2)))
                         pos += 3
+                    elif leaf and name == "end" and ((pol := toks[pos + 3]) == "!" or pol == "?"):
+                        branches.append((label, TEnd(pol, pos + 2)))
+                        pos += 4
                     else:
                         self.pos = pos + 2
                         branches.append((label, self.parse_type(depth)))
@@ -453,8 +456,12 @@ class _Parser:
                     if toks[pos] != ",":
                         break
                     pos += 1
-                if repeated >= 0:
-                    raise self.error(f"duplicate label {toks[repeated]!r}", repeated)
+                if len(branches) > 1 and len(dict(branches)) < len(branches):
+                    seen = set()
+                    for label, b in branches:
+                        if label in seen:
+                            raise self.error(f"duplicate label {label!r}", b.at - 2)
+                        seen.add(label)
                 self.want("}", pos)
                 self.pos = pos + 1
                 return TTags(t, branches, at)
@@ -753,7 +760,12 @@ def render_program(sp: SourceProgram) -> str:
 # Resolution -----------------------------------------------------------------
 
 def resolve(sp: SourceProgram) -> Program:
-    """Check names, reject non-contractive typedefs, intern all annotations."""
+    """Check names, reject non-contractive typedefs, intern all annotations.
+
+    The ids follow one order: a slot per typedef that is not an alias, in
+    definition order; then each body's anonymous nodes, in post-order and
+    left to right; then, definition by definition, the annotations.
+    """
     src = sp.source
     by_name: dict[str, TypeExpr] = {}
     for name, body, at in sp.typedefs:
@@ -762,10 +774,13 @@ def resolve(sp: SourceProgram) -> Program:
         by_name[name] = body
 
     # A typedef whose body is a bare name is an alias; every other typedef
-    # has its id in `ids` from the start.
-    table = TypeTable()
-    ids = {name: table.placeholder(hint=name)
-           for name, body, _ in sp.typedefs if not isinstance(body, TName)}
+    # owns a slot of the table, all of them allocated in one step, and the
+    # slot's id is in `ids` from the start.
+    named = [name for name, body, _ in sp.typedefs if type(body) is not TName]
+    table = TypeTable(named)
+    typedefs = {name: i for i, name in enumerate(named)}
+    ids = dict(typedefs)
+    nodes, add = table.nodes, table.add
 
     def type_id(name: str, at: int) -> int:
         """The id of type name `name`, used at token `at`.
@@ -788,61 +803,66 @@ def resolve(sp: SourceProgram) -> Program:
             ids[alias] = tid
         return tid
 
-    def intern(root: TypeExpr, slot: int | None = None) -> int:
-        """The id of root; a constructor goes into `slot` when one is given.
+    def intern(roots, slot: int | None = None) -> list[int]:
+        """The ids of roots, in order. With a `slot`, no root is a name, and
+        root k is written straight into node slot + k, not through add(), so
+        that a typedef keeps its id even when an identical anonymous shape
+        exists.
 
-        A post-order walk on an explicit stack of frames, one per
-        constructor still open: the node, its label in its parent, its
-        (label, id) pairs so far, and an iterator over its (label, child)
-        pairs, where a channel's payload and continuation carry no label.
-        Children are interned left to right before their parent, so the ids
-        and the first error are those of a left-to-right recursion. A name
-        or `end` leaf is interned where it is met and never gets a frame; a
-        constructor whose iterator is spent builds its table tuple straight
-        from its pairs and hands its id to the frame below.
+        One post-order walk over all the roots, left to right, so the ids
+        and the first error are those of a left-to-right recursion. The
+        constructor being built lives in locals: the node, its label in its
+        parent, its (label, id) pairs so far, and an iterator over its
+        (label, child) pairs, where a channel's payload and continuation
+        carry no label. A name or `end` child is interned where it is met;
+        a constructor child suspends its parent on a stack of frames, which
+        resumes it once the child's node is built. So a body whose children
+        are all names and `end` leaves takes no frame.
         """
-        kind = type(root)
-        if kind is TName:
-            return type_id(root.name, root.at)
-        if kind is TEnd:
-            node: tuple = ("end", root.pol)
-        else:
-            frames = [(root, None, [], iter(root.branches) if kind is TTags
-                       else iter(((None, root.payload), (None, root.cont))))]
-            while True:
-                t, label, pairs, rest = frames[-1]
-                for key, c in rest:  # resumes after the child last descended into
-                    kind = type(c)
-                    if kind is TName:
-                        tid = ids.get(c.name)
-                        pairs.append((key, type_id(c.name, c.at) if tid is None else tid))
-                    elif kind is TEnd:
-                        pairs.append((key, table.add(("end", c.pol))))
+        got, frames = [], []
+        for root in roots:
+            kind = type(root)
+            if kind is TName:
+                got.append(type_id(root.name, root.at))
+                continue
+            if kind is TEnd:
+                node: tuple = ("end", root.pol)
+            else:
+                t, label, pairs = root, None, []
+                rest = iter(root.branches if kind is TTags
+                            else ((None, root.payload), (None, root.cont)))
+                while True:
+                    for key, c in rest:  # resumes after the child last descended into
+                        kind = type(c)
+                        if kind is TName:
+                            tid = ids.get(c.name)
+                            pairs.append((key, type_id(c.name, c.at) if tid is None else tid))
+                        elif kind is TEnd:
+                            pairs.append((key, add(("end", c.pol))))
+                        else:
+                            frames.append((t, label, pairs, rest))
+                            t, label, pairs = c, key, []
+                            rest = iter(c.branches if kind is TTags
+                                        else ((None, c.payload), (None, c.cont)))
+                            break
                     else:
-                        frames.append((c, key, [], iter(c.branches) if kind is TTags
-                                       else iter(((None, c.payload), (None, c.cont)))))
-                        break
-                else:
-                    frames.pop()
-                    node = (("tags", t.pol, tuple(pairs)) if type(t) is TTags
-                            else ("chan", t.pol, pairs[0][1], pairs[1][1]))
-                    if not frames:  # the root is finished last
-                        break
-                    frames[-1][2].append((label, table.add(node)))
-        if slot is None:
-            return table.add(node)
-        table.fill(slot, node)
-        return slot
+                        node = (("tags", t.pol, tuple(pairs)) if type(t) is TTags
+                                else ("chan", t.pol, pairs[0][1], pairs[1][1]))
+                        if not frames:  # the root is finished last
+                            break
+                        child = (label, add(node))
+                        t, label, pairs, rest = frames.pop()
+                        pairs.append(child)
+            if slot is None:
+                got.append(add(node))
+            else:
+                nodes[slot] = node
+                slot += 1
+        return got
 
-    typedefs: dict[str, int] = {}
-    for name, body, _ in sp.typedefs:
-        # a typedef fills its slot in place rather than via add(), to keep
-        # the name tied to a stable id even when an identical anonymous
-        # shape exists
-        if not isinstance(body, TName):
-            typedefs[name] = intern(body, ids[name])
+    intern(map(by_name.get, named), 0)
     for name, body, at in sp.typedefs:
-        if isinstance(body, TName):
+        if type(body) is TName:
             typedefs[name] = type_id(name, at)
     table.type_names = typedefs
 
@@ -853,26 +873,26 @@ def resolve(sp: SourceProgram) -> Program:
         procs[d.name] = d
 
     program = Program(table, typedefs, procs, src)
-    nodes, tids = program.nodes, program.tids
+    occurrences, tids = program.nodes, program.tids
     # definition by definition, parameters before body: the first error
     # found is the first in source order
-    bounds = [*program.start.values(), len(nodes)]
+    bounds = [*program.start.values(), len(occurrences)]
     for d, first, end in zip(procs.values(), bounds, bounds[1:]):
         seen_params = set()
         for v, _ in d.params:
             if v in seen_params:
                 raise source_error(src, f"duplicate parameter {v!r} in {d.name}", d.at)
             seen_params.add(v)
-        program.param_tids[d.name] = [intern(t) for _, t in d.params]
-        for v, p in enumerate(nodes[first:end], first):
+        program.param_tids[d.name] = intern([t for _, t in d.params])
+        for v, p in enumerate(occurrences[first:end], first):
             if isinstance(p, Call) and p.name not in procs:
                 raise source_error(src, f"undefined process name {p.name!r}", p.at)
             if isinstance(p, ChanIn):
-                tids[v] = (intern(p.ann),)
+                tids[v] = tuple(intern([p.ann]))
             elif isinstance(p, Cast):
-                tids[v] = (intern(p.target),)
+                tids[v] = tuple(intern([p.target]))
             elif isinstance(p, NewSession):
-                tids[v] = (intern(p.lty), intern(p.rty))
+                tids[v] = tuple(intern([p.lty, p.rty]))
     return program
 
 

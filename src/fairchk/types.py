@@ -35,16 +35,17 @@ class TypeTable:
     """Append-only store of session-type nodes.
 
     Construction happens in two ways: `add` hash-conses a complete node,
-    while `placeholder`/`fill` support cyclic definitions (allocate first,
-    fill once the children exist). After resolution only `dual` adds
-    nodes: every question reads the table as loaded, and one that needs a
-    node the table does not hold keeps the node itself (`lookup`), and
-    renders it from a `copy`.
+    while placeholders support cyclic definitions (allocate first, fill
+    once the children exist): a new table holds one per name of `hints`,
+    that name its hint, and `placeholder` allocates one more. After
+    resolution only `dual` adds nodes: every question reads the table as
+    loaded, and one that needs a node the table does not hold keeps the
+    node itself (`lookup`), and renders it from a `copy`.
     """
 
-    def __init__(self) -> None:
-        self.nodes: list[tuple | None] = []
-        self.name_hint: dict[int, str] = {}
+    def __init__(self, hints: list[str] | tuple = ()) -> None:
+        self.nodes: list[tuple | None] = [None] * len(hints)
+        self.name_hint: dict[int, str] = dict(enumerate(hints))
         # type name -> id, every typedef of the program (aliases too); the
         # equation form of `render` gives these names to no other node
         self.type_names: dict[str, int] = {}
@@ -119,8 +120,8 @@ class TypeTable:
         like an unfolding with nothing shared, prints each node once.
         """
         text = self._print(i, RENDER_LIMIT)
-        if text is None:
-            text = self._print(i, cut=self._shared(i) | {i})
+        if type(text) is set:  # the shared nodes
+            text = self._print(i, cut=text | {i})
         return text
 
     def _shared(self, i: int) -> set[int]:
@@ -130,11 +131,11 @@ class TypeTable:
         return {c for c, k in edges.items() if k > 1 and c != i and self.kind(c) != "end"}
 
     def _print(self, i: int, limit: float = INF, cut: frozenset | set = frozenset()
-               ) -> str | None:
+               ) -> str | set[int]:
         """The tree at i, with a node on the current path printed by name.
-        When the text passes `limit` characters it is None if i reaches a
-        shared node, and otherwise goes on without a limit: an unfolding
-        that shares nothing prints each node once.
+        When the text passes `limit` characters it is `_shared(i)` if i
+        reaches a shared node, and otherwise goes on without a limit: an
+        unfolding that shares nothing prints each node once.
 
         With a `cut` that holds i, this is the equation form: a node in
         `cut` is printed by name too, and its equation follows the text of
@@ -191,8 +192,8 @@ class TypeTable:
                         piece = got[0]
                 size += len(piece)
                 if size > limit:
-                    if self._shared(i):
-                        return None
+                    if shared := self._shared(i):
+                        return shared
                     limit = INF
                 out.append(piece)
         return "".join(out)

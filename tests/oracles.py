@@ -35,8 +35,11 @@ loop over single characters, by a regular expression per line and by one
 regular expression match per token instead of cutting the whole text with
 string methods and looking positions up later, and
 the interning of type annotations by recursion, with a fresh alias chase
-per name, instead of a post-order stack and a memo per name, and the order
-of a program's occurrence numbers by recursion instead of a numbering stack.
+per name, instead of a post-order stack and a memo per name, and also by
+a placeholder per typedef and a frame for every constructor, one call per
+body, instead of one walk over all the bodies that writes each into a slot
+allocated with the others and gives no frame to a body of leaves, and the
+order of a program's occurrence numbers by recursion instead of a numbering stack.
 """
 
 import re
@@ -271,6 +274,134 @@ def resolve_recursive(sp: SourceProgram) -> Program:
             elif isinstance(p, NewSession):
                 program.tids[number] = (intern(p.lty), intern(p.rty))
             number += 1
+    return program
+
+
+# -- name resolution with a frame per constructor -----------------------------
+
+def resolve_frames(sp: SourceProgram) -> Program:
+    """`surface.resolve` as it was before it allocated every typedef's slot
+    in one step: a placeholder per typedef, and a frame for every
+    constructor, the root of each body too, one `intern` call per body."""
+    src = sp.source
+    by_name: dict[str, TypeExpr] = {}
+    for name, body, at in sp.typedefs:
+        if name in by_name:
+            raise source_error(src, f"duplicate type definition {name!r}", at)
+        by_name[name] = body
+
+    # A typedef whose body is a bare name is an alias; every other typedef
+    # has its id in `ids` from the start.
+    table = TypeTable()
+    ids = {name: table.placeholder(hint=name)
+           for name, body, _ in sp.typedefs if not isinstance(body, TName)}
+
+    def type_id(name: str, at: int) -> int:
+        """The id of type name `name`, used at token `at`.
+
+        An alias chain is followed by a loop, so a cycle that never crosses
+        a constructor is caught here, and every alias on the path gets the
+        id the chain ends at: each alias is followed once however long the
+        chains are.
+        """
+        path: set[str] = set()
+        while (tid := ids.get(name)) is None:
+            if name not in by_name:
+                raise source_error(src, f"undefined type name {name!r}", at)
+            if name in path:
+                raise source_error(src, f"non-contractive type definition {alias!r}", at)
+            path.add(name)
+            alias, body = name, by_name[name]
+            name, at = body.name, body.at
+        for alias in path:
+            ids[alias] = tid
+        return tid
+
+    def intern(root: TypeExpr, slot: int | None = None) -> int:
+        """The id of root; a constructor goes into `slot` when one is given.
+
+        A post-order walk on an explicit stack of frames, one per
+        constructor still open: the node, its label in its parent, its
+        (label, id) pairs so far, and an iterator over its (label, child)
+        pairs, where a channel's payload and continuation carry no label.
+        Children are interned left to right before their parent, so the ids
+        and the first error are those of a left-to-right recursion. A name
+        or `end` leaf is interned where it is met and never gets a frame; a
+        constructor whose iterator is spent builds its table tuple straight
+        from its pairs and hands its id to the frame below.
+        """
+        kind = type(root)
+        if kind is TName:
+            return type_id(root.name, root.at)
+        if kind is TEnd:
+            node: tuple = ("end", root.pol)
+        else:
+            frames = [(root, None, [], iter(root.branches) if kind is TTags
+                       else iter(((None, root.payload), (None, root.cont))))]
+            while True:
+                t, label, pairs, rest = frames[-1]
+                for key, c in rest:  # resumes after the child last descended into
+                    kind = type(c)
+                    if kind is TName:
+                        tid = ids.get(c.name)
+                        pairs.append((key, type_id(c.name, c.at) if tid is None else tid))
+                    elif kind is TEnd:
+                        pairs.append((key, table.add(("end", c.pol))))
+                    else:
+                        frames.append((c, key, [], iter(c.branches) if kind is TTags
+                                       else iter(((None, c.payload), (None, c.cont)))))
+                        break
+                else:
+                    frames.pop()
+                    node = (("tags", t.pol, tuple(pairs)) if type(t) is TTags
+                            else ("chan", t.pol, pairs[0][1], pairs[1][1]))
+                    if not frames:  # the root is finished last
+                        break
+                    frames[-1][2].append((label, table.add(node)))
+        if slot is None:
+            return table.add(node)
+        table.fill(slot, node)
+        return slot
+
+    typedefs: dict[str, int] = {}
+    for name, body, _ in sp.typedefs:
+        # a typedef fills its slot in place rather than via add(), to keep
+        # the name tied to a stable id even when an identical anonymous
+        # shape exists
+        if not isinstance(body, TName):
+            typedefs[name] = intern(body, ids[name])
+    for name, body, at in sp.typedefs:
+        if isinstance(body, TName):
+            typedefs[name] = type_id(name, at)
+    table.type_names = typedefs
+
+    procs: dict[str, ProcDef] = {}
+    for d in sp.procdefs:
+        if d.name in procs:
+            raise source_error(src, f"duplicate process definition {d.name!r}", d.at)
+        procs[d.name] = d
+
+    program = Program(table, typedefs, procs, src)
+    nodes, tids = program.nodes, program.tids
+    # definition by definition, parameters before body: the first error
+    # found is the first in source order
+    bounds = [*program.start.values(), len(nodes)]
+    for d, first, end in zip(procs.values(), bounds, bounds[1:]):
+        seen_params = set()
+        for v, _ in d.params:
+            if v in seen_params:
+                raise source_error(src, f"duplicate parameter {v!r} in {d.name}", d.at)
+            seen_params.add(v)
+        program.param_tids[d.name] = [intern(t) for _, t in d.params]
+        for v, p in enumerate(nodes[first:end], first):
+            if isinstance(p, Call) and p.name not in procs:
+                raise source_error(src, f"undefined process name {p.name!r}", p.at)
+            if isinstance(p, ChanIn):
+                tids[v] = (intern(p.ann),)
+            elif isinstance(p, Cast):
+                tids[v] = (intern(p.target),)
+            elif isinstance(p, NewSession):
+                tids[v] = (intern(p.lty), intern(p.rty))
     return program
 
 

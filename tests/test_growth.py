@@ -7,12 +7,13 @@ so unlike wall clock they repeat exactly on any host.
 
 import pytest
 
-from fairchk import graph, load, semantics, typecheck
-from fairchk.surface import (Close, Done, NewSession, ProcDef, SourceProgram, TEnd, Wait,
-                             resolve)
+from fairchk import graph, load, semantics, surface, typecheck
+from fairchk.surface import (Close, Done, NewSession, ProcDef, SourceProgram, TChan, TEnd,
+                             TTags, Wait, parse, resolve)
 from fairchk.typecheck import Checker, TermGraph
+from fairchk.types import TypeTable
 
-from gen import call_dag_source, dual_chain_source, session_chain_source
+from gen import call_dag_source, cascade_source, dual_chain_source, session_chain_source
 
 
 class _Reads(list):
@@ -168,3 +169,63 @@ def test_typing_walk_on_nested_sessions():
     # entries, which the message reports
     writes, sets, scans = zip(*(_typing_work(_nested_sessions, k) for k in SIZES))
     assert _linear(writes) and _linear(sets), (writes, sets, scans)
+
+
+class _Written(list):
+    """A list that counts the items written into it, appended or set, into
+    `counter[0]`."""
+
+    def __init__(self, items, counter: list[int]):
+        super().__init__(items)
+        self.counter = counter
+
+    def append(self, item):
+        self.counter[0] += 1
+        super().append(item)
+
+    def __setitem__(self, i, item):
+        self.counter[0] += 1
+        super().__setitem__(i, item)
+
+
+def _resolve_work(source: str, monkeypatch) -> int:
+    """The work of `resolve` on a parsed source: the table nodes it writes,
+    the definitions it reads off the typedef list, and the (label, child)
+    pairs its walk reads off the branch lists."""
+    count = [0]
+
+    class Counted(TypeTable):
+        def __init__(self, hints=()):
+            super().__init__(hints)
+            self.nodes = _Written(self.nodes, count)
+
+    monkeypatch.setattr(surface, "TypeTable", Counted)
+    sp = parse(source)
+    stack = [body for _, body, _ in sp.typedefs]
+    while stack:
+        t = stack.pop()
+        if type(t) is TTags:
+            t.branches = _Reads(t.branches, count)
+            stack += [c for _, c in t.branches]
+        elif type(t) is TChan:
+            stack += [t.payload, t.cont]
+    sp.typedefs = _Reads(sp.typedefs, count)
+    table = resolve(sp).table
+    assert None not in table.nodes and type(table) is Counted
+    return count[0]
+
+
+def _nested_typedefs(n: int) -> str:
+    """T_i = !{a: ?{b: A_{i+1}, c: !(A0).end?}, d: end!} and the alias
+    A_i = T_i, for i < n, with T_n = end!: bodies with nested constructors
+    that name each other through aliases."""
+    lines = [f"type T{i} = !{{a: ?{{b: A{i + 1}, c: !(A0).end?}}, d: end!}}\ntype A{i} = T{i}"
+             for i in range(n)]
+    return "\n".join(lines) + f"\ntype A{n} = T{n}\ntype T{n} = end!\n"
+
+
+@pytest.mark.parametrize("family", [cascade_source, _nested_typedefs],
+                         ids=["cascade", "nested"])
+def test_resolve_work_is_linear(family, monkeypatch):
+    work = [_resolve_work(family(n), monkeypatch) for n in (200, 400, 800)]
+    assert _linear(work), work

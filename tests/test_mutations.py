@@ -27,11 +27,11 @@ MUTANTS_PER_FILE = 30
 MAX_STEPS = 200
 
 
-def _mutants(text: str, rnd: random.Random) -> list[str]:
+def _mutants(text: str, rnd: random.Random, count: int = MUTANTS_PER_FILE) -> list[str]:
     toks = lex(text)[:-1]  # the token strings, without eof
     names = sorted({t for t in toks if (t[0].isalpha() or t[0] == "_") and t not in KEYWORDS})
     out = []
-    for _ in range(MUTANTS_PER_FILE):
+    for _ in range(count):
         words = list(toks)
         i = rnd.randrange(len(words))
         # half of the mutants are renames: most of them still parse

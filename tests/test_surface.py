@@ -19,7 +19,7 @@ import gen
 from conftest import CORPUS_RANKS, corpus_text
 from gen import random_source_program
 from oracles import (lex_charwise, lex_findall, lex_lines, preorder, render_syntax_recursive,
-                     resolve_recursive)
+                     resolve_frames, resolve_recursive)
 from test_mutations import _byte_mutants, _mutants
 
 
@@ -682,6 +682,62 @@ def test_resolve_matches_recursive_oracle():
     # the inputs resolve, and fail on undefined and on cyclic names
     assert outcomes == {"ok", "undefined type name", "non-contractive type definition",
                         "undefined process name"}
+
+
+# type definitions that nest, at the nesting bound: a leaf, a nested list
+# with a repeated label, a nested channel type and an undefined name inside
+NESTED_TYPEDEFS = [
+    "type T = " + "!{a: " * (MAX_NESTING - 1) + "end?" + "}" * (MAX_NESTING - 1),
+    "type T = " + "?{a: end?, b: " * (MAX_NESTING - 1) + "T" + "}" * (MAX_NESTING - 1),
+    "type T = " + "!{a: T, b: " * (MAX_NESTING - 2) + "?{c: end!, c: T}" + "}" * (MAX_NESTING - 2),
+    "type T = " + "!(end!).?{a: " * (MAX_NESTING // 2 - 1) + "end!" + "}" * (MAX_NESTING // 2 - 1),
+    "type T = " + "?{a: !{b: end!, c: " * (MAX_NESTING // 2 - 1) + "U" + "}}" * (MAX_NESTING // 2 - 1),
+]
+
+
+def test_resolve_matches_the_frame_walk():
+    # one walk over every body, with the slots allocated at once, builds the
+    # table of a frame per constructor, or fails with its first error
+    rnd = random.Random(34)
+    draws = [render_program(draw(rnd)) for draw in (gen.random_naming_program,
+                                                     gen.random_source_program)
+             for _ in range(2000)]
+    inputs = [corpus_text(name) for name in sorted(CORPUS_RANKS)]
+    inputs += [gen.cascade_source(800), gen.diverging_source(800), gen.holding_source(400),
+               gen.holding_loop_source(400), gen.dual_chain_source(800),
+               gen.shared_ladder_source(16), *NESTED_TYPEDEFS]
+    inputs += draws + [m for text in draws for m in _mutants(text, rnd, 2)]
+    errors = 0
+    for text in inputs:
+        got = _resolution(resolve, text)
+        assert got == _resolution(resolve_frames, text), text
+        errors += isinstance(got, str)
+    assert errors >= len(inputs) // 2, (errors, len(inputs))
+
+
+@pytest.mark.parametrize("text, error", [
+    # a repeated label is reported once its list has parsed: inside a
+    # nested list, before a missing "}" and after a later syntax error
+    ("type A = !{a: ?{b: end?, c: end!, b: A}, d: end!}", "1:35: duplicate label 'b'"),
+    ("type A = !{a: end!, a: end?", "1:21: duplicate label 'a'"),
+    ("type A = !{a: B, a: end!, b: A, b: B}\ntype B = end?", "1:18: duplicate label 'a'"),
+    ("type A = !{a: end!, a: end?, b: done}", "1:33: keyword 'done' is not a type"),
+    # an `end` leaf needs its polarity
+    ("type A = !{a: end!, b: end@}", "1:27: expected '!' or '?' after 'end'"),
+    ("type A = !{a: end, b: end!}", "1:18: expected '!' or '?' after 'end'"),
+    ("type A = ?{a: end", "1:18: expected '!' or '?' after 'end'"),
+    ("type A = !{a: B, b: end }", "1:25: expected '!' or '?' after 'end'"),
+    # the nesting bound holds at an `end` leaf (one level up, in
+    # NESTED_TYPEDEFS[0], it resolves) and at the bodies nested to it
+    ("type T = " + "!{a: " * MAX_NESTING + "end!" + "}" * MAX_NESTING,
+     f"1:1260: nesting deeper than {MAX_NESTING} levels"),
+    (NESTED_TYPEDEFS[2], "1:2749: duplicate label 'c'"),
+    (NESTED_TYPEDEFS[4], "1:2366: undefined type name 'U'"),
+], ids=["nested-repeat", "repeat-then-no-brace", "first-repeat", "syntax-after-repeat",
+        "end-at", "end-comma", "end-eof", "end-brace", "end-past-bound",
+        "repeat-at-bound", "undefined-at-bound"])
+def test_type_definition_errors(text, error):
+    assert _resolution(resolve, text) == error
 
 
 def test_load_leaves_no_cyclic_garbage():

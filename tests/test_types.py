@@ -618,3 +618,15 @@ def test_shared_ladder_rereads_as_an_equivalent_tree():
     text = _assert_rereads_equivalent(program.table, program.typedefs["A0"])
     body = lambda i: f"!{{a: A{(i + 1) % 20}, b: A{(i + 1) % 20}, c: end!}}"
     assert text == f"{body(0)} where " + ", ".join(f"A{i} = {body(i)}" for i in range(1, 20))
+
+
+def test_render_finds_the_shared_nodes_once(monkeypatch):
+    # past RENDER_LIMIT, the unfolding hands the shared nodes it found to
+    # the equation form, which does not look for them again
+    program = load(shared_ladder_source(16))
+    a0, table = program.typedefs["A0"], program.table
+    calls = []
+    shared = TypeTable._shared
+    monkeypatch.setattr(TypeTable, "_shared", lambda self, i: calls.append(i) or shared(self, i))
+    assert table.render(a0).startswith("!{a: A1, b: A1, c: end!} where A1 = ")
+    assert calls == [a0]
