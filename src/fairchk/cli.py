@@ -16,6 +16,7 @@ import os
 import re
 import sys
 from collections.abc import Sequence
+from itertools import repeat
 
 from . import runtime, semantics, subtyping, typecheck
 from .surface import Program, SourceError, load
@@ -38,8 +39,8 @@ def _load_program(path: str) -> Program:
 
     Loading allocates a string per token and an object per syntax node,
     none of which can form a cycle, so the collector's scans over them would
-    find nothing. Only the load is paused: argparse's parser and an indented
-    `json.dumps` do leave cycles behind.
+    find nothing. Only the load is paused: argparse's parser does leave
+    cycles behind.
     """
     collecting = gc.isenabled()
     if collecting:
@@ -78,8 +79,70 @@ def _load_pair(args) -> tuple[Program, int, int]:
     return program, _named_type(program, args.first), _named_type(program, args.second)
 
 
+def _json_text(doc) -> str:
+    """The text of `json.dumps(doc, indent=2, sort_keys=True)`, written on an
+    explicit stack of containers; the stdlib turns its C encoder off when it
+    indents, and its Python one leaves a reference cycle behind per call.
+
+    Dicts with `str` keys, lists and tuples are printed here, and so are
+    `str`, `None`, `True`, `False` and `int`; any other scalar, such as a
+    float, goes through `json.dumps` itself. What `json.dumps` would print
+    another way (a non-`str` key, a subclass of dict, list or tuple) raises
+    `TypeError`, and a container inside itself `ValueError`, as there.
+
+    The container being printed lives in locals: an iterator over its
+    (key, value) pairs in order, whether it has keys, the texts of its
+    items so far and the newline and indent of its items. A container met
+    as a value suspends its parent on a stack of frames, with its own key
+    text and id; once its items are printed, they are joined into its
+    text, the parent's next item.
+    """
+    escape = json.encoder.encode_basestring_ascii
+    frames: list[tuple] = []
+    items, keyed, parts, nl = iter(((None, doc),)), False, [], "\n"
+    open_ids: set[int] = set()
+    while True:
+        for key, v in items:  # resumes after the container last descended into
+            # `escape` raises TypeError on a key that is not a str
+            head = escape(key) + ": " if keyed else ""
+            t = type(v)
+            if t is str:
+                parts.append(head + escape(v))
+            elif v is None:
+                parts.append(head + "null")
+            elif v is True:
+                parts.append(head + "true")
+            elif v is False:
+                parts.append(head + "false")
+            elif t is int:
+                parts.append(head + int.__repr__(v))
+            elif t is dict or t is list or t is tuple:
+                if not v:
+                    parts.append(head + ("{}" if t is dict else "[]"))
+                    continue
+                if id(v) in open_ids:
+                    raise ValueError("Circular reference detected")
+                open_ids.add(id(v))
+                frames.append((items, keyed, parts, head, nl, id(v)))
+                keyed = t is dict
+                items = iter(sorted(v.items())) if keyed else zip(repeat(None), v)
+                parts, nl = [], nl + "  "
+                break
+            elif isinstance(v, (dict, list, tuple)):
+                raise TypeError(f"not printed as JSON here: {t.__name__}")
+            else:
+                parts.append(head + json.dumps(v))
+        else:
+            if not frames:
+                return parts[0]
+            body, brackets = nl + f",{nl}".join(parts), "{}" if keyed else "[]"
+            items, keyed, parts, head, nl, done = frames.pop()
+            open_ids.discard(done)
+            parts.append(f"{head}{brackets[0]}{body}{nl}{brackets[1]}")
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(_json_text(obj))
 
 
 def _print_diagnostics(path: str, definition: dict) -> None:

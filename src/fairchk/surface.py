@@ -199,11 +199,12 @@ def children(p: ProcExpr) -> tuple[ProcExpr, ...]:
     This is the one statement of which fields of a node are processes;
     every walk that treats all kinds of node alike goes through it.
     """
-    if isinstance(p, (Done, Call, Close)):
+    kind = type(p)
+    if kind is Done or kind is Call or kind is Close:
         return ()
-    if isinstance(p, TagComm):
+    if kind is TagComm:
         return tuple(b for _, b in p.branches)
-    if isinstance(p, (Choice, NewSession)):
+    if kind is Choice or kind is NewSession:
         return (p.left, p.right)
     return (p.cont,)
 
@@ -682,7 +683,7 @@ def _operand(p: ProcExpr) -> tuple:
     """p as the operand of a prefix or the right operand of a choice: a
     choice there is parenthesized. Left operands re-associate correctly on
     reparse; right ones do not."""
-    return ("(", p, ")") if isinstance(p, Choice) else (p,)
+    return ("(", p, ")") if type(p) is Choice else (p,)
 
 
 def _branches_text(branches: list[tuple[str, object]]) -> list:
@@ -691,36 +692,37 @@ def _branches_text(branches: list[tuple[str, object]]) -> list:
 
 def _pieces(n: TypeExpr | ProcExpr) -> tuple:
     """The text of one syntax node: strings, with its child nodes in place."""
-    if isinstance(n, TEnd):
+    kind = type(n)
+    if kind is TEnd:
         return (f"end{n.pol}",)
-    if isinstance(n, TName):
+    if kind is TName:
         return (n.name,)
-    if isinstance(n, TTags):
+    if kind is TTags:
         return (f"{n.pol}{{", *_branches_text(n.branches), "}")
-    if isinstance(n, TChan):
+    if kind is TChan:
         return (f"{n.pol}(", n.payload, "). ", n.cont)
-    if isinstance(n, Done):
+    if kind is Done:
         return ("done",)
-    if isinstance(n, Call):
+    if kind is Call:
         return (f"{n.name}({', '.join(n.args)})",)
-    if isinstance(n, Close):
+    if kind is Close:
         return (f"close {n.chan}",)
-    if isinstance(n, Wait):
+    if kind is Wait:
         return (f"wait {n.chan}. ", *_operand(n.cont))
-    if isinstance(n, TagComm):
+    if kind is TagComm:
         if len(n.branches) == 1:
             label, cont = n.branches[0]
             return (f"{n.chan}{n.pol}{label}. ", *_operand(cont))
         return (f"{n.chan}{n.pol}{{", *_branches_text(n.branches), "}")
-    if isinstance(n, ChanOut):
+    if kind is ChanOut:
         return (f"{n.chan}!({n.payload}). ", *_operand(n.cont))
-    if isinstance(n, ChanIn):
+    if kind is ChanIn:
         return (f"{n.chan}?({n.var}: ", n.ann, "). ", *_operand(n.cont))
-    if isinstance(n, Choice):
+    if kind is Choice:
         return (n.left, f" +[{n.k}] ", *_operand(n.right))
-    if isinstance(n, NewSession):
+    if kind is NewSession:
         return (f"new {n.chan}: ", n.lty, " / ", n.rty, " in (", n.left, " | ", n.right, ")")
-    if isinstance(n, Cast):
+    if kind is Cast:
         w = f" @{n.weight_ann}" if n.weight_ann is not None else ""
         return (f"[{n.chan}: ", n.target, f"{w}] ", *_operand(n.cont))
     raise TypeError(f"not a syntax node: {n!r}")
@@ -885,13 +887,14 @@ def resolve(sp: SourceProgram) -> Program:
             seen_params.add(v)
         program.param_tids[d.name] = intern([t for _, t in d.params])
         for v, p in enumerate(occurrences[first:end], first):
-            if isinstance(p, Call) and p.name not in procs:
+            kind = type(p)
+            if kind is Call and p.name not in procs:
                 raise source_error(src, f"undefined process name {p.name!r}", p.at)
-            if isinstance(p, ChanIn):
+            if kind is ChanIn:
                 tids[v] = tuple(intern([p.ann]))
-            elif isinstance(p, Cast):
+            elif kind is Cast:
                 tids[v] = tuple(intern([p.target]))
-            elif isinstance(p, NewSession):
+            elif kind is NewSession:
                 tids[v] = tuple(intern([p.lty, p.rty]))
     return program
 

@@ -55,16 +55,17 @@ def free_channels(nodes: list[ProcExpr], kids: list[list[int]]) -> list[set[str]
         free[v] = out = free[ks[0]] if len(ks) == 1 else set()
         for c in ks:
             out |= free[c]
-        if isinstance(p, Call):
+        t = type(p)
+        if t is Call:
             out.update(p.args)
-        elif isinstance(p, ChanOut):
+        elif t is ChanOut:
             out.update((p.chan, p.payload))
-        elif isinstance(p, ChanIn):
+        elif t is ChanIn:
             out.discard(p.var)
             out.add(p.chan)
-        elif isinstance(p, NewSession):
+        elif t is NewSession:
             out.discard(p.chan)
-        elif not isinstance(p, (Done, Choice)):
+        elif t is not Done and t is not Choice:
             out.add(p.chan)
     return free
 
@@ -148,21 +149,22 @@ class Checker:
         while stack:
             v, ctx = stack.pop()
             p, ks = nodes[v], kids[v]
-            if isinstance(p, Done):
+            kind = type(p)
+            if kind is Done:
                 self._leak(dn, p, ctx, set())
-            elif isinstance(p, Close):
+            elif kind is Close:
                 t = self._lookup(dn, p, ctx, p.chan)
                 if table.node(t) != ("end", "!"):
                     fail(dn, "E-TYPE-MISMATCH", p,
                          f"close needs {p.chan}: end!, found {render(t)}")
                 self._leak(dn, p, ctx, {p.chan})
-            elif isinstance(p, Wait):
+            elif kind is Wait:
                 t = self._lookup(dn, p, ctx, p.chan)
                 if table.node(t) != ("end", "?"):
                     fail(dn, "E-TYPE-MISMATCH", p,
                          f"wait needs {p.chan}: end?, found {render(t)}")
                 del ctx[p.chan]
-            elif isinstance(p, Call):
+            elif kind is Call:
                 params = self.program.param_tids[p.name]
                 if len(p.args) != len(set(p.args)):
                     fail(dn, "E-CONTEXT-LEAK", p, f"call to {p.name} passes a channel twice")
@@ -176,7 +178,7 @@ class Checker:
                              f"argument {arg} has type {render(got)}, "
                              f"{p.name} expects {render(want)}")
                 self._leak(dn, p, ctx, set(p.args))
-            elif isinstance(p, TagComm):
+            elif kind is TagComm:
                 t = self._lookup(dn, p, ctx, p.chan)
                 node = table.node(t)
                 if node[0] != "tags" or node[1] != p.pol:
@@ -191,7 +193,7 @@ class Checker:
                 for l, k in zip(labels[:0:-1], ks[:0:-1]):
                     stack.append((k, {**ctx, p.chan: branches[l]}))
                 ctx[p.chan] = branches[labels[0]]
-            elif isinstance(p, ChanOut):
+            elif kind is ChanOut:
                 t = self._lookup(dn, p, ctx, p.chan)
                 node = table.node(t)
                 if node[0] != "chan" or node[1] != "!":
@@ -206,7 +208,7 @@ class Checker:
                          f"carrier expects {render(node[2])}")
                 del ctx[p.payload]
                 ctx[p.chan] = node[3]
-            elif isinstance(p, ChanIn):
+            elif kind is ChanIn:
                 t = self._lookup(dn, p, ctx, p.chan)
                 node = table.node(t)
                 if node[0] != "chan" or node[1] != "?":
@@ -220,9 +222,9 @@ class Checker:
                 if p.var in ctx or p.var == p.chan:
                     fail(dn, "E-CONTEXT-LEAK", p, f"{p.var!r} rebinds a live channel")
                 ctx[p.chan], ctx[p.var] = node[3], ann
-            elif isinstance(p, Choice):
+            elif kind is Choice:
                 stack.append((ks[1], dict(ctx)))
-            elif isinstance(p, NewSession):
+            elif kind is NewSession:
                 if p.chan in ctx:
                     fail(dn, "E-CONTEXT-LEAK", p, f"{p.chan!r} rebinds a live channel")
                 lt, rt = tids[v]
@@ -244,7 +246,7 @@ class Checker:
                              f"channel {c!r} is used by neither component")
                 stack.append((ks[1], rctx))
                 ctx = lctx
-            elif isinstance(p, Cast):
+            elif kind is Cast:
                 t = self._lookup(dn, p, ctx, p.chan)
                 (target,) = tids[v]
                 verdict = self._per_pair(fair_subtype, t, target)
@@ -277,7 +279,7 @@ class Checker:
             self.graph = TermGraph(self)
         for v in sorted(self.graph.unsafe):
             n = self.nodes[v]
-            if isinstance(n, NewSession):
+            if type(n) is NewSession:
                 self.diag(self.owner[v], "E-UNSAFE-LOOP", n.at,
                           "session created inside a termination-path loop")
             else:

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -19,7 +20,7 @@ from collections import Counter
 import pytest
 
 from conftest import CORPUS, corpus_path
-from fairchk import cli, load
+from fairchk import cli, load, typecheck
 from fairchk.cli import _color_enabled, build_parser, main
 from fairchk.surface import MAX_NESTING
 from gen import NESTED_SOURCES, deepest_admitted, diverging_source, shared_ladder_source
@@ -586,6 +587,107 @@ def test_import_loads_neither_dataclasses_nor_typing():
          "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))", str(src)],
         capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+# ---------------------------------------------------------------- the JSON emitter
+#
+# `cli._json_text` writes every `--json` document, and the text must be the
+# one `json.dumps(doc, indent=2, sort_keys=True)` gives, the oracle here.
+
+# escapes, control characters, non-ASCII text, an astral character and a
+# lone surrogate, as `ensure_ascii` prints them
+_CHARACTERS = ["a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "é",
+               "ß", "漢", "\u2028", "\ud800", "\U0001f600"]
+
+
+def _random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(_CHARACTERS) for _ in range(rng.choice((0, 1, 2, 5, 40))))
+
+
+def _random_scalar(rng: random.Random):
+    kind = rng.randrange(9)
+    if kind == 0:
+        return _random_text(rng)
+    if kind == 1:
+        return rng.randrange(-20, 20)
+    if kind == 2:
+        return rng.randrange(-10 ** 40, 10 ** 40)
+    if kind == 3:
+        return rng.choice((rng.uniform(-1e6, 1e6), 0.0, -0.0, 1e-300, 1e300, 0.1,
+                           float("inf"), float("-inf"), float("nan")))
+    if kind == 4:
+        return rng.random() < 0.5
+    if kind == 5:
+        return None
+    return rng.choice(({}, [], ()))
+
+
+def _random_document(rng: random.Random, depth: int = 0):
+    """Nested dicts, lists and tuples, at most five levels deep, with
+    scalars and empty containers at the leaves."""
+    if depth == 5 or rng.random() < 0.5:
+        return _random_scalar(rng)
+    width = rng.choice((1, 1, 2, 3, 6))
+    kind = rng.randrange(5)
+    if kind < 3:
+        return {_random_text(rng): _random_document(rng, depth + 1) for _ in range(width)}
+    items = [_random_document(rng, depth + 1) for _ in range(width)]
+    return items if kind == 3 else tuple(items)
+
+
+def test_json_text_is_the_indented_json_dumps():
+    rng = random.Random(35)
+    for _ in range(10_000):
+        doc = _random_document(rng)
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True), doc
+
+
+def test_every_check_report_prints_as_the_indented_json_dumps(monkeypatch, capsys):
+    # each corpus file, with and without branch inference: the report as
+    # `check --json` prints it, with its `timings`
+    emitted = []
+    emit = cli._emit_json
+    monkeypatch.setattr(cli, "_emit_json", lambda doc: (emitted.append(doc), emit(doc)))
+    for path in sorted(CORPUS.glob("*.ft")):
+        for extra in ([], ["--infer-branch"]):
+            main(["check", str(path), "--json", *extra])
+            out = capsys.readouterr().out
+            assert out == json.dumps(emitted.pop(), indent=2, sort_keys=True) + "\n", path
+            assert '"timings"' in out
+
+
+def test_json_text_refuses_what_it_would_print_another_way():
+    class Box(dict):
+        pass
+
+    loop: list = []
+    loop.append(loop)
+    for doc in ({1: 2}, {"a": 1, None: 2}, [Box(a=1)], {"a": object()}, {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
+    with pytest.raises(ValueError, match="Circular reference"):
+        cli._json_text({"a": [loop]})
+    # a container printed twice, but not inside itself, is no cycle
+    shared = {"x": [1]}
+    doc = {"a": shared, "b": [shared, shared]}
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_emitting_a_report_leaves_no_cyclic_garbage(capsys):
+    program = load((CORPUS / "fwd.ft").read_text(encoding="utf-8"))
+    checker = typecheck.Checker(program)
+    report = checker.run()
+    report["timings"] = {"loadMs": 0.5, "checkMs": 1.25, **checker.timings}
+    assert report["definitions"][0]["diagnostics"]
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        cli._emit_json(report)
+        assert gc.collect() == 0
+    finally:
+        _set_collector(was)
+    assert json.loads(capsys.readouterr().out) == report
 
 
 # ---------------------------------------------------------------- color

@@ -122,11 +122,42 @@ def _process_field_reads(tree: ast.Module) -> list[str]:
             for n in sorted(reads, key=lambda n: (n.lineno, n.col_offset))]
 
 
+def _record_classes(tree: ast.Module) -> set[str]:
+    """The classes the module derives from `Record`; in `surface.py`, the
+    syntax nodes and the records that hold them."""
+    return {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
+            and any(isinstance(b, ast.Name) and b.id == "Record" for b in n.bases)}
+
+
+def _isinstance_on(tree: ast.Module, classes: set[str]) -> list[str]:
+    """Every `isinstance` call whose class argument names one of `classes`,
+    alone or in a tuple, as `Class, ... (line n)`."""
+    found = []
+    for call in ast.walk(tree):
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == "isinstance" and len(call.args) == 2):
+            continue
+        arg = call.args[1]
+        names = [n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+                 for n in (arg.elts if isinstance(arg, ast.Tuple) else [arg])]
+        if classes.intersection(names):
+            found.append(f"{', '.join(n for n in names if n in classes)} (line {call.lineno})")
+    return found
+
+
 def test_only_surface_reads_process_fields():
     # past the front end every pass moves along `Program.kids` and
     # `Program.start`, never along the fields of a syntax node
     reads = {p.name: _process_field_reads(_tree(p)) for p in MODULES if p.name != "surface.py"}
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+def test_syntax_nodes_are_told_apart_by_exact_class():
+    # every walk over syntax nodes reads `type(p)` once and tests it with
+    # `is`, the one dispatch idiom; `isinstance` stays for builtins
+    classes = _record_classes(_tree(SRC / "surface.py"))
+    found = {p.name: _isinstance_on(_tree(p), classes) for p in MODULES}
+    assert {name: sites for name, sites in found.items() if sites} == {}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -190,4 +221,17 @@ def test_the_checks_find_what_they_look_for():
     assert _unnamed_functions({"dead.py": dead, "user.py": user}) == [
         "dead.py: loop (line 6)", "dead.py: stale (line 13)"]
     assert _exported_only({"dead.py": dead, "user.py": user}) == ["dead.py: api"]
+    nodes = ast.parse(
+        "class Record:\n"
+        "    pass\n"
+        "class Done(Record):\n"
+        "    pass\n"
+        "class Other:\n"
+        "    pass\n"
+        "def kind(p):\n"
+        "    return (isinstance(p, Done), isinstance(p, (int, Done)), isinstance(p, Other),\n"
+        "            isinstance(p, str), isinstance(p, surface.Done), type(p) is Done)\n")
+    assert _record_classes(nodes) == {"Done"}
+    assert _isinstance_on(nodes, {"Done", "Other"}) == [
+        "Done (line 8)", "Done (line 8)", "Other (line 8)", "Done (line 9)"]
     assert len(MODULES) > 5
